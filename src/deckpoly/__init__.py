@@ -15,7 +15,6 @@ from .digraphs import (
     directed_cycle,
     directed_path,
     enumerate_digraphs,
-    in_degree_matrix,
     validate,
 )
 from .graph_polys import (
@@ -90,7 +89,6 @@ __all__ = [
     "directed_path",
     "enumerate_digraphs",
     "find_deck_collisions",
-    "in_degree_matrix",
     "kind_name",
     "parse_kind",
     "pencil_at",

@@ -88,11 +88,6 @@ def in_degrees(g: Digraph) -> list[Fraction]:
     return d
 
 
-def in_degree_matrix(g: Digraph) -> Matrix:
-    d = in_degrees(g)
-    return [[d[i] if i == j else Fraction(0) for j in range(g.n)] for i in range(g.n)]
-
-
 def delete_arc(g: Digraph, e: int) -> Digraph:
     """Same vertex set with arc e removed."""
     if not 0 <= e < g.m:

@@ -26,9 +26,9 @@ from .polynomials import Polynomial
 DETERMINANT = "det"
 PERMANENT = "per"
 
-# poly_of caps per mode; the oracle is factorial and capped much lower.
+# poly_of's det-mode cap; per mode is capped by matrices.RYSER_MAX_ORDER.
+# The oracle is factorial and capped much lower.
 DET_MAX_VERTICES = 64
-PER_MAX_VERTICES = 16
 ORACLE_MAX_VERTICES = 7
 
 
@@ -99,14 +99,15 @@ def _poly_of_cached(g: Digraph, kind: PolyKind) -> Polynomial:
     points = [(Fraction(t), kernel(pencil_at(g, kind, t))) for t in range(g.n + 1)]
     p = polynomials.interpolate(points)
     # The pencil polynomial is monic of degree n; anything else is a kernel bug.
-    assert len(p) == g.n + 1 and p[-1] == 1, "pencil polynomial must be monic of degree n"
+    if len(p) != g.n + 1 or p[-1] != 1:
+        raise AssertionError(f"pencil polynomial must be monic of degree {g.n}, got {p}")
     return p
 
 
 def poly_of(g: Digraph, kind: PolyKind) -> Polynomial:
     """Exact monic degree-n polynomial of the pencil, via evaluation at
     t = 0..n and interpolation. Assumes a validated digraph."""
-    cap = PER_MAX_VERTICES if kind.mode == PERMANENT else DET_MAX_VERTICES
+    cap = matrices.RYSER_MAX_ORDER if kind.mode == PERMANENT else DET_MAX_VERTICES
     if g.n > cap:
         raise ValueError(f"{kind.mode} polynomials are capped at {cap} vertices, got {g.n}")
     return _poly_of_cached(g, kind)

@@ -31,45 +31,40 @@ class IdentityReport:
         return "holds" if self.holds else "violated"
 
 
-def _nonzero_positions(matrix: Matrix) -> list[tuple[int, int]]:
+def _entries(matrix: Matrix) -> list[tuple[int, int]]:
     n = matrices.order_of(matrix)
-    return [(i, j) for i in range(n) for j in range(n) if matrix[i][j] != 0]
+    return [(i, j) for i in range(n) for j in range(n)]
+
+
+def _support(matrix: Matrix) -> list[tuple[int, int]]:
+    return [(i, j) for i, j in _entries(matrix) if matrix[i][j] != 0]
+
+
+def _check_zeroing(identity: str, matrix: Matrix, kernel, positions) -> IdentityReport:
+    """(len(positions) - n) * kernel(X) == sum of kernel(X with entry (i, j)
+    zeroed) over (i, j) in positions, the common form of theorems 2.1-2.3."""
+    n = matrices.order_of(matrix)
+    lhs = (len(positions) - n) * kernel(matrix)
+    rhs = Fraction(0)
+    for i, j in positions:
+        rhs += kernel(matrices.zero_entry(matrix, i, j))
+    instance = {"matrix": serialize.matrix_to_strings(matrix)}
+    return IdentityReport(identity, instance, lhs, rhs, lhs == rhs)
 
 
 def check_thm21(matrix: Matrix) -> IdentityReport:
     """(n^2 - n) * det(X) == sum of det(X with one entry zeroed), over all entries."""
-    n = matrices.order_of(matrix)
-    lhs = (n * n - n) * matrices.det_bareiss(matrix)
-    rhs = Fraction(0)
-    for i in range(n):
-        for j in range(n):
-            rhs += matrices.det_bareiss(matrices.zero_entry(matrix, i, j))
-    instance = {"matrix": serialize.matrix_to_strings(matrix)}
-    return IdentityReport("2.1", instance, lhs, rhs, lhs == rhs)
+    return _check_zeroing("2.1", matrix, matrices.det_bareiss, _entries(matrix))
 
 
 def check_thm22(matrix: Matrix) -> IdentityReport:
     """(m - n) * det(X) == sum of det(X_ij) over the m nonzero entries only."""
-    n = matrices.order_of(matrix)
-    support = _nonzero_positions(matrix)
-    lhs = (len(support) - n) * matrices.det_bareiss(matrix)
-    rhs = Fraction(0)
-    for i, j in support:
-        rhs += matrices.det_bareiss(matrices.zero_entry(matrix, i, j))
-    instance = {"matrix": serialize.matrix_to_strings(matrix)}
-    return IdentityReport("2.2", instance, lhs, rhs, lhs == rhs)
+    return _check_zeroing("2.2", matrix, matrices.det_bareiss, _support(matrix))
 
 
 def check_thm23(matrix: Matrix) -> IdentityReport:
     """(m - n) * per(X) == sum of per(X_ij) over the m nonzero entries only."""
-    n = matrices.order_of(matrix)
-    support = _nonzero_positions(matrix)
-    lhs = (len(support) - n) * matrices.per_ryser(matrix)
-    rhs = Fraction(0)
-    for i, j in support:
-        rhs += matrices.per_ryser(matrices.zero_entry(matrix, i, j))
-    instance = {"matrix": serialize.matrix_to_strings(matrix)}
-    return IdentityReport("2.3", instance, lhs, rhs, lhs == rhs)
+    return _check_zeroing("2.3", matrix, matrices.per_ryser, _support(matrix))
 
 
 def check_thm31(g: Digraph, beta, gamma, mode: str) -> IdentityReport:
@@ -105,8 +100,6 @@ def check_eq17(g: Digraph, kind: PolyKind) -> IdentityReport:
 
 # Seeded random instance generation. Callers own the Random object, so a
 # sweep is reproducible from its seed alone.
-
-NONZERO_DIGITS = tuple(k for k in range(-9, 10) if k != 0)
 
 
 def random_matrix(rng: random.Random, order: int, zero_density: float = 0.3,

@@ -26,13 +26,6 @@ def order_of(matrix: Matrix) -> int:
     return n
 
 
-def from_rows(rows) -> Matrix:
-    """Copy any nested sequence of numbers into a matrix of Fractions."""
-    matrix = [[Fraction(x) for x in row] for row in rows]
-    order_of(matrix)
-    return matrix
-
-
 def zero_entry(matrix: Matrix, i: int, j: int) -> Matrix:
     """Copy of `matrix` with entry (i, j) replaced by zero."""
     n = order_of(matrix)
@@ -41,17 +34,6 @@ def zero_entry(matrix: Matrix, i: int, j: int) -> Matrix:
     out = [list(row) for row in matrix]
     out[i][j] = Fraction(0)
     return out
-
-
-def delete_row_col(matrix: Matrix, t: int) -> Matrix:
-    """Principal submatrix with row t and column t removed."""
-    n = order_of(matrix)
-    if n < 2:
-        raise ValueError("cannot delete from a matrix of order 1")
-    if not 0 <= t < n:
-        raise IndexError(f"index {t} outside a {n}x{n} matrix")
-    return [[row[j] for j in range(n) if j != t]
-            for i, row in enumerate(matrix) if i != t]
 
 
 def permutation_sign(perm) -> int:
@@ -119,31 +101,16 @@ def det_bareiss(matrix: Matrix) -> Fraction:
     return sign * rows[n - 1][n - 1] / scale
 
 
-def det_expansion(matrix: Matrix) -> Fraction:
-    """Signed permutation-sum determinant; the n!-term oracle for det_bareiss."""
+def permutation_expansion(matrix: Matrix, signed: bool) -> Fraction:
+    """Permutation-sum determinant (signed) or permanent (unsigned); the
+    n!-term oracle for det_bareiss and per_ryser."""
     n = order_of(matrix)
     if n > EXPANSION_MAX_ORDER:
-        raise ValueError(f"det_expansion is capped at order {EXPANSION_MAX_ORDER}, got {n}")
+        raise ValueError(
+            f"permutation_expansion is capped at order {EXPANSION_MAX_ORDER}, got {n}")
     total = Fraction(0)
     for perm in permutations(range(n)):
-        term = Fraction(permutation_sign(perm))
-        for i, j in enumerate(perm):
-            if matrix[i][j] == 0:
-                term = Fraction(0)
-                break
-            term *= matrix[i][j]
-        total += term
-    return total
-
-
-def per_expansion(matrix: Matrix) -> Fraction:
-    """Unsigned permutation-sum permanent; the n!-term oracle for per_ryser."""
-    n = order_of(matrix)
-    if n > EXPANSION_MAX_ORDER:
-        raise ValueError(f"per_expansion is capped at order {EXPANSION_MAX_ORDER}, got {n}")
-    total = Fraction(0)
-    for perm in permutations(range(n)):
-        term = Fraction(1)
+        term = Fraction(permutation_sign(perm) if signed else 1)
         for i, j in enumerate(perm):
             if matrix[i][j] == 0:
                 term = Fraction(0)

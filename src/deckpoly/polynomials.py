@@ -43,10 +43,7 @@ def add(p: Polynomial, q: Polynomial) -> Polynomial:
 
 
 def sub(p: Polynomial, q: Polynomial) -> Polynomial:
-    n = max(len(p), len(q))
-    return normalize(
-        (p[k] if k < len(p) else 0) - (q[k] if k < len(q) else 0) for k in range(n)
-    )
+    return add(p, scale(q, -1))
 
 
 def scale(p: Polynomial, c) -> Polynomial:

@@ -7,8 +7,10 @@ The deck sum S(x) = sum of the deck members satisfies
 so coefficient k of g obeys (m - n + k) * c_k = s_k. Every coefficient
 with m - n + k != 0 is forced. The one exponent k* = n - m (when it lands
 in [0, n]) is annihilated: x^{k*} solves the homogeneous equation, and
-only structural side constraints can pin it. When none applies, the
-honest answer is a one-parameter family, not a guess.
+only structural side constraints can pin it: the trace rule at m = 1,
+and at m = n the zero column sums of D - A for determinant kinds with
+beta = -gamma. When none applies, the honest answer is a one-parameter
+family, not a guess.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from fractions import Fraction
 
 from . import polynomials
 from .digraphs import Digraph
-from .graph_polys import F2, Deck, PolyKind, deck, poly_of
+from .graph_polys import DETERMINANT, Deck, PolyKind, deck, poly_of
 from .polynomials import Polynomial
 
 
@@ -58,9 +60,10 @@ def reconstruct(d: Deck) -> ReconstructionResult:
 
     n and m are inferred from the deck itself (member degree and
     cardinality). Side constraints on the annihilated coefficient, applied
-    in order: the trace rule pins c_{n-1} to -beta*m when m = 1, and the
-    Laplacian determinant kind pins c_0 to 0 when m = n. Anything else
-    with k* in range stays a one-parameter family.
+    in order: the trace rule pins c_{n-1} to -beta*m when m = 1, and a
+    determinant kind with beta = -gamma (f2 among the named kinds) pins c_0
+    to 0 when m = n. Anything else with k* in range stays a one-parameter
+    family.
     """
     m = len(d.polys)
     if m == 0:
@@ -87,9 +90,9 @@ def reconstruct(d: Deck) -> ReconstructionResult:
         # -beta * (total arc weight); unit weights assumed, so -beta * m.
         coeffs[kstar] = -d.kind.beta * m
         return Unique(polynomials.normalize(coeffs))
-    if kstar == 0 and d.kind == F2:
-        # det(A - D) vanishes (columns of A - D sum to zero), so the
-        # Laplacian determinant polynomial has no constant term.
+    if kstar == 0 and d.kind.mode == DETERMINANT and d.kind.beta == -d.kind.gamma:
+        # At x = 0 the pencil is -beta*D - gamma*A = -beta*(D - A), whose
+        # columns sum to zero, so its determinant and c_0 vanish.
         coeffs[0] = Fraction(0)
         return Unique(polynomials.normalize(coeffs))
     coeffs[kstar] = Fraction(0)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .digraphs import Digraph, directed_path, enumerate_digraphs
+from .digraphs import Digraph, directed_cycle, directed_path, enumerate_digraphs
 from .graph_polys import PolyKind, deck, poly_of
 from .polynomials import Polynomial
 
@@ -44,7 +44,7 @@ def canonical_counterexample(n: int) -> tuple[Digraph, Digraph]:
     """
     if n < 3:
         raise ValueError(f"the counterexample pair needs n >= 3, got {n}")
-    cycle = Digraph(n, tuple((i, (i + 1) % n) for i in range(n)))
+    cycle = directed_cycle(n)
     rival = Digraph(n, directed_path(n).arcs + ((0, n - 1),))
     return cycle, rival
 

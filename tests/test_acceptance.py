@@ -33,7 +33,7 @@ from deckpoly.identities import (
     random_nonzero_rational,
     random_rational,
 )
-from deckpoly.matrices import det_bareiss, det_expansion, per_expansion, per_ryser
+from deckpoly.matrices import det_bareiss, per_ryser, permutation_expansion
 from deckpoly.reconstruct import OneParameterFamily, Unique, deck_sum, reconstruct
 from deckpoly.search import canonical_counterexample, find_deck_collisions
 
@@ -90,8 +90,8 @@ def test_criterion_2_matrix_identity_sweep():
         assert check_thm21(matrix).holds
         assert check_thm22(matrix).holds
         assert check_thm23(matrix).holds
-        assert det_expansion(matrix) == det_bareiss(matrix)
-        assert per_expansion(matrix) == per_ryser(matrix)
+        assert permutation_expansion(matrix, True) == det_bareiss(matrix)
+        assert permutation_expansion(matrix, False) == per_ryser(matrix)
     assert time.monotonic() - start < 30.0
 
 

@@ -169,6 +169,19 @@ def test_verify_flag_validation(capsys):
     assert code == 2  # --seed is mandatory
 
 
+def test_verify_rejects_max_n_above_the_permanent_cap_up_front(capsys):
+    # Whether a sweep used to reach an order-17 permanent depended on the seed.
+    for theorem in ("2.3", "3.1", "1.7"):
+        for trials, seed in (("3", "1"), ("1", "17")):
+            code, out, err = run(capsys, "verify", "--theorem", theorem, "--trials", trials,
+                                 "--max-n", "17", "--seed", seed)
+            assert code == 2 and out == "" and "capped at 16" in err
+    # Determinant-only theorems have no such cap.
+    code, _, _ = run(capsys, "verify", "--theorem", "2.2", "--trials", "1",
+                     "--max-n", "17", "--seed", "17")
+    assert code == 0
+
+
 def test_search_finds_the_canonical_collision(tmp_path, capsys):
     out_path = str(tmp_path / "groups.ndjson")
     code, out, _ = run(capsys, "search", "--vertices", "4", "--arcs", "4",

@@ -65,12 +65,6 @@ def test_adjacency_weighted_single_arc():
     assert dg.adjacency(g) == [[0, Fraction(1, 2)], [0, 0]]
 
 
-def test_in_degree_matrix():
-    assert dg.in_degree_matrix(dg.directed_cycle(3)) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
-    assert dg.in_degree_matrix(Digraph(2)) == [[0, 0], [0, 0]]
-    assert dg.in_degree_matrix(Digraph(2, ((0, 1),))) == [[0, 0], [0, 1]]
-
-
 def test_in_degree_is_weighted():
     g = Digraph(2, ((0, 1), (1, 0)), (Fraction(1, 2), Fraction(3),))
     assert dg.in_degrees(g) == [Fraction(3), Fraction(1, 2)]

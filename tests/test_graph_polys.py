@@ -1,11 +1,16 @@
 """Pencil polynomials: golden values, the permutation-expansion oracle, decks."""
 
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 
 import pytest
 
 from deckpoly import digraphs as dg
+from deckpoly import graph_polys
 from deckpoly import polynomials as poly
 from deckpoly.digraphs import Digraph
 from deckpoly.graph_polys import (
@@ -127,6 +132,27 @@ def test_poly_of_is_monic_of_degree_n():
             p = poly_of(g, kind)
             assert poly.degree(p) == g.n
             assert p[-1] == 1
+
+
+def test_monic_check_survives_python_O():
+    # A kernel returning a wrong value must raise even under -O, where a
+    # bare assert would vanish and a non-monic polynomial would escape.
+    script = textwrap.dedent("""
+        from fractions import Fraction
+        from deckpoly import graph_polys
+        from deckpoly.digraphs import Digraph
+
+        graph_polys._kernel = lambda kind: lambda matrix: Fraction(0)
+        graph_polys._poly_of_cached.cache_clear()
+        try:
+            graph_polys.poly_of(Digraph(2), graph_polys.F1)
+        except AssertionError as exc:
+            print(exc)
+    """)
+    src = os.path.dirname(os.path.dirname(graph_polys.__file__))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert "monic of degree 2" in proc.stdout
 
 
 def test_second_coefficient_is_minus_beta_times_total_weight():

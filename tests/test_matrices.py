@@ -40,8 +40,8 @@ def test_det_bareiss_rational_entries():
 
 
 def test_det_expansion_matches_hand_values():
-    assert mx.det_expansion([[1, 2], [3, 4]]) == -2
-    assert mx.det_expansion([[2, 0, 0], [0, 3, 0], [0, 0, 5]]) == 30
+    assert mx.permutation_expansion([[1, 2], [3, 4]], True) == -2
+    assert mx.permutation_expansion([[2, 0, 0], [0, 3, 0], [0, 0, 5]], True) == 30
 
 
 def test_per_ryser_hand_values():
@@ -52,16 +52,16 @@ def test_per_ryser_hand_values():
 
 
 def test_per_expansion_hand_values():
-    assert mx.per_expansion([[1, 2], [3, 4]]) == 10
-    assert mx.per_expansion([[0, 0], [0, 0]]) == 0
+    assert mx.permutation_expansion([[1, 2], [3, 4]], False) == 10
+    assert mx.permutation_expansion([[0, 0], [0, 0]], False) == 0
 
 
 def test_expansions_match_fast_kernels_on_random_matrices():
     rng = random.Random(1105)
     for _ in range(200):
         m = random_matrix(rng, rng.randint(1, 6))
-        assert mx.det_expansion(m) == mx.det_bareiss(m)
-        assert mx.per_expansion(m) == mx.per_ryser(m)
+        assert mx.permutation_expansion(m, True) == mx.det_bareiss(m)
+        assert mx.permutation_expansion(m, False) == mx.per_ryser(m)
 
 
 def test_det_alternates_per_is_symmetric_under_row_swap():
@@ -115,25 +115,12 @@ def test_zero_entry_index_errors():
         mx.zero_entry([[1]], -1, 0)
 
 
-def test_delete_row_col():
-    assert mx.delete_row_col([[1, 2], [3, 4]], 0) == [[4]]
-    assert mx.delete_row_col(identity_matrix(3), 1) == identity_matrix(2)
-    assert mx.delete_row_col([[1, 2, 3], [4, 5, 6], [7, 8, 9]], 2) == [[1, 2], [4, 5]]
-
-
-def test_delete_row_col_errors():
-    with pytest.raises(ValueError):
-        mx.delete_row_col([[1]], 0)
-    with pytest.raises(IndexError):
-        mx.delete_row_col([[1, 2], [3, 4]], 2)
-
-
 def test_size_caps_are_hard_errors():
     big = identity_matrix(9)
     with pytest.raises(ValueError):
-        mx.det_expansion(big)
+        mx.permutation_expansion(big, True)
     with pytest.raises(ValueError):
-        mx.per_expansion(big)
+        mx.permutation_expansion(big, False)
     with pytest.raises(ValueError):
         mx.per_ryser(identity_matrix(17))
 

@@ -6,7 +6,7 @@ import pytest
 
 from deckpoly import polynomials as poly
 from deckpoly.digraphs import Digraph, directed_cycle, directed_path, enumerate_digraphs
-from deckpoly.graph_polys import F1, F2, F4, F5, SIX_KINDS, Deck, deck, poly_of
+from deckpoly.graph_polys import F1, F2, F4, F5, SIX_KINDS, Deck, PolyKind, deck, poly_of
 from deckpoly.identities import random_digraph
 from deckpoly.reconstruct import (
     Inconsistent,
@@ -82,9 +82,11 @@ def test_every_family_member_satisfies_the_deck_equation():
 
 
 def test_reconstruct_m_equals_n_laplacian_is_pinned_to_zero_constant():
-    for g in (directed_cycle(3), directed_cycle(4), path_plus_arc(4)):
-        result = reconstruct(deck(g, F2))
-        assert result == Unique(poly_of(g, F2))
+    # Any det kind with beta = -gamma has c_0 = 0, not only f2.
+    for g, kind in ((directed_cycle(3), F2), (directed_cycle(4), F2),
+                    (path_plus_arc(4), F2), (directed_cycle(4), PolyKind(2, -2, "det"))):
+        result = reconstruct(deck(g, kind))
+        assert result == Unique(poly_of(g, kind))
         assert result.poly[0] == 0
 
 
