@@ -9,6 +9,13 @@ The six named kinds are the classical specializations: f1/f4 are the
 characteristic and permanental polynomials (beta=0, gamma=1), f2/f5 the
 Laplacian pair (beta=1, gamma=-1), f3/f6 the signless Laplacian pair
 (beta=1, gamma=1).
+
+poly_of builds the integer pencil L*B once, with B = beta*D + gamma*A
+and L the lcm of the denominators of B's entries, and reads the
+coefficients off one integer kernel: Berkowitz's division-free
+characteristic polynomial in det mode, one Ryser pass with row sums linear
+in x in per mode. pencil_at (with polynomials.interpolate) and
+poly_of_oracle remain as two independent test oracles.
 """
 
 from __future__ import annotations
@@ -17,6 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
+from math import gcd, lcm
 
 from . import digraphs, matrices, polynomials
 from .digraphs import Digraph
@@ -79,7 +87,13 @@ def parse_kind(text: str) -> PolyKind:
 
 
 def pencil_at(g: Digraph, kind: PolyKind, t) -> Matrix:
-    """The matrix t*I - beta*D - gamma*A for a concrete value t."""
+    """The matrix t*I - beta*D - gamma*A for a concrete value t.
+
+    Test oracle only: det_bareiss or per_ryser of pencil_at(g, kind, t) at
+    t = 0..n, fed to polynomials.interpolate, recomputes poly_of by an
+    independent route (n+1 scalar evaluations instead of one coefficient
+    kernel), which is why it stays in the package.
+    """
     t = Fraction(t)
     a = digraphs.adjacency(g)
     d = digraphs.in_degrees(g)
@@ -89,15 +103,40 @@ def pencil_at(g: Digraph, kind: PolyKind, t) -> Matrix:
     return out
 
 
+def _integer_pencil(g: Digraph, kind: PolyKind) -> tuple[list[list[int]], int]:
+    """(L*B, L) for B = beta*D + gamma*A, where L is the lcm of the
+    denominators of B's entries, so L*B is an int matrix.
+
+    With q the lcm of the weights' denominators, B = M / L0 for the int
+    matrix M below and L0 = beta.denominator * gamma.denominator * q; then
+    L = L0 / gcd(L0, entries of M).
+    """
+    weights = g.arc_weights()
+    q = lcm(*(w.denominator for w in weights))
+    off = kind.gamma.numerator * kind.beta.denominator
+    on = kind.beta.numerator * kind.gamma.denominator
+    b = [[0] * g.n for _ in range(g.n)]
+    for (s, t), w in zip(g.arcs, weights):
+        x = w.numerator * (q // w.denominator)
+        b[s][t] = off * x
+        b[t][t] += on * x
+    scale = kind.beta.denominator * kind.gamma.denominator * q
+    common = gcd(scale, *(x for row in b for x in row))
+    return [[x // common for x in row] for row in b], scale // common
+
+
 def _kernel(kind: PolyKind):
-    return matrices.per_ryser if kind.mode == PERMANENT else matrices.det_bareiss
+    return matrices.perpoly_ryser if kind.mode == PERMANENT else matrices.charpoly_berkowitz
 
 
 @lru_cache(maxsize=1 << 16)
 def _poly_of_cached(g: Digraph, kind: PolyKind) -> Polynomial:
-    kernel = _kernel(kind)
-    points = [(Fraction(t), kernel(pencil_at(g, kind, t))) for t in range(g.n + 1)]
-    p = polynomials.interpolate(points)
+    b, scale = _integer_pencil(g, kind)
+    # The kernel returns K(y) = det or per of (y*I - L*B). Both are
+    # homogeneous of degree n, so K(L*x) = L^n * f(x), and coefficient k
+    # of f is coefficient k of K divided by L^(n-k).
+    coeffs = _kernel(kind)(b)
+    p = tuple(Fraction(c, scale ** (g.n - k)) for k, c in enumerate(coeffs))
     # The pencil polynomial is monic of degree n; anything else is a kernel bug.
     if len(p) != g.n + 1 or p[-1] != 1:
         raise AssertionError(f"pencil polynomial must be monic of degree {g.n}, got {p}")
@@ -105,8 +144,10 @@ def _poly_of_cached(g: Digraph, kind: PolyKind) -> Polynomial:
 
 
 def poly_of(g: Digraph, kind: PolyKind) -> Polynomial:
-    """Exact monic degree-n polynomial of the pencil, via evaluation at
-    t = 0..n and interpolation. Assumes a validated digraph."""
+    """Exact monic degree-n polynomial of the pencil. The integer pencil
+    L*(beta*D + gamma*A) is built once; Berkowitz's charpoly (det mode) or
+    one polynomial Ryser pass (per mode) gives its coefficients in Python
+    ints. Assumes a validated digraph."""
     cap = matrices.RYSER_MAX_ORDER if kind.mode == PERMANENT else DET_MAX_VERTICES
     if g.n > cap:
         raise ValueError(f"{kind.mode} polynomials are capped at {cap} vertices, got {g.n}")

@@ -3,6 +3,10 @@
 A matrix is a plain list of equal-length rows; entries are
 `fractions.Fraction` (plain ints are accepted anywhere and treated as
 exact). No function mutates its input.
+
+det_bareiss and per_ryser give one scalar value. charpoly_berkowitz and
+perpoly_ryser give every coefficient of det(x*I - M) and per(x*I - M)
+at once, in Python ints for an int matrix.
 """
 
 from __future__ import annotations
@@ -156,3 +160,90 @@ def per_ryser(matrix: Matrix) -> Fraction:
     if n & 1:
         total = -total
     return total / scale
+
+
+def charpoly_berkowitz(matrix: list[list[int]]) -> list[int]:
+    """Coefficients, constant term first, of det(x*I - M), by Berkowitz's
+    division-free algorithm (Berkowitz 1984, Inf. Process. Lett. 18).
+
+    The leading principal submatrix M_r is bordered by row R, column C and
+    diagonal entry a; then charpoly(M_{r+1}) = T * charpoly(M_r), where T
+    is lower-triangular Toeplitz with first column
+    (1, -a, -R*C, -R*M_r*C, ..., -R*M_r^(r-1)*C). Only ring operations
+    are used, so an int matrix is processed in Python ints. Products skip
+    zero entries: a matrix with z nonzeros costs O(n^2 * (n + z)), not
+    O(n^4).
+    """
+    n = order_of(matrix)
+    nonzero = [[(j, v) for j, v in enumerate(row) if v] for row in matrix]
+    poly = [1]  # charpoly(M_r), leading coefficient first
+    for r in range(n):
+        border_row = [(j, v) for j, v in nonzero[r] if j < r]
+        vec = [matrix[i][r] for i in range(r)]
+        toeplitz = [1, -matrix[r][r]] + [0] * r
+        if border_row and any(vec):
+            sub = [[(j, v) for j, v in nonzero[i] if j < r] for i in range(r)]
+            for k in range(r):
+                toeplitz[k + 2] = -sum(v * vec[j] for j, v in border_row)
+                if k == r - 1:
+                    break
+                vec = [sum(v * vec[j] for j, v in row) for row in sub]
+                if not any(vec):
+                    break
+        out = [0] * (r + 2)
+        for d, t in enumerate(toeplitz):
+            if t:
+                for j in range(min(r + 1, r + 2 - d)):
+                    out[j + d] += t * poly[j]
+        poly = out
+    return poly[::-1]
+
+
+def perpoly_ryser(matrix: list[list[int]]) -> list[int]:
+    """Coefficients, constant term first, of per(x*I - M), by one Ryser pass.
+
+    Over a column subset S, row i of x*I - M sums to x*[i in S] - u_i with
+    u_i = sum_{j in S} M[i][j]. The signs of Ryser's formula (see
+    per_ryser) then cancel:
+
+        per(x*I - M) = sum_S prod_{i not in S} u_i * prod_{i in S} (x - u_i).
+
+    Subsets are visited in Gray-code order, so each step updates u by the
+    nonzeros of one column; a subset with some u_i = 0 outside S adds
+    nothing and is skipped before its product is expanded.
+    """
+    n = order_of(matrix)
+    if n > RYSER_MAX_ORDER:
+        raise ValueError(f"perpoly_ryser is capped at order {RYSER_MAX_ORDER}, got {n}")
+    columns = [[(i, matrix[i][j]) for i in range(n) if matrix[i][j]] for j in range(n)]
+    sums = [0] * n
+    total = [0] * (n + 1)
+    for g in range(1, 1 << n):
+        col = (g & -g).bit_length() - 1
+        gray = g ^ (g >> 1)
+        if gray >> col & 1:
+            for i, v in columns[col]:
+                sums[i] += v
+        else:
+            for i, v in columns[col]:
+                sums[i] -= v
+        const = 1
+        roots = []
+        for i, s in enumerate(sums):
+            if gray >> i & 1:
+                roots.append(s)
+            elif s:
+                const *= s
+            else:
+                break
+        else:
+            # const * prod (x - root), leading coefficient first
+            prod = [const]
+            for root in roots:
+                prod.append(0)
+                for k in range(len(prod) - 1, 0, -1):
+                    prod[k] -= root * prod[k - 1]
+            top = len(roots)
+            for k, c in enumerate(prod):
+                total[top - k] += c
+    return total

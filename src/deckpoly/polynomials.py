@@ -91,6 +91,10 @@ def interpolate(points) -> Polynomial:
     Lagrange form: build the master product of (x - x_i) once, divide out
     each root to get the per-point numerator, and rescale by its value at
     the point. All arithmetic is exact.
+
+    Test oracle path: fed with det_bareiss or per_ryser of
+    graph_polys.pencil_at at t = 0..n, it recomputes poly_of by n+1 scalar
+    evaluations, a route independent of poly_of's coefficient kernels.
     """
     pts = [(Fraction(x), Fraction(y)) for x, y in points]
     if not pts:

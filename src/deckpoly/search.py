@@ -58,6 +58,8 @@ def find_deck_collisions(n: int, m: int, kind: PolyKind,
     by polynomial. The enumeration size comb(n*(n-1), m) must stay within
     `budget`.
     """
+    if n < 1:
+        raise ValueError(f"vertex count must be >= 1, got {n}")
     slots = n * (n - 1)
     if not 0 <= m <= slots:
         raise ValueError(f"arc count {m} outside [0, {slots}]")

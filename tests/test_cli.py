@@ -215,6 +215,16 @@ def test_search_budget_env_override(tmp_path, capsys, monkeypatch):
     assert code == 2 and "DECKPOLY_BUDGET" in err
 
 
+def test_search_rejects_an_empty_or_negative_vertex_set(tmp_path, capsys):
+    # At m = 0 the search used to return before anything checked n.
+    for vertices in ("0", "-1"):
+        out_path = tmp_path / f"groups{vertices}.ndjson"
+        code, out, err = run(capsys, "search", "--vertices", vertices, "--arcs", "0",
+                             "--kind", "f1", "--output", str(out_path))
+        assert code == 2 and out == "" and "vertex count" in err
+        assert not out_path.exists()
+
+
 def test_counterexample_output(capsys):
     code, out, _ = run(capsys, "counterexample", "--n", "5")
     assert code == 0

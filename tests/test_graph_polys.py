@@ -6,11 +6,13 @@ import subprocess
 import sys
 import textwrap
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
 from deckpoly import digraphs as dg
 from deckpoly import graph_polys
+from deckpoly import matrices as mx
 from deckpoly import polynomials as poly
 from deckpoly.digraphs import Digraph
 from deckpoly.graph_polys import (
@@ -135,14 +137,13 @@ def test_poly_of_is_monic_of_degree_n():
 
 
 def test_monic_check_survives_python_O():
-    # A kernel returning a wrong value must raise even under -O, where a
-    # bare assert would vanish and a non-monic polynomial would escape.
+    # A kernel returning wrong coefficients must raise even under -O, where
+    # a bare assert would vanish and a non-monic polynomial would escape.
     script = textwrap.dedent("""
-        from fractions import Fraction
         from deckpoly import graph_polys
         from deckpoly.digraphs import Digraph
 
-        graph_polys._kernel = lambda kind: lambda matrix: Fraction(0)
+        graph_polys._kernel = lambda kind: lambda b: [0] * (len(b) + 1)
         graph_polys._poly_of_cached.cache_clear()
         try:
             graph_polys.poly_of(Digraph(2), graph_polys.F1)
@@ -210,6 +211,96 @@ def test_oracle_matches_poly_of_on_random_larger_instances():
         kind = PolyKind(random_rational(rng), random_nonzero_rational(rng),
                         rng.choice(("det", "per")))
         assert poly_of_oracle(g, kind) == poly_of(g, kind)
+
+
+def interpolation_oracle(g, kind):
+    """poly_of by the route it replaced: the scalar kernel at t = 0..n, then
+    Lagrange interpolation."""
+    kernel = mx.per_ryser if kind.mode == "per" else mx.det_bareiss
+    return poly.interpolate([(t, kernel(pencil_at(g, kind, t))) for t in range(g.n + 1)])
+
+
+def random_kind(rng, mode):
+    return PolyKind(random_rational(rng), random_nonzero_rational(rng), mode)
+
+
+@pytest.mark.parametrize("mode, max_n", [("det", 12), ("per", 9)])
+def test_poly_of_matches_interpolation_oracle_on_random_weighted_digraphs(mode, max_n):
+    rng = random.Random(53 if mode == "det" else 59)
+    named = [kind for kind in SIX_KINDS if kind.mode == mode]
+    for _ in range(40):
+        g = random_digraph(rng, max_n, weighted=bool(rng.getrandbits(1)))
+        kind = rng.choice(named) if rng.getrandbits(1) else random_kind(rng, mode)
+        assert poly_of(g, kind) == interpolation_oracle(g, kind)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_poly_of_matches_interpolation_oracle_without_arcs(n):
+    rng = random.Random(61)
+    for kind in SIX_KINDS + (random_kind(rng, "det"), random_kind(rng, "per")):
+        assert poly_of(Digraph(n), kind) == interpolation_oracle(Digraph(n), kind) == xpow(n)
+
+
+def test_poly_of_matches_interpolation_oracle_at_the_largest_orders():
+    rng = random.Random(67)
+    for mode, n in (("det", 12), ("per", 9)):
+        for weighted in (False, True):
+            arcs = tuple(sorted(rng.sample(dg.all_arc_slots(n), 3 * n)))
+            weights = tuple(random_nonzero_rational(rng) for _ in arcs) if weighted else None
+            g = Digraph(n, arcs, weights)
+            kind = random_kind(rng, mode)
+            assert poly_of(g, kind) == interpolation_oracle(g, kind)
+
+
+@pytest.mark.parametrize("text, weights, scale, input_lcm", [
+    # beta * w = 2/3 * 1/3 = 2/9: a factor 9 that no input supplies.
+    ("general:2/3,5/7,per", (Fraction(1, 3), Fraction(2, 5), Fraction(1, 3)), 315, 105),
+    # Every entry of B has a denominator dividing 10.
+    ("general:1/2,3/4,det", (Fraction(2, 5),) * 3, 10, 20),
+])
+def test_integer_pencil_scale_comes_from_the_entries_of_b(text, weights, scale, input_lcm):
+    kind = parse_kind(text)
+    g = Digraph(3, ((0, 1), (2, 1), (1, 2)), weights)
+    assert lcm(kind.beta.denominator, kind.gamma.denominator,
+               *(w.denominator for w in weights)) == input_lcm
+    b, got = graph_polys._integer_pencil(g, kind)
+    assert got == scale
+    assert all(isinstance(x, int) for row in b for x in row)
+    assert poly_of(g, kind) == interpolation_oracle(g, kind) == poly_of_oracle(g, kind)
+
+
+@pytest.mark.parametrize("text", ["general:1/2,3/4,det", "general:2/3,5/7,per"])
+def test_poly_of_with_thirds_and_fifths_weights_matches_interpolation_oracle(text):
+    kind = parse_kind(text)
+    rng = random.Random(71)
+    for _ in range(30):
+        g = random_digraph(rng, 7 if kind.mode == "per" else 10)
+        weights = tuple(rng.choice((Fraction(1, 3), Fraction(2, 5))) for _ in g.arcs)
+        g = Digraph(g.n, g.arcs, weights or None)
+        assert poly_of(g, kind) == interpolation_oracle(g, kind)
+
+
+def sympy_oracle(g, kind):
+    """Third, independent oracle: sympy's charpoly and (x*I - B).per()."""
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    a = dg.adjacency(g)
+    d = dg.in_degrees(g)
+    b = sympy.Matrix(g.n, g.n, lambda i, j: sympy.Rational(
+        kind.beta * d[i] if i == j else kind.gamma * a[i][j]))
+    if kind.mode == "det":
+        coeffs = b.charpoly(x).all_coeffs()
+    else:
+        coeffs = sympy.Poly((x * sympy.eye(g.n) - b).per(), x).all_coeffs()
+    return P(*(Fraction(int(c.p), int(c.q)) for c in reversed(coeffs)))
+
+
+def test_poly_of_matches_sympy_on_random_weighted_digraphs():
+    rng = random.Random(73)
+    for _ in range(20):
+        g = random_digraph(rng, 5, weighted=bool(rng.getrandbits(1)))
+        for kind in (rng.choice(SIX_KINDS), random_kind(rng, "det"), random_kind(rng, "per")):
+            assert poly_of(g, kind) == sympy_oracle(g, kind)
 
 
 def test_size_caps():

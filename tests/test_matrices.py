@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from deckpoly import matrices as mx
+from deckpoly import polynomials as poly
 from deckpoly.identities import random_matrix
 
 
@@ -90,6 +91,57 @@ def test_det_and_per_agree_on_diagonal_matrices():
         assert mx.per_ryser(m) == product
 
 
+def interpolated(matrix, kernel):
+    """Coefficients of kernel(x*I - M), constant first, from x = 0..n and
+    interpolation: the route poly_of took before the coefficient kernels."""
+    n = len(matrix)
+    points = [(t, kernel([[int(i == j) * t - matrix[i][j] for j in range(n)]
+                          for i in range(n)])) for t in range(n + 1)]
+    return poly.interpolate(points)
+
+
+def test_coefficient_kernels_hand_values():
+    # det(xI - M) = x^2 - 5x - 2; per(xI - M) = (x-1)(x-4) + 6.
+    assert mx.charpoly_berkowitz([[1, 2], [3, 4]]) == [-2, -5, 1]
+    assert mx.perpoly_ryser([[1, 2], [3, 4]]) == [10, -5, 1]
+    assert mx.charpoly_berkowitz([[7]]) == mx.perpoly_ryser([[7]]) == [-7, 1]
+    # The directed 3-cycle: x^3 - 1 and x^3 - 1 (an odd cycle).
+    c3 = [[0, 1, 0], [0, 0, 1], [1, 0, 0]]
+    assert mx.charpoly_berkowitz(c3) == mx.perpoly_ryser(c3) == [-1, 0, 0, 1]
+    assert mx.charpoly_berkowitz([[0] * 4] * 4) == mx.perpoly_ryser([[0] * 4] * 4) == [0, 0, 0, 0, 1]
+
+
+@pytest.mark.parametrize("zero_density", [0.0, 0.3, 0.8])
+def test_coefficient_kernels_match_interpolated_scalar_kernels(zero_density):
+    rng = random.Random(1201)
+    for _ in range(60):
+        m = [[int(x) for x in row]
+             for row in random_matrix(rng, rng.randint(1, 8), zero_density=zero_density)]
+        assert poly.normalize(mx.charpoly_berkowitz(m)) == interpolated(m, mx.det_bareiss)
+        assert poly.normalize(mx.perpoly_ryser(m)) == interpolated(m, mx.per_ryser)
+
+
+def test_charpoly_berkowitz_at_order_twenty_matches_interpolation():
+    rng = random.Random(1203)
+    m = [[int(x) for x in row] for row in random_matrix(rng, 20, zero_density=0.6)]
+    assert poly.normalize(mx.charpoly_berkowitz(m)) == interpolated(m, mx.det_bareiss)
+
+
+def test_coefficient_kernels_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    rng = random.Random(1207)
+    for _ in range(15):
+        n = rng.randint(1, 5)
+        m = [[int(v) for v in row] for row in random_matrix(rng, n)]
+        sm = sympy.Matrix(m)
+        want_det = [int(c) for c in reversed(sm.charpoly(x).all_coeffs())]
+        want_per = [int(c) for c in
+                    reversed(sympy.Poly((x * sympy.eye(n) - sm).per(), x).all_coeffs())]
+        assert mx.charpoly_berkowitz(m) == want_det
+        assert mx.perpoly_ryser(m) == want_per
+
+
 def test_zero_entry():
     m = [[5, 6], [7, 8]]
     assert mx.zero_entry(m, 0, 1) == [[5, 0], [7, 8]]
@@ -123,6 +175,8 @@ def test_size_caps_are_hard_errors():
         mx.permutation_expansion(big, False)
     with pytest.raises(ValueError):
         mx.per_ryser(identity_matrix(17))
+    with pytest.raises(ValueError):
+        mx.perpoly_ryser(identity_matrix(17))
 
 
 def test_non_square_rejected():

@@ -80,3 +80,7 @@ def test_edge_cases():
     assert find_deck_collisions(3, 0, F1) == []
     with pytest.raises(ValueError):
         find_deck_collisions(3, 7, F1)
+    # The vertex count is checked before the arcless shortcut.
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="vertex count"):
+            find_deck_collisions(n, 0, F1)
