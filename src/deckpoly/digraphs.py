@@ -11,8 +11,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .matrices import Matrix
-
 
 class InvalidDigraphError(ValueError):
     """A digraph value violates a structural invariant.
@@ -72,7 +70,7 @@ def validate(g: Digraph) -> None:
             raise InvalidDigraphError("zero-weight", "arc weights must be nonzero")
 
 
-def adjacency(g: Digraph) -> Matrix:
+def adjacency(g: Digraph) -> list[list[Fraction]]:
     """Weight of arc (i, j) at entry (i, j); zero elsewhere (and on the diagonal)."""
     a = [[Fraction(0)] * g.n for _ in range(g.n)]
     for (s, t), w in zip(g.arcs, g.arc_weights()):

@@ -82,28 +82,36 @@ def parse_kind(text: str) -> PolyKind:
         parts = name[len("general:"):].split(",")
         if len(parts) != 3:
             raise ValueError(f"malformed kind {text!r}; expected general:BETA,GAMMA,det|per")
-        return PolyKind(Fraction(parts[0]), Fraction(parts[1]), parts[2].strip())
+        try:
+            beta, gamma = Fraction(parts[0]), Fraction(parts[1])
+        except ZeroDivisionError as exc:
+            raise ValueError(f"malformed kind {text!r}: zero denominator") from exc
+        return PolyKind(beta, gamma, parts[2].strip())
     raise ValueError(f"unknown polynomial kind {text!r}")
 
 
-def pencil_at(g: Digraph, kind: PolyKind, t) -> Matrix:
-    """The matrix t*I - beta*D - gamma*A for a concrete value t.
+def pencil_at(g: Digraph, kind: PolyKind, t) -> tuple[Matrix, int]:
+    """(P, L) with P = L*(t*I - beta*D - gamma*A) an int matrix, for a
+    concrete value t, and L the lcm of the denominators of the entries of
+    t*I - beta*D - gamma*A.
 
-    Test oracle only: det_bareiss or per_ryser of pencil_at(g, kind, t) at
+    Test oracle only: Fraction(det_bareiss(P), L**n) (or per_ryser) at
     t = 0..n, fed to polynomials.interpolate, recomputes poly_of by an
-    independent route (n+1 scalar evaluations instead of one coefficient
-    kernel), which is why it stays in the package.
+    independent route: P is built from adjacency and in_degrees, not from
+    the integer pencil poly_of uses, and takes n+1 scalar evaluations
+    instead of one coefficient kernel. That is why it stays in the package.
     """
     t = Fraction(t)
     a = digraphs.adjacency(g)
     d = digraphs.in_degrees(g)
-    out = [[-kind.gamma * a[i][j] for j in range(g.n)] for i in range(g.n)]
+    rows = [[-kind.gamma * a[i][j] for j in range(g.n)] for i in range(g.n)]
     for i in range(g.n):
-        out[i][i] = t - kind.beta * d[i]
-    return out
+        rows[i][i] = t - kind.beta * d[i]
+    scale = lcm(*(x.denominator for row in rows for x in row))
+    return [[int(x * scale) for x in row] for row in rows], scale
 
 
-def _integer_pencil(g: Digraph, kind: PolyKind) -> tuple[list[list[int]], int]:
+def _integer_pencil(g: Digraph, kind: PolyKind) -> tuple[Matrix, int]:
     """(L*B, L) for B = beta*D + gamma*A, where L is the lcm of the
     denominators of B's entries, so L*B is an int matrix.
 
@@ -195,11 +203,15 @@ class Deck:
 
     `polys` holds one polynomial per arc of the source digraph, sorted
     lexicographically by coefficient vector so decks compare as multisets.
+    `arc_weight` is the source's total arc weight, set only when it differs
+    from the arc count m (so never for an unweighted digraph); the
+    polynomials alone do not determine it when m = 1.
     """
 
     n: int
     kind: PolyKind
     polys: tuple[Polynomial, ...]
+    arc_weight: Fraction | None = None
 
 
 def deck(g: Digraph, kind: PolyKind) -> Deck:
@@ -207,4 +219,5 @@ def deck(g: Digraph, kind: PolyKind) -> Deck:
     if g.m == 0:
         raise ValueError("the edge deck of an arcless digraph is empty")
     polys = sorted(poly_of(digraphs.delete_arc(g, e), kind) for e in range(g.m))
-    return Deck(g.n, kind, tuple(polys))
+    total = None if g.weights is None else sum(g.weights, Fraction(0))
+    return Deck(g.n, kind, tuple(polys), None if total == g.m else total)

@@ -45,9 +45,7 @@ def _check_zeroing(identity: str, matrix: Matrix, kernel, positions) -> Identity
     zeroed) over (i, j) in positions, the common form of theorems 2.1-2.3."""
     n = matrices.order_of(matrix)
     lhs = (len(positions) - n) * kernel(matrix)
-    rhs = Fraction(0)
-    for i, j in positions:
-        rhs += kernel(matrices.zero_entry(matrix, i, j))
+    rhs = sum(kernel(matrices.zero_entry(matrix, i, j)) for i, j in positions)
     instance = {"matrix": serialize.matrix_to_strings(matrix)}
     return IdentityReport(identity, instance, lhs, rhs, lhs == rhs)
 
@@ -110,8 +108,8 @@ def random_matrix(rng: random.Random, order: int, zero_density: float = 0.3,
 
     def entry():
         if rng.random() < zero_density:
-            return Fraction(0)
-        return Fraction(rng.choice(values))
+            return 0
+        return rng.choice(values)
 
     return [[entry() for _ in range(order)] for _ in range(order)]
 

@@ -1,21 +1,21 @@
-"""Dense exact-rational matrices with determinant and permanent kernels.
+"""Dense integer matrices with determinant and permanent kernels.
 
-A matrix is a plain list of equal-length rows; entries are
-`fractions.Fraction` (plain ints are accepted anywhere and treated as
-exact). No function mutates its input.
+A matrix is a plain list of equal-length rows of Python ints; every
+kernel goes through order_of, which rejects any other entry type (a
+Fraction included), because Bareiss's exact division is only exact on
+integers. A caller with rational entries clears denominators first, as
+graph_polys does. No function mutates its input.
 
 det_bareiss and per_ryser give one scalar value. charpoly_berkowitz and
 perpoly_ryser give every coefficient of det(x*I - M) and per(x*I - M)
-at once, in Python ints for an int matrix.
+at once. Everything is computed and returned in Python ints.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from itertools import permutations
-from math import lcm
+from itertools import chain, permutations
 
-Matrix = list[list[Fraction]]
+Matrix = list[list[int]]
 
 # Hard caps: the expansions cost n! terms, Ryser costs 2^n subsets.
 EXPANSION_MAX_ORDER = 8
@@ -23,10 +23,15 @@ RYSER_MAX_ORDER = 16
 
 
 def order_of(matrix: Matrix) -> int:
-    """Return n for an n-by-n matrix, rejecting empty or ragged input."""
+    """Return n for an n-by-n int matrix, rejecting empty or ragged input
+    and any entry whose type is not int."""
     n = len(matrix)
-    if n == 0 or any(len(row) != n for row in matrix):
+    if n == 0 or set(map(len, matrix)) != {n}:
         raise ValueError("matrix must be square with order >= 1")
+    bad = set(map(type, chain.from_iterable(matrix))) - {int}
+    if bad:
+        raise ValueError("matrix entries must be int, got "
+                         + ", ".join(sorted(t.__name__ for t in bad)))
     return n
 
 
@@ -36,7 +41,7 @@ def zero_entry(matrix: Matrix, i: int, j: int) -> Matrix:
     if not (0 <= i < n and 0 <= j < n):
         raise IndexError(f"entry ({i}, {j}) outside a {n}x{n} matrix")
     out = [list(row) for row in matrix]
-    out[i][j] = Fraction(0)
+    out[i][j] = 0
     return out
 
 
@@ -58,39 +63,23 @@ def permutation_sign(perm) -> int:
     return sign
 
 
-def _integer_rows(matrix: Matrix) -> tuple[list[list[int]], Fraction]:
-    """Clear denominators row by row.
-
-    Both det and per are linear in each row, so scaling row i by the lcm
-    of its denominators scales the result by the product of all the lcms.
-    Returns the integer rows and that product; downstream arithmetic then
-    runs on plain Python ints.
-    """
-    rows = []
-    scale = 1
-    for row in matrix:
-        d = lcm(*(Fraction(x).denominator for x in row))
-        scale *= d
-        rows.append([int(x * d) for x in row])
-    return rows, Fraction(scale)
-
-
-def det_bareiss(matrix: Matrix) -> Fraction:
-    """Exact determinant by fraction-free elimination with row pivoting.
+def det_bareiss(matrix: Matrix) -> int:
+    """Exact determinant by fraction-free elimination with row pivoting
+    (Bareiss 1968, Math. Comp. 22).
 
     After step k each updated entry is a (k+1)-minor of the (row-swapped)
     integer matrix, so the division by the previous pivot is exact.
     A column with no usable pivot means the matrix is singular.
     """
     n = order_of(matrix)
-    rows, scale = _integer_rows(matrix)
+    rows = [list(row) for row in matrix]
     sign = 1
     prev = 1
     for k in range(n - 1):
         if rows[k][k] == 0:
             pivot = next((r for r in range(k + 1, n) if rows[r][k] != 0), None)
             if pivot is None:
-                return Fraction(0)
+                return 0
             rows[k], rows[pivot] = rows[pivot], rows[k]
             sign = -sign
         pkk = rows[k][k]
@@ -102,29 +91,28 @@ def det_bareiss(matrix: Matrix) -> Fraction:
                 row_i[j] = (row_i[j] * pkk - rik * row_k[j]) // prev
             row_i[k] = 0
         prev = pkk
-    return sign * rows[n - 1][n - 1] / scale
+    return sign * rows[n - 1][n - 1]
 
 
-def permutation_expansion(matrix: Matrix, signed: bool) -> Fraction:
+def permutation_expansion(matrix: Matrix, signed: bool) -> int:
     """Permutation-sum determinant (signed) or permanent (unsigned); the
     n!-term oracle for det_bareiss and per_ryser."""
     n = order_of(matrix)
     if n > EXPANSION_MAX_ORDER:
         raise ValueError(
             f"permutation_expansion is capped at order {EXPANSION_MAX_ORDER}, got {n}")
-    total = Fraction(0)
+    total = 0
     for perm in permutations(range(n)):
-        term = Fraction(permutation_sign(perm) if signed else 1)
+        term = permutation_sign(perm) if signed else 1
         for i, j in enumerate(perm):
-            if matrix[i][j] == 0:
-                term = Fraction(0)
-                break
             term *= matrix[i][j]
+            if not term:
+                break
         total += term
     return total
 
 
-def per_ryser(matrix: Matrix) -> Fraction:
+def per_ryser(matrix: Matrix) -> int:
     """Exact permanent via the alternating column-subset formula:
 
         per(M) = (-1)^n * sum_S (-1)^|S| * prod_i sum_{j in S} M[i][j]
@@ -135,7 +123,6 @@ def per_ryser(matrix: Matrix) -> Fraction:
     n = order_of(matrix)
     if n > RYSER_MAX_ORDER:
         raise ValueError(f"per_ryser is capped at order {RYSER_MAX_ORDER}, got {n}")
-    rows, scale = _integer_rows(matrix)
     sums = [0] * n
     total = 0
     size = 0
@@ -144,11 +131,11 @@ def per_ryser(matrix: Matrix) -> Fraction:
         if (g ^ (g >> 1)) & (1 << col):
             size += 1
             for i in range(n):
-                sums[i] += rows[i][col]
+                sums[i] += matrix[i][col]
         else:
             size -= 1
             for i in range(n):
-                sums[i] -= rows[i][col]
+                sums[i] -= matrix[i][col]
         prod = 1
         for s in sums:
             if s == 0:
@@ -157,12 +144,10 @@ def per_ryser(matrix: Matrix) -> Fraction:
             prod *= s
         if prod:
             total += -prod if size & 1 else prod
-    if n & 1:
-        total = -total
-    return total / scale
+    return -total if n & 1 else total
 
 
-def charpoly_berkowitz(matrix: list[list[int]]) -> list[int]:
+def charpoly_berkowitz(matrix: Matrix) -> list[int]:
     """Coefficients, constant term first, of det(x*I - M), by Berkowitz's
     division-free algorithm (Berkowitz 1984, Inf. Process. Lett. 18).
 
@@ -170,7 +155,7 @@ def charpoly_berkowitz(matrix: list[list[int]]) -> list[int]:
     diagonal entry a; then charpoly(M_{r+1}) = T * charpoly(M_r), where T
     is lower-triangular Toeplitz with first column
     (1, -a, -R*C, -R*M_r*C, ..., -R*M_r^(r-1)*C). Only ring operations
-    are used, so an int matrix is processed in Python ints. Products skip
+    are used, so everything stays in Python ints. Products skip
     zero entries: a matrix with z nonzeros costs O(n^2 * (n + z)), not
     O(n^4).
     """
@@ -199,7 +184,7 @@ def charpoly_berkowitz(matrix: list[list[int]]) -> list[int]:
     return poly[::-1]
 
 
-def perpoly_ryser(matrix: list[list[int]]) -> list[int]:
+def perpoly_ryser(matrix: Matrix) -> list[int]:
     """Coefficients, constant term first, of per(x*I - M), by one Ryser pass.
 
     Over a column subset S, row i of x*I - M sums to x*[i in S] - u_i with

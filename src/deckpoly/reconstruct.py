@@ -60,10 +60,10 @@ def reconstruct(d: Deck) -> ReconstructionResult:
 
     n and m are inferred from the deck itself (member degree and
     cardinality). Side constraints on the annihilated coefficient, applied
-    in order: the trace rule pins c_{n-1} to -beta*m when m = 1, and a
-    determinant kind with beta = -gamma (f2 among the named kinds) pins c_0
-    to 0 when m = n. Anything else with k* in range stays a one-parameter
-    family.
+    in order: the trace rule pins c_{n-1} to -beta*W when m = 1, W the
+    deck's arc_weight (m when unset), and a determinant kind with
+    beta = -gamma (f2 among the named kinds) pins c_0 to 0 when m = n.
+    Anything else with k* in range stays a one-parameter family.
     """
     m = len(d.polys)
     if m == 0:
@@ -87,8 +87,8 @@ def reconstruct(d: Deck) -> ReconstructionResult:
         )
     if kstar == n - 1:
         # Trace rule: coefficient n-1 of the pencil polynomial is
-        # -beta * (total arc weight); unit weights assumed, so -beta * m.
-        coeffs[kstar] = -d.kind.beta * m
+        # -beta * trace(D) = -beta * (total arc weight).
+        coeffs[kstar] = -d.kind.beta * (m if d.arc_weight is None else d.arc_weight)
         return Unique(polynomials.normalize(coeffs))
     if kstar == 0 and d.kind.mode == DETERMINANT and d.kind.beta == -d.kind.gamma:
         # At x = 0 the pencil is -beta*D - gamma*A = -beta*(D - A), whose

@@ -55,7 +55,7 @@ def poly_from_strings(items) -> Polynomial:
 
 
 def matrix_to_strings(matrix) -> list[list[str]]:
-    return [[str(Fraction(x)) for x in row] for row in matrix]
+    return [[str(x) for x in row] for row in matrix]
 
 
 def digraph_to_obj(g: Digraph) -> dict:
@@ -92,12 +92,15 @@ def digraph_from_obj(obj) -> Digraph:
 
 
 def deck_to_obj(d: Deck) -> dict:
-    return {
+    obj = {
         "format_version": FORMAT_VERSION,
         "n": d.n,
         "kind": kind_name(d.kind),
         "polys": [poly_to_strings(p) for p in d.polys],
     }
+    if d.arc_weight is not None:
+        obj["arc_weight"] = str(d.arc_weight)
+    return obj
 
 
 def deck_from_obj(obj) -> Deck:
@@ -120,14 +123,17 @@ def deck_from_obj(obj) -> Deck:
         if polynomials.degree(p) != n:
             raise FormatError(f"deck member has degree {polynomials.degree(p)}, expected {n}")
         polys.append(p)
-    return Deck(n, kind, tuple(sorted(polys)))
+    arc_weight = obj.get("arc_weight")
+    if arc_weight is not None:
+        arc_weight = fraction_from_str(arc_weight)
+    return Deck(n, kind, tuple(sorted(polys)), arc_weight)
 
 
 def value_to_obj(value):
     """Serialize a scalar or polynomial identity side."""
     if isinstance(value, tuple):
         return poly_to_strings(value)
-    return str(Fraction(value))
+    return str(value)
 
 
 def report_to_obj(report) -> dict:

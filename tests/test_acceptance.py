@@ -179,7 +179,7 @@ def test_criterion_8_performance():
     start = time.monotonic()
     value = per_ryser(dense)
     assert time.monotonic() - start < 10.0
-    assert isinstance(value, Fraction)
+    assert isinstance(value, int)
 
     arcs = tuple(sorted(rng.sample(all_arc_slots(12), 30)))
     g = Digraph(12, arcs)

@@ -118,6 +118,18 @@ def test_reconstruct_exit_codes(tmp_path, capsys):
     assert json.loads(out)["result"] == "unique"
 
 
+def test_reconstruct_weighted_single_arc_through_the_deck_file(tmp_path, capsys):
+    # The deck is x^3 alone whatever the weight; the file carries the weight.
+    path = write(tmp_path, "w.json",
+                 {"format_version": 1, "n": 3, "arcs": [[0, 1]], "weights": ["5"]})
+    deck_path = str(tmp_path / "deck.json")
+    assert run(capsys, "deck", "--kind", "f2", "--input", path, "--output", deck_path)[0] == 0
+    assert load_json(deck_path)["arc_weight"] == "5"
+    code, out, _ = run(capsys, "reconstruct", "--deck", deck_path)
+    assert code == 0
+    assert json.loads(out) == {"result": "unique", "poly": ["0", "0", "-5", "1"]}
+
+
 def test_reconstruct_inconsistent_deck(tmp_path, capsys):
     deck_path = write(tmp_path, "bad.json", {
         "format_version": 1, "n": 2, "kind": "f1", "polys": [["0", "1", "1"]],
@@ -223,6 +235,23 @@ def test_search_rejects_an_empty_or_negative_vertex_set(tmp_path, capsys):
                              "--kind", "f1", "--output", str(out_path))
         assert code == 2 and out == "" and "vertex count" in err
         assert not out_path.exists()
+
+
+@pytest.mark.parametrize("kind", ["general:1/0,1,det", "general:1,2/0,per"])
+def test_zero_denominator_kind_is_a_clean_error(tmp_path, kind, capsys):
+    c3 = write(tmp_path, "c3.json", C3)
+    deck_file = write(tmp_path, "deck.json", {"format_version": 1, "n": 2, "kind": kind,
+                                              "polys": [["0", "0", "1"]]})
+    out_path = tmp_path / "out.json"
+    for argv in (["compute", "--kind", kind, "--input", c3],
+                 ["deck", "--kind", kind, "--input", c3, "--output", str(out_path)],
+                 ["search", "--vertices", "3", "--arcs", "2", "--kind", kind,
+                  "--output", str(out_path)],
+                 ["reconstruct", "--deck", deck_file]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert "zero denominator" in err, argv
+    assert not out_path.exists()
 
 
 def test_counterexample_output(capsys):

@@ -84,8 +84,8 @@ def test_polykind_validates():
 
 def test_pencil_at_single_arc_laplacian():
     g = Digraph(2, ((0, 1),))
-    assert pencil_at(g, F2, 2) == [[2, 1], [0, 1]]
-    assert pencil_at(g, F2, 0) == [[0, 1], [0, -1]]
+    assert pencil_at(g, F2, 2) == ([[2, 1], [0, 1]], 1)
+    assert pencil_at(g, F2, 0) == ([[0, 1], [0, -1]], 1)
 
 
 def test_pencil_at_zero_is_minus_adjacency_for_f1():
@@ -93,14 +93,15 @@ def test_pencil_at_zero_is_minus_adjacency_for_f1():
     for _ in range(10):
         g = random_digraph(rng, 5, weighted=True)
         a = dg.adjacency(g)
-        assert pencil_at(g, F1, 0) == [[-x for x in row] for row in a]
+        p, scale = pencil_at(g, F1, 0)
+        assert scale == lcm(*(x.denominator for row in a for x in row))
+        assert [[Fraction(x, scale) for x in row] for row in p] == [[-x for x in row] for row in a]
 
 
 def test_pencil_at_empty_digraph_is_scalar_matrix():
     t = Fraction(7, 3)
     for kind in SIX_KINDS:
-        assert pencil_at(Digraph(3), kind, t) == [
-            [t, 0, 0], [0, t, 0], [0, 0, t]]
+        assert pencil_at(Digraph(3), kind, t) == ([[7, 0, 0], [0, 7, 0], [0, 0, 7]], 3)
 
 
 @pytest.mark.parametrize("n", range(3, 7))
@@ -217,7 +218,11 @@ def interpolation_oracle(g, kind):
     """poly_of by the route it replaced: the scalar kernel at t = 0..n, then
     Lagrange interpolation."""
     kernel = mx.per_ryser if kind.mode == "per" else mx.det_bareiss
-    return poly.interpolate([(t, kernel(pencil_at(g, kind, t))) for t in range(g.n + 1)])
+    points = []
+    for t in range(g.n + 1):
+        p, scale = pencil_at(g, kind, t)
+        points.append((t, Fraction(kernel(p), scale ** g.n)))
+    return poly.interpolate(points)
 
 
 def random_kind(rng, mode):

@@ -11,7 +11,7 @@ from deckpoly.identities import random_matrix
 
 
 def identity_matrix(n):
-    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
 def test_det_bareiss_2x2_hand_value():
@@ -34,10 +34,16 @@ def test_det_bareiss_needs_column_pivot():
     assert mx.det_bareiss([[0, 0, 1], [0, 1, 0], [1, 0, 0]]) == -1
 
 
-def test_det_bareiss_rational_entries():
-    m = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 4), Fraction(1, 5)]]
-    assert mx.det_bareiss(m) == Fraction(1, 10) - Fraction(1, 12)
-    assert mx.per_ryser(m) == Fraction(1, 10) + Fraction(1, 12)
+@pytest.mark.parametrize("kernel", [mx.det_bareiss, mx.per_ryser, mx.charpoly_berkowitz,
+                                    mx.perpoly_ryser])
+def test_kernels_reject_fraction_entries(kernel):
+    # Bareiss's // on Fractions would floor each quotient and return a
+    # wrong value instead of failing, so the int contract is checked.
+    halves = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 4), Fraction(1, 5)]]
+    whole = [[Fraction(2), 0], [0, 3]]
+    for m in (halves, whole):
+        with pytest.raises(ValueError, match="int"):
+            kernel(m)
 
 
 def test_det_expansion_matches_hand_values():
@@ -82,9 +88,8 @@ def test_det_and_per_agree_on_diagonal_matrices():
     for _ in range(20):
         n = rng.randint(1, 6)
         diag = [rng.randint(-9, 9) for _ in range(n)]
-        m = [[Fraction(diag[i]) if i == j else Fraction(0) for j in range(n)]
-             for i in range(n)]
-        product = Fraction(1)
+        m = [[diag[i] if i == j else 0 for j in range(n)] for i in range(n)]
+        product = 1
         for d in diag:
             product *= d
         assert mx.det_bareiss(m) == product

@@ -1,0 +1,73 @@
+"""Property tests: relabelling invariance, serialize round trips, and no
+missed round trip, on weighted digraphs with up to 6 vertices.
+
+Examples are derandomized, so the suite is deterministic.
+"""
+
+import json
+from fractions import Fraction
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from deckpoly import serialize as ser  # noqa: E402
+from deckpoly.digraphs import Digraph, all_arc_slots  # noqa: E402
+from deckpoly.graph_polys import SIX_KINDS, PolyKind, deck, poly_of  # noqa: E402
+from deckpoly.reconstruct import verify_roundtrip  # noqa: E402
+
+PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=60)
+
+rationals = st.fractions(min_value=-4, max_value=4, max_denominator=5)
+nonzero_rationals = rationals.filter(bool)
+
+
+@st.composite
+def weighted_digraphs(draw, max_n=6, min_m=0):
+    n = draw(st.integers(1 if min_m == 0 else 2, max_n))
+    slots = all_arc_slots(n)
+    arcs = draw(st.lists(st.sampled_from(slots), min_size=min_m, unique=True)) if slots else []
+    if draw(st.booleans()):
+        return Digraph(n, tuple(arcs))
+    return Digraph(n, tuple(arcs), tuple(draw(nonzero_rationals) for _ in arcs))
+
+
+kinds = st.one_of(
+    st.sampled_from(SIX_KINDS),
+    st.builds(PolyKind, rationals, nonzero_rationals, st.sampled_from(("det", "per"))),
+)
+
+
+def relabel(g, perm):
+    return Digraph(g.n, tuple((perm[s], perm[t]) for s, t in g.arcs), g.weights)
+
+
+@PROPERTY
+@given(weighted_digraphs(min_m=1), kinds, st.randoms(use_true_random=False))
+def test_poly_of_and_deck_are_invariant_under_relabelling(g, kind, rng):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    h = relabel(g, perm)
+    assert poly_of(h, kind) == poly_of(g, kind)
+    assert deck(h, kind) == deck(g, kind)
+
+
+@PROPERTY
+@given(weighted_digraphs(), kinds)
+def test_digraph_and_deck_payloads_round_trip(g, kind):
+    text = ser.to_canonical_json(ser.digraph_to_obj(g))
+    assert ser.digraph_from_obj(json.loads(text)) == g
+    if g.m:
+        d = deck(g, kind)
+        text = ser.to_canonical_json(ser.deck_to_obj(d))
+        assert ser.deck_from_obj(json.loads(text)) == d
+        total = sum(g.arc_weights(), Fraction(0))
+        assert d.arc_weight == (None if total == g.m else total)
+
+
+@PROPERTY
+@given(weighted_digraphs(min_m=1), kinds)
+def test_roundtrip_never_misses_on_weighted_digraphs(g, kind):
+    assert verify_roundtrip(g, kind).outcome in ("recovered", "covered")

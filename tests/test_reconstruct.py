@@ -1,6 +1,7 @@
 """Deck-sum reconstruction: forced coefficients, side constraints, families."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -95,6 +96,18 @@ def test_reconstruct_single_arc_laplacian_uses_trace_rule():
     assert reconstruct(d) == Unique(P(0, -1, 1))
     # Same deck under f1: the trace rule pins coefficient 1 to zero.
     assert reconstruct(Deck(2, F1, (xpow(2),))) == Unique(xpow(2))
+
+
+def test_reconstruct_weighted_single_arc_uses_the_total_arc_weight():
+    # Every single-arc deck is x^n alone, so the weight must travel in the deck.
+    g = Digraph(3, ((0, 1),), (Fraction(5),))
+    d = deck(g, F2)
+    assert d.polys == (xpow(3),) and d.arc_weight == 5
+    assert reconstruct(d) == Unique(P(0, 0, -5, 1)) == Unique(poly_of(g, F2))
+    # A total equal to m, weighted or not, leaves the field unset.
+    assert deck(Digraph(3, ((0, 1),), (Fraction(1),)), F2).arc_weight is None
+    assert deck(Digraph(3, ((0, 1), (1, 2)), (Fraction(1, 2), Fraction(3, 2))), F2).arc_weight is None
+    assert deck(STAR_OF_DIGONS, F2).arc_weight is None
 
 
 def test_reconstruct_m_greater_than_n_exhaustive_small():

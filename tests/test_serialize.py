@@ -77,6 +77,11 @@ def test_deck_round_trip_sorts_members():
     assert ser.deck_from_obj(obj) == d
     shuffled = {**obj, "polys": list(reversed(obj["polys"]))}
     assert ser.deck_from_obj(shuffled) == d
+    assert "arc_weight" not in obj
+    weighted = Deck(2, F2, d.polys, Fraction(-7, 2))
+    obj = ser.deck_to_obj(weighted)
+    assert obj["arc_weight"] == "-7/2"
+    assert ser.deck_from_obj(obj) == weighted
 
 
 def test_deck_from_obj_rejects_wrong_degree_and_bad_kind():
@@ -91,6 +96,10 @@ def test_deck_from_obj_rejects_wrong_degree_and_bad_kind():
     with pytest.raises(ser.FormatError):
         ser.deck_from_obj({"format_version": 1, "n": 0, "kind": "f1",
                            "polys": [["1"]]})
+    for arc_weight in (5, "1/0", "x"):
+        with pytest.raises(ser.FormatError):
+            ser.deck_from_obj({"format_version": 1, "n": 2, "kind": "f1",
+                               "polys": [["0", "0", "1"]], "arc_weight": arc_weight})
 
 
 def test_deck_from_obj_accepts_non_monic_members():
