@@ -11,11 +11,22 @@ Laplacian pair (beta=1, gamma=-1), f3/f6 the signless Laplacian pair
 (beta=1, gamma=1).
 
 poly_of builds the integer pencil L*B once, with B = beta*D + gamma*A
-and L the lcm of the denominators of B's entries, and reads the
-coefficients off one integer kernel: Berkowitz's division-free
-characteristic polynomial in det mode, one Ryser pass with row sums linear
-in x in per mode. pencil_at (with polynomials.interpolate) and
-poly_of_oracle remain as two independent test oracles.
+and L the common denominator of B's entries and of every arc's terms
+gamma*w and beta*w, and reads the coefficients off one integer kernel:
+Berkowitz's division-free characteristic polynomial in det mode, one
+Ryser pass with row sums linear in x in per mode. pencil_at (with
+polynomials.interpolate) and poly_of_oracle remain as two independent test
+oracles.
+
+deck uses column linearity instead of m deletions. Deleting arc (s, t) of
+weight w changes only column t of P = x*I - B: entry (s, t) gains gamma*w
+and entry (t, t) gains beta*w. det and per are linear in one column, so
+
+    g(G - e) = g(G) + gamma*w * C[s][t] + beta*w * C[t][t],
+
+with C the signed cofactors (det) or the permanental minors (per) of P.
+One kernel pass for g(G) plus the adjugate rows of the distinct arc heads
+(matrices.adjugate_rows, matrices.per_adjugate_rows) give the whole deck.
 """
 
 from __future__ import annotations
@@ -111,44 +122,64 @@ def pencil_at(g: Digraph, kind: PolyKind, t) -> tuple[Matrix, int]:
     return [[int(x * scale) for x in row] for row in rows], scale
 
 
-def _integer_pencil(g: Digraph, kind: PolyKind) -> tuple[Matrix, int]:
-    """(L*B, L) for B = beta*D + gamma*A, where L is the lcm of the
-    denominators of B's entries, so L*B is an int matrix.
+def _integer_pencil(g: Digraph,
+                    kind: PolyKind) -> tuple[Matrix, int, list[tuple[int, int, int, int]]]:
+    """(L*B, L, arcs) for B = beta*D + gamma*A, where L is the lcm of the
+    denominators of gamma*w and beta*w over the arcs, so L*B is an int
+    matrix, and arcs lists (s, t, L*gamma*w, L*beta*w) per arc (s, t) of
+    weight w, in arc order.
 
-    With q the lcm of the weights' denominators, B = M / L0 for the int
-    matrix M below and L0 = beta.denominator * gamma.denominator * q; then
-    L = L0 / gcd(L0, entries of M).
+    Those per-arc terms are what deleting an arc takes out of L*B. Their
+    denominators can exceed those of B's entries: a diagonal sum can cancel
+    one, as beta = 1/3 with weights 1 and -1 into one head does.
+
+    With q the lcm of the weights' denominators, every term is an int over
+    L0 = beta.denominator * gamma.denominator * q; then
+    L = L0 / gcd(L0, every numerator).
     """
     weights = g.arc_weights()
     q = lcm(*(w.denominator for w in weights))
     off = kind.gamma.numerator * kind.beta.denominator
     on = kind.beta.numerator * kind.gamma.denominator
-    b = [[0] * g.n for _ in range(g.n)]
-    for (s, t), w in zip(g.arcs, weights):
-        x = w.numerator * (q // w.denominator)
-        b[s][t] = off * x
-        b[t][t] += on * x
+    xs = [w.numerator * (q // w.denominator) for w in weights]
     scale = kind.beta.denominator * kind.gamma.denominator * q
-    common = gcd(scale, *(x for row in b for x in row))
-    return [[x // common for x in row] for row in b], scale // common
+    common = gcd(scale, *(off * x for x in xs), *(on * x for x in xs))
+    arcs = [(s, t, off * x // common, on * x // common) for (s, t), x in zip(g.arcs, xs)]
+    b = [[0] * g.n for _ in range(g.n)]
+    for s, t, a, d in arcs:
+        b[s][t] = a
+        b[t][t] += d
+    return b, scale // common, arcs
 
 
 def _kernel(kind: PolyKind):
     return matrices.perpoly_ryser if kind.mode == PERMANENT else matrices.charpoly_berkowitz
 
 
+def _check_cap(g: Digraph, kind: PolyKind) -> None:
+    cap = matrices.RYSER_MAX_ORDER if kind.mode == PERMANENT else DET_MAX_VERTICES
+    if g.n > cap:
+        raise ValueError(f"{kind.mode} polynomials are capped at {cap} vertices, got {g.n}")
+
+
+def _unscaled(coeffs: list[int], scale: int, n: int) -> Polynomial:
+    """f from K = det or per of (y*I - L*B). Both are homogeneous of degree
+    n, so K(L*x) = L^n * f(x), and coefficient k of f is coefficient k of K
+    divided by L^(n-k)."""
+    if scale == 1:
+        p = tuple(map(Fraction, coeffs))  # the one-argument fast path
+    else:
+        p = tuple(Fraction(c, scale ** (n - k)) for k, c in enumerate(coeffs))
+    # The pencil polynomial is monic of degree n; anything else is a kernel bug.
+    if len(p) != n + 1 or p[-1] != 1:
+        raise AssertionError(f"pencil polynomial must be monic of degree {n}, got {p}")
+    return p
+
+
 @lru_cache(maxsize=1 << 16)
 def _poly_of_cached(g: Digraph, kind: PolyKind) -> Polynomial:
-    b, scale = _integer_pencil(g, kind)
-    # The kernel returns K(y) = det or per of (y*I - L*B). Both are
-    # homogeneous of degree n, so K(L*x) = L^n * f(x), and coefficient k
-    # of f is coefficient k of K divided by L^(n-k).
-    coeffs = _kernel(kind)(b)
-    p = tuple(Fraction(c, scale ** (g.n - k)) for k, c in enumerate(coeffs))
-    # The pencil polynomial is monic of degree n; anything else is a kernel bug.
-    if len(p) != g.n + 1 or p[-1] != 1:
-        raise AssertionError(f"pencil polynomial must be monic of degree {g.n}, got {p}")
-    return p
+    b, scale, _ = _integer_pencil(g, kind)
+    return _unscaled(_kernel(kind)(b), scale, g.n)
 
 
 def poly_of(g: Digraph, kind: PolyKind) -> Polynomial:
@@ -156,9 +187,7 @@ def poly_of(g: Digraph, kind: PolyKind) -> Polynomial:
     L*(beta*D + gamma*A) is built once; Berkowitz's charpoly (det mode) or
     one polynomial Ryser pass (per mode) gives its coefficients in Python
     ints. Assumes a validated digraph."""
-    cap = matrices.RYSER_MAX_ORDER if kind.mode == PERMANENT else DET_MAX_VERTICES
-    if g.n > cap:
-        raise ValueError(f"{kind.mode} polynomials are capped at {cap} vertices, got {g.n}")
+    _check_cap(g, kind)
     return _poly_of_cached(g, kind)
 
 
@@ -215,9 +244,31 @@ class Deck:
 
 
 def deck(g: Digraph, kind: PolyKind) -> Deck:
-    """Multiset of poly_of over all single-arc deletions of g."""
+    """Multiset of the pencil polynomials of all single-arc deletions of g,
+    by column linearity (see the module docstring): one coefficient kernel
+    for K(y) = det or per of (y*I - L*B), and two adjugate entries per arc.
+    Same caps as poly_of. Assumes a validated digraph."""
     if g.m == 0:
         raise ValueError("the edge deck of an arcless digraph is empty")
-    polys = sorted(poly_of(digraphs.delete_arc(g, e), kind) for e in range(g.m))
+    _check_cap(g, kind)
+    b, scale, arcs = _integer_pencil(g, kind)
+    base = _kernel(kind)(b)
+    wanted: dict[int, set[int]] = {}
+    for s, t, _, _ in arcs:
+        wanted.setdefault(t, {t}).add(s)
+    if kind.mode == PERMANENT:
+        adj = matrices.per_adjugate_rows(b, wanted)
+    else:
+        adj = matrices.adjugate_rows(b, base, wanted)
+    n = g.n
+    members = []
+    for s, t, a, d in arcs:
+        # Deleting the arc adds a at (s, t) and d at (t, t) of y*I - L*B.
+        cross, head = adj[t, s], adj[t, t]
+        members.append([base[k] + a * cross[k] + d * head[k] for k in range(n)] + [base[n]])
+    # Dividing coefficient k by L^(n-k) > 0 keeps the lexicographic order,
+    # so the int lists sort as the polynomials will.
+    members.sort()
+    polys = [_unscaled(coeffs, scale, n) for coeffs in members]
     total = None if g.weights is None else sum(g.weights, Fraction(0))
-    return Deck(g.n, kind, tuple(polys), None if total == g.m else total)
+    return Deck(n, kind, tuple(polys), None if total == g.m else total)

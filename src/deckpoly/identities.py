@@ -78,6 +78,8 @@ def check_thm31(g: Digraph, beta, gamma, mode: str) -> IdentityReport:
         polynomials.mul(polynomials.X, polynomials.derivative(base)),
     )
     rhs = polynomials.ZERO
+    # By deletion, not through graph_polys.deck: deck computes its members
+    # by the column linearity this identity is proved from.
     for e in range(g.m):
         rhs = polynomials.add(rhs, poly_of(digraphs.delete_arc(g, e), kind))
     instance = {

@@ -8,11 +8,15 @@ graph_polys does. No function mutates its input.
 
 det_bareiss and per_ryser give one scalar value. charpoly_berkowitz and
 perpoly_ryser give every coefficient of det(x*I - M) and per(x*I - M)
-at once. Everything is computed and returned in Python ints.
+at once. adjugate_rows and per_adjugate_rows give chosen entries of the
+polynomial adjugate of x*I - M: the signed cofactors, or the permanental
+minors, down one column, which is what a change to that column needs
+(column linearity). Everything is computed and returned in Python ints.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from itertools import chain, permutations
 
 Matrix = list[list[int]]
@@ -232,3 +236,137 @@ def perpoly_ryser(matrix: Matrix) -> list[int]:
             for k, c in enumerate(prod):
                 total[top - k] += c
     return total
+
+
+def adjugate_rows(matrix: Matrix, charpoly: list[int],
+                  wanted: dict[int, Iterable[int]]) -> dict[tuple[int, int], list[int]]:
+    """Entries (t, j) of adj(x*I - M), for each row t of `wanted` and each
+    column j in wanted[t], as n coefficients, constant term first.
+
+    adj(x*I - M)[t][j] is the cofactor of entry (j, t) of x*I - M. With
+    c_0..c_n the coefficients of det(x*I - M) (charpoly_berkowitz), the
+    Cayley-Hamilton identity (x*I - M) * adj(x*I - M) = det(x*I - M) * I
+    gives
+
+        adj(x*I - M) = sum_k x^k sum_{p=0}^{n-1-k} c_{k+1+p} * M^p,
+
+    so row t needs only the row powers e_t^T M^p, p < n, built by sparse
+    vector-matrix products and read at the wanted columns. Row t then
+    costs O(n * (z + c*n)) for z nonzeros and c wanted columns.
+    """
+    n = order_of(matrix)
+    if len(charpoly) != n + 1:
+        raise ValueError(f"charpoly of an order-{n} matrix has {n + 1} coefficients, "
+                         f"got {len(charpoly)}")
+    nonzero = [[(j, v) for j, v in enumerate(row) if v] for row in matrix]
+    out = {}
+    for t, cols in wanted.items():
+        cols = sorted(set(cols))
+        vec = [0] * n
+        vec[t] = 1
+        powers = [[vec[j] for j in cols]]  # powers[p][c] = M^p[t][cols[c]]
+        for _ in range(n - 1):
+            nxt = [0] * n
+            for i, x in enumerate(vec):
+                if x:
+                    for j, v in nonzero[i]:
+                        nxt[j] += x * v
+            if not any(nxt):
+                break
+            vec = nxt
+            powers.append([vec[j] for j in cols])
+        for c, j in enumerate(cols):
+            entry = [0] * n
+            for p, row in enumerate(powers):
+                x = row[c]
+                if x:
+                    for k in range(n - p):
+                        entry[k] += charpoly[k + 1 + p] * x
+            out[t, j] = entry
+    return out
+
+
+def per_adjugate_rows(matrix: Matrix,
+                      wanted: dict[int, Iterable[int]]) -> dict[tuple[int, int], list[int]]:
+    """Entries (t, j) of the permanental adjugate of x*I - M, for each row
+    t of `wanted` and each column j in wanted[t]: the permanent of x*I - M
+    without row j and column t, as n coefficients, constant term first.
+
+    One Gray-code Ryser pass per row t, over the n-1 columns other than t.
+    Over a column subset S, row r of x*I - M sums to x*[r in S] - u_r with
+    u_r = sum_{c in S} M[r][c], and the minor without row j is
+
+        (-1)^(n-1) * sum_S (-1)^|S| * prod_{r != j} (x*[r in S] - u_r).
+
+    The product over all n rows is formed once per subset, and row j's
+    factor is divided out: by synthetic division by (x - u_j) when j is in
+    S, by exact division by -u_j otherwise. When exactly one constant
+    factor is zero the subset adds only to that row's minor; with two or
+    more it adds nothing and is skipped.
+    """
+    n = order_of(matrix)
+    if n > RYSER_MAX_ORDER:
+        raise ValueError(f"per_adjugate_rows is capped at order {RYSER_MAX_ORDER}, got {n}")
+    out = {}
+    for t, rows in wanted.items():
+        rows = sorted(set(rows))
+        cols = [c for c in range(n) if c != t]
+        columns = [[(i, matrix[i][c]) for i in range(n) if matrix[i][c]] for c in cols]
+        acc = {j: [0] * n for j in rows}
+        sums = [0] * n
+        in_s = [False] * n
+        size = 0
+        for g in range(1 << (n - 1)):
+            if g:
+                bit = (g & -g).bit_length() - 1
+                col = cols[bit]
+                if (g ^ (g >> 1)) >> bit & 1:
+                    size += 1
+                    in_s[col] = True
+                    for i, v in columns[bit]:
+                        sums[i] += v
+                else:
+                    size -= 1
+                    in_s[col] = False
+                    for i, v in columns[bit]:
+                        sums[i] -= v
+            const = -1 if (n - 1 + size) & 1 else 1
+            roots = []
+            zero = None
+            for r, s in enumerate(sums):
+                if in_s[r]:
+                    roots.append(s)
+                elif s:
+                    const *= -s
+                elif zero is None:
+                    zero = r
+                else:
+                    break
+            else:
+                # prod (x - root), leading coefficient first
+                prod = [1]
+                for root in roots:
+                    prod.append(0)
+                    for k in range(len(prod) - 1, 0, -1):
+                        prod[k] -= root * prod[k - 1]
+                if zero is not None:
+                    if zero in acc:
+                        poly = acc[zero]
+                        for k, c in enumerate(prod):
+                            poly[size - k] += const * c
+                    continue
+                for j, poly in acc.items():
+                    if in_s[j]:
+                        # prod / (x - u_j), exact; degree size - 1
+                        u, q = sums[j], 1
+                        poly[size - 1] += const
+                        for k in range(1, size):
+                            q = prod[k] + u * q
+                            poly[size - 1 - k] += const * q
+                    else:
+                        scale = const // -sums[j]
+                        for k, c in enumerate(prod):
+                            poly[size - k] += scale * c
+        for j, poly in acc.items():
+            out[t, j] = poly
+    return out

@@ -17,6 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
+from math import lcm
 
 from . import polynomials
 from .digraphs import Digraph
@@ -46,13 +48,16 @@ ReconstructionResult = Unique | OneParameterFamily | Inconsistent
 
 
 def deck_sum(d: Deck) -> Polynomial:
-    """Exact sum of the deck members; degree n with leading coefficient m."""
+    """Exact sum of the deck members, coefficient by coefficient and
+    normalized once; degree n with leading coefficient m."""
     if not d.polys:
         raise ValueError("cannot sum an empty deck")
-    total = polynomials.ZERO
-    for p in d.polys:
-        total = polynomials.add(total, p)
-    return total
+    total = []
+    for column in zip_longest(*d.polys, fillvalue=Fraction(0)):
+        # One common denominator per coefficient, not one Fraction add per member.
+        den = lcm(*(c.denominator for c in column))
+        total.append(Fraction(sum(c.numerator * (den // c.denominator) for c in column), den))
+    return polynomials.normalize(total)
 
 
 def reconstruct(d: Deck) -> ReconstructionResult:

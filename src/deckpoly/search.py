@@ -5,6 +5,15 @@ vectors but their own polynomials differ. Deck signatures are the sorted
 coefficient-vector multisets themselves and group membership is decided
 by full equality, so a reported collision can never be a lossy-hash
 artifact.
+
+Every deck member of an (n, m)-digraph is the polynomial of an
+(n, m-1)-digraph, and each of those is shared by up to n*(n-1) - m + 1
+decks. So a sweep computes the polynomial of every (n, m-1)-digraph once
+into a table keyed by arc tuple, and a signature is m table lookups; it
+does not call graph_polys.deck, whose per-digraph work has nothing to
+share. The paper's structure is asserted on the result: members of a
+group differ only at coefficient n-m, and no group exists for m > n or
+m = 1.
 """
 
 from __future__ import annotations
@@ -13,7 +22,7 @@ from dataclasses import dataclass
 from math import comb
 
 from .digraphs import Digraph, directed_cycle, directed_path, enumerate_digraphs
-from .graph_polys import PolyKind, deck, poly_of
+from .graph_polys import PolyKind, poly_of
 from .polynomials import Polynomial
 
 DEFAULT_BUDGET = 10**6
@@ -68,9 +77,13 @@ def find_deck_collisions(n: int, m: int, kind: PolyKind,
         raise ValueError(f"enumerating {total} digraphs exceeds the budget of {budget}")
     if m == 0:
         return []
+    table = {h.arcs: poly_of(h, kind) for h in enumerate_digraphs(n, m - 1)}
     groups: dict[DeckSignature, dict[Polynomial, Digraph]] = {}
     for g in enumerate_digraphs(n, m):
-        signature = deck(g, kind).polys
+        arcs = g.arcs
+        # Arc tuples come out of enumerate_digraphs sorted, so dropping one
+        # arc gives the key of an (n, m-1)-digraph in the table.
+        signature = tuple(sorted(table[arcs[:e] + arcs[e + 1:]] for e in range(m)))
         p = poly_of(g, kind)
         # First witness per polynomial value wins; later isomorphic
         # duplicates collapse onto it.
@@ -82,4 +95,23 @@ def find_deck_collisions(n: int, m: int, kind: PolyKind,
             continue
         members = tuple((by_poly[p], p) for p in sorted(by_poly))
         out.append(CollisionGroup(kind, n, m, signature, members))
+    _check_paper_structure(out, n, m)
     return out
+
+
+def _check_paper_structure(groups: list[CollisionGroup], n: int, m: int) -> None:
+    """The deck-sum identity (m - n + k) * c_k = s_k forces every coefficient
+    but c_{n-m} from the deck, so colliding members may differ only there,
+    and not at all when m > n. At m = 1 the trace rule fixes c_{n-1} too.
+    A violation is a bug, raised even under -O."""
+    if (m > n or m == 1) and groups:
+        raise AssertionError(f"{len(groups)} collision groups at n = {n}, m = {m}; "
+                             "none exist for m > n or m = 1")
+    for group in groups:
+        first = group.members[0][1]
+        for _, p in group.members[1:]:
+            diff = [k for k, (a, b) in enumerate(zip(first, p)) if a != b]
+            if diff != [n - m]:
+                raise AssertionError(
+                    f"collision group members differ at coefficients {diff}, "
+                    f"expected only {n - m}")

@@ -118,6 +118,16 @@ def test_reconstruct_exit_codes(tmp_path, capsys):
     assert json.loads(out)["result"] == "unique"
 
 
+@pytest.mark.parametrize("n, kind", [(17, "f4"), (65, "f1")])
+def test_deck_above_the_size_cap_is_a_clean_error(tmp_path, capsys, n, kind):
+    path = write(tmp_path, "big.json", {"format_version": 1, "n": n, "arcs": [[0, 1]]})
+    out_path = tmp_path / "deck.json"
+    code, out, err = run(capsys, "deck", "--kind", kind, "--input", path,
+                         "--output", str(out_path))
+    assert code == 2 and out == "" and f"capped at {n - 1} vertices" in err
+    assert not out_path.exists()
+
+
 def test_reconstruct_weighted_single_arc_through_the_deck_file(tmp_path, capsys):
     # The deck is x^3 alone whatever the weight; the file carries the weight.
     path = write(tmp_path, "w.json",

@@ -1,0 +1,118 @@
+"""deck by column linearity against the deletion oracle, and its two
+adjugate kernels against sympy."""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from deckpoly import digraphs as dg
+from deckpoly import matrices as mx
+from deckpoly.digraphs import Digraph
+from deckpoly.graph_polys import F1, F4, SIX_KINDS, PolyKind, deck, poly_of
+from deckpoly.identities import random_digraph, random_nonzero_rational, random_rational
+
+GENERAL_KINDS = (PolyKind(Fraction(1, 3), Fraction(-5, 2), "det"),
+                 PolyKind(Fraction(-2, 3), Fraction(3, 4), "per"))
+
+
+def deletion_oracle(g, kind):
+    """The deck by definition: poly_of of every single-arc deletion."""
+    return tuple(sorted(poly_of(dg.delete_arc(g, e), kind) for e in range(g.m)))
+
+
+def random_kind(rng, mode):
+    return PolyKind(random_rational(rng), random_nonzero_rational(rng), mode)
+
+
+@pytest.mark.parametrize("n, kinds", [
+    (2, SIX_KINDS + GENERAL_KINDS),
+    (3, SIX_KINDS + GENERAL_KINDS),
+    (4, (F1, F4)),
+])
+def test_deck_matches_deletion_oracle_exhaustively(n, kinds):
+    for m in range(1, n * (n - 1) + 1):
+        for g in dg.enumerate_digraphs(n, m):
+            for kind in kinds:
+                assert deck(g, kind).polys == deletion_oracle(g, kind), (g, kind)
+
+
+# Digons (0,1)/(1,0) and (2,3)/(3,2), head 2 of in-degree 3, and heads 0,
+# 1, 2, 3 that are also tails.
+TANGLE = Digraph(5, ((0, 1), (1, 0), (0, 2), (1, 2), (3, 2), (2, 3), (4, 3)))
+
+
+@pytest.mark.parametrize("mode, max_n", [("det", 10), ("per", 8)])
+def test_deck_matches_deletion_oracle_on_random_weighted_digraphs(mode, max_n):
+    rng = random.Random(83 if mode == "det" else 89)
+    named = [kind for kind in SIX_KINDS if kind.mode == mode]
+    weights = tuple(random_nonzero_rational(rng) for _ in TANGLE.arcs)
+    cases = [TANGLE, Digraph(TANGLE.n, TANGLE.arcs, weights)]
+    cases += [random_digraph(rng, max_n, weighted=bool(rng.getrandbits(1))) for _ in range(25)]
+    for g in cases:
+        if g.m == 0:
+            continue
+        for kind in (rng.choice(named), random_kind(rng, mode)):
+            d = deck(g, kind)
+            assert d.polys == deletion_oracle(g, kind), (g, kind)
+            total = sum(g.arc_weights(), Fraction(0))
+            assert d.arc_weight == (None if g.weights is None or total == g.m else total)
+
+
+def sympy_adjugate_entries(matrix, wanted):
+    """Entries (t, j) of the polynomial and the permanental adjugate of
+    x*I - M, from sympy's cofactors and Matrix.per() minors, as ascending
+    coefficients."""
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    n = len(matrix)
+    q = x * sympy.eye(n) - sympy.Matrix(matrix)
+
+    def coeffs(expr):
+        out = [0] * n
+        for (k,), c in sympy.Poly(expr, x).terms():
+            out[k] = int(c)
+        return out
+
+    det, per = {}, {}
+    for t, cols in wanted.items():
+        for j in cols:
+            minor = q.minor_submatrix(j, t)
+            det[t, j] = coeffs((-1) ** (t + j) * minor.det() if n > 1 else 1)
+            per[t, j] = coeffs(minor.per() if n > 1 else 1)
+    return det, per
+
+
+def test_adjugate_kernels_match_sympy():
+    # Every entry up to order 3; one row (all columns) at orders 4 and 5,
+    # where sympy's symbolic permanents get slow.
+    rng = random.Random(97)
+    for n in (1, 2, 2, 3, 3, 4, 5):
+        density = rng.choice((0.4, 0.7, 1.0))
+        matrix = [[rng.randint(-4, 4) if rng.random() < density else 0 for _ in range(n)]
+                  for _ in range(n)]
+        rows = range(n) if n < 4 else [rng.randrange(n)]
+        wanted = {t: list(range(n)) for t in rows}
+        det, per = sympy_adjugate_entries(matrix, wanted)
+        assert mx.adjugate_rows(matrix, mx.charpoly_berkowitz(matrix), wanted) == det
+        assert mx.per_adjugate_rows(matrix, wanted) == per
+
+
+def test_adjugate_kernels_return_only_the_wanted_entries():
+    matrix = [[0, 2, 0], [1, 0, 3], [0, -1, 0]]
+    wanted = {1: [0, 1], 2: [2]}
+    det = mx.adjugate_rows(matrix, mx.charpoly_berkowitz(matrix), wanted)
+    per = mx.per_adjugate_rows(matrix, wanted)
+    assert set(det) == set(per) == {(1, 0), (1, 1), (2, 2)}
+    # Entry (2, 2): det and per of the leading 2x2 block of x*I - M.
+    assert det[2, 2] == [-2, 0, 1]
+    assert per[2, 2] == [2, 0, 1]
+
+
+def test_adjugate_kernels_check_their_inputs():
+    with pytest.raises(ValueError):
+        mx.adjugate_rows([[1, 2], [3, 4]], [1, 0], {0: [0]})
+    with pytest.raises(ValueError):
+        mx.adjugate_rows([[Fraction(1, 2)]], [0, 1], {0: [0]})
+    with pytest.raises(ValueError):
+        mx.per_adjugate_rows([[0] * 17 for _ in range(17)], {0: [0]})

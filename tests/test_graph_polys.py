@@ -257,21 +257,38 @@ def test_poly_of_matches_interpolation_oracle_at_the_largest_orders():
             assert poly_of(g, kind) == interpolation_oracle(g, kind)
 
 
-@pytest.mark.parametrize("text, weights, scale, input_lcm", [
+ARCS3 = ((0, 1), (2, 1), (1, 2))
+
+
+@pytest.mark.parametrize("text, arcs, weights, scale, input_lcm, entries_lcm", [
     # beta * w = 2/3 * 1/3 = 2/9: a factor 9 that no input supplies.
-    ("general:2/3,5/7,per", (Fraction(1, 3), Fraction(2, 5), Fraction(1, 3)), 315, 105),
-    # Every entry of B has a denominator dividing 10.
-    ("general:1/2,3/4,det", (Fraction(2, 5),) * 3, 10, 20),
-])
-def test_integer_pencil_scale_comes_from_the_entries_of_b(text, weights, scale, input_lcm):
+    ("general:2/3,5/7,per", ARCS3, (Fraction(1, 3), Fraction(2, 5), Fraction(1, 3)), 315, 105, 315),
+    # Every entry of B and every arc term has a denominator dividing 10.
+    ("general:1/2,3/4,det", ARCS3, (Fraction(2, 5),) * 3, 10, 20, 10),
+    # Weights 1 and -1 into head 2 cancel on B's diagonal, but deleting
+    # either arc leaves -/+ beta = -/+ 1/3 there.
+    ("general:1/3,1,det", ((0, 2), (1, 2)), (Fraction(1), Fraction(-1)), 3, 3, 1),
+    ("general:1/3,1,per", ((0, 2), (1, 2)), (Fraction(1), Fraction(-1)), 3, 3, 1),
+], ids=["ninths-per", "tenths-det", "cancelling-det", "cancelling-per"])
+def test_integer_pencil_scale_clears_every_arc_term(text, arcs, weights, scale, input_lcm,
+                                                    entries_lcm):
     kind = parse_kind(text)
-    g = Digraph(3, ((0, 1), (2, 1), (1, 2)), weights)
+    g = Digraph(3, arcs, weights)
     assert lcm(kind.beta.denominator, kind.gamma.denominator,
                *(w.denominator for w in weights)) == input_lcm
-    b, got = graph_polys._integer_pencil(g, kind)
+    a, d = dg.adjacency(g), dg.in_degrees(g)
+    b_entries = [kind.beta * d[i] if i == j else kind.gamma * a[i][j]
+                 for i in range(3) for j in range(3)]
+    assert lcm(*(x.denominator for x in b_entries)) == entries_lcm
+    b, got, arc_terms = graph_polys._integer_pencil(g, kind)
     assert got == scale
-    assert all(isinstance(x, int) for row in b for x in row)
+    assert [[Fraction(x, scale) for x in row] for row in b] == [
+        b_entries[3 * i:3 * i + 3] for i in range(3)]
+    assert arc_terms == [(s, t, kind.gamma * w * scale, kind.beta * w * scale)
+                         for (s, t), w in zip(arcs, weights)]
     assert poly_of(g, kind) == interpolation_oracle(g, kind) == poly_of_oracle(g, kind)
+    deletions = sorted(poly_of(dg.delete_arc(g, e), kind) for e in range(g.m))
+    assert deck(g, kind).polys == tuple(deletions)
 
 
 @pytest.mark.parametrize("text", ["general:1/2,3/4,det", "general:2/3,5/7,per"])
@@ -315,6 +332,11 @@ def test_size_caps():
         poly_of(Digraph(65), F1)
     with pytest.raises(ValueError):
         poly_of_oracle(Digraph(8), F1)
+    # deck checks the same caps itself; it no longer goes through poly_of.
+    for n, kind in ((17, F4), (65, F1)):
+        with pytest.raises(ValueError, match="polynomials are capped"):
+            deck(Digraph(n, ((0, 1),)), kind)
+        assert deck(Digraph(n - 1, ((0, 1),)), kind).polys == (xpow(n - 1),)
 
 
 @pytest.mark.parametrize("n", range(3, 7))

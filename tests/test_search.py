@@ -3,6 +3,7 @@
 import pytest
 
 from deckpoly import polynomials as poly
+from deckpoly import search
 from deckpoly.digraphs import Digraph
 from deckpoly.graph_polys import F1, F2, F4, deck, poly_of
 from deckpoly.search import CollisionGroup, canonical_counterexample, find_deck_collisions
@@ -84,3 +85,26 @@ def test_edge_cases():
     for n in (0, -1):
         with pytest.raises(ValueError, match="vertex count"):
             find_deck_collisions(n, 0, F1)
+
+
+@pytest.mark.parametrize("n, m, kind, coefficient, message", [
+    # (4, 4) has groups; a shift at coefficient 3 splits them there.
+    (4, 4, F1, 3, "differ at coefficients"),
+    # (3, 4) has none; the shift makes some, which m > n rules out.
+    (3, 4, F2, 0, "n = 3, m = 4; none exist"),
+    # At m = 1 a shift at n - m = 2 itself is caught: the trace rule fixes it.
+    (3, 1, F1, 2, "n = 3, m = 1; none exist"),
+])
+def test_search_asserts_the_paper_structure(monkeypatch, n, m, kind, coefficient, message):
+    def perturbed(g, k):
+        p = poly_of(g, k)
+        if g.m < m:
+            return p
+        # Digraph-dependent shift, so equal decks can carry distinct values.
+        shifted = list(p)
+        shifted[coefficient] += g.arcs[0][1]
+        return tuple(shifted)
+
+    monkeypatch.setattr(search, "poly_of", perturbed)
+    with pytest.raises(AssertionError, match=message):
+        find_deck_collisions(n, m, kind)
