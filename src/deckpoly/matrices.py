@@ -343,6 +343,8 @@ def per_adjugate_rows(matrix: Matrix,
                 else:
                     break
             else:
+                if zero is not None and zero not in acc:
+                    continue
                 # prod (x - root), leading coefficient first
                 prod = [1]
                 for root in roots:
@@ -350,10 +352,9 @@ def per_adjugate_rows(matrix: Matrix,
                     for k in range(len(prod) - 1, 0, -1):
                         prod[k] -= root * prod[k - 1]
                 if zero is not None:
-                    if zero in acc:
-                        poly = acc[zero]
-                        for k, c in enumerate(prod):
-                            poly[size - k] += const * c
+                    poly = acc[zero]
+                    for k, c in enumerate(prod):
+                        poly[size - k] += const * c
                     continue
                 for j, poly in acc.items():
                     if in_s[j]:
