@@ -31,6 +31,7 @@ One kernel pass for g(G) plus the adjugate rows of the distinct arc heads
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -162,18 +163,21 @@ def _check_cap(g: Digraph, kind: PolyKind) -> None:
         raise ValueError(f"{kind.mode} polynomials are capped at {cap} vertices, got {g.n}")
 
 
-def _unscaled(coeffs: list[int], scale: int, n: int) -> Polynomial:
-    """f from K = det or per of (y*I - L*B). Both are homogeneous of degree
-    n, so K(L*x) = L^n * f(x), and coefficient k of f is coefficient k of K
-    divided by L^(n-k)."""
+def _check_monic(coeffs: Sequence[int], n: int) -> None:
+    """K = det or per of (y*I - L*B) is monic of degree n; anything else is a
+    kernel bug, raised even under -O."""
+    if len(coeffs) != n + 1 or coeffs[-1] != 1:
+        raise AssertionError(f"pencil polynomial must be monic of degree {n}, got {coeffs}")
+
+
+def _unscaled(coeffs: Sequence[int], scale: int, n: int) -> Polynomial:
+    """f from the coefficients of K = det or per of (y*I - L*B). Both are
+    homogeneous of degree n, so K(L*x) = L^n * f(x), and coefficient k of f
+    is coefficient k of K divided by L^(n-k)."""
+    _check_monic(coeffs, n)
     if scale == 1:
-        p = tuple(map(Fraction, coeffs))  # the one-argument fast path
-    else:
-        p = tuple(Fraction(c, scale ** (n - k)) for k, c in enumerate(coeffs))
-    # The pencil polynomial is monic of degree n; anything else is a kernel bug.
-    if len(p) != n + 1 or p[-1] != 1:
-        raise AssertionError(f"pencil polynomial must be monic of degree {n}, got {p}")
-    return p
+        return tuple(map(Fraction, coeffs))  # the one-argument fast path
+    return tuple(Fraction(c, scale ** (n - k)) for k, c in enumerate(coeffs))
 
 
 @lru_cache(maxsize=1 << 16)

@@ -9,20 +9,31 @@ artifact.
 Every deck member of an (n, m)-digraph is the polynomial of an
 (n, m-1)-digraph, and each of those is shared by up to n*(n-1) - m + 1
 decks. So a sweep computes the polynomial of every (n, m-1)-digraph once
-into a table keyed by arc tuple, and a signature is m table lookups; it
-does not call graph_polys.deck, whose per-digraph work has nothing to
-share. The paper's structure is asserted on the result: members of a
-group differ only at coefficient n-m, and no group exists for m > n or
-m = 1.
+into a table keyed by arc tuple, and a signature is m table lookups. It
+calls neither graph_polys.deck, whose per-digraph work has nothing to
+share, nor poly_of: every unweighted arc adds the same integer terms to
+the pencil L*(beta*D + gamma*A) under one scale L per kind, so each
+pencil matrix is built straight from an arc tuple, and the table, the
+signatures and the groups are keyed on the coefficient kernel's scaled
+int vectors. Coefficient k is scaled by L^(n-k) > 0, which keeps both
+equality and lexicographic order, so the groups and their order are those
+of the polynomials. Digraph values and Fraction polynomials are built
+only for the groups reported.
+
+Every kernel output is checked to be monic of degree n, and the paper's
+structure is asserted on the result: members of a group differ only at
+coefficient n-m, and no group exists for m > n or m = 1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from math import comb
 
-from .digraphs import Digraph, directed_cycle, directed_path, enumerate_digraphs
-from .graph_polys import PolyKind, poly_of
+from . import graph_polys
+from .digraphs import Digraph, all_arc_slots, directed_cycle, directed_path
+from .graph_polys import PolyKind
 from .polynomials import Polynomial
 
 DEFAULT_BUDGET = 10**6
@@ -65,36 +76,51 @@ def find_deck_collisions(n: int, m: int, kind: PolyKind,
 
     Output order is canonical: groups sorted by signature, members sorted
     by polynomial. The enumeration size comb(n*(n-1), m) must stay within
-    `budget`.
+    `budget`, and n within the polynomial size cap of the kind's mode.
     """
     if n < 1:
         raise ValueError(f"vertex count must be >= 1, got {n}")
-    slots = n * (n - 1)
-    if not 0 <= m <= slots:
-        raise ValueError(f"arc count {m} outside [0, {slots}]")
-    total = comb(slots, m)
+    graph_polys._check_cap(Digraph(n), kind)
+    slots = all_arc_slots(n)
+    if not 0 <= m <= len(slots):
+        raise ValueError(f"arc count {m} outside [0, {len(slots)}]")
+    total = comb(len(slots), m)
     if total > budget:
         raise ValueError(f"enumerating {total} digraphs exceeds the budget of {budget}")
     if m == 0:
         return []
-    table = {h.arcs: poly_of(h, kind) for h in enumerate_digraphs(n, m - 1)}
-    groups: dict[DeckSignature, dict[Polynomial, Digraph]] = {}
-    for g in enumerate_digraphs(n, m):
-        arcs = g.arcs
-        # Arc tuples come out of enumerate_digraphs sorted, so dropping one
-        # arc gives the key of an (n, m-1)-digraph in the table.
+    # Every unweighted arc carries the same integer terms under one scale,
+    # so a single-arc digraph fixes them for the whole sweep.
+    _, scale, [(_, _, off, on)] = graph_polys._integer_pencil(Digraph(2, ((0, 1),)), kind)
+    kernel = graph_polys._kernel(kind)
+
+    def coefficients(arcs: tuple[tuple[int, int], ...]) -> tuple[int, ...]:
+        b = [[0] * n for _ in range(n)]
+        for s, t in arcs:
+            b[s][t] = off
+            b[t][t] += on
+        coeffs = kernel(b)
+        graph_polys._check_monic(coeffs, n)
+        return tuple(coeffs)
+
+    table = {arcs: coefficients(arcs) for arcs in combinations(slots, m - 1)}
+    groups: dict[tuple[tuple[int, ...], ...], dict[tuple[int, ...], tuple]] = {}
+    for arcs in combinations(slots, m):
+        # Arc tuples come out of combinations sorted, so dropping one arc
+        # gives the key of an (n, m-1)-digraph in the table.
         signature = tuple(sorted(table[arcs[:e] + arcs[e + 1:]] for e in range(m)))
-        p = poly_of(g, kind)
         # First witness per polynomial value wins; later isomorphic
         # duplicates collapse onto it.
-        groups.setdefault(signature, {}).setdefault(p, g)
+        groups.setdefault(signature, {}).setdefault(coefficients(arcs), arcs)
     out = []
     for signature in sorted(groups):
         by_poly = groups[signature]
         if len(by_poly) < 2:
             continue
-        members = tuple((by_poly[p], p) for p in sorted(by_poly))
-        out.append(CollisionGroup(kind, n, m, signature, members))
+        deck_signature = tuple(graph_polys._unscaled(c, scale, n) for c in signature)
+        members = tuple((Digraph(n, by_poly[c]), graph_polys._unscaled(c, scale, n))
+                        for c in sorted(by_poly))
+        out.append(CollisionGroup(kind, n, m, deck_signature, members))
     _check_paper_structure(out, n, m)
     return out
 

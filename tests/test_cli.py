@@ -1,5 +1,6 @@
 """CLI surface: flags, file wiring, exit codes, byte-deterministic output."""
 
+import hashlib
 import json
 
 import pytest
@@ -245,6 +246,39 @@ def test_search_rejects_an_empty_or_negative_vertex_set(tmp_path, capsys):
                              "--kind", "f1", "--output", str(out_path))
         assert code == 2 and out == "" and "vertex count" in err
         assert not out_path.exists()
+
+
+@pytest.mark.parametrize("vertices, kind", [("17", "f4"), ("65", "f1")])
+def test_search_checks_the_size_cap_before_the_arcless_shortcut(tmp_path, capsys,
+                                                               vertices, kind):
+    # At m = 0 the search used to return one digraph past the mode's cap.
+    out_path = tmp_path / "groups.ndjson"
+    code, out, err = run(capsys, "search", "--vertices", vertices, "--arcs", "0",
+                         "--kind", kind, "--output", str(out_path))
+    assert code == 2 and out == "" and "capped at" in err
+    assert not out_path.exists()
+
+
+# sha256 of stdout followed by the ndjson file, recorded on the Fraction-keyed
+# search that preceded the integer one.
+SEARCH_DIGESTS = {
+    (4, 4, "f1"): "fa6470dc5f533770f74d98b29057bfae8988cad7d151c452c06ab5d155c9a546",
+    (4, 3, "f6"): "6ab714ac7d476391223fc9639eb36aae16d13a919139a84e6e6da9e31fbc2f9f",
+    (3, 3, "f4"): "f2306907ee38f916d87fde083b41c9e67efd44fd361d94357529e3d193baa747",
+    (3, 2, "general:1/2,3/4,det"):
+        "d1f476178e4ac0ccd21d4688f52940835c76c610ef95da30e0a76d7f09e5ff5d",
+}
+
+
+@pytest.mark.parametrize("cell", list(SEARCH_DIGESTS))
+def test_search_output_bytes_are_pinned(tmp_path, capsys, cell):
+    n, m, kind = cell
+    out_path = tmp_path / "groups.ndjson"
+    code, out, _ = run(capsys, "search", "--vertices", str(n), "--arcs", str(m),
+                       "--kind", kind, "--output", str(out_path))
+    assert code == 0
+    digest = hashlib.sha256(out.encode() + out_path.read_bytes()).hexdigest()
+    assert digest == SEARCH_DIGESTS[cell]
 
 
 @pytest.mark.parametrize("kind", ["general:1/0,1,det", "general:1,2/0,per"])

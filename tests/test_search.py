@@ -1,11 +1,16 @@
 """Collision search: the canonical pair, exhaustive sweeps, re-verification."""
 
+import os
+import subprocess
+import sys
+import textwrap
+
 import pytest
 
+from deckpoly import graph_polys
 from deckpoly import polynomials as poly
-from deckpoly import search
-from deckpoly.digraphs import Digraph
-from deckpoly.graph_polys import F1, F2, F4, deck, poly_of
+from deckpoly.digraphs import Digraph, enumerate_digraphs
+from deckpoly.graph_polys import F1, F2, F4, SIX_KINDS, deck, parse_kind, poly_of
 from deckpoly.search import CollisionGroup, canonical_counterexample, find_deck_collisions
 
 
@@ -96,15 +101,85 @@ def test_edge_cases():
     (3, 1, F1, 2, "n = 3, m = 1; none exist"),
 ])
 def test_search_asserts_the_paper_structure(monkeypatch, n, m, kind, coefficient, message):
-    def perturbed(g, k):
-        p = poly_of(g, k)
-        if g.m < m:
-            return p
-        # Digraph-dependent shift, so equal decks can carry distinct values.
-        shifted = list(p)
-        shifted[coefficient] += g.arcs[0][1]
-        return tuple(shifted)
+    kernel_of = graph_polys._kernel
 
-    monkeypatch.setattr(search, "poly_of", perturbed)
+    def perturbed_kernel(k):
+        kernel = kernel_of(k)
+
+        def perturbed(b):
+            coeffs = list(kernel(b))
+            # The arcs are the nonzero off-diagonal entries, in lexicographic order.
+            arcs = [(s, t) for s, row in enumerate(b) for t, x in enumerate(row) if s != t and x]
+            if len(arcs) == m:
+                # Digraph-dependent shift, so equal decks can carry distinct values.
+                coeffs[coefficient] += arcs[0][1]
+            return coeffs
+
+        return perturbed
+
+    monkeypatch.setattr(graph_polys, "_kernel", perturbed_kernel)
     with pytest.raises(AssertionError, match=message):
         find_deck_collisions(n, m, kind)
+
+
+@pytest.mark.parametrize("n, m, only_full", [
+    # Every kernel output is non-monic: the (n, m-1) table trips first.
+    (3, 2, False),
+    # Only the (n, m)-digraphs are non-monic, and no group is ever reported
+    # at m > n: the check must still see every one of them.
+    (3, 4, True),
+])
+def test_search_monic_check_survives_python_O(n, m, only_full):
+    # Under -O a bare assert would vanish and a non-monic vector would key
+    # the groups unnoticed.
+    script = textwrap.dedent(f"""
+        from deckpoly import graph_polys, search
+
+        kernel = graph_polys._kernel(graph_polys.F1)
+
+        def broken(b):
+            coeffs = kernel(b)
+            arcs = sum(1 for s, row in enumerate(b) for t, x in enumerate(row) if s != t and x)
+            if {only_full} and arcs < {m}:
+                return coeffs
+            return coeffs[:-1] + [2]
+
+        graph_polys._kernel = lambda kind: broken
+        try:
+            search.find_deck_collisions({n}, {m}, graph_polys.F1)
+        except AssertionError as exc:
+            print(exc)
+    """)
+    src = os.path.dirname(os.path.dirname(graph_polys.__file__))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert f"monic of degree {n}" in proc.stdout
+
+
+def reference_collisions(n, m, kind):
+    """The search by definition: every labeled digraph's deck and polynomial
+    from graph_polys.deck and poly_of, grouped in Fractions."""
+    groups = {}
+    for g in enumerate_digraphs(n, m):
+        signature = deck(g, kind).polys if m else ()
+        groups.setdefault(signature, {}).setdefault(poly_of(g, kind), g)
+    return [CollisionGroup(kind, n, m, signature,
+                           tuple((groups[signature][p], p) for p in sorted(groups[signature])))
+            for signature in sorted(groups) if len(groups[signature]) >= 2]
+
+
+# Two general kinds whose integer pencil needs a scale L > 1.
+ORACLE_KINDS = SIX_KINDS + (parse_kind("general:1/2,3/4,det"),
+                            parse_kind("general:2/3,5/7,per"))
+
+
+@pytest.mark.parametrize("kind", ORACLE_KINDS, ids=graph_polys.kind_name)
+def test_search_matches_the_reference_search(kind):
+    cells = [(n, m) for n in (1, 2, 3) for m in range(n * (n - 1) + 1)]
+    cells += [(4, m) for m in range(6)]
+    found = 0
+    for n, m in cells:
+        groups = find_deck_collisions(n, m, kind)
+        assert groups == reference_collisions(n, m, kind), (n, m)
+        found += len(groups)
+    assert found
