@@ -1,27 +1,29 @@
 """Dense integer matrices with determinant and permanent kernels.
 
 A matrix is a plain list of equal-length rows of Python ints; every
-kernel goes through order_of, which rejects any other entry type (a
-Fraction included), because Bareiss's exact division is only exact on
-integers. A caller with rational entries clears denominators first, as
-graph_polys does. No function mutates its input.
+public kernel goes through order_of (the cores _det_bareiss and
+_per_glynn skip it), which rejects any other entry type (a Fraction
+included), because Bareiss's exact division is only exact on integers.
+A caller with rational entries clears denominators first, as graph_polys
+does. No public function mutates its input.
 
-det_bareiss and per_ryser give one scalar value. charpoly_berkowitz and
-perpoly_ryser give every coefficient of det(x*I - M) and per(x*I - M)
-at once. adjugate_rows and per_adjugate_rows give chosen entries of the
-polynomial adjugate of x*I - M: the signed cofactors, or the permanental
-minors, down one column, which is what a change to that column needs
-(column linearity). Everything is computed and returned in Python ints.
+det_bareiss and per_ryser (Glynn's formula) give one scalar value.
+charpoly_berkowitz and perpoly_ryser give every coefficient of det(x*I - M)
+and per(x*I - M) at once. adjugate_rows and per_adjugate_rows give chosen
+entries of the polynomial adjugate of x*I - M: the signed cofactors, or the
+permanental minors, down one column, which is what a change to that column
+needs (column linearity). Everything is computed and returned in Python ints.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
 from itertools import chain, permutations
+from math import prod
 
 Matrix = list[list[int]]
 
-# Hard caps: the expansions cost n! terms, Ryser costs 2^n subsets.
+# Hard caps: the expansions cost n! terms, Ryser 2^n subsets, Glynn 2^(n-1).
 EXPANSION_MAX_ORDER = 8
 RYSER_MAX_ORDER = 16
 
@@ -39,32 +41,17 @@ def order_of(matrix: Matrix) -> int:
     return n
 
 
-def zero_entry(matrix: Matrix, i: int, j: int) -> Matrix:
-    """Copy of `matrix` with entry (i, j) replaced by zero."""
-    n = order_of(matrix)
-    if not (0 <= i < n and 0 <= j < n):
-        raise IndexError(f"entry ({i}, {j}) outside a {n}x{n} matrix")
-    out = [list(row) for row in matrix]
-    out[i][j] = 0
-    return out
-
-
 def permutation_sign(perm) -> int:
-    """Sign of the permutation i -> perm[i], by cycle parity."""
+    """Sign of the permutation i -> perm[i]: (-1)^(n - number of cycles)."""
     seen = [False] * len(perm)
-    sign = 1
+    cycles = 0
     for start in range(len(perm)):
-        if seen[start]:
-            continue
-        length = 0
-        j = start
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
+        if not seen[start]:
+            cycles += 1
+            while not seen[start]:
+                seen[start] = True
+                start = perm[start]
+    return -1 if (len(perm) - cycles) & 1 else 1
 
 
 def det_bareiss(matrix: Matrix) -> int:
@@ -76,7 +63,11 @@ def det_bareiss(matrix: Matrix) -> int:
     A column with no usable pivot means the matrix is singular.
     """
     n = order_of(matrix)
-    rows = [list(row) for row in matrix]
+    return _det_bareiss([list(row) for row in matrix], n)
+
+
+def _det_bareiss(rows: Matrix, n: int) -> int:
+    """det_bareiss without input checks, eliminating in place in `rows`."""
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -117,38 +108,39 @@ def permutation_expansion(matrix: Matrix, signed: bool) -> int:
 
 
 def per_ryser(matrix: Matrix) -> int:
-    """Exact permanent via the alternating column-subset formula:
+    """Exact permanent by Glynn's formula (Glynn 2010, European J. Combin. 31):
 
-        per(M) = (-1)^n * sum_S (-1)^|S| * prod_i sum_{j in S} M[i][j]
+        per(M) = 2^-(n-1) * sum_d (prod_i d_i) * prod_j sum_i d_i * M[i][j]
 
-    over all subsets S of the columns. Subsets are visited in Gray-code
-    order so each step updates the row sums by a single column.
+    over d in {+1, -1}^n with d_0 = +1, in Gray-code order: step g flips one
+    d_i, so prod_i d_i = (-1)^g, and moves the column sums by twice one row.
+    The name stays because perfbench/tracer.py and perfbench/tests bind it.
     """
     n = order_of(matrix)
     if n > RYSER_MAX_ORDER:
         raise ValueError(f"per_ryser is capped at order {RYSER_MAX_ORDER}, got {n}")
-    sums = [0] * n
-    total = 0
-    size = 0
-    for g in range(1, 1 << n):
-        col = (g & -g).bit_length() - 1
-        if (g ^ (g >> 1)) & (1 << col):
-            size += 1
-            for i in range(n):
-                sums[i] += matrix[i][col]
+    return _per_glynn(matrix, n)
+
+
+def _per_glynn(rows: Matrix, n: int) -> int:
+    """per_ryser without input checks; `rows` is not modified."""
+    doubled = [[(j, 2 * v) for j, v in enumerate(row) if v] for row in rows[1:]]
+    sums = [sum(col) for col in zip(*rows)]
+    total = 0 if 0 in sums else prod(sums)
+    for g in range(1, 1 << (n - 1)):
+        bit = (g & -g).bit_length() - 1
+        if (g ^ (g >> 1)) >> bit & 1:
+            for j, v in doubled[bit]:
+                sums[j] -= v
         else:
-            size -= 1
-            for i in range(n):
-                sums[i] -= matrix[i][col]
-        prod = 1
-        for s in sums:
-            if s == 0:
-                prod = 0
-                break
-            prod *= s
-        if prod:
-            total += -prod if size & 1 else prod
-    return -total if n & 1 else total
+            for j, v in doubled[bit]:
+                sums[j] += v
+        if 0 not in sums:
+            total += -prod(sums) if g & 1 else prod(sums)
+    per, rest = divmod(total, 1 << (n - 1))
+    if rest:
+        raise AssertionError(f"Glynn sum {total} is not divisible by 2^{n - 1}")
+    return per
 
 
 def charpoly_berkowitz(matrix: Matrix) -> list[int]:

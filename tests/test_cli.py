@@ -5,6 +5,8 @@ import json
 
 import pytest
 
+from deckpoly import identities
+from deckpoly import matrices as mx
 from deckpoly.cli import main
 from deckpoly.serialize import load_json
 
@@ -203,6 +205,50 @@ def test_verify_rejects_max_n_above_the_permanent_cap_up_front(capsys):
     code, _, _ = run(capsys, "verify", "--theorem", "2.2", "--trials", "1",
                      "--max-n", "17", "--seed", "17")
     assert code == 0
+
+
+# sha256 of stdout for (theorem, max-n, trials) at seed 1207, recorded on
+# the Ryser permanent and the per-copy validated sweep that preceded Glynn's.
+VERIFY_DIGESTS = {
+    ("2.1", 6, 40): "b6cad25372784da52fc281e14996900a46c04e7712b6c0e4cfdd25a8853826d6",
+    ("2.2", 7, 40): "9cc5c468fa80f1d7af0b3be730462f9fc4eed21febf94629056cc665d7f351b6",
+    ("2.3", 6, 40): "230cec8ef7f6d4c9741e428163b5f7b89e46dcd7a130880f81f4a6649739c87b",
+    ("2.3", 10, 5): "8ccb39edb6898eb29057fc734acb67d380f00dde2da6cd1e151bb9145283ea00",
+}
+
+
+@pytest.mark.parametrize("cell", list(VERIFY_DIGESTS))
+def test_verify_output_bytes_are_pinned(capsys, cell):
+    theorem, max_n, trials = cell
+    code, out, _ = run(capsys, "verify", "--theorem", theorem, "--trials", str(trials),
+                       "--max-n", str(max_n), "--seed", "1207")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_DIGESTS[cell]
+
+
+MATRIX_CHECKS = {"2.1": identities.check_thm21, "2.2": identities.check_thm22,
+                 "2.3": identities.check_thm23}
+
+
+@pytest.mark.parametrize("theorem", list(MATRIX_CHECKS))
+def test_verify_reports_a_faulty_kernel_as_violated(theorem, capsys, monkeypatch):
+    det_core, per_core = mx._det_bareiss, mx._per_glynn
+    monkeypatch.setattr(mx, "_det_bareiss", lambda rows, n: det_core(rows, n) + 1)
+    monkeypatch.setattr(mx, "_per_glynn", lambda rows, n: per_core(rows, n) + 1)
+    code, out, _ = run(capsys, "verify", "--theorem", theorem, "--trials", "6",
+                       "--max-n", "4", "--seed", "42")
+    monkeypatch.undo()
+    obj = json.loads(out)
+    assert code == 5 and obj["verdict"] == "violated"
+    assert len(obj["violations"]) == 6
+    for violation in obj["violations"]:
+        # With every evaluation one too high, the left side gains
+        # len(positions) - n and the right side len(positions), when the
+        # zeroed copies go through the faulty core too.
+        n = len(violation["instance"]["matrix"])
+        assert int(violation["lhs"]) - int(violation["rhs"]) == -n
+    matrix = [[int(x) for x in row] for row in obj["violations"][0]["instance"]["matrix"]]
+    assert MATRIX_CHECKS[theorem](matrix).holds
 
 
 def test_search_finds_the_canonical_collision(tmp_path, capsys):

@@ -3,6 +3,9 @@
 import random
 from fractions import Fraction
 
+import pytest
+
+from deckpoly import matrices
 from deckpoly import polynomials as poly
 from deckpoly.digraphs import Digraph, directed_cycle
 from deckpoly.graph_polys import SIX_KINDS, deck
@@ -83,6 +86,23 @@ def test_matrix_identities_random_sweep():
         assert r21.holds and r22.holds and r23.holds
         # The dense and support-restricted forms are equivalent.
         assert r21.holds == r22.holds
+
+
+def test_zeroing_checks_validate_once_and_leave_the_input_alone(monkeypatch):
+    # Zeroed copies share X's order and int entries, so only X is checked.
+    calls = []
+    order_of = matrices.order_of
+    monkeypatch.setattr(matrices, "order_of", lambda m: calls.append(m) or order_of(m))
+    m = [[1, 2, 0], [3, 0, 5], [6, 7, 8]]
+    for check in (check_thm21, check_thm22, check_thm23):
+        calls.clear()
+        assert check(m).holds
+        assert calls == [m]
+    assert m == [[1, 2, 0], [3, 0, 5], [6, 7, 8]]
+    for bad in ([[1, 2], [3]], [[Fraction(1, 2)]], []):
+        for check in (check_thm21, check_thm22, check_thm23):
+            with pytest.raises(ValueError):
+                check(bad)
 
 
 def test_thm31_star_of_digons_hand_example():

@@ -2,6 +2,8 @@
 
 import random
 from fractions import Fraction
+from itertools import product
+from math import factorial
 
 import pytest
 
@@ -147,29 +149,46 @@ def test_coefficient_kernels_match_sympy():
         assert mx.perpoly_ryser(m) == want_per
 
 
-def test_zero_entry():
-    m = [[5, 6], [7, 8]]
-    assert mx.zero_entry(m, 0, 1) == [[5, 0], [7, 8]]
-    assert mx.zero_entry([[1, 2], [3, 4]], 1, 1) == [[1, 2], [3, 0]]
-    assert m == [[5, 6], [7, 8]]  # input untouched
+def test_per_matches_expansion_on_every_small_sign_matrix():
+    for n in (1, 2, 3):
+        for flat in product((-1, 0, 1), repeat=n * n):
+            m = [list(flat[i * n:(i + 1) * n]) for i in range(n)]
+            assert mx.per_ryser(m) == mx.permutation_expansion(m, False), m
 
 
-def test_zero_entry_noop_when_already_zero():
-    m = [[1, 0], [3, 4]]
-    assert mx.zero_entry(m, 0, 1) == m
+@pytest.mark.parametrize("zero_density", [0.0, 0.3, 0.7, 0.9])
+def test_per_matches_expansion_on_random_matrices(zero_density):
+    rng = random.Random(1301)
+    orders, signs = set(), set()
+    for _ in range(150):
+        n = rng.randint(1, 8)
+        m = random_matrix(rng, n, zero_density=zero_density)
+        value = mx.per_ryser(m)
+        assert value == mx.permutation_expansion(m, False), m
+        orders.add(n % 2)
+        signs.add((value > 0) - (value < 0))
+    assert orders == {0, 1}
+    assert -1 in signs
 
 
-def test_zero_entry_is_idempotent():
-    m = [[1, 2], [3, 4]]
-    once = mx.zero_entry(m, 0, 0)
-    assert mx.zero_entry(once, 0, 0) == once
+def test_per_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(1303)
+    for _ in range(40):
+        m = random_matrix(rng, rng.randint(1, 6), zero_density=rng.choice((0.0, 0.3, 0.7)))
+        assert mx.per_ryser(m) == int(sympy.Matrix(m).per()), m
 
 
-def test_zero_entry_index_errors():
-    with pytest.raises(IndexError):
-        mx.zero_entry([[1]], 0, 1)
-    with pytest.raises(IndexError):
-        mx.zero_entry([[1]], -1, 0)
+def test_per_at_the_order_cap():
+    assert mx.per_ryser([[1] * 12 for _ in range(12)]) == factorial(12)
+    # I plus the directed 16-cycle: the only permutations inside its
+    # support are the identity and the cycle itself.
+    m = identity_matrix(16)
+    for i in range(16):
+        m[i][(i + 1) % 16] = 1
+    assert mx.per_ryser(m) == 2
+    with pytest.raises(ValueError, match="capped at order 16"):
+        mx.per_ryser(identity_matrix(17))
 
 
 def test_size_caps_are_hard_errors():
