@@ -187,8 +187,6 @@ def test_per_at_the_order_cap():
     for i in range(16):
         m[i][(i + 1) % 16] = 1
     assert mx.per_ryser(m) == 2
-    with pytest.raises(ValueError, match="capped at order 16"):
-        mx.per_ryser(identity_matrix(17))
 
 
 def test_size_caps_are_hard_errors():
