@@ -12,11 +12,11 @@ Laplacian pair (beta=1, gamma=-1), f3/f6 the signless Laplacian pair
 
 poly_of builds the integer pencil L*B once, with B = beta*D + gamma*A
 and L the common denominator of B's entries and of every arc's terms
-gamma*w and beta*w, and reads the coefficients off one integer kernel:
-Berkowitz's division-free characteristic polynomial in det mode, one
-Ryser pass with row sums linear in x in per mode. pencil_at (with
-polynomials.interpolate) and poly_of_oracle remain as two independent test
-oracles.
+gamma*w and beta*w, and reads the coefficients off one integer kernel
+(_kernel): Berkowitz's division-free characteristic polynomial in det mode,
+one Gray-code Ryser walk with row sums linear in x in per mode. pencil_at
+(with polynomials.interpolate) and poly_of_oracle remain as two
+independent test oracles.
 
 deck uses column linearity instead of m deletions. Deleting arc (s, t) of
 weight w changes only column t of P = x*I - B: entry (s, t) gains gamma*w
@@ -25,8 +25,8 @@ and entry (t, t) gains beta*w. det and per are linear in one column, so
     g(G - e) = g(G) + gamma*w * C[s][t] + beta*w * C[t][t],
 
 with C the signed cofactors (det) or the permanental minors (per) of P.
-One kernel pass for g(G) plus the adjugate rows of the distinct arc heads
-(matrices.adjugate_rows, matrices.per_adjugate_rows) give the whole deck.
+One call of the same kernel gives g(G) and the adjugate rows of the
+distinct arc heads, and so the whole deck.
 """
 
 from __future__ import annotations
@@ -154,7 +154,14 @@ def _integer_pencil(g: Digraph,
 
 
 def _kernel(kind: PolyKind):
-    return matrices.perpoly_ryser if kind.mode == PERMANENT else matrices.charpoly_berkowitz
+    """The kind's coefficient kernel, matrices.adjugate_rows (det mode) or
+    matrices.per_adjugate_rows (per mode). Both map (M, wanted) to
+    (coefficients, entries): the n + 1 coefficients of det or per of
+    x*I - M, constant term first, and a dict from (t, j), for each row t of
+    `wanted` and each j in wanted[t], to entry (t, j) of the matching
+    adjugate of x*I - M as n coefficients. poly_of and the collision
+    search pass wanted = {} and read only the coefficients."""
+    return matrices.per_adjugate_rows if kind.mode == PERMANENT else matrices.adjugate_rows
 
 
 def _check_cap(g: Digraph, kind: PolyKind) -> None:
@@ -183,14 +190,14 @@ def _unscaled(coeffs: Sequence[int], scale: int, n: int) -> Polynomial:
 @lru_cache(maxsize=1 << 16)
 def _poly_of_cached(g: Digraph, kind: PolyKind) -> Polynomial:
     b, scale, _ = _integer_pencil(g, kind)
-    return _unscaled(_kernel(kind)(b), scale, g.n)
+    return _unscaled(_kernel(kind)(b, {})[0], scale, g.n)
 
 
 def poly_of(g: Digraph, kind: PolyKind) -> Polynomial:
     """Exact monic degree-n polynomial of the pencil. The integer pencil
-    L*(beta*D + gamma*A) is built once; Berkowitz's charpoly (det mode) or
-    one polynomial Ryser pass (per mode) gives its coefficients in Python
-    ints. Assumes a validated digraph."""
+    L*(beta*D + gamma*A) is built once; the kind's kernel, asked for no
+    adjugate entries, gives its coefficients in Python ints. Assumes a
+    validated digraph."""
     _check_cap(g, kind)
     return _poly_of_cached(g, kind)
 
@@ -249,21 +256,17 @@ class Deck:
 
 def deck(g: Digraph, kind: PolyKind) -> Deck:
     """Multiset of the pencil polynomials of all single-arc deletions of g,
-    by column linearity (see the module docstring): one coefficient kernel
-    for K(y) = det or per of (y*I - L*B), and two adjugate entries per arc.
+    by column linearity (see the module docstring): one kernel call gives
+    K(y) = det or per of (y*I - L*B) and two adjugate entries per arc.
     Same caps as poly_of. Assumes a validated digraph."""
     if g.m == 0:
         raise ValueError("the edge deck of an arcless digraph is empty")
     _check_cap(g, kind)
     b, scale, arcs = _integer_pencil(g, kind)
-    base = _kernel(kind)(b)
     wanted: dict[int, set[int]] = {}
     for s, t, _, _ in arcs:
         wanted.setdefault(t, {t}).add(s)
-    if kind.mode == PERMANENT:
-        adj = matrices.per_adjugate_rows(b, wanted)
-    else:
-        adj = matrices.adjugate_rows(b, base, wanted)
+    base, adj = _kernel(kind)(b, wanted)
     n = g.n
     members = []
     for s, t, a, d in arcs:

@@ -8,11 +8,15 @@ A caller with rational entries clears denominators first, as graph_polys
 does. No public function mutates its input.
 
 det_bareiss and per_ryser (Glynn's formula) give one scalar value.
-charpoly_berkowitz and perpoly_ryser give every coefficient of det(x*I - M)
-and per(x*I - M) at once. adjugate_rows and per_adjugate_rows give chosen
-entries of the polynomial adjugate of x*I - M: the signed cofactors, or the
+charpoly_berkowitz gives every coefficient of det(x*I - M) at once.
+adjugate_rows and per_adjugate_rows share one contract: (M, wanted) gives
+every coefficient of det(x*I - M), or of per(x*I - M), and chosen entries
+of the matching adjugate of x*I - M: the signed cofactors, or the
 permanental minors, down one column, which is what a change to that column
-needs (column linearity). Everything is computed and returned in Python ints.
+needs (column linearity). adjugate_rows reads its entries off Berkowitz's
+coefficients and the powers of M; per_adjugate_rows gets the permanent and
+every minor from one Gray-code Ryser walk. Everything is computed and
+returned in Python ints.
 """
 
 from __future__ import annotations
@@ -180,65 +184,16 @@ def charpoly_berkowitz(matrix: Matrix) -> list[int]:
     return poly[::-1]
 
 
-def perpoly_ryser(matrix: Matrix) -> list[int]:
-    """Coefficients, constant term first, of per(x*I - M), by one Ryser pass.
-
-    Over a column subset S, row i of x*I - M sums to x*[i in S] - u_i with
-    u_i = sum_{j in S} M[i][j]. The signs of Ryser's formula (see
-    per_ryser) then cancel:
-
-        per(x*I - M) = sum_S prod_{i not in S} u_i * prod_{i in S} (x - u_i).
-
-    Subsets are visited in Gray-code order, so each step updates u by the
-    nonzeros of one column; a subset with some u_i = 0 outside S adds
-    nothing and is skipped before its product is expanded.
-    """
-    n = order_of(matrix)
-    if n > RYSER_MAX_ORDER:
-        raise ValueError(f"perpoly_ryser is capped at order {RYSER_MAX_ORDER}, got {n}")
-    columns = [[(i, matrix[i][j]) for i in range(n) if matrix[i][j]] for j in range(n)]
-    sums = [0] * n
-    total = [0] * (n + 1)
-    for g in range(1, 1 << n):
-        col = (g & -g).bit_length() - 1
-        gray = g ^ (g >> 1)
-        if gray >> col & 1:
-            for i, v in columns[col]:
-                sums[i] += v
-        else:
-            for i, v in columns[col]:
-                sums[i] -= v
-        const = 1
-        roots = []
-        for i, s in enumerate(sums):
-            if gray >> i & 1:
-                roots.append(s)
-            elif s:
-                const *= s
-            else:
-                break
-        else:
-            # const * prod (x - root), leading coefficient first
-            prod = [const]
-            for root in roots:
-                prod.append(0)
-                for k in range(len(prod) - 1, 0, -1):
-                    prod[k] -= root * prod[k - 1]
-            top = len(roots)
-            for k, c in enumerate(prod):
-                total[top - k] += c
-    return total
-
-
-def adjugate_rows(matrix: Matrix, charpoly: list[int],
-                  wanted: dict[int, Iterable[int]]) -> dict[tuple[int, int], list[int]]:
-    """Entries (t, j) of adj(x*I - M), for each row t of `wanted` and each
-    column j in wanted[t], as n coefficients, constant term first.
+def adjugate_rows(matrix: Matrix, wanted: dict[int, Iterable[int]]
+                  ) -> tuple[list[int], dict[tuple[int, int], list[int]]]:
+    """(coefficients of det(x*I - M), entries), both constant term first:
+    the coefficients from charpoly_berkowitz, and entry (t, j) of
+    adj(x*I - M), for each row t of `wanted` and each j in wanted[t], as n
+    coefficients.
 
     adj(x*I - M)[t][j] is the cofactor of entry (j, t) of x*I - M. With
-    c_0..c_n the coefficients of det(x*I - M) (charpoly_berkowitz), the
-    Cayley-Hamilton identity (x*I - M) * adj(x*I - M) = det(x*I - M) * I
-    gives
+    c_0..c_n the coefficients of det(x*I - M), the Cayley-Hamilton identity
+    (x*I - M) * adj(x*I - M) = det(x*I - M) * I gives
 
         adj(x*I - M) = sum_k x^k sum_{p=0}^{n-1-k} c_{k+1+p} * M^p,
 
@@ -246,10 +201,10 @@ def adjugate_rows(matrix: Matrix, charpoly: list[int],
     vector-matrix products and read at the wanted columns. Row t then
     costs O(n * (z + c*n)) for z nonzeros and c wanted columns.
     """
-    n = order_of(matrix)
-    if len(charpoly) != n + 1:
-        raise ValueError(f"charpoly of an order-{n} matrix has {n + 1} coefficients, "
-                         f"got {len(charpoly)}")
+    charpoly = charpoly_berkowitz(matrix)
+    if not wanted:
+        return charpoly, {}
+    n = len(charpoly) - 1
     nonzero = [[(j, v) for j, v in enumerate(row) if v] for row in matrix]
     out = {}
     for t, cols in wanted.items():
@@ -275,91 +230,91 @@ def adjugate_rows(matrix: Matrix, charpoly: list[int],
                     for k in range(n - p):
                         entry[k] += charpoly[k + 1 + p] * x
             out[t, j] = entry
-    return out
+    return charpoly, out
 
 
-def per_adjugate_rows(matrix: Matrix,
-                      wanted: dict[int, Iterable[int]]) -> dict[tuple[int, int], list[int]]:
-    """Entries (t, j) of the permanental adjugate of x*I - M, for each row
-    t of `wanted` and each column j in wanted[t]: the permanent of x*I - M
-    without row j and column t, as n coefficients, constant term first.
+def per_adjugate_rows(matrix: Matrix, wanted: dict[int, Iterable[int]]
+                      ) -> tuple[list[int], dict[tuple[int, int], list[int]]]:
+    """(coefficients of per(x*I - M), entries), both constant term first:
+    entry (t, j), for each row t of `wanted` and each j in wanted[t], is the
+    permanent of x*I - M without row j and column t, as n coefficients.
 
-    One Gray-code Ryser pass per row t, over the n-1 columns other than t.
-    Over a column subset S, row r of x*I - M sums to x*[r in S] - u_r with
-    u_r = sum_{c in S} M[r][c], and the minor without row j is
+    One Gray-code Ryser walk over the column subsets S gives them all. Over
+    S, row r of x*I - M sums to x*[r in S] - u_r with u_r = sum_{c in S}
+    M[r][c], and the signs of Ryser's formula (see per_ryser) cancel:
 
-        (-1)^(n-1) * sum_S (-1)^|S| * prod_{r != j} (x*[r in S] - u_r).
+        per(x*I - M) = sum_S T_S,  T_S = prod_{r not in S} u_r * prod_{r in S} (x - u_r).
 
-    The product over all n rows is formed once per subset, and row j's
-    factor is divided out: by synthetic division by (x - u_j) when j is in
-    S, by exact division by -u_j otherwise. When exactly one constant
-    factor is zero the subset adds only to that row's minor; with two or
-    more it adds nothing and is skipped.
+    Minor (t, j) sums, over the S without t, T_S with row j's factor divided
+    out: T_S / u_j when j is not in S, -T_S / (x - u_j) when it is. So each
+    subset forms T_S once, divides each wanted row out once, and adds the
+    quotient to every head t outside S that wants that row. A zero u_r
+    outside S makes T_S zero: if it is the only one and row r is wanted,
+    the subset adds to row r's minors alone, otherwise the subset is
+    skipped before its product is expanded. In Gray-code order each step
+    updates u by the nonzeros of one column.
     """
     n = order_of(matrix)
     if n > RYSER_MAX_ORDER:
         raise ValueError(f"per_adjugate_rows is capped at order {RYSER_MAX_ORDER}, got {n}")
-    out = {}
-    for t, rows in wanted.items():
-        rows = sorted(set(rows))
-        cols = [c for c in range(n) if c != t]
-        columns = [[(i, matrix[i][c]) for i in range(n) if matrix[i][c]] for c in cols]
-        acc = {j: [0] * n for j in rows}
-        sums = [0] * n
-        in_s = [False] * n
-        size = 0
-        for g in range(1 << (n - 1)):
-            if g:
-                bit = (g & -g).bit_length() - 1
-                col = cols[bit]
-                if (g ^ (g >> 1)) >> bit & 1:
-                    size += 1
-                    in_s[col] = True
-                    for i, v in columns[bit]:
-                        sums[i] += v
-                else:
-                    size -= 1
-                    in_s[col] = False
-                    for i, v in columns[bit]:
-                        sums[i] -= v
-            const = -1 if (n - 1 + size) & 1 else 1
-            roots = []
-            zero = None
-            for r, s in enumerate(sums):
-                if in_s[r]:
-                    roots.append(s)
-                elif s:
-                    const *= -s
-                elif zero is None:
-                    zero = r
-                else:
-                    break
+    out = {(t, j): [0] * n for t, rows in wanted.items() for j in rows}
+    heads: dict[int, list] = {}  # row j -> (t, entry (t, j)) per head t that wants it
+    for (t, j), entry in out.items():
+        heads.setdefault(j, []).append((t, entry))
+    masks = {j: sum(1 << t for t, _ in ts) for j, ts in heads.items()}
+    columns = [[(i, matrix[i][j]) for i in range(n) if matrix[i][j]] for j in range(n)]
+    sums = [0] * n
+    total = [0] * (n + 1)
+    for g in range(1 << n):
+        gray = g ^ (g >> 1)
+        if g:
+            col = (g & -g).bit_length() - 1
+            if gray >> col & 1:
+                for i, v in columns[col]:
+                    sums[i] += v
             else:
-                if zero is not None and zero not in acc:
-                    continue
-                # prod (x - root), leading coefficient first
-                prod = [1]
-                for root in roots:
-                    prod.append(0)
+                for i, v in columns[col]:
+                    sums[i] -= v
+        const = 1
+        roots = []
+        zero = None
+        for r, s in enumerate(sums):
+            if gray >> r & 1:
+                roots.append(s)
+            elif s:
+                const *= s
+            elif zero is None and r in heads:
+                zero = r
+            else:
+                break
+        else:
+            # T_S, or T_S / u_zero, leading coefficient first
+            prod = [const]
+            for root in roots:
+                prod.append(0)
+                if root:
                     for k in range(len(prod) - 1, 0, -1):
                         prod[k] -= root * prod[k - 1]
+            size = len(roots)
+            if zero is None:
+                for k, c in enumerate(prod):
+                    total[size - k] += c
+            for j in heads if zero is None else (zero,):
+                if not masks[j] & ~gray:
+                    continue  # every head that wants row j is in S
+                u = sums[j]
                 if zero is not None:
-                    poly = acc[zero]
-                    for k, c in enumerate(prod):
-                        poly[size - k] += const * c
-                    continue
-                for j, poly in acc.items():
-                    if in_s[j]:
-                        # prod / (x - u_j), exact; degree size - 1
-                        u, q = sums[j], 1
-                        poly[size - 1] += const
-                        for k in range(1, size):
-                            q = prod[k] + u * q
-                            poly[size - 1 - k] += const * q
-                    else:
-                        scale = const // -sums[j]
-                        for k, c in enumerate(prod):
-                            poly[size - k] += scale * c
-        for j, poly in acc.items():
-            out[t, j] = poly
-    return out
+                    top, quot = size, prod
+                elif gray >> j & 1:
+                    # -T_S / (x - u_j), by synthetic division
+                    top, quot, q = size - 1, [], 0
+                    for c in prod[:-1]:
+                        q = c + u * q
+                        quot.append(-q)
+                else:
+                    top, quot = size, [c // u for c in prod]
+                for t, entry in heads[j]:
+                    if not gray >> t & 1:
+                        for k, c in enumerate(quot):
+                            entry[top - k] += c
+    return total, out

@@ -99,7 +99,7 @@ def find_deck_collisions(n: int, m: int, kind: PolyKind,
         for s, t in arcs:
             b[s][t] = off
             b[t][t] += on
-        coeffs = kernel(b)
+        coeffs = kernel(b, {})[0]
         graph_polys._check_monic(coeffs, n)
         return tuple(coeffs)
 

@@ -1,16 +1,19 @@
 """deck by column linearity against the deletion oracle, and its two
-adjugate kernels against sympy."""
+adjugate kernels against sympy and the permutation expansion."""
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from deckpoly import digraphs as dg
 from deckpoly import matrices as mx
+from deckpoly import polynomials as poly
 from deckpoly.digraphs import Digraph
 from deckpoly.graph_polys import F1, F4, SIX_KINDS, PolyKind, deck, poly_of
-from deckpoly.identities import random_digraph, random_nonzero_rational, random_rational
+from deckpoly.identities import (random_digraph, random_matrix, random_nonzero_rational,
+                                 random_rational)
 
 GENERAL_KINDS = (PolyKind(Fraction(1, 3), Fraction(-5, 2), "det"),
                  PolyKind(Fraction(-2, 3), Fraction(3, 4), "per"))
@@ -94,15 +97,15 @@ def test_adjugate_kernels_match_sympy():
         rows = range(n) if n < 4 else [rng.randrange(n)]
         wanted = {t: list(range(n)) for t in rows}
         det, per = sympy_adjugate_entries(matrix, wanted)
-        assert mx.adjugate_rows(matrix, mx.charpoly_berkowitz(matrix), wanted) == det
-        assert mx.per_adjugate_rows(matrix, wanted) == per
+        assert mx.adjugate_rows(matrix, wanted) == (mx.charpoly_berkowitz(matrix), det)
+        assert mx.per_adjugate_rows(matrix, wanted) == (mx.per_adjugate_rows(matrix, {})[0], per)
 
 
 def test_adjugate_kernels_return_only_the_wanted_entries():
     matrix = [[0, 2, 0], [1, 0, 3], [0, -1, 0]]
     wanted = {1: [0, 1], 2: [2]}
-    det = mx.adjugate_rows(matrix, mx.charpoly_berkowitz(matrix), wanted)
-    per = mx.per_adjugate_rows(matrix, wanted)
+    _, det = mx.adjugate_rows(matrix, wanted)
+    _, per = mx.per_adjugate_rows(matrix, wanted)
     assert set(det) == set(per) == {(1, 0), (1, 1), (2, 2)}
     # Entry (2, 2): det and per of the leading 2x2 block of x*I - M.
     assert det[2, 2] == [-2, 0, 1]
@@ -111,8 +114,47 @@ def test_adjugate_kernels_return_only_the_wanted_entries():
 
 def test_adjugate_kernels_check_their_inputs():
     with pytest.raises(ValueError):
-        mx.adjugate_rows([[1, 2], [3, 4]], [1, 0], {0: [0]})
-    with pytest.raises(ValueError):
-        mx.adjugate_rows([[Fraction(1, 2)]], [0, 1], {0: [0]})
+        mx.adjugate_rows([[Fraction(1, 2)]], {0: [0]})
     with pytest.raises(ValueError):
         mx.per_adjugate_rows([[0] * 17 for _ in range(17)], {0: [0]})
+
+
+def check_per_adjugate(matrix):
+    """per_adjugate_rows with every entry wanted against the permutation
+    expansion of x*I - M and of its minors at integer x: the polynomial is
+    interpolated from x = 0..n, as test_matrices.interpolated does, and
+    each minor, which has n coefficients, is compared at x = 0..n-1, where
+    its values fix it (interpolating all n^2 minors in Fractions would take
+    most of the time)."""
+    n = len(matrix)
+    coeffs, entries = mx.per_adjugate_rows(matrix, {t: range(n) for t in range(n)})
+    assert sorted(entries) == [(t, j) for t in range(n) for j in range(n)]
+    assert {len(e) for e in entries.values()} == {n}
+    points = []
+    for x in range(n + 1):
+        pencil = [[int(i == j) * x - matrix[i][j] for j in range(n)] for i in range(n)]
+        points.append((x, mx.permutation_expansion(pencil, False)))
+        if x == n:
+            break
+        for (t, j), entry in entries.items():
+            rows = [row[:t] + row[t + 1:] for r, row in enumerate(pencil) if r != j]
+            # The minor of an order-1 matrix is the empty permanent, 1.
+            want = mx.permutation_expansion(rows, False) if n > 1 else 1
+            assert sum(c * x ** k for k, c in enumerate(entry)) == want, (matrix, t, j, x)
+    assert poly.normalize(coeffs) == poly.interpolate(points), matrix
+
+
+def test_per_adjugate_rows_matches_expansion_on_every_small_matrix():
+    # Order 1 is the empty subset's term alone: the minor is per of the
+    # empty matrix, 1. Small 0/1 and sign matrices make zero row sums,
+    # alone and in pairs, over most column subsets.
+    for n, values in ((1, (-1, 0, 1)), (2, (-1, 0, 1)), (3, (0, 1))):
+        for flat in product(values, repeat=n * n):
+            check_per_adjugate([list(flat[i * n:(i + 1) * n]) for i in range(n)])
+
+
+def test_per_adjugate_rows_matches_expansion_on_random_sparse_matrices():
+    rng = random.Random(1409)
+    for _ in range(300):
+        density = rng.choice((0.5, 0.7, 0.85))
+        check_per_adjugate(random_matrix(rng, rng.randint(4, 6), density, magnitude=2))

@@ -144,7 +144,7 @@ def test_monic_check_survives_python_O():
         from deckpoly import graph_polys
         from deckpoly.digraphs import Digraph
 
-        graph_polys._kernel = lambda kind: lambda b: [0] * (len(b) + 1)
+        graph_polys._kernel = lambda kind: lambda b, wanted: ([0] * (len(b) + 1), {})
         graph_polys._poly_of_cached.cache_clear()
         try:
             graph_polys.poly_of(Digraph(2), graph_polys.F1)

@@ -36,8 +36,15 @@ def test_det_bareiss_needs_column_pivot():
     assert mx.det_bareiss([[0, 0, 1], [0, 1, 0], [1, 0, 0]]) == -1
 
 
-@pytest.mark.parametrize("kernel", [mx.det_bareiss, mx.per_ryser, mx.charpoly_berkowitz,
-                                    mx.perpoly_ryser])
+def per_coefficients(matrix):
+    return mx.per_adjugate_rows(matrix, {})[0]
+
+
+@pytest.mark.parametrize("kernel", [
+    mx.det_bareiss, mx.per_ryser, mx.charpoly_berkowitz,
+    pytest.param(lambda m: mx.adjugate_rows(m, {}), id="adjugate_rows"),
+    pytest.param(per_coefficients, id="per_adjugate_rows"),
+])
 def test_kernels_reject_fraction_entries(kernel):
     # Bareiss's // on Fractions would floor each quotient and return a
     # wrong value instead of failing, so the int contract is checked.
@@ -110,12 +117,13 @@ def interpolated(matrix, kernel):
 def test_coefficient_kernels_hand_values():
     # det(xI - M) = x^2 - 5x - 2; per(xI - M) = (x-1)(x-4) + 6.
     assert mx.charpoly_berkowitz([[1, 2], [3, 4]]) == [-2, -5, 1]
-    assert mx.perpoly_ryser([[1, 2], [3, 4]]) == [10, -5, 1]
-    assert mx.charpoly_berkowitz([[7]]) == mx.perpoly_ryser([[7]]) == [-7, 1]
+    assert per_coefficients([[1, 2], [3, 4]]) == [10, -5, 1]
+    assert mx.charpoly_berkowitz([[7]]) == per_coefficients([[7]]) == [-7, 1]
     # The directed 3-cycle: x^3 - 1 and x^3 - 1 (an odd cycle).
     c3 = [[0, 1, 0], [0, 0, 1], [1, 0, 0]]
-    assert mx.charpoly_berkowitz(c3) == mx.perpoly_ryser(c3) == [-1, 0, 0, 1]
-    assert mx.charpoly_berkowitz([[0] * 4] * 4) == mx.perpoly_ryser([[0] * 4] * 4) == [0, 0, 0, 0, 1]
+    assert mx.charpoly_berkowitz(c3) == per_coefficients(c3) == [-1, 0, 0, 1]
+    zero = [[0] * 4] * 4
+    assert mx.charpoly_berkowitz(zero) == per_coefficients(zero) == [0, 0, 0, 0, 1]
 
 
 @pytest.mark.parametrize("zero_density", [0.0, 0.3, 0.8])
@@ -125,7 +133,7 @@ def test_coefficient_kernels_match_interpolated_scalar_kernels(zero_density):
         m = [[int(x) for x in row]
              for row in random_matrix(rng, rng.randint(1, 8), zero_density=zero_density)]
         assert poly.normalize(mx.charpoly_berkowitz(m)) == interpolated(m, mx.det_bareiss)
-        assert poly.normalize(mx.perpoly_ryser(m)) == interpolated(m, mx.per_ryser)
+        assert poly.normalize(per_coefficients(m)) == interpolated(m, mx.per_ryser)
 
 
 def test_charpoly_berkowitz_at_order_twenty_matches_interpolation():
@@ -146,7 +154,7 @@ def test_coefficient_kernels_match_sympy():
         want_per = [int(c) for c in
                     reversed(sympy.Poly((x * sympy.eye(n) - sm).per(), x).all_coeffs())]
         assert mx.charpoly_berkowitz(m) == want_det
-        assert mx.perpoly_ryser(m) == want_per
+        assert per_coefficients(m) == want_per
 
 
 def test_per_matches_expansion_on_every_small_sign_matrix():
@@ -198,7 +206,7 @@ def test_size_caps_are_hard_errors():
     with pytest.raises(ValueError):
         mx.per_ryser(identity_matrix(17))
     with pytest.raises(ValueError):
-        mx.perpoly_ryser(identity_matrix(17))
+        mx.per_adjugate_rows(identity_matrix(17), {})
 
 
 def test_non_square_rejected():

@@ -106,14 +106,15 @@ def test_search_asserts_the_paper_structure(monkeypatch, n, m, kind, coefficient
     def perturbed_kernel(k):
         kernel = kernel_of(k)
 
-        def perturbed(b):
-            coeffs = list(kernel(b))
+        def perturbed(b, wanted):
+            coeffs, entries = kernel(b, wanted)
+            coeffs = list(coeffs)
             # The arcs are the nonzero off-diagonal entries, in lexicographic order.
             arcs = [(s, t) for s, row in enumerate(b) for t, x in enumerate(row) if s != t and x]
             if len(arcs) == m:
                 # Digraph-dependent shift, so equal decks can carry distinct values.
                 coeffs[coefficient] += arcs[0][1]
-            return coeffs
+            return coeffs, entries
 
         return perturbed
 
@@ -137,12 +138,12 @@ def test_search_monic_check_survives_python_O(n, m, only_full):
 
         kernel = graph_polys._kernel(graph_polys.F1)
 
-        def broken(b):
-            coeffs = kernel(b)
+        def broken(b, wanted):
+            coeffs, entries = kernel(b, wanted)
             arcs = sum(1 for s, row in enumerate(b) for t, x in enumerate(row) if s != t and x)
             if {only_full} and arcs < {m}:
-                return coeffs
-            return coeffs[:-1] + [2]
+                return coeffs, entries
+            return coeffs[:-1] + [2], entries
 
         graph_polys._kernel = lambda kind: broken
         try:
