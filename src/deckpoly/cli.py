@@ -87,6 +87,8 @@ def _verify_trial(theorem: str, rng: random.Random, max_n: int, weighted: bool):
 
 
 def cmd_verify(args) -> int:
+    if args.trials < 1 or args.max_n < 1:
+        raise ValueError("--trials and --max-n must be >= 1")
     if args.theorem in PERMANENT_THEOREMS and args.max_n > matrices.RYSER_MAX_ORDER:
         raise ValueError(f"theorem {args.theorem} takes permanents of order up to --max-n, "
                          f"capped at {matrices.RYSER_MAX_ORDER}, got {args.max_n}")
@@ -137,6 +139,9 @@ def cmd_search(args) -> int:
 
 
 def cmd_counterexample(args) -> int:
+    if args.n > matrices.RYSER_MAX_ORDER:  # f4 is always computed
+        raise ValueError(f"counterexample takes permanents of order --n, capped at "
+                         f"{matrices.RYSER_MAX_ORDER}, got {args.n}")
     cycle, rival = search.canonical_counterexample(args.n)
     pair = {"cycle": cycle, "path_plus_arc": rival}
     out = {
@@ -211,9 +216,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    if args.command == "verify" and (args.trials < 1 or args.max_n < 1):
-        print("error: --trials and --max-n must be >= 1", file=sys.stderr)
-        return 2
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

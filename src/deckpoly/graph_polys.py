@@ -10,13 +10,13 @@ characteristic and permanental polynomials (beta=0, gamma=1), f2/f5 the
 Laplacian pair (beta=1, gamma=-1), f3/f6 the signless Laplacian pair
 (beta=1, gamma=1).
 
-poly_of builds the integer pencil L*B once, with B = beta*D + gamma*A
-and L the common denominator of B's entries and of every arc's terms
-gamma*w and beta*w, and reads the coefficients off one integer kernel
-(_kernel): Berkowitz's division-free characteristic polynomial in det mode,
-one Gray-code Ryser walk with row sums linear in x in per mode. pencil_at
-(with polynomials.interpolate) and poly_of_oracle remain as two
-independent test oracles.
+Every pencil goes through one integer seam: _arc_terms scales each arc's
+terms gamma*w and beta*w to ints by one L, and _pencil_coefficients builds
+L*B (B = beta*D + gamma*A) from them, reads the coefficients off the
+kind's integer kernel (_kernel: Berkowitz in det mode, one Gray-code Ryser
+walk in per mode) and checks them monic; _unscaled divides coefficient k
+by L^(n-k). poly_of, deck and the collision search all use it. pencil_at
+(with polynomials.interpolate) and poly_of_oracle remain as test oracles.
 
 deck uses column linearity instead of m deletions. Deleting arc (s, t) of
 weight w changes only column t of P = x*I - B: entry (s, t) gains gamma*w
@@ -31,7 +31,8 @@ distinct arc heads, and so the whole deck.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+import re
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -85,20 +86,31 @@ def kind_name(kind: PolyKind) -> str:
     return f"general:{kind.beta},{kind.gamma},{kind.mode}"
 
 
+_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
+def parse_rational(text: str) -> Fraction:
+    """"p" or "p/q", the form str(Fraction) writes, and nothing else:
+    Fraction("1e999999999") alone would build 10^999999999."""
+    match = _RATIONAL.fullmatch(text)
+    if not match:
+        raise ValueError(f"bad rational {text!r}; expected an integer or p/q")
+    numerator, denominator = map(int, match.groups("1"))
+    if not denominator:
+        raise ValueError(f"bad rational {text!r}: zero denominator")
+    return Fraction(numerator, denominator)
+
+
 def parse_kind(text: str) -> PolyKind:
     """Parse "f1".."f6" or "general:BETA,GAMMA,det|per" (rationals as "p/q")."""
     name = text.strip().lower()
     if name in NAMED_KINDS:
         return NAMED_KINDS[name]
     if name.startswith("general:"):
-        parts = name[len("general:"):].split(",")
+        parts = [part.strip() for part in name[len("general:"):].split(",")]
         if len(parts) != 3:
             raise ValueError(f"malformed kind {text!r}; expected general:BETA,GAMMA,det|per")
-        try:
-            beta, gamma = Fraction(parts[0]), Fraction(parts[1])
-        except ZeroDivisionError as exc:
-            raise ValueError(f"malformed kind {text!r}: zero denominator") from exc
-        return PolyKind(beta, gamma, parts[2].strip())
+        return PolyKind(parse_rational(parts[0]), parse_rational(parts[1]), parts[2])
     raise ValueError(f"unknown polynomial kind {text!r}")
 
 
@@ -123,12 +135,10 @@ def pencil_at(g: Digraph, kind: PolyKind, t) -> tuple[Matrix, int]:
     return [[int(x * scale) for x in row] for row in rows], scale
 
 
-def _integer_pencil(g: Digraph,
-                    kind: PolyKind) -> tuple[Matrix, int, list[tuple[int, int, int, int]]]:
-    """(L*B, L, arcs) for B = beta*D + gamma*A, where L is the lcm of the
-    denominators of gamma*w and beta*w over the arcs, so L*B is an int
-    matrix, and arcs lists (s, t, L*gamma*w, L*beta*w) per arc (s, t) of
-    weight w, in arc order.
+def _arc_terms(kind: PolyKind, weights: Sequence[Fraction]) -> tuple[int, list[tuple[int, int]]]:
+    """(L, terms): terms lists (L*gamma*w, L*beta*w) per weight w, in order,
+    and L is the least scale that makes every term an int. So L*B, with
+    B = beta*D + gamma*A, is an int matrix for arcs of these weights.
 
     Those per-arc terms are what deleting an arc takes out of L*B. Their
     denominators can exceed those of B's entries: a diagonal sum can cancel
@@ -138,50 +148,49 @@ def _integer_pencil(g: Digraph,
     L0 = beta.denominator * gamma.denominator * q; then
     L = L0 / gcd(L0, every numerator).
     """
-    weights = g.arc_weights()
     q = lcm(*(w.denominator for w in weights))
     off = kind.gamma.numerator * kind.beta.denominator
     on = kind.beta.numerator * kind.gamma.denominator
     xs = [w.numerator * (q // w.denominator) for w in weights]
     scale = kind.beta.denominator * kind.gamma.denominator * q
     common = gcd(scale, *(off * x for x in xs), *(on * x for x in xs))
-    arcs = [(s, t, off * x // common, on * x // common) for (s, t), x in zip(g.arcs, xs)]
-    b = [[0] * g.n for _ in range(g.n)]
-    for s, t, a, d in arcs:
-        b[s][t] = a
-        b[t][t] += d
-    return b, scale // common, arcs
+    return scale // common, [(off * x // common, on * x // common) for x in xs]
 
 
 def _kernel(kind: PolyKind):
     """The kind's coefficient kernel, matrices.adjugate_rows (det mode) or
-    matrices.per_adjugate_rows (per mode). Both map (M, wanted) to
-    (coefficients, entries): the n + 1 coefficients of det or per of
-    x*I - M, constant term first, and a dict from (t, j), for each row t of
-    `wanted` and each j in wanted[t], to entry (t, j) of the matching
-    adjugate of x*I - M as n coefficients. poly_of and the collision
-    search pass wanted = {} and read only the coefficients."""
+    matrices.per_adjugate_rows (per mode), looked up at call time."""
     return matrices.per_adjugate_rows if kind.mode == PERMANENT else matrices.adjugate_rows
 
 
-def _check_cap(g: Digraph, kind: PolyKind) -> None:
-    cap = matrices.RYSER_MAX_ORDER if kind.mode == PERMANENT else DET_MAX_VERTICES
-    if g.n > cap:
-        raise ValueError(f"{kind.mode} polynomials are capped at {cap} vertices, got {g.n}")
-
-
-def _check_monic(coeffs: Sequence[int], n: int) -> None:
-    """K = det or per of (y*I - L*B) is monic of degree n; anything else is a
-    kernel bug, raised even under -O."""
+def _pencil_coefficients(kind: PolyKind, n: int, arcs: Iterable[tuple[int, int]],
+                         terms: Iterable[tuple[int, int]], wanted: dict[int, set[int]]):
+    """The kernel's (coefficients, entries) for L*B on n vertices, which has
+    a at (s, t) and d added at (t, t) for each arc (s, t) and its terms
+    (a, d): the n + 1 coefficients of K(y) = det or per of y*I - L*B,
+    constant term first, and for each row t of `wanted` and j in wanted[t],
+    entry (t, j) of the matching adjugate of y*I - L*B as n coefficients.
+    A K not monic of degree n is a kernel bug, raised even under -O."""
+    b = [[0] * n for _ in range(n)]
+    for (s, t), (a, d) in zip(arcs, terms):
+        b[s][t] = a
+        b[t][t] += d
+    coeffs, entries = _kernel(kind)(b, wanted)
     if len(coeffs) != n + 1 or coeffs[-1] != 1:
         raise AssertionError(f"pencil polynomial must be monic of degree {n}, got {coeffs}")
+    return coeffs, entries
+
+
+def _check_cap(n: int, kind: PolyKind) -> None:
+    cap = matrices.RYSER_MAX_ORDER if kind.mode == PERMANENT else DET_MAX_VERTICES
+    if n > cap:
+        raise ValueError(f"{kind.mode} polynomials are capped at {cap} vertices, got {n}")
 
 
 def _unscaled(coeffs: Sequence[int], scale: int, n: int) -> Polynomial:
-    """f from the coefficients of K = det or per of (y*I - L*B). Both are
-    homogeneous of degree n, so K(L*x) = L^n * f(x), and coefficient k of f
-    is coefficient k of K divided by L^(n-k)."""
-    _check_monic(coeffs, n)
+    """f from the monic coefficients of K = det or per of (y*I - L*B). Both
+    are homogeneous of degree n, so K(L*x) = L^n * f(x), and coefficient k
+    of f is coefficient k of K divided by L^(n-k)."""
     if scale == 1:
         return tuple(map(Fraction, coeffs))  # the one-argument fast path
     return tuple(Fraction(c, scale ** (n - k)) for k, c in enumerate(coeffs))
@@ -189,16 +198,14 @@ def _unscaled(coeffs: Sequence[int], scale: int, n: int) -> Polynomial:
 
 @lru_cache(maxsize=1 << 16)
 def _poly_of_cached(g: Digraph, kind: PolyKind) -> Polynomial:
-    b, scale, _ = _integer_pencil(g, kind)
-    return _unscaled(_kernel(kind)(b, {})[0], scale, g.n)
+    scale, terms = _arc_terms(kind, g.arc_weights())
+    return _unscaled(_pencil_coefficients(kind, g.n, g.arcs, terms, {})[0], scale, g.n)
 
 
 def poly_of(g: Digraph, kind: PolyKind) -> Polynomial:
-    """Exact monic degree-n polynomial of the pencil. The integer pencil
-    L*(beta*D + gamma*A) is built once; the kind's kernel, asked for no
-    adjugate entries, gives its coefficients in Python ints. Assumes a
-    validated digraph."""
-    _check_cap(g, kind)
+    """Exact monic degree-n polynomial of the pencil, read through the
+    integer seam with no adjugate entries wanted. Assumes a validated digraph."""
+    _check_cap(g.n, kind)
     return _poly_of_cached(g, kind)
 
 
@@ -261,21 +268,20 @@ def deck(g: Digraph, kind: PolyKind) -> Deck:
     Same caps as poly_of. Assumes a validated digraph."""
     if g.m == 0:
         raise ValueError("the edge deck of an arcless digraph is empty")
-    _check_cap(g, kind)
-    b, scale, arcs = _integer_pencil(g, kind)
+    _check_cap(g.n, kind)
+    scale, terms = _arc_terms(kind, g.arc_weights())
     wanted: dict[int, set[int]] = {}
-    for s, t, _, _ in arcs:
+    for s, t in g.arcs:
         wanted.setdefault(t, {t}).add(s)
-    base, adj = _kernel(kind)(b, wanted)
     n = g.n
+    base, adj = _pencil_coefficients(kind, n, g.arcs, terms, wanted)
     members = []
-    for s, t, a, d in arcs:
+    for (s, t), (a, d) in zip(g.arcs, terms):
         # Deleting the arc adds a at (s, t) and d at (t, t) of y*I - L*B.
         cross, head = adj[t, s], adj[t, t]
         members.append([base[k] + a * cross[k] + d * head[k] for k in range(n)] + [base[n]])
     # Dividing coefficient k by L^(n-k) > 0 keeps the lexicographic order,
     # so the int lists sort as the polynomials will.
-    members.sort()
-    polys = [_unscaled(coeffs, scale, n) for coeffs in members]
+    polys = tuple(_unscaled(coeffs, scale, n) for coeffs in sorted(members))
     total = None if g.weights is None else sum(g.weights, Fraction(0))
-    return Deck(n, kind, tuple(polys), None if total == g.m else total)
+    return Deck(n, kind, polys, None if total == g.m else total)

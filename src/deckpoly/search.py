@@ -12,23 +12,24 @@ decks. So a sweep computes the polynomial of every (n, m-1)-digraph once
 into a table keyed by arc tuple, and a signature is m table lookups. It
 calls neither graph_polys.deck, whose per-digraph work has nothing to
 share, nor poly_of: every unweighted arc adds the same integer terms to
-the pencil L*(beta*D + gamma*A) under one scale L per kind, so each
-pencil matrix is built straight from an arc tuple, and the table, the
-signatures and the groups are keyed on the coefficient kernel's scaled
-int vectors. Coefficient k is scaled by L^(n-k) > 0, which keeps both
-equality and lexicographic order, so the groups and their order are those
-of the polynomials. Digraph values and Fraction polynomials are built
-only for the groups reported.
+the pencil L*(beta*D + gamma*A) under one scale L per kind, so each arc
+tuple goes straight to graph_polys' integer seam (_pencil_coefficients)
+with that one term pair, and the table, the signatures and the groups are
+keyed on the kernel's scaled int vectors. Coefficient k is scaled by
+L^(n-k) > 0, which keeps both equality and lexicographic order, so the
+groups and their order are those of the polynomials. Digraph values and
+Fraction polynomials are built only for the groups reported.
 
-Every kernel output is checked to be monic of degree n, and the paper's
-structure is asserted on the result: members of a group differ only at
-coefficient n-m, and no group exists for m > n or m = 1.
+The seam checks every kernel output to be monic of degree n, and the
+paper's structure is asserted on the result: members of a group differ
+only at coefficient n-m, and no group exists for m > n or m = 1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from fractions import Fraction
+from itertools import combinations, repeat
 from math import comb
 
 from . import graph_polys
@@ -37,8 +38,6 @@ from .graph_polys import PolyKind
 from .polynomials import Polynomial
 
 DEFAULT_BUDGET = 10**6
-
-DeckSignature = tuple[Polynomial, ...]
 
 
 @dataclass(frozen=True)
@@ -50,7 +49,7 @@ class CollisionGroup:
     kind: PolyKind
     n: int
     m: int
-    deck_signature: DeckSignature
+    deck_signature: tuple[Polynomial, ...]
     members: tuple[tuple[Digraph, Polynomial], ...]
 
 
@@ -80,7 +79,7 @@ def find_deck_collisions(n: int, m: int, kind: PolyKind,
     """
     if n < 1:
         raise ValueError(f"vertex count must be >= 1, got {n}")
-    graph_polys._check_cap(Digraph(n), kind)
+    graph_polys._check_cap(n, kind)
     slots = all_arc_slots(n)
     if not 0 <= m <= len(slots):
         raise ValueError(f"arc count {m} outside [0, {len(slots)}]")
@@ -89,19 +88,11 @@ def find_deck_collisions(n: int, m: int, kind: PolyKind,
         raise ValueError(f"enumerating {total} digraphs exceeds the budget of {budget}")
     if m == 0:
         return []
-    # Every unweighted arc carries the same integer terms under one scale,
-    # so a single-arc digraph fixes them for the whole sweep.
-    _, scale, [(_, _, off, on)] = graph_polys._integer_pencil(Digraph(2, ((0, 1),)), kind)
-    kernel = graph_polys._kernel(kind)
+    # Every unweighted arc carries the same integer terms under one scale.
+    scale, [term] = graph_polys._arc_terms(kind, [Fraction(1)])
 
     def coefficients(arcs: tuple[tuple[int, int], ...]) -> tuple[int, ...]:
-        b = [[0] * n for _ in range(n)]
-        for s, t in arcs:
-            b[s][t] = off
-            b[t][t] += on
-        coeffs = kernel(b, {})[0]
-        graph_polys._check_monic(coeffs, n)
-        return tuple(coeffs)
+        return tuple(graph_polys._pencil_coefficients(kind, n, arcs, repeat(term), {})[0])
 
     table = {arcs: coefficients(arcs) for arcs in combinations(slots, m - 1)}
     groups: dict[tuple[tuple[int, ...], ...], dict[tuple[int, ...], tuple]] = {}

@@ -2,7 +2,7 @@
 
 Every top-level payload carries "format_version": 1. Rationals are
 serialized as strings ("p/q", or a plain decimal string for integers) so
-no precision is lost in transit.
+no precision is lost in transit; only those two forms are read back.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from . import polynomials
 from .digraphs import Digraph
-from .graph_polys import Deck, kind_name, parse_kind
+from .graph_polys import Deck, kind_name, parse_kind, parse_rational
 from .polynomials import Polynomial
 from .reconstruct import Inconsistent, OneParameterFamily, Unique
 
@@ -39,9 +39,9 @@ def fraction_from_str(text) -> Fraction:
     if not isinstance(text, str):
         raise FormatError(f"rational values must be strings, got {text!r}")
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise FormatError(f"bad rational {text!r}: {exc}") from exc
+        return parse_rational(text)
+    except ValueError as exc:
+        raise FormatError(str(exc)) from exc
 
 
 def poly_to_strings(p: Polynomial) -> list[str]:
@@ -183,7 +183,7 @@ def load_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deeply
         raise FormatError(f"{path}: invalid JSON ({exc})") from exc
 
 

@@ -2,11 +2,15 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
 from deckpoly import identities
 from deckpoly import matrices as mx
+from deckpoly import search
 from deckpoly.cli import main
 from deckpoly.serialize import load_json
 
@@ -327,8 +331,17 @@ def test_search_output_bytes_are_pinned(tmp_path, capsys, cell):
     assert digest == SEARCH_DIGESTS[cell]
 
 
-@pytest.mark.parametrize("kind", ["general:1/0,1,det", "general:1,2/0,per"])
-def test_zero_denominator_kind_is_a_clean_error(tmp_path, kind, capsys):
+BAD_RATIONAL_KINDS = [
+    ("general:1/0,1,det", "zero denominator"),
+    ("general:1,2/0,per", "zero denominator"),
+    ("general:1e3,1,det", "'1e3'"),
+    ("general:1/2,0.5,per", "'0.5'"),
+]
+
+
+@pytest.mark.parametrize("kind, message", BAD_RATIONAL_KINDS,
+                         ids=[kind for kind, _ in BAD_RATIONAL_KINDS])
+def test_zero_denominator_kind_is_a_clean_error(tmp_path, kind, message, capsys):
     c3 = write(tmp_path, "c3.json", C3)
     deck_file = write(tmp_path, "deck.json", {"format_version": 1, "n": 2, "kind": kind,
                                               "polys": [["0", "0", "1"]]})
@@ -340,8 +353,30 @@ def test_zero_denominator_kind_is_a_clean_error(tmp_path, kind, capsys):
                  ["reconstruct", "--deck", deck_file]):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, ""), argv
-        assert "zero denominator" in err, argv
+        assert message in err, argv
     assert not out_path.exists()
+
+
+def test_deeply_nested_json_is_a_clean_error(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    for argv in (["compute", "--kind", "f1", "--input", str(path)],
+                 ["reconstruct", "--deck", str(path)]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert "invalid JSON" in err and "recursion" in err, argv
+
+
+def test_huge_exponent_kind_fails_fast(tmp_path):
+    # Fraction("1e999999999") would build 10^999999999 and never return.
+    c3 = write(tmp_path, "c3.json", C3)
+    src = os.path.dirname(os.path.dirname(identities.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "deckpoly.cli", "compute", "--kind", "general:1e999999999,1,det",
+         "--input", c3],
+        capture_output=True, text=True, timeout=30, env={**os.environ, "PYTHONPATH": src})
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert "'1e999999999'" in proc.stderr
 
 
 def test_counterexample_output(capsys):
@@ -358,6 +393,16 @@ def test_counterexample_output(capsys):
 def test_counterexample_rejects_n2(capsys):
     code, _, err = run(capsys, "counterexample", "--n", "2")
     assert code == 2 and err
+
+
+def test_counterexample_checks_the_permanent_cap_first(monkeypatch, capsys):
+    def unreachable(n):
+        raise AssertionError("the pair was built before the size check")
+
+    monkeypatch.setattr(search, "canonical_counterexample", unreachable)
+    code, out, err = run(capsys, "counterexample", "--n", str(mx.RYSER_MAX_ORDER + 1))
+    assert (code, out) == (2, "")
+    assert "capped at" in err
 
 
 def test_no_command_is_usage_error(capsys):

@@ -119,42 +119,70 @@ def test_adjugate_kernels_check_their_inputs():
         mx.per_adjugate_rows([[0] * 17 for _ in range(17)], {0: [0]})
 
 
-def check_per_adjugate(matrix):
-    """per_adjugate_rows with every entry wanted against the permutation
-    expansion of x*I - M and of its minors at integer x: the polynomial is
-    interpolated from x = 0..n, as test_matrices.interpolated does, and
-    each minor, which has n coefficients, is compared at x = 0..n-1, where
-    its values fix it (interpolating all n^2 minors in Fractions would take
-    most of the time)."""
+def check_adjugate(matrix, signed):
+    """adjugate_rows (signed) or per_adjugate_rows with every entry wanted
+    against the permutation expansion of x*I - M and of its minors at
+    integer x: the polynomial is interpolated from x = 0..n, as
+    test_matrices.interpolated does, and each minor, which has n
+    coefficients, is compared at x = 0..n-1, where its values fix it
+    (interpolating all n^2 minors in Fractions would take most of the
+    time). Entry (t, j) of the adjugate is the minor without row j and
+    column t, signed by (-1)^(t+j) in det mode."""
     n = len(matrix)
-    coeffs, entries = mx.per_adjugate_rows(matrix, {t: range(n) for t in range(n)})
+    kernel = mx.adjugate_rows if signed else mx.per_adjugate_rows
+    coeffs, entries = kernel(matrix, {t: range(n) for t in range(n)})
     assert sorted(entries) == [(t, j) for t in range(n) for j in range(n)]
     assert {len(e) for e in entries.values()} == {n}
     points = []
     for x in range(n + 1):
         pencil = [[int(i == j) * x - matrix[i][j] for j in range(n)] for i in range(n)]
-        points.append((x, mx.permutation_expansion(pencil, False)))
+        points.append((x, mx.permutation_expansion(pencil, signed)))
         if x == n:
             break
         for (t, j), entry in entries.items():
             rows = [row[:t] + row[t + 1:] for r, row in enumerate(pencil) if r != j]
-            # The minor of an order-1 matrix is the empty permanent, 1.
-            want = mx.permutation_expansion(rows, False) if n > 1 else 1
+            # The minor of an order-1 matrix is the empty product, 1.
+            want = mx.permutation_expansion(rows, signed) if n > 1 else 1
+            if signed and (t + j) % 2:
+                want = -want
             assert sum(c * x ** k for k, c in enumerate(entry)) == want, (matrix, t, j, x)
     assert poly.normalize(coeffs) == poly.interpolate(points), matrix
 
 
-def test_per_adjugate_rows_matches_expansion_on_every_small_matrix():
-    # Order 1 is the empty subset's term alone: the minor is per of the
-    # empty matrix, 1. Small 0/1 and sign matrices make zero row sums,
-    # alone and in pairs, over most column subsets.
-    for n, values in ((1, (-1, 0, 1)), (2, (-1, 0, 1)), (3, (0, 1))):
+# Order 1 is the empty subset's term alone: the minor is the empty product,
+# 1. Small 0/1 and sign matrices make zero row sums, alone and in pairs,
+# over most column subsets, and row powers that vanish early.
+SMALL_MATRIX_VALUES = ((1, (-1, 0, 1)), (2, (-1, 0, 1)), (3, (0, 1)))
+
+
+def small_matrices():
+    for n, values in SMALL_MATRIX_VALUES:
         for flat in product(values, repeat=n * n):
-            check_per_adjugate([list(flat[i * n:(i + 1) * n]) for i in range(n)])
+            yield [list(flat[i * n:(i + 1) * n]) for i in range(n)]
 
 
-def test_per_adjugate_rows_matches_expansion_on_random_sparse_matrices():
+def sparse_matrices():
     rng = random.Random(1409)
     for _ in range(300):
         density = rng.choice((0.5, 0.7, 0.85))
-        check_per_adjugate(random_matrix(rng, rng.randint(4, 6), density, magnitude=2))
+        yield random_matrix(rng, rng.randint(4, 6), density, magnitude=2)
+
+
+def test_per_adjugate_rows_matches_expansion_on_every_small_matrix():
+    for matrix in small_matrices():
+        check_adjugate(matrix, signed=False)
+
+
+def test_per_adjugate_rows_matches_expansion_on_random_sparse_matrices():
+    for matrix in sparse_matrices():
+        check_adjugate(matrix, signed=False)
+
+
+def test_adjugate_rows_matches_expansion_on_every_small_matrix():
+    for matrix in small_matrices():
+        check_adjugate(matrix, signed=True)
+
+
+def test_adjugate_rows_matches_expansion_on_random_sparse_matrices():
+    for matrix in sparse_matrices():
+        check_adjugate(matrix, signed=True)

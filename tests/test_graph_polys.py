@@ -270,8 +270,8 @@ ARCS3 = ((0, 1), (2, 1), (1, 2))
     ("general:1/3,1,det", ((0, 2), (1, 2)), (Fraction(1), Fraction(-1)), 3, 3, 1),
     ("general:1/3,1,per", ((0, 2), (1, 2)), (Fraction(1), Fraction(-1)), 3, 3, 1),
 ], ids=["ninths-per", "tenths-det", "cancelling-det", "cancelling-per"])
-def test_integer_pencil_scale_clears_every_arc_term(text, arcs, weights, scale, input_lcm,
-                                                    entries_lcm):
+def test_arc_terms_scale_clears_every_arc_term(monkeypatch, text, arcs, weights, scale,
+                                               input_lcm, entries_lcm):
     kind = parse_kind(text)
     g = Digraph(3, arcs, weights)
     assert lcm(kind.beta.denominator, kind.gamma.denominator,
@@ -280,13 +280,24 @@ def test_integer_pencil_scale_clears_every_arc_term(text, arcs, weights, scale, 
     b_entries = [kind.beta * d[i] if i == j else kind.gamma * a[i][j]
                  for i in range(3) for j in range(3)]
     assert lcm(*(x.denominator for x in b_entries)) == entries_lcm
-    b, got, arc_terms = graph_polys._integer_pencil(g, kind)
+    got, arc_terms = graph_polys._arc_terms(kind, weights)
     assert got == scale
-    assert [[Fraction(x, scale) for x in row] for row in b] == [
-        b_entries[3 * i:3 * i + 3] for i in range(3)]
-    assert arc_terms == [(s, t, kind.gamma * w * scale, kind.beta * w * scale)
-                         for (s, t), w in zip(arcs, weights)]
+    assert arc_terms == [(kind.gamma * w * scale, kind.beta * w * scale) for w in weights]
+    # The matrix the seam hands the kernel is L*B.
+    seen = []
+    kernel_of = graph_polys._kernel
+
+    def recording(k):
+        def kernel(b, wanted):
+            seen.append(b)
+            return kernel_of(k)(b, wanted)
+        return kernel
+
+    monkeypatch.setattr(graph_polys, "_kernel", recording)
+    graph_polys._poly_of_cached.cache_clear()
     assert poly_of(g, kind) == interpolation_oracle(g, kind) == poly_of_oracle(g, kind)
+    assert [[Fraction(x, scale) for x in row] for row in seen[0]] == [
+        b_entries[3 * i:3 * i + 3] for i in range(3)]
     deletions = sorted(poly_of(dg.delete_arc(g, e), kind) for e in range(g.m))
     assert deck(g, kind).polys == tuple(deletions)
 
