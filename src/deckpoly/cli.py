@@ -13,6 +13,7 @@ import argparse
 import os
 import random
 import sys
+from contextlib import contextmanager
 from math import comb
 
 from . import identities, matrices, search, serialize
@@ -210,6 +211,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@contextmanager
+def _unlimited_int_digits():
+    """Lift Python's int/str digit limit (4,300 digits by default) for one
+    command, whose exact inputs and answers may be longer, and restore it
+    for the caller. Pythons before 3.10.7 have no limit."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -217,7 +234,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.func(args)
+        with _unlimited_int_digits():
+            return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -19,7 +19,7 @@ X: Polynomial = (Fraction(0), Fraction(1))
 
 def normalize(coeffs) -> Polynomial:
     """Ascending coefficients to canonical form: trailing zeros stripped."""
-    out = [Fraction(c) for c in coeffs]
+    out = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
     while len(out) > 1 and out[-1] == 0:
         out.pop()
     if not out:

@@ -7,18 +7,35 @@ by full equality, so a reported collision can never be a lossy-hash
 artifact.
 
 Every deck member of an (n, m)-digraph is the polynomial of an
-(n, m-1)-digraph, and each of those is shared by up to n*(n-1) - m + 1
-decks. So a sweep computes the polynomial of every (n, m-1)-digraph once
-into a table keyed by arc tuple, and a signature is m table lookups. It
-calls neither graph_polys.deck, whose per-digraph work has nothing to
-share, nor poly_of: every unweighted arc adds the same integer terms to
-the pencil L*(beta*D + gamma*A) under one scale L per kind, so each arc
-tuple goes straight to graph_polys' integer seam (_pencil_coefficients)
-with that one term pair, and the table, the signatures and the groups are
-keyed on the kernel's scaled int vectors. Coefficient k is scaled by
-L^(n-k) > 0, which keeps both equality and lexicographic order, so the
-groups and their order are those of the polynomials. Digraph values and
-Fraction polynomials are built only for the groups reported.
+(n, m-1)-digraph. The sweep calls neither graph_polys.deck, whose per-digraph
+work has nothing to share, nor poly_of: every unweighted arc adds the same
+integer terms to the pencil L*(beta*D + gamma*A) under one scale L per
+kind, so an arc tuple goes straight to graph_polys' integer seam
+(_pencil_coefficients) with that one term pair, and the table, the
+signatures and the groups are keyed on the kernel's scaled int vectors.
+Coefficient k is scaled by L^(n-k) > 0, which keeps both equality and
+lexicographic order, so the groups and their order are those of the
+polynomials. Digraph values and Fraction polynomials are built only for
+the groups reported.
+
+The sweep works on relabelling classes. A polynomial and a deck multiset
+do not change when the vertices are relabelled, so the kernel runs once
+per class. A digraph is a sorted tuple of indices into all_arc_slots(n)
+and is stored by its rank in the lex order of itertools.combinations. The
+(n, m-1) table is filled on a miss: one kernel call, and the result is
+stored under every relabelling of that card. The (n, m) walk skips every
+digraph whose class it has already met (a bytearray by rank). Otherwise
+it reads the signature off the table, makes one kernel call for the
+digraph's own polynomial, and marks its class. The relabellings of a
+digraph are the injective maps of its non-isolated vertices into
+range(n), so the cost follows the class size, not n!.
+
+Witnesses stay those of the labelled sweep, which keeps per (signature,
+polynomial) the first digraph that combinations yields. Both values are
+class invariants, so that digraph is the lex-first member of its class,
+and its class is the first with those values in the order of lex-first
+members. The walk meets the classes in exactly that order, each at its
+lex-first member.
 
 The seam checks every kernel output to be monic of degree n, and the
 paper's structure is asserted on the result: members of a group differ
@@ -27,10 +44,12 @@ only at coefficient n-m, and no group exists for m > n or m = 1.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, repeat
+from itertools import combinations, compress, permutations, repeat
 from math import comb
+from operator import getitem
 
 from . import graph_polys
 from .digraphs import Digraph, all_arc_slots, directed_cycle, directed_path
@@ -90,30 +109,69 @@ def find_deck_collisions(n: int, m: int, kind: PolyKind,
         return []
     # Every unweighted arc carries the same integer terms under one scale.
     scale, [term] = graph_polys._arc_terms(kind, [Fraction(1)])
+    slot_index = [[0] * n for _ in range(n)]
+    for i, (s, t) in enumerate(slots):
+        slot_index[s][t] = i
 
-    def coefficients(arcs: tuple[tuple[int, int], ...]) -> tuple[int, ...]:
+    def coefficients(digraph: tuple[int, ...]) -> tuple[int, ...]:
+        arcs = [slots[i] for i in digraph]
         return tuple(graph_polys._pencil_coefficients(kind, n, arcs, repeat(term), {})[0])
 
-    table = {arcs: coefficients(arcs) for arcs in combinations(slots, m - 1)}
-    groups: dict[tuple[tuple[int, ...], ...], dict[tuple[int, ...], tuple]] = {}
-    for arcs in combinations(slots, m):
-        # Arc tuples come out of combinations sorted, so dropping one arc
-        # gives the key of an (n, m-1)-digraph in the table.
-        signature = tuple(sorted(table[arcs[:e] + arcs[e + 1:]] for e in range(m)))
-        # First witness per polynomial value wins; later isomorphic
-        # duplicates collapse onto it.
-        groups.setdefault(signature, {}).setdefault(coefficients(arcs), arcs)
+    def orbit(digraph: tuple[int, ...], weights: list[list[int]]) -> Iterator[int]:
+        """The lex ranks of every relabelling of `digraph`, one per injective
+        map of its non-isolated vertices into range(n)."""
+        arcs = [slots[i] for i in digraph]
+        vertices = sorted({v for arc in arcs for v in arc})
+        local = [(vertices.index(s), vertices.index(t)) for s, t in arcs]
+        return (sum(map(getitem, weights, sorted([slot_index[p[s]][p[t]] for s, t in local])))
+                for p in permutations(range(n), len(vertices)))
+
+    # (n, m-1)-digraphs by lex rank: one coefficient tuple per class, stored
+    # under every member when the class is first met.
+    card_weights = _lex_rank_weights(len(slots), m - 1)
+    table: list = [None] * comb(len(slots), m - 1)
+    # (n, m)-digraphs by lex rank: 1 until their class has been walked.
+    digraph_weights = _lex_rank_weights(len(slots), m)
+    fresh = bytearray(b"\x01") * total
+    groups: dict[tuple[tuple[int, ...], ...], dict[tuple[int, ...], tuple[int, ...]]] = {}
+    # compress reads `fresh` as it goes, so the members of a class walked
+    # below are skipped when combinations reaches them.
+    for digraph in compress(combinations(range(len(slots)), m), fresh):
+        for r in orbit(digraph, digraph_weights):
+            fresh[r] = 0
+        deck = []
+        for e in range(m):
+            card = digraph[:e] + digraph[e + 1:]
+            coeffs = table[sum(map(getitem, card_weights, card))]
+            if coeffs is None:
+                coeffs = coefficients(card)
+                for r in orbit(card, card_weights):
+                    table[r] = coeffs
+            deck.append(coeffs)
+        # `digraph` is the lex-first member of its class (see the module docstring).
+        groups.setdefault(tuple(sorted(deck)), {}).setdefault(coefficients(digraph), digraph)
     out = []
     for signature in sorted(groups):
         by_poly = groups[signature]
         if len(by_poly) < 2:
             continue
         deck_signature = tuple(graph_polys._unscaled(c, scale, n) for c in signature)
-        members = tuple((Digraph(n, by_poly[c]), graph_polys._unscaled(c, scale, n))
+        members = tuple((Digraph(n, tuple(slots[i] for i in by_poly[c])),
+                         graph_polys._unscaled(c, scale, n))
                         for c in sorted(by_poly))
         out.append(CollisionGroup(kind, n, m, deck_signature, members))
     _check_paper_structure(out, n, m)
     return out
+
+
+def _lex_rank_weights(size: int, k: int) -> list[list[int]]:
+    """Weights w with sum(w[i][c_i]) the rank of the sorted k-subset c of
+    range(size) in the lex order that itertools.combinations walks: by the
+    combinatorial number system, comb(size, k) - 1 - sum comb(size-1-c_i, k-i)."""
+    weights = [[-comb(size - 1 - c, k - i) for c in range(size)] for i in range(k)]
+    if weights:
+        weights[0] = [comb(size, k) - 1 + w for w in weights[0]]
+    return weights
 
 
 def _check_paper_structure(groups: list[CollisionGroup], n: int, m: int) -> None:

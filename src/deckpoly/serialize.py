@@ -45,7 +45,7 @@ def fraction_from_str(text) -> Fraction:
 
 
 def poly_to_strings(p: Polynomial) -> list[str]:
-    return [str(Fraction(c)) for c in p]
+    return [str(c) for c in p]
 
 
 def poly_from_strings(items) -> Polynomial:

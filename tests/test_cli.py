@@ -147,6 +147,29 @@ def test_reconstruct_weighted_single_arc_through_the_deck_file(tmp_path, capsys)
     assert json.loads(out) == {"result": "unique", "poly": ["0", "0", "-5", "1"]}
 
 
+# 3,001 digits: accepted on input, and its products pass Python's default
+# 4,300-digit int/str limit.
+HUGE = "1" + "0" * 3000
+
+
+def test_answers_beyond_the_int_string_digit_limit(tmp_path, capsys):
+    limit = sys.get_int_max_str_digits()
+    digon = write(tmp_path, "digon.json", {"format_version": 1, "n": 2, "arcs": [[0, 1], [1, 0]],
+                                           "weights": [HUGE, HUGE]})
+    code, out, _ = run(capsys, "compute", "--kind", "f1", "--input", digon)
+    assert code == 0
+    assert json.loads(out) == ["-1" + "0" * 6000, "0", "1"]
+    # m > n, so the deck pins every coefficient; its members and the
+    # answer carry 6,001-digit coefficients through the JSON hop.
+    star = write(tmp_path, "star.json", {**STAR, "weights": [HUGE] * 4})
+    deck_path = str(tmp_path / "deck.json")
+    assert run(capsys, "deck", "--kind", "f1", "--input", star, "--output", deck_path)[0] == 0
+    code, out, _ = run(capsys, "reconstruct", "--deck", deck_path)
+    assert code == 0
+    assert json.loads(out) == {"result": "unique", "poly": ["0", "-2" + "0" * 6000, "0", "1"]}
+    assert sys.get_int_max_str_digits() == limit
+
+
 def test_reconstruct_inconsistent_deck(tmp_path, capsys):
     deck_path = write(tmp_path, "bad.json", {
         "format_version": 1, "n": 2, "kind": "f1", "polys": [["0", "1", "1"]],
@@ -317,6 +340,10 @@ SEARCH_DIGESTS = {
     (3, 3, "f4"): "f2306907ee38f916d87fde083b41c9e67efd44fd361d94357529e3d193baa747",
     (3, 2, "general:1/2,3/4,det"):
         "d1f476178e4ac0ccd21d4688f52940835c76c610ef95da30e0a76d7f09e5ff5d",
+    (5, 4, "f1"): "aad4cbb2c885daddc221c4f8344238a85a3153c8e4a1eb08e0ee21e9b0585199",
+    (5, 5, "f4"): "f96f8a0b5fd8af7c540951d9064ccff8833e383a65c43d89c37a349e7f855dee",
+    (6, 3, "f6"): "f3b0174d0c0a99f63fad8e300d38a6aa93a9dcb47eb35c07bdbbf7f5617435f9",
+    (6, 4, "f2"): "b33d552ca5f4b39ec3887b1e4ab0baec522c9d55af12d287d28a4e2120a0f9e4",
 }
 
 

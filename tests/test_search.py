@@ -4,11 +4,16 @@ import os
 import subprocess
 import sys
 import textwrap
+from itertools import combinations
+from math import comb
+from operator import getitem
 
+import networkx as nx
 import pytest
 
 from deckpoly import graph_polys
 from deckpoly import polynomials as poly
+from deckpoly import search
 from deckpoly.digraphs import Digraph, enumerate_digraphs
 from deckpoly.graph_polys import F1, F2, F4, SIX_KINDS, deck, parse_kind, poly_of
 from deckpoly.search import CollisionGroup, canonical_counterexample, find_deck_collisions
@@ -95,10 +100,9 @@ def test_edge_cases():
 @pytest.mark.parametrize("n, m, kind, coefficient, message", [
     # (4, 4) has groups; a shift at coefficient 3 splits them there.
     (4, 4, F1, 3, "differ at coefficients"),
-    # (3, 4) has none; the shift makes some, which m > n rules out.
+    # (3, 4) has none; the shift makes some, which m > n rules out. Its one
+    # deck shared by two classes has in-degrees {1, 1, 2} and {0, 2, 2}.
     (3, 4, F2, 0, "n = 3, m = 4; none exist"),
-    # At m = 1 a shift at n - m = 2 itself is caught: the trace rule fixes it.
-    (3, 1, F1, 2, "n = 3, m = 1; none exist"),
 ])
 def test_search_asserts_the_paper_structure(monkeypatch, n, m, kind, coefficient, message):
     kernel_of = graph_polys._kernel
@@ -109,11 +113,12 @@ def test_search_asserts_the_paper_structure(monkeypatch, n, m, kind, coefficient
         def perturbed(b, wanted):
             coeffs, entries = kernel(b, wanted)
             coeffs = list(coeffs)
-            # The arcs are the nonzero off-diagonal entries, in lexicographic order.
-            arcs = [(s, t) for s, row in enumerate(b) for t, x in enumerate(row) if s != t and x]
-            if len(arcs) == m:
-                # Digraph-dependent shift, so equal decks can carry distinct values.
-                coeffs[coefficient] += arcs[0][1]
+            # The arcs are the nonzero off-diagonal entries.
+            in_degrees = [sum(1 for s in range(n) if s != t and b[s][t]) for t in range(n)]
+            if sum(in_degrees) == m:
+                # A shift that relabelling keeps but that differs between
+                # classes, so equal decks can carry distinct values.
+                coeffs[coefficient] += sum(d * d for d in in_degrees)
             return coeffs, entries
 
         return perturbed
@@ -121,6 +126,15 @@ def test_search_asserts_the_paper_structure(monkeypatch, n, m, kind, coefficient
     monkeypatch.setattr(graph_polys, "_kernel", perturbed_kernel)
     with pytest.raises(AssertionError, match=message):
         find_deck_collisions(n, m, kind)
+
+
+def test_paper_structure_rejects_any_group_at_m_equal_1():
+    # Every single-arc digraph is isomorphic to every other, so no kernel
+    # perturbation can make the search itself report an m = 1 group.
+    arc, other = Digraph(3, ((0, 1),)), Digraph(3, ((1, 2),))
+    group = CollisionGroup(F1, 3, 1, (xpow(3),), ((arc, xpow(3)), (other, P(0, 0, 1, 1))))
+    with pytest.raises(AssertionError, match="n = 3, m = 1; none exist"):
+        search._check_paper_structure([group], 3, 1)
 
 
 @pytest.mark.parametrize("n, m, only_full", [
@@ -170,17 +184,61 @@ def reference_collisions(n, m, kind):
 
 
 # Two general kinds whose integer pencil needs a scale L > 1.
-ORACLE_KINDS = SIX_KINDS + (parse_kind("general:1/2,3/4,det"),
-                            parse_kind("general:2/3,5/7,per"))
+GENERAL_PER = parse_kind("general:2/3,5/7,per")
+ORACLE_KINDS = SIX_KINDS + (parse_kind("general:1/2,3/4,det"), GENERAL_PER)
 
 
 @pytest.mark.parametrize("kind", ORACLE_KINDS, ids=graph_polys.kind_name)
 def test_search_matches_the_reference_search(kind):
     cells = [(n, m) for n in (1, 2, 3) for m in range(n * (n - 1) + 1)]
     cells += [(4, m) for m in range(6)]
+    if kind in (F1, GENERAL_PER):
+        cells += [(5, m) for m in range(4)]
     found = 0
     for n, m in cells:
         groups = find_deck_collisions(n, m, kind)
         assert groups == reference_collisions(n, m, kind), (n, m)
         found += len(groups)
     assert found
+
+
+def isomorphism_classes(n, m):
+    """The number of (n, m)-digraphs up to relabelling, by networkx."""
+    reps = {}
+    for g in enumerate_digraphs(n, m):
+        h = nx.DiGraph()
+        h.add_nodes_from(range(n))
+        h.add_edges_from(g.arcs)
+        degrees = tuple(sorted(zip(dict(h.in_degree).values(), dict(h.out_degree).values())))
+        bucket = reps.setdefault(degrees, [])
+        if not any(nx.is_isomorphic(h, r) for r in bucket):
+            bucket.append(h)
+    return sum(map(len, reps.values()))
+
+
+@pytest.mark.parametrize("kind", [F1, F4], ids=graph_polys.kind_name)
+@pytest.mark.parametrize("n, m", [(4, 2), (4, 3), (4, 4), (4, 5), (5, 3)])
+def test_search_calls_the_kernel_once_per_class(monkeypatch, kind, n, m):
+    kernel_of = graph_polys._kernel
+    calls = []
+
+    def counting_kernel(k):
+        kernel = kernel_of(k)
+
+        def counted(b, wanted):
+            calls.append(len(b))
+            return kernel(b, wanted)
+
+        return counted
+
+    monkeypatch.setattr(graph_polys, "_kernel", counting_kernel)
+    find_deck_collisions(n, m, kind)
+    assert len(calls) == isomorphism_classes(n, m - 1) + isomorphism_classes(n, m)
+
+
+@pytest.mark.parametrize("size", [0, 1, 6])
+def test_lex_rank_follows_combinations(size):
+    for k in range(size + 1):
+        weights = search._lex_rank_weights(size, k)
+        ranks = [sum(map(getitem, weights, c)) for c in combinations(range(size), k)]
+        assert ranks == list(range(comb(size, k)))
