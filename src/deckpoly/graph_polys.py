@@ -87,11 +87,18 @@ def kind_name(kind: PolyKind) -> str:
 
 
 _RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+# int() takes time quadratic in the digit count, and the CLI lifts Python's
+# 4,300-digit limit on it, so a rational string has its own length bound.
+MAX_RATIONAL_CHARS = 100_000
 
 
 def parse_rational(text: str) -> Fraction:
     """"p" or "p/q", the form str(Fraction) writes, and nothing else:
-    Fraction("1e999999999") alone would build 10^999999999."""
+    Fraction("1e999999999") alone would build 10^999999999. At most
+    MAX_RATIONAL_CHARS characters are read."""
+    if len(text) > MAX_RATIONAL_CHARS:
+        raise ValueError(f"rational of {len(text)} characters; "
+                         f"at most {MAX_RATIONAL_CHARS} are read")
     match = _RATIONAL.fullmatch(text)
     if not match:
         raise ValueError(f"bad rational {text!r}; expected an integer or p/q")

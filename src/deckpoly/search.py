@@ -26,16 +26,26 @@ and is stored by its rank in the lex order of itertools.combinations. The
 stored under every relabelling of that card. The (n, m) walk skips every
 digraph whose class it has already met (a bytearray by rank). Otherwise
 it reads the signature off the table, makes one kernel call for the
-digraph's own polynomial, and marks its class. The relabellings of a
-digraph are the injective maps of its non-isolated vertices into
-range(n), so the cost follows the class size, not n!.
+digraph's own polynomial, and marks its class.
+
+The relabellings of a digraph are made by every injective map of its
+non-isolated vertices into range(n), or of its complement's when those
+are fewer (a relabelling of the complement is one of the digraph, and
+complementing reverses lex order), so a sparse or a dense class costs
+perm(n, v) maps for small v, not n!. Those maps count each member once
+per automorphism of the touched part, so they are capped:
+RELABELLINGS_PER_DIGRAPH per digraph of the two layers, more than any
+cell within the default budget needs. A class met when its maps would
+pass the cap is not relabelled. Its members then reach the kernel one
+by one, as in the labelled sweep, and the output does not change.
 
 Witnesses stay those of the labelled sweep, which keeps per (signature,
 polynomial) the first digraph that combinations yields. Both values are
 class invariants, so that digraph is the lex-first member of its class,
 and its class is the first with those values in the order of lex-first
 members. The walk meets the classes in exactly that order, each at its
-lex-first member.
+lex-first member; a class left unrelabelled is met there too, and its
+later members add nothing.
 
 The seam checks every kernel output to be monic of degree n, and the
 paper's structure is asserted on the result: members of a group differ
@@ -44,11 +54,12 @@ only at coefficient n-m, and no group exists for m > n or m = 1.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache, partial
 from itertools import combinations, compress, permutations, repeat
-from math import comb
+from math import comb, perm
 from operator import getitem
 
 from . import graph_polys
@@ -57,6 +68,8 @@ from .graph_polys import PolyKind
 from .polynomials import Polynomial
 
 DEFAULT_BUDGET = 10**6
+# Relabelling maps the walk may make per labelled digraph of the two layers.
+RELABELLINGS_PER_DIGRAPH = 4
 
 
 @dataclass(frozen=True)
@@ -93,7 +106,8 @@ def find_deck_collisions(n: int, m: int, kind: PolyKind,
     groups holding at least two distinct polynomials.
 
     Output order is canonical: groups sorted by signature, members sorted
-    by polynomial. The enumeration size comb(n*(n-1), m) must stay within
+    by polynomial. Both layers the search tabulates, the comb(n*(n-1), m)
+    digraphs and the comb(n*(n-1), m-1) deck members, must stay within
     `budget`, and n within the polynomial size cap of the kind's mode.
     """
     if n < 1:
@@ -103,8 +117,9 @@ def find_deck_collisions(n: int, m: int, kind: PolyKind,
     if not 0 <= m <= len(slots):
         raise ValueError(f"arc count {m} outside [0, {len(slots)}]")
     total = comb(len(slots), m)
-    if total > budget:
-        raise ValueError(f"enumerating {total} digraphs exceeds the budget of {budget}")
+    cards = comb(len(slots), m - 1) if m else 0
+    if max(total, cards) > budget:
+        raise ValueError(f"enumerating {max(total, cards)} digraphs exceeds the budget of {budget}")
     if m == 0:
         return []
     # Every unweighted arc carries the same integer terms under one scale.
@@ -117,35 +132,68 @@ def find_deck_collisions(n: int, m: int, kind: PolyKind,
         arcs = [slots[i] for i in digraph]
         return tuple(graph_polys._pencil_coefficients(kind, n, arcs, repeat(term), {})[0])
 
-    def orbit(digraph: tuple[int, ...], weights: list[list[int]]) -> Iterator[int]:
-        """The lex ranks of every relabelling of `digraph`, one per injective
-        map of its non-isolated vertices into range(n)."""
+    rank_weights = cache(partial(_lex_rank_weights, len(slots)))
+    # Relabelling maps left to make: a fixed number per labelled digraph of
+    # both layers, so the walk never costs much more than the labelled sweep.
+    spare = RELABELLINGS_PER_DIGRAPH * (total + cards)
+
+    def orbit(digraph: tuple[int, ...]) -> Iterable[int]:
+        """The lex ranks of the relabellings of `digraph`: the images of its
+        arcs, or of its complement's when those touch fewer vertices, under
+        every injective map of the touched vertices into range(n). When
+        those perm(n, touched) maps exceed `spare`, none are made, and the
+        class is met member by member as in the labelled sweep."""
+        nonlocal spare
+        degree = [0] * n
+        for i in digraph:
+            for v in slots[i]:
+                degree[v] += 1
+        touched = sum(d > 0 for d in degree)
+        co_touched = sum(d < 2 * (n - 1) for d in degree)
+        maps = perm(n, min(touched, co_touched))
+        if maps > spare:
+            return ()
+        spare -= maps
+        if touched <= co_touched:
+            weights = rank_weights(len(digraph))
+            return (sum(map(getitem, weights, image)) for image in images(digraph))
+        # Complementing reverses lex order: a k-subset of range(N) has rank
+        # comb(N, k) - 1 minus the rank of its complement.
+        kept = set(digraph)
+        complement = [i for i in range(len(slots)) if i not in kept]
+        weights = rank_weights(len(complement))
+        last = comb(len(slots), len(digraph)) - 1
+        return (last - sum(map(getitem, weights, image)) for image in images(complement))
+
+    def images(digraph: tuple[int, ...] | list[int]) -> Iterator[list[int]]:
+        """`digraph` relabelled by every injective map of its non-isolated
+        vertices into range(n), each as a sorted slot-index list."""
         arcs = [slots[i] for i in digraph]
         vertices = sorted({v for arc in arcs for v in arc})
         local = [(vertices.index(s), vertices.index(t)) for s, t in arcs]
-        return (sum(map(getitem, weights, sorted([slot_index[p[s]][p[t]] for s, t in local])))
+        return (sorted([slot_index[p[s]][p[t]] for s, t in local])
                 for p in permutations(range(n), len(vertices)))
 
     # (n, m-1)-digraphs by lex rank: one coefficient tuple per class, stored
     # under every member when the class is first met.
-    card_weights = _lex_rank_weights(len(slots), m - 1)
-    table: list = [None] * comb(len(slots), m - 1)
+    card_weights = rank_weights(m - 1)
+    table: list = [None] * cards
     # (n, m)-digraphs by lex rank: 1 until their class has been walked.
-    digraph_weights = _lex_rank_weights(len(slots), m)
     fresh = bytearray(b"\x01") * total
     groups: dict[tuple[tuple[int, ...], ...], dict[tuple[int, ...], tuple[int, ...]]] = {}
     # compress reads `fresh` as it goes, so the members of a class walked
     # below are skipped when combinations reaches them.
     for digraph in compress(combinations(range(len(slots)), m), fresh):
-        for r in orbit(digraph, digraph_weights):
+        for r in orbit(digraph):
             fresh[r] = 0
         deck = []
         for e in range(m):
             card = digraph[:e] + digraph[e + 1:]
-            coeffs = table[sum(map(getitem, card_weights, card))]
+            rank = sum(map(getitem, card_weights, card))
+            coeffs = table[rank]
             if coeffs is None:
-                coeffs = coefficients(card)
-                for r in orbit(card, card_weights):
+                coeffs = table[rank] = coefficients(card)
+                for r in orbit(card):
                     table[r] = coeffs
             deck.append(coeffs)
         # `digraph` is the lex-first member of its class (see the module docstring).

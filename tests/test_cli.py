@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from deckpoly import identities
+from deckpoly import graph_polys, identities
 from deckpoly import matrices as mx
 from deckpoly import search
 from deckpoly.cli import main
@@ -153,7 +153,7 @@ HUGE = "1" + "0" * 3000
 
 
 def test_answers_beyond_the_int_string_digit_limit(tmp_path, capsys):
-    limit = sys.get_int_max_str_digits()
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
     digon = write(tmp_path, "digon.json", {"format_version": 1, "n": 2, "arcs": [[0, 1], [1, 0]],
                                            "weights": [HUGE, HUGE]})
     code, out, _ = run(capsys, "compute", "--kind", "f1", "--input", digon)
@@ -167,7 +167,18 @@ def test_answers_beyond_the_int_string_digit_limit(tmp_path, capsys):
     code, out, _ = run(capsys, "reconstruct", "--deck", deck_path)
     assert code == 0
     assert json.loads(out) == {"result": "unique", "poly": ["0", "-2" + "0" * 6000, "0", "1"]}
-    assert sys.get_int_max_str_digits() == limit
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
+
+def test_input_rationals_have_a_length_bound(tmp_path, capsys):
+    # Reading an integer is quadratic in its length, and the digit limit
+    # is lifted, so a longer string is refused before int() sees it.
+    long_weight = "1" * (graph_polys.MAX_RATIONAL_CHARS + 1)
+    digon = write(tmp_path, "digon.json", {"format_version": 1, "n": 2, "arcs": [[0, 1], [1, 0]],
+                                           "weights": [long_weight, "1"]})
+    code, out, err = run(capsys, "compute", "--kind", "f1", "--input", digon)
+    assert code == 2 and out == ""
+    assert f"at most {graph_polys.MAX_RATIONAL_CHARS}" in err and len(err) < 200
 
 
 def test_reconstruct_inconsistent_deck(tmp_path, capsys):

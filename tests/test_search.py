@@ -85,6 +85,10 @@ def test_search_is_deterministic():
 def test_budget_is_enforced():
     with pytest.raises(ValueError):
         find_deck_collisions(4, 4, F1, budget=100)
+    # 66 digraphs, but the table holds the 220 (4, 9)-digraphs.
+    with pytest.raises(ValueError, match="enumerating 220 digraphs"):
+        find_deck_collisions(4, 10, F1, budget=100)
+    assert find_deck_collisions(4, 10, F1, budget=220) == []
 
 
 def test_edge_cases():
@@ -216,9 +220,8 @@ def isomorphism_classes(n, m):
     return sum(map(len, reps.values()))
 
 
-@pytest.mark.parametrize("kind", [F1, F4], ids=graph_polys.kind_name)
-@pytest.mark.parametrize("n, m", [(4, 2), (4, 3), (4, 4), (4, 5), (5, 3)])
-def test_search_calls_the_kernel_once_per_class(monkeypatch, kind, n, m):
+def count_kernel_calls(monkeypatch):
+    """Make every kernel call append its order to the returned list."""
     kernel_of = graph_polys._kernel
     calls = []
 
@@ -232,8 +235,53 @@ def test_search_calls_the_kernel_once_per_class(monkeypatch, kind, n, m):
         return counted
 
     monkeypatch.setattr(graph_polys, "_kernel", counting_kernel)
+    return calls
+
+
+@pytest.mark.parametrize("kind", [F1, F4], ids=graph_polys.kind_name)
+@pytest.mark.parametrize("n, m", [(4, 2), (4, 3), (4, 4), (4, 5), (5, 3)])
+def test_search_calls_the_kernel_once_per_class(monkeypatch, kind, n, m):
+    calls = count_kernel_calls(monkeypatch)
     find_deck_collisions(n, m, kind)
     assert len(calls) == isomorphism_classes(n, m - 1) + isomorphism_classes(n, m)
+
+
+@pytest.mark.parametrize("n, m", [(4, 10), (4, 11), (4, 12), (9, 71), (10, 90)])
+def test_dense_cells_relabel_through_the_complement(monkeypatch, n, m):
+    # Every vertex of a dense digraph carries an arc, so its own relabellings
+    # number n!; its complement's touch few vertices. Complementing keeps
+    # classes, so the classes are counted on the complements.
+    calls = count_kernel_calls(monkeypatch)
+    made = []
+    real_permutations = search.permutations
+
+    def counted_permutations(*args):
+        for p in real_permutations(*args):
+            made.append(p)
+            yield p
+
+    monkeypatch.setattr(search, "permutations", counted_permutations)
+    slots = n * (n - 1)
+    assert find_deck_collisions(n, m, F1) == []
+    assert len(calls) == isomorphism_classes(n, slots - m + 1) + isomorphism_classes(n, slots - m)
+    labelled = comb(slots, m) + comb(slots, m - 1)
+    assert len(made) <= search.RELABELLINGS_PER_DIGRAPH * labelled
+
+
+@pytest.mark.parametrize("kind", [F1, F4], ids=graph_polys.kind_name)
+@pytest.mark.parametrize("per_digraph", [0, 1])
+def test_search_output_survives_a_short_relabelling_allowance(monkeypatch, kind, per_digraph):
+    # Classes the allowance cannot cover are met member by member, as in the
+    # labelled sweep; with none at all, every digraph reaches the kernel.
+    monkeypatch.setattr(search, "RELABELLINGS_PER_DIGRAPH", per_digraph)
+    calls = count_kernel_calls(monkeypatch)
+    for n, m in [(3, 3), (4, 3), (4, 4), (4, 10)]:
+        calls.clear()
+        groups = find_deck_collisions(n, m, kind)
+        slots = n * (n - 1)
+        labelled = comb(slots, m) + comb(slots, m - 1)
+        assert (len(calls) < labelled) if per_digraph else (len(calls) == labelled)
+        assert groups == reference_collisions(n, m, kind), (n, m)
 
 
 @pytest.mark.parametrize("size", [0, 1, 6])
