@@ -215,8 +215,13 @@ def find_deck_collisions(n: int, m: int, kind: PolyKind,
 def _lex_rank_weights(size: int, k: int) -> list[list[int]]:
     """Weights w with sum(w[i][c_i]) the rank of the sorted k-subset c of
     range(size) in the lex order that itertools.combinations walks: by the
-    combinatorial number system, comb(size, k) - 1 - sum comb(size-1-c_i, k-i)."""
-    weights = [[-comb(size - 1 - c, k - i) for c in range(size)] for i in range(k)]
+    combinatorial number system, comb(size, k) - 1 - sum comb(size-1-c_i, k-i).
+    Entry i of a sorted k-subset lies in [i, size - k + i], and only there
+    is a weight computed, so a k near size costs no big ints elsewhere."""
+    weights = [[0] * size for _ in range(k)]
+    for i, row in enumerate(weights):
+        for c in range(i, size - k + i + 1):
+            row[c] = -comb(size - 1 - c, k - i)
     if weights:
         weights[0] = [comb(size, k) - 1 + w for w in weights[0]]
     return weights
