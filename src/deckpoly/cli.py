@@ -20,6 +20,7 @@ from . import identities, matrices, search, serialize
 from .digraphs import validate
 from .reconstruct import OneParameterFamily, Unique, reconstruct
 from .graph_polys import (
+    DET_MAX_VERTICES,
     DETERMINANT,
     PERMANENT,
     SIX_KINDS,
@@ -90,9 +91,11 @@ def _verify_trial(theorem: str, rng: random.Random, max_n: int, weighted: bool):
 def cmd_verify(args) -> int:
     if args.trials < 1 or args.max_n < 1:
         raise ValueError("--trials and --max-n must be >= 1")
-    if args.theorem in PERMANENT_THEOREMS and args.max_n > matrices.RYSER_MAX_ORDER:
-        raise ValueError(f"theorem {args.theorem} takes permanents of order up to --max-n, "
-                         f"capped at {matrices.RYSER_MAX_ORDER}, got {args.max_n}")
+    taken, cap = (("permanents", matrices.RYSER_MAX_ORDER)
+                  if args.theorem in PERMANENT_THEOREMS else ("determinants", DET_MAX_VERTICES))
+    if args.max_n > cap:
+        raise ValueError(f"theorem {args.theorem} takes {taken} of order up to --max-n, "
+                         f"capped at {cap}, got {args.max_n}")
     rng = random.Random(args.seed)
     violations = []
     for _ in range(args.trials):

@@ -26,7 +26,8 @@ and entry (t, t) gains beta*w. det and per are linear in one column, so
 
 with C the signed cofactors (det) or the permanental minors (per) of P.
 One call of the same kernel gives g(G) and the adjugate rows of the
-distinct arc heads, and so the whole deck.
+distinct arc heads, and so the whole deck: _deck_coefficients, which deck
+and the collision search share.
 """
 
 from __future__ import annotations
@@ -268,27 +269,41 @@ class Deck:
     arc_weight: Fraction | None = None
 
 
+def _deck_coefficients(kind: PolyKind, n: int, arcs: Sequence[tuple[int, int]],
+                       terms: Sequence[tuple[int, int]]) -> tuple[list[int], list[list[int]]]:
+    """(K, members): the coefficients of K(y) = det or per of y*I - L*B, as
+    in _pencil_coefficients, and members[e] those of the pencil without arc
+    e, in arc order, by column linearity from one kernel call. Entry (t, t)
+    is wanted only for an arc whose diagonal term is nonzero: beta = 0
+    kinds never read it."""
+    wanted: dict[int, set[int]] = {}
+    for (s, t), (_, d) in zip(arcs, terms):
+        wanted.setdefault(t, set()).add(s)
+        if d:
+            wanted[t].add(t)
+    base, adj = _pencil_coefficients(kind, n, arcs, terms, wanted)
+    members = []
+    for (s, t), (a, d) in zip(arcs, terms):
+        # Deleting the arc adds a at (s, t) and d at (t, t) of y*I - L*B.
+        member = [c + a * x for c, x in zip(base, adj[t, s])]
+        if d:
+            member = [c + d * x for c, x in zip(member, adj[t, t])]
+        members.append(member + [base[n]])
+    return base, members
+
+
 def deck(g: Digraph, kind: PolyKind) -> Deck:
     """Multiset of the pencil polynomials of all single-arc deletions of g,
     by column linearity (see the module docstring): one kernel call gives
-    K(y) = det or per of (y*I - L*B) and two adjugate entries per arc.
-    Same caps as poly_of. Assumes a validated digraph."""
+    K(y) = det or per of (y*I - L*B) and up to two adjugate entries per
+    arc. Same caps as poly_of. Assumes a validated digraph."""
     if g.m == 0:
         raise ValueError("the edge deck of an arcless digraph is empty")
     _check_cap(g.n, kind)
     scale, terms = _arc_terms(kind, g.arc_weights())
-    wanted: dict[int, set[int]] = {}
-    for s, t in g.arcs:
-        wanted.setdefault(t, {t}).add(s)
-    n = g.n
-    base, adj = _pencil_coefficients(kind, n, g.arcs, terms, wanted)
-    members = []
-    for (s, t), (a, d) in zip(g.arcs, terms):
-        # Deleting the arc adds a at (s, t) and d at (t, t) of y*I - L*B.
-        cross, head = adj[t, s], adj[t, t]
-        members.append([base[k] + a * cross[k] + d * head[k] for k in range(n)] + [base[n]])
+    _, members = _deck_coefficients(kind, g.n, g.arcs, terms)
     # Dividing coefficient k by L^(n-k) > 0 keeps the lexicographic order,
     # so the int lists sort as the polynomials will.
-    polys = tuple(_unscaled(coeffs, scale, n) for coeffs in sorted(members))
+    polys = tuple(_unscaled(coeffs, scale, g.n) for coeffs in sorted(members))
     total = None if g.weights is None else sum(g.weights, Fraction(0))
-    return Deck(n, kind, polys, None if total == g.m else total)
+    return Deck(g.n, kind, polys, None if total == g.m else total)

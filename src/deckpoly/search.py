@@ -6,27 +6,23 @@ coefficient-vector multisets themselves and group membership is decided
 by full equality, so a reported collision can never be a lossy-hash
 artifact.
 
-Every deck member of an (n, m)-digraph is the polynomial of an
-(n, m-1)-digraph. The sweep calls neither graph_polys.deck, whose per-digraph
-work has nothing to share, nor poly_of: every unweighted arc adds the same
-integer terms to the pencil L*(beta*D + gamma*A) under one scale L per
-kind, so an arc tuple goes straight to graph_polys' integer seam
-(_pencil_coefficients) with that one term pair, and the table, the
-signatures and the groups are keyed on the kernel's scaled int vectors.
-Coefficient k is scaled by L^(n-k) > 0, which keeps both equality and
-lexicographic order, so the groups and their order are those of the
-polynomials. Digraph values and Fraction polynomials are built only for
-the groups reported.
+The sweep calls neither graph_polys.deck nor poly_of, which work in
+Fractions: every unweighted arc adds the same integer terms to the pencil
+L*(beta*D + gamma*A) under one scale L per kind, so an arc tuple goes
+straight to graph_polys._deck_coefficients with that one term pair. One
+kernel call gives the digraph's own coefficients and, by column
+linearity, its whole deck, and the signatures and groups are keyed on
+those scaled int vectors. Coefficient k is scaled by L^(n-k) > 0, which
+keeps both equality and lexicographic order, so the groups and their
+order are those of the polynomials. Digraph values and Fraction
+polynomials are built only for the groups reported.
 
 The sweep works on relabelling classes. A polynomial and a deck multiset
 do not change when the vertices are relabelled, so the kernel runs once
 per class. A digraph is a sorted tuple of indices into all_arc_slots(n)
 and is stored by its rank in the lex order of itertools.combinations. The
-(n, m-1) table is filled on a miss: one kernel call, and the result is
-stored under every relabelling of that card. The (n, m) walk skips every
-digraph whose class it has already met (a bytearray by rank). Otherwise
-it reads the signature off the table, makes one kernel call for the
-digraph's own polynomial, and marks its class.
+walk skips every digraph whose class it has already met (a bytearray by
+rank); otherwise it makes one kernel call and marks the digraph's class.
 
 The relabellings of a digraph are made by every injective map of its
 non-isolated vertices into range(n), or of its complement's when those
@@ -34,10 +30,10 @@ are fewer (a relabelling of the complement is one of the digraph, and
 complementing reverses lex order), so a sparse or a dense class costs
 perm(n, v) maps for small v, not n!. Those maps count each member once
 per automorphism of the touched part, so they are capped:
-RELABELLINGS_PER_DIGRAPH per digraph of the two layers, more than any
-cell within the default budget needs. A class met when its maps would
-pass the cap is not relabelled. Its members then reach the kernel one
-by one, as in the labelled sweep, and the output does not change.
+RELABELLINGS_PER_DIGRAPH per (n, m)-digraph, more than any cell within
+the default budget needs. A class met when its maps would pass the cap
+is not relabelled. Its members then reach the kernel one by one, as in
+the labelled sweep, and the output does not change.
 
 Witnesses stay those of the labelled sweep, which keeps per (signature,
 polynomial) the first digraph that combinations yields. Both values are
@@ -49,7 +45,10 @@ later members add nothing.
 
 The seam checks every kernel output to be monic of degree n, and the
 paper's structure is asserted on the result: members of a group differ
-only at coefficient n-m, and no group exists for m > n or m = 1.
+only at coefficient n-m, and no group exists for m > n or m = 1. A deck
+read off one kernel call keeps the deck-sum identity only if the kernel's
+coefficients agree with its adjugate entries, so a faulty kernel still
+shows as a group that breaks this structure.
 """
 
 from __future__ import annotations
@@ -58,7 +57,7 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial
-from itertools import combinations, compress, permutations, repeat
+from itertools import combinations, compress, permutations
 from math import comb, perm
 from operator import getitem
 
@@ -68,7 +67,7 @@ from .graph_polys import PolyKind
 from .polynomials import Polynomial
 
 DEFAULT_BUDGET = 10**6
-# Relabelling maps the walk may make per labelled digraph of the two layers.
+# Relabelling maps the walk may make per labelled (n, m)-digraph.
 RELABELLINGS_PER_DIGRAPH = 4
 
 
@@ -106,9 +105,8 @@ def find_deck_collisions(n: int, m: int, kind: PolyKind,
     groups holding at least two distinct polynomials.
 
     Output order is canonical: groups sorted by signature, members sorted
-    by polynomial. Both layers the search tabulates, the comb(n*(n-1), m)
-    digraphs and the comb(n*(n-1), m-1) deck members, must stay within
-    `budget`, and n within the polynomial size cap of the kind's mode.
+    by polynomial. The comb(n*(n-1), m) digraphs must stay within `budget`,
+    and n within the polynomial size cap of the kind's mode.
     """
     if n < 1:
         raise ValueError(f"vertex count must be >= 1, got {n}")
@@ -117,25 +115,21 @@ def find_deck_collisions(n: int, m: int, kind: PolyKind,
     if not 0 <= m <= len(slots):
         raise ValueError(f"arc count {m} outside [0, {len(slots)}]")
     total = comb(len(slots), m)
-    cards = comb(len(slots), m - 1) if m else 0
-    if max(total, cards) > budget:
-        raise ValueError(f"enumerating {max(total, cards)} digraphs exceeds the budget of {budget}")
+    if total > budget:
+        raise ValueError(f"enumerating {total} digraphs exceeds the budget of {budget}")
     if m == 0:
         return []
     # Every unweighted arc carries the same integer terms under one scale.
     scale, [term] = graph_polys._arc_terms(kind, [Fraction(1)])
+    terms = [term] * m
     slot_index = [[0] * n for _ in range(n)]
     for i, (s, t) in enumerate(slots):
         slot_index[s][t] = i
 
-    def coefficients(digraph: tuple[int, ...]) -> tuple[int, ...]:
-        arcs = [slots[i] for i in digraph]
-        return tuple(graph_polys._pencil_coefficients(kind, n, arcs, repeat(term), {})[0])
-
     rank_weights = cache(partial(_lex_rank_weights, len(slots)))
-    # Relabelling maps left to make: a fixed number per labelled digraph of
-    # both layers, so the walk never costs much more than the labelled sweep.
-    spare = RELABELLINGS_PER_DIGRAPH * (total + cards)
+    # Relabelling maps left to make: a fixed number per labelled digraph,
+    # so the walk never costs much more than the labelled sweep.
+    spare = RELABELLINGS_PER_DIGRAPH * total
 
     def orbit(digraph: tuple[int, ...]) -> Iterable[int]:
         """The lex ranks of the relabellings of `digraph`: the images of its
@@ -174,10 +168,6 @@ def find_deck_collisions(n: int, m: int, kind: PolyKind,
         return (sorted([slot_index[p[s]][p[t]] for s, t in local])
                 for p in permutations(range(n), len(vertices)))
 
-    # (n, m-1)-digraphs by lex rank: one coefficient tuple per class, stored
-    # under every member when the class is first met.
-    card_weights = rank_weights(m - 1)
-    table: list = [None] * cards
     # (n, m)-digraphs by lex rank: 1 until their class has been walked.
     fresh = bytearray(b"\x01") * total
     groups: dict[tuple[tuple[int, ...], ...], dict[tuple[int, ...], tuple[int, ...]]] = {}
@@ -186,18 +176,9 @@ def find_deck_collisions(n: int, m: int, kind: PolyKind,
     for digraph in compress(combinations(range(len(slots)), m), fresh):
         for r in orbit(digraph):
             fresh[r] = 0
-        deck = []
-        for e in range(m):
-            card = digraph[:e] + digraph[e + 1:]
-            rank = sum(map(getitem, card_weights, card))
-            coeffs = table[rank]
-            if coeffs is None:
-                coeffs = table[rank] = coefficients(card)
-                for r in orbit(card):
-                    table[r] = coeffs
-            deck.append(coeffs)
+        coeffs, deck = graph_polys._deck_coefficients(kind, n, [slots[i] for i in digraph], terms)
         # `digraph` is the lex-first member of its class (see the module docstring).
-        groups.setdefault(tuple(sorted(deck)), {}).setdefault(coefficients(digraph), digraph)
+        groups.setdefault(tuple(sorted(map(tuple, deck))), {}).setdefault(tuple(coeffs), digraph)
     out = []
     for signature in sorted(groups):
         by_poly = groups[signature]

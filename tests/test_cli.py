@@ -234,12 +234,13 @@ def test_verify_flag_validation(capsys):
 
 def test_verify_rejects_max_n_above_the_permanent_cap_up_front(capsys):
     # Whether a sweep used to reach an order-17 permanent depended on the seed.
-    for theorem in ("2.3", "3.1", "1.7"):
+    # Determinant-only theorems are capped at the determinant cap of 64.
+    for theorem, max_n in (("2.3", 17), ("3.1", 17), ("1.7", 17), ("2.1", 65), ("2.2", 65)):
         for trials, seed in (("3", "1"), ("1", "17")):
             code, out, err = run(capsys, "verify", "--theorem", theorem, "--trials", trials,
-                                 "--max-n", "17", "--seed", seed)
-            assert code == 2 and out == "" and "capped at 16" in err
-    # Determinant-only theorems have no such cap.
+                                 "--max-n", str(max_n), "--seed", seed)
+            assert code == 2 and out == "" and f"capped at {max_n - 1}" in err
+    # The permanent cap does not bind them.
     code, _, _ = run(capsys, "verify", "--theorem", "2.2", "--trials", "1",
                      "--max-n", "17", "--seed", "17")
     assert code == 0

@@ -14,7 +14,7 @@ import pytest
 from deckpoly import graph_polys
 from deckpoly import polynomials as poly
 from deckpoly import search
-from deckpoly.digraphs import Digraph, enumerate_digraphs
+from deckpoly.digraphs import Digraph, delete_arc, enumerate_digraphs
 from deckpoly.graph_polys import F1, F2, F4, SIX_KINDS, deck, parse_kind, poly_of
 from deckpoly.search import CollisionGroup, canonical_counterexample, find_deck_collisions
 
@@ -85,10 +85,10 @@ def test_search_is_deterministic():
 def test_budget_is_enforced():
     with pytest.raises(ValueError):
         find_deck_collisions(4, 4, F1, budget=100)
-    # 66 digraphs, but the table holds the 220 (4, 9)-digraphs.
-    with pytest.raises(ValueError, match="enumerating 220 digraphs"):
-        find_deck_collisions(4, 10, F1, budget=100)
-    assert find_deck_collisions(4, 10, F1, budget=220) == []
+    # The budget counts the 66 (4, 10)-digraphs, not their 220 (4, 9) cards.
+    with pytest.raises(ValueError, match="enumerating 66 digraphs"):
+        find_deck_collisions(4, 10, F1, budget=65)
+    assert find_deck_collisions(4, 10, F1, budget=66) == []
 
 
 def test_edge_cases():
@@ -116,13 +116,19 @@ def test_search_asserts_the_paper_structure(monkeypatch, n, m, kind, coefficient
 
         def perturbed(b, wanted):
             coeffs, entries = kernel(b, wanted)
-            coeffs = list(coeffs)
             # The arcs are the nonzero off-diagonal entries.
-            in_degrees = [sum(1 for s in range(n) if s != t and b[s][t]) for t in range(n)]
-            if sum(in_degrees) == m:
-                # A shift that relabelling keeps but that differs between
-                # classes, so equal decks can carry distinct values.
-                coeffs[coefficient] += sum(d * d for d in in_degrees)
+            arcs = [(s, t) for s in range(n) for t in range(n) if s != t and b[s][t]]
+            in_degrees = [sum(1 for _, t in arcs if t == v) for v in range(n)]
+            # A shift that relabelling keeps but that differs between
+            # classes, so equal decks can carry distinct values.
+            shift = sum(d * d for d in in_degrees)
+            coeffs = list(coeffs)
+            coeffs[coefficient] += shift
+            # Deleting arc (s, t) gives K + b[s][t] * entry (t, s) + ..., so
+            # taking shift / b[s][t] off that entry keeps every deck true.
+            entries = {key: list(entry) for key, entry in entries.items()}
+            for s, t in arcs:
+                entries[t, s][coefficient] -= shift // b[s][t]
             return coeffs, entries
 
         return perturbed
@@ -141,14 +147,13 @@ def test_paper_structure_rejects_any_group_at_m_equal_1():
         search._check_paper_structure([group], 3, 1)
 
 
-@pytest.mark.parametrize("n, m, only_full", [
-    # Every kernel output is non-monic: the (n, m-1) table trips first.
-    (3, 2, False),
-    # Only the (n, m)-digraphs are non-monic, and no group is ever reported
-    # at m > n: the check must still see every one of them.
-    (3, 4, True),
+@pytest.mark.parametrize("n, m", [
+    (3, 2),
+    # No group is ever reported at m > n: the check must still see every
+    # kernel output.
+    (3, 4),
 ])
-def test_search_monic_check_survives_python_O(n, m, only_full):
+def test_search_monic_check_survives_python_O(n, m):
     # Under -O a bare assert would vanish and a non-monic vector would key
     # the groups unnoticed.
     script = textwrap.dedent(f"""
@@ -158,9 +163,6 @@ def test_search_monic_check_survives_python_O(n, m, only_full):
 
         def broken(b, wanted):
             coeffs, entries = kernel(b, wanted)
-            arcs = sum(1 for s, row in enumerate(b) for t, x in enumerate(row) if s != t and x)
-            if {only_full} and arcs < {m}:
-                return coeffs, entries
             return coeffs[:-1] + [2], entries
 
         graph_polys._kernel = lambda kind: broken
@@ -176,11 +178,13 @@ def test_search_monic_check_survives_python_O(n, m, only_full):
 
 
 def reference_collisions(n, m, kind):
-    """The search by definition: every labeled digraph's deck and polynomial
-    from graph_polys.deck and poly_of, grouped in Fractions."""
+    """The search by definition: every labeled digraph's deck by deletion
+    and its polynomial from poly_of, grouped in Fractions. The deck does not
+    come from graph_polys.deck, which shares the search's column-linearity
+    route."""
     groups = {}
     for g in enumerate_digraphs(n, m):
-        signature = deck(g, kind).polys if m else ()
+        signature = tuple(sorted(poly_of(delete_arc(g, e), kind) for e in range(m)))
         groups.setdefault(signature, {}).setdefault(poly_of(g, kind), g)
     return [CollisionGroup(kind, n, m, signature,
                            tuple((groups[signature][p], p) for p in sorted(groups[signature])))
@@ -243,7 +247,7 @@ def count_kernel_calls(monkeypatch):
 def test_search_calls_the_kernel_once_per_class(monkeypatch, kind, n, m):
     calls = count_kernel_calls(monkeypatch)
     find_deck_collisions(n, m, kind)
-    assert len(calls) == isomorphism_classes(n, m - 1) + isomorphism_classes(n, m)
+    assert len(calls) == isomorphism_classes(n, m)
 
 
 @pytest.mark.parametrize("n, m", [(4, 10), (4, 11), (4, 12), (9, 71), (10, 90)])
@@ -263,9 +267,8 @@ def test_dense_cells_relabel_through_the_complement(monkeypatch, n, m):
     monkeypatch.setattr(search, "permutations", counted_permutations)
     slots = n * (n - 1)
     assert find_deck_collisions(n, m, F1) == []
-    assert len(calls) == isomorphism_classes(n, slots - m + 1) + isomorphism_classes(n, slots - m)
-    labelled = comb(slots, m) + comb(slots, m - 1)
-    assert len(made) <= search.RELABELLINGS_PER_DIGRAPH * labelled
+    assert len(calls) == isomorphism_classes(n, slots - m)
+    assert len(made) <= search.RELABELLINGS_PER_DIGRAPH * comb(slots, m)
 
 
 @pytest.mark.parametrize("kind", [F1, F4], ids=graph_polys.kind_name)
@@ -278,8 +281,7 @@ def test_search_output_survives_a_short_relabelling_allowance(monkeypatch, kind,
     for n, m in [(3, 3), (4, 3), (4, 4), (4, 10)]:
         calls.clear()
         groups = find_deck_collisions(n, m, kind)
-        slots = n * (n - 1)
-        labelled = comb(slots, m) + comb(slots, m - 1)
+        labelled = comb(n * (n - 1), m)
         assert (len(calls) < labelled) if per_digraph else (len(calls) == labelled)
         assert groups == reference_collisions(n, m, kind), (n, m)
 
