@@ -27,7 +27,7 @@ and entry (t, t) gains beta*w. det and per are linear in one column, so
 with C the signed cofactors (det) or the permanental minors (per) of P.
 One call of the same kernel gives g(G) and the adjugate rows of the
 distinct arc heads, and so the whole deck: _deck_coefficients, which deck
-and the collision search share.
+and the collision search share. A Deck holds int rows, one denominator per k.
 """
 
 from __future__ import annotations
@@ -93,20 +93,30 @@ _RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 MAX_RATIONAL_CHARS = 100_000
 
 
-def parse_rational(text: str) -> Fraction:
-    """"p" or "p/q", the form str(Fraction) writes, and nothing else:
-    Fraction("1e999999999") alone would build 10^999999999. At most
-    MAX_RATIONAL_CHARS characters are read."""
+def _rational_pair(text: str) -> tuple[int, int]:
+    """(p, q) in lowest terms with q > 0, from "p" or "p/q", the form
+    str(Fraction) writes, and nothing else: Fraction("1e999999999") alone
+    would build 10^999999999. At most MAX_RATIONAL_CHARS characters are read."""
+    if not isinstance(text, str):
+        raise ValueError(f"rational values must be strings, got {text!r}")
     if len(text) > MAX_RATIONAL_CHARS:
         raise ValueError(f"rational of {len(text)} characters; "
                          f"at most {MAX_RATIONAL_CHARS} are read")
     match = _RATIONAL.fullmatch(text)
     if not match:
         raise ValueError(f"bad rational {text!r}; expected an integer or p/q")
-    numerator, denominator = map(int, match.groups("1"))
+    numerator, denominator = match.groups()
+    if denominator is None:
+        return int(numerator), 1
+    numerator, denominator = int(numerator), int(denominator)
     if not denominator:
         raise ValueError(f"bad rational {text!r}: zero denominator")
-    return Fraction(numerator, denominator)
+    common = gcd(numerator, denominator)
+    return numerator // common, denominator // common
+
+
+def parse_rational(text: str) -> Fraction:
+    return Fraction(*_rational_pair(text))
 
 
 def parse_kind(text: str) -> PolyKind:
@@ -256,17 +266,49 @@ def poly_of_oracle(g: Digraph, kind: PolyKind) -> Polynomial:
 class Deck:
     """Edge deck of a digraph mapped through one polynomial kind.
 
-    `polys` holds one polynomial per arc of the source digraph, sorted
-    lexicographically by coefficient vector so decks compare as multisets.
-    `arc_weight` is the source's total arc weight, set only when it differs
-    from the arc count m (so never for an unweighted digraph); the
-    polynomials alone do not determine it when m = 1.
+    Member i (in `polys` as Fractions) has degree n and coefficient k equal
+    to coefficients[i][k] / denominators[k], denominators[k] the lcm of its
+    reduced denominators over the members. The rows are sorted, so decks
+    compare and hash as multisets. `arc_weight` is the source's total arc
+    weight, set only when it differs from the arc count m (so never for an
+    unweighted digraph); the members alone do not determine it when m = 1.
     """
 
     n: int
     kind: PolyKind
-    polys: tuple[Polynomial, ...]
+    coefficients: tuple[tuple[int, ...], ...]
+    denominators: tuple[int, ...]
     arc_weight: Fraction | None = None
+
+    @classmethod
+    def from_polys(cls, n: int, kind: PolyKind, polys: Iterable[Sequence],
+                   arc_weight: Fraction | None = None) -> Deck:
+        rows = [[(c.numerator, c.denominator) for c in map(Fraction, p)] for p in polys]
+        return cls(n, kind, *_scaled_columns(n, rows), arc_weight)
+
+    @property
+    def polys(self) -> tuple[Polynomial, ...]:
+        return tuple(tuple(map(Fraction, row, self.denominators)) for row in self.coefficients)
+
+
+def _scaled_columns(n: int, rows: list[list[tuple[int, int]]]):
+    """Deck's form of reduced (p, q) member rows, of degree n with trailing zeros stripped."""
+    for row in rows:
+        while len(row) > 1 and not row[-1][0]:
+            row.pop()
+        if len(row) != n + 1:
+            raise ValueError(f"deck member has degree {len(row) - 1}, expected {n}")
+    dens = [lcm(*[q for _, q in column]) for column in zip(*rows)] or [1] * (n + 1)
+    return _canonical([[p * (den // q) for (p, q), den in zip(row, dens)] for row in rows], dens)
+
+
+def _canonical(rows: Sequence[Sequence[int]], dens: Sequence[int]):
+    """Deck's form of members row[k] / dens[k]: each column and its den over their
+    gcd, which leaves the lcm of its reduced denominators; rows sorted as Fractions."""
+    commons = [gcd(den, *column) for den, column in zip(dens, zip(*rows))] or dens
+    if any(g != 1 for g in commons):
+        rows = [[c // g for c, g in zip(row, commons)] for row in rows]
+    return tuple(sorted(map(tuple, rows))), tuple(den // g for den, g in zip(dens, commons))
 
 
 def _deck_coefficients(kind: PolyKind, n: int, arcs: Sequence[tuple[int, int]],
@@ -302,8 +344,7 @@ def deck(g: Digraph, kind: PolyKind) -> Deck:
     _check_cap(g.n, kind)
     scale, terms = _arc_terms(kind, g.arc_weights())
     _, members = _deck_coefficients(kind, g.n, g.arcs, terms)
-    # Dividing coefficient k by L^(n-k) > 0 keeps the lexicographic order,
-    # so the int lists sort as the polynomials will.
-    polys = tuple(_unscaled(coeffs, scale, g.n) for coeffs in sorted(members))
+    # Coefficient k of a member is its column entry over L^(n-k) (see _unscaled).
+    coefficients, denominators = _canonical(members, [scale ** (g.n - k) for k in range(g.n + 1)])
     total = None if g.weights is None else sum(g.weights, Fraction(0))
-    return Deck(g.n, kind, polys, None if total == g.m else total)
+    return Deck(g.n, kind, coefficients, denominators, None if total == g.m else total)

@@ -4,21 +4,20 @@ The deck sum S(x) = sum of the deck members satisfies
 
     (m - n) * g + x * g' = S(x),
 
-so coefficient k of g obeys (m - n + k) * c_k = s_k. Every coefficient
-with m - n + k != 0 is forced. The one exponent k* = n - m (when it lands
-in [0, n]) is annihilated: x^{k*} solves the homogeneous equation, and
-only structural side constraints can pin it: the trace rule at m = 1,
-and at m = n the zero column sums of D - A for determinant kinds with
-beta = -gamma. When none applies, the honest answer is a one-parameter
-family, not a guess.
+so coefficient k of g obeys (m - n + k) * c_k = s_k. s_k is the int sum
+of the deck's column k over the column's one denominator, so every c_k
+with m - n + k != 0 is forced at the cost of one division. The one
+exponent k* = n - m (when it lands in [0, n]) is annihilated: x^{k*}
+solves the homogeneous equation, and only structural side constraints
+can pin it: the trace rule at m = 1, and at m = n the zero column sums
+of D - A for determinant kinds with beta = -gamma. When none applies,
+the honest answer is a one-parameter family, not a guess.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import zip_longest
-from math import lcm
 
 from . import polynomials
 from .digraphs import Digraph
@@ -48,16 +47,11 @@ ReconstructionResult = Unique | OneParameterFamily | Inconsistent
 
 
 def deck_sum(d: Deck) -> Polynomial:
-    """Exact sum of the deck members, coefficient by coefficient and
-    normalized once; degree n with leading coefficient m."""
-    if not d.polys:
+    """Exact sum of the deck members: one int sum and one division per
+    coefficient, normalized once; degree n with leading coefficient m."""
+    if not d.coefficients:
         raise ValueError("cannot sum an empty deck")
-    total = []
-    for column in zip_longest(*d.polys, fillvalue=Fraction(0)):
-        # One common denominator per coefficient, not one Fraction add per member.
-        den = lcm(*(c.denominator for c in column))
-        total.append(Fraction(sum(c.numerator * (den // c.denominator) for c in column), den))
-    return polynomials.normalize(total)
+    return polynomials.normalize(map(Fraction, map(sum, zip(*d.coefficients)), d.denominators))
 
 
 def reconstruct(d: Deck) -> ReconstructionResult:
@@ -70,26 +64,22 @@ def reconstruct(d: Deck) -> ReconstructionResult:
     beta = -gamma (f2 among the named kinds) pins c_0 to 0 when m = n.
     Anything else with k* in range stays a one-parameter family.
     """
-    m = len(d.polys)
+    m = len(d.coefficients)
     if m == 0:
         raise ValueError("cannot reconstruct from an empty deck")
     n = d.n
-    s = list(deck_sum(d))
-    s += [Fraction(0)] * (n + 1 - len(s))
-    if s[n] != m:
-        return Inconsistent(f"deck leading coefficients sum to {s[n]}, expected {m}")
-    coeffs = [Fraction(0)] * (n + 1)
-    for k in range(n + 1):
-        divisor = m - n + k
-        if divisor != 0:
-            coeffs[k] = s[k] / divisor
+    sums, dens = list(map(sum, zip(*d.coefficients))), d.denominators
+    if sums[n] != m * dens[n]:
+        return Inconsistent(f"deck leading coefficients sum to {Fraction(sums[n], dens[n])}, "
+                            f"expected {m}")
     kstar = n - m
+    coeffs = [Fraction(s, q * (k - kstar)) if k != kstar else Fraction(0)
+              for k, (s, q) in enumerate(zip(sums, dens))]
     if kstar < 0:
         return Unique(polynomials.normalize(coeffs))
-    if s[kstar] != 0:
-        return Inconsistent(
-            f"coefficient {kstar}: equation 0 * c_{kstar} = {s[kstar]} cannot hold"
-        )
+    if sums[kstar] != 0:
+        return Inconsistent(f"coefficient {kstar}: equation 0 * c_{kstar} = "
+                            f"{Fraction(sums[kstar], dens[kstar])} cannot hold")
     if kstar == n - 1:
         # Trace rule: coefficient n-1 of the pencil polynomial is
         # -beta * trace(D) = -beta * (total arc weight).
@@ -97,10 +87,8 @@ def reconstruct(d: Deck) -> ReconstructionResult:
         return Unique(polynomials.normalize(coeffs))
     if kstar == 0 and d.kind.mode == DETERMINANT and d.kind.beta == -d.kind.gamma:
         # At x = 0 the pencil is -beta*D - gamma*A = -beta*(D - A), whose
-        # columns sum to zero, so its determinant and c_0 vanish.
-        coeffs[0] = Fraction(0)
+        # columns sum to zero, so its determinant and c_0 (left 0) vanish.
         return Unique(polynomials.normalize(coeffs))
-    coeffs[kstar] = Fraction(0)
     return OneParameterFamily(polynomials.normalize(coeffs), kstar)
 
 

@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from math import gcd
 
-from . import polynomials
 from .digraphs import Digraph
-from .graph_polys import Deck, kind_name, parse_kind, parse_rational
+from .graph_polys import (Deck, _rational_pair, _scaled_columns, kind_name, parse_kind,
+                          parse_rational)
 from .polynomials import Polynomial
 from .reconstruct import Inconsistent, OneParameterFamily, Unique
 
@@ -36,8 +37,6 @@ def _require_int(value, what: str) -> int:
 
 
 def fraction_from_str(text) -> Fraction:
-    if not isinstance(text, str):
-        raise FormatError(f"rational values must be strings, got {text!r}")
     try:
         return parse_rational(text)
     except ValueError as exc:
@@ -48,10 +47,11 @@ def poly_to_strings(p: Polynomial) -> list[str]:
     return [str(c) for c in p]
 
 
-def poly_from_strings(items) -> Polynomial:
-    if not isinstance(items, list) or not items:
-        raise FormatError("a polynomial must be a non-empty array of coefficient strings")
-    return polynomials.normalize(fraction_from_str(c) for c in items)
+def _rational_str(p: int, q: int) -> str:
+    """str(Fraction(p, q)) for q > 0, without building the Fraction."""
+    common = gcd(p, q)
+    p, q = p // common, q // common
+    return f"{p}/{q}" if q != 1 else str(p)
 
 
 def matrix_to_strings(matrix) -> list[list[str]]:
@@ -96,7 +96,8 @@ def deck_to_obj(d: Deck) -> dict:
         "format_version": FORMAT_VERSION,
         "n": d.n,
         "kind": kind_name(d.kind),
-        "polys": [poly_to_strings(p) for p in d.polys],
+        "polys": [[str(c) if q == 1 else _rational_str(c, q) for c, q in zip(row, d.denominators)]
+                  for row in d.coefficients],
     }
     if d.arc_weight is not None:
         obj["arc_weight"] = str(d.arc_weight)
@@ -117,16 +118,16 @@ def deck_from_obj(obj) -> Deck:
     raw = obj.get("polys")
     if not isinstance(raw, list) or not raw:
         raise FormatError('"polys" must be a non-empty array of polynomials')
-    polys = []
-    for item in raw:
-        p = poly_from_strings(item)
-        if polynomials.degree(p) != n:
-            raise FormatError(f"deck member has degree {polynomials.degree(p)}, expected {n}")
-        polys.append(p)
+    if not all(isinstance(item, list) and item for item in raw):
+        raise FormatError("a polynomial must be a non-empty array of coefficient strings")
     arc_weight = obj.get("arc_weight")
     if arc_weight is not None:
         arc_weight = fraction_from_str(arc_weight)
-    return Deck(n, kind, tuple(sorted(polys)), arc_weight)
+    try:
+        rows = [[_rational_pair(c) for c in item] for item in raw]
+        return Deck(n, kind, *_scaled_columns(n, rows), arc_weight)
+    except ValueError as exc:  # a bad coefficient or a member of the wrong degree
+        raise FormatError(str(exc)) from exc
 
 
 def value_to_obj(value):

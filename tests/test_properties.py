@@ -71,3 +71,11 @@ def test_digraph_and_deck_payloads_round_trip(g, kind):
 @given(weighted_digraphs(min_m=1), kinds)
 def test_roundtrip_never_misses_on_weighted_digraphs(g, kind):
     assert verify_roundtrip(g, kind).outcome in ("recovered", "covered")
+
+
+@settings(PROPERTY, max_examples=500)
+@given(st.one_of(st.integers(-50, 50), st.integers(-10**30, 10**30)),
+       st.one_of(st.integers(1, 12), st.integers(1, 10**30)))
+def test_rational_str_is_str_of_fraction(p, q):
+    # The small ranges hit the reducing branches (q divides p, common factors).
+    assert ser._rational_str(p, q) == str(Fraction(p, q))

@@ -36,15 +36,15 @@ def path_plus_arc(n):
 def test_deck_sum_examples():
     for n in range(3, 6):
         assert deck_sum(deck(directed_cycle(n), F1)) == P(*([0] * n + [n]))
-    assert deck_sum(Deck(2, F1, (xpow(2),))) == xpow(2)
+    assert deck_sum(Deck.from_polys(2, F1, (xpow(2),))) == xpow(2)
     assert deck_sum(deck(STAR_OF_DIGONS, F1)) == P(0, -4, 0, 4)
 
 
 def test_deck_sum_empty_deck_raises():
     with pytest.raises(ValueError):
-        deck_sum(Deck(2, F1, ()))
+        deck_sum(Deck.from_polys(2, F1, ()))
     with pytest.raises(ValueError):
-        reconstruct(Deck(2, F1, ()))
+        reconstruct(Deck.from_polys(2, F1, ()))
 
 
 def test_reconstruct_star_of_digons_is_unique():
@@ -92,10 +92,10 @@ def test_reconstruct_m_equals_n_laplacian_is_pinned_to_zero_constant():
 
 
 def test_reconstruct_single_arc_laplacian_uses_trace_rule():
-    d = Deck(2, F2, (xpow(2),))
+    d = Deck.from_polys(2, F2, (xpow(2),))
     assert reconstruct(d) == Unique(P(0, -1, 1))
     # Same deck under f1: the trace rule pins coefficient 1 to zero.
-    assert reconstruct(Deck(2, F1, (xpow(2),))) == Unique(xpow(2))
+    assert reconstruct(Deck.from_polys(2, F1, (xpow(2),))) == Unique(xpow(2))
 
 
 def test_reconstruct_weighted_single_arc_uses_the_total_arc_weight():
@@ -147,15 +147,23 @@ def test_m_equals_n_decks_have_vanishing_constant_sum():
 
 def test_inconsistent_when_annihilated_sum_is_nonzero():
     # m=1, n=2: coefficient 1 must vanish in the deck sum, x^2 + x breaks it.
-    result = reconstruct(Deck(2, F1, (P(0, 1, 1),)))
+    result = reconstruct(Deck.from_polys(2, F1, (P(0, 1, 1),)))
     assert isinstance(result, Inconsistent)
     assert "coefficient 1" in result.detail
 
 
 def test_inconsistent_when_leading_sum_is_wrong():
-    result = reconstruct(Deck(2, F1, (P(0, 0, 2),)))
+    result = reconstruct(Deck.from_polys(2, F1, (P(0, 0, 2),)))
     assert isinstance(result, Inconsistent)
     assert "leading" in result.detail
+
+
+def test_leading_sum_reads_rational_leading_coefficients():
+    # The column's denominator enters the check: 1/2 + 3/2 = m, 1/2 != m.
+    half, three_halves = P(0, 0, Fraction(1, 2)), P(0, 0, Fraction(3, 2))
+    assert not isinstance(reconstruct(Deck.from_polys(2, F1, (half, three_halves))), Inconsistent)
+    result = reconstruct(Deck.from_polys(2, F1, (half,)))
+    assert isinstance(result, Inconsistent) and "sum to 1/2, expected 1" in result.detail
 
 
 def test_roundtrip_outcomes():

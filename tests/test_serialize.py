@@ -32,12 +32,12 @@ def test_fraction_strings():
 
 def test_poly_round_trip():
     p = P(Fraction(-1, 3), 0, 2)
-    assert ser.poly_from_strings(ser.poly_to_strings(p)) == p
     assert ser.poly_to_strings(p) == ["-1/3", "0", "2"]
-    with pytest.raises(ser.FormatError):
-        ser.poly_from_strings([])
-    with pytest.raises(ser.FormatError):
-        ser.poly_from_strings("10")
+    obj = {"format_version": 1, "n": 2, "kind": "f2", "polys": [ser.poly_to_strings(p)]}
+    assert ser.deck_from_obj(obj).polys == (p,)
+    for member in ([], "10"):
+        with pytest.raises(ser.FormatError, match="non-empty array of coefficient strings"):
+            ser.deck_from_obj({**obj, "polys": [member]})
 
 
 def test_digraph_round_trip():
@@ -74,14 +74,14 @@ def test_digraph_from_obj_rejects_malformed_payloads():
 
 
 def test_deck_round_trip_sorts_members():
-    d = Deck(2, F2, (P(0, -1, 1), P(0, 0, 1)))
+    d = Deck.from_polys(2, F2, (P(0, -1, 1), P(0, 0, 1)))
     obj = ser.deck_to_obj(d)
     assert obj["kind"] == "f2"
     assert ser.deck_from_obj(obj) == d
     shuffled = {**obj, "polys": list(reversed(obj["polys"]))}
     assert ser.deck_from_obj(shuffled) == d
     assert "arc_weight" not in obj
-    weighted = Deck(2, F2, d.polys, Fraction(-7, 2))
+    weighted = Deck.from_polys(2, F2, d.polys, Fraction(-7, 2))
     obj = ser.deck_to_obj(weighted)
     assert obj["arc_weight"] == "-7/2"
     assert ser.deck_from_obj(obj) == weighted
