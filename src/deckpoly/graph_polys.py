@@ -27,7 +27,8 @@ and entry (t, t) gains beta*w. det and per are linear in one column, so
 with C the signed cofactors (det) or the permanental minors (per) of P.
 One call of the same kernel gives g(G) and the adjugate rows of the
 distinct arc heads, and so the whole deck: _deck_coefficients, which deck
-and the collision search share. A Deck holds int rows, one denominator per k.
+and the collision search share. A Deck holds int rows, one denominator per
+k, and puts itself in canonical form when it is built.
 """
 
 from __future__ import annotations
@@ -267,11 +268,13 @@ class Deck:
     """Edge deck of a digraph mapped through one polynomial kind.
 
     Member i (in `polys` as Fractions) has degree n and coefficient k equal
-    to coefficients[i][k] / denominators[k], denominators[k] the lcm of its
-    reduced denominators over the members. The rows are sorted, so decks
-    compare and hash as multisets. `arc_weight` is the source's total arc
-    weight, set only when it differs from the arc count m (so never for an
-    unweighted digraph); the members alone do not determine it when m = 1.
+    to coefficients[i][k] / denominators[k]. Construction puts every deck in
+    one form, denominators[k] the lcm of coefficient k's reduced
+    denominators over the members and the rows sorted, so decks compare and
+    hash as multisets however they were built. `arc_weight` is the source's
+    total arc weight, set only when it differs from the arc count m (so
+    never for an unweighted digraph); the members alone do not determine it
+    when m = 1.
     """
 
     n: int
@@ -279,6 +282,24 @@ class Deck:
     coefficients: tuple[tuple[int, ...], ...]
     denominators: tuple[int, ...]
     arc_weight: Fraction | None = None
+
+    def __post_init__(self):
+        if len(self.denominators) != self.n + 1:
+            raise ValueError(f"a deck of degree {self.n} needs {self.n + 1} denominators, "
+                             f"got {len(self.denominators)}")
+        if any(den < 1 for den in self.denominators):
+            raise ValueError(f"deck denominators must be >= 1, got {self.denominators}")
+        if any(len(row) != self.n + 1 for row in self.coefficients):
+            raise ValueError(f"every deck member needs {self.n + 1} coefficients")
+        # Each column and its denominator over their gcd, which leaves the lcm
+        # of its reduced denominators; then the rows sorted as Fractions.
+        rows, dens = self.coefficients, self.denominators
+        commons = [gcd(den, *column) for den, column in zip(dens, zip(*rows))] or dens
+        if any(g != 1 for g in commons):
+            rows = [[c // g for c, g in zip(row, commons)] for row in rows]
+        object.__setattr__(self, "coefficients", tuple(sorted(map(tuple, rows))))
+        object.__setattr__(self, "denominators",
+                           tuple(den // g for den, g in zip(dens, commons)))
 
     @classmethod
     def from_polys(cls, n: int, kind: PolyKind, polys: Iterable[Sequence],
@@ -292,23 +313,15 @@ class Deck:
 
 
 def _scaled_columns(n: int, rows: list[list[tuple[int, int]]]):
-    """Deck's form of reduced (p, q) member rows, of degree n with trailing zeros stripped."""
+    """(rows, dens) for Deck from reduced (p, q) member rows of degree n, trailing
+    zeros stripped: each column scaled to the lcm of its q."""
     for row in rows:
         while len(row) > 1 and not row[-1][0]:
             row.pop()
         if len(row) != n + 1:
             raise ValueError(f"deck member has degree {len(row) - 1}, expected {n}")
     dens = [lcm(*[q for _, q in column]) for column in zip(*rows)] or [1] * (n + 1)
-    return _canonical([[p * (den // q) for (p, q), den in zip(row, dens)] for row in rows], dens)
-
-
-def _canonical(rows: Sequence[Sequence[int]], dens: Sequence[int]):
-    """Deck's form of members row[k] / dens[k]: each column and its den over their
-    gcd, which leaves the lcm of its reduced denominators; rows sorted as Fractions."""
-    commons = [gcd(den, *column) for den, column in zip(dens, zip(*rows))] or dens
-    if any(g != 1 for g in commons):
-        rows = [[c // g for c, g in zip(row, commons)] for row in rows]
-    return tuple(sorted(map(tuple, rows))), tuple(den // g for den, g in zip(dens, commons))
+    return [[p * (den // q) for (p, q), den in zip(row, dens)] for row in rows], dens
 
 
 def _deck_coefficients(kind: PolyKind, n: int, arcs: Sequence[tuple[int, int]],
@@ -344,7 +357,7 @@ def deck(g: Digraph, kind: PolyKind) -> Deck:
     _check_cap(g.n, kind)
     scale, terms = _arc_terms(kind, g.arc_weights())
     _, members = _deck_coefficients(kind, g.n, g.arcs, terms)
-    # Coefficient k of a member is its column entry over L^(n-k) (see _unscaled).
-    coefficients, denominators = _canonical(members, [scale ** (g.n - k) for k in range(g.n + 1)])
     total = None if g.weights is None else sum(g.weights, Fraction(0))
-    return Deck(g.n, kind, coefficients, denominators, None if total == g.m else total)
+    # Coefficient k of a member is its column entry over L^(n-k) (see _unscaled).
+    return Deck(g.n, kind, members, [scale ** (g.n - k) for k in range(g.n + 1)],
+                None if total == g.m else total)

@@ -14,7 +14,7 @@ every coefficient of det(x*I - M), or of per(x*I - M), and chosen entries
 of the matching adjugate of x*I - M: the signed cofactors, or the
 permanental minors, down one column, which is what a change to that column
 needs (column linearity). adjugate_rows reads its entries off Berkowitz's
-coefficients and the powers of M; per_adjugate_rows gets the permanent and
+coefficients by Horner's rule in M; per_adjugate_rows gets the permanent and
 every minor from one Gray-code Ryser walk. Everything is computed and
 returned in Python ints.
 """
@@ -193,43 +193,41 @@ def adjugate_rows(matrix: Matrix, wanted: dict[int, Iterable[int]]
 
     adj(x*I - M)[t][j] is the cofactor of entry (j, t) of x*I - M. With
     c_0..c_n the coefficients of det(x*I - M), the Cayley-Hamilton identity
-    (x*I - M) * adj(x*I - M) = det(x*I - M) * I gives
+    (x*I - M) * adj(x*I - M) = det(x*I - M) * I gives adj(x*I - M) =
+    sum_k x^k B_k with B_{n-1} = I and, by Horner's rule (the
+    Faddeev-LeVerrier recurrence),
 
-        adj(x*I - M) = sum_k x^k sum_{p=0}^{n-1-k} c_{k+1+p} * M^p,
+        B_{k-1} = c_k * I + B_k * M,
 
-    so row t needs only the row powers e_t^T M^p, p < n, built by sparse
-    vector-matrix products and read at the wanted columns. Row t then
-    costs O(n * (z + c*n)) for z nonzeros and c wanted columns.
+    so row t of each B_k follows from the one before by a sparse
+    vector-matrix product and is read at the wanted columns. Row t then
+    costs O(n * (z + c)) for z nonzeros and c wanted columns. Once the row
+    is zero and c_1..c_k are all zero, every later B_k row is zero too.
     """
     charpoly = charpoly_berkowitz(matrix)
     if not wanted:
         return charpoly, {}
     n = len(charpoly) - 1
     nonzero = [[(j, v) for j, v in enumerate(row) if v] for row in matrix]
+    lowest = next(k for k in range(1, n + 1) if charpoly[k])  # c_n = 1
     out = {}
     for t, cols in wanted.items():
-        cols = sorted(set(cols))
-        vec = [0] * n
-        vec[t] = 1
-        powers = [[vec[j] for j in cols]]  # powers[p][c] = M^p[t][cols[c]]
-        for _ in range(n - 1):
+        entries = {(t, j): [0] * n for j in cols}
+        row = [0] * n
+        row[t] = 1
+        for k in range(n - 1, -1, -1):
+            for (_, j), entry in entries.items():
+                entry[k] = row[j]
+            if not k or k < lowest and not any(row):
+                break
             nxt = [0] * n
-            for i, x in enumerate(vec):
+            nxt[t] = charpoly[k]
+            for i, x in enumerate(row):
                 if x:
                     for j, v in nonzero[i]:
                         nxt[j] += x * v
-            if not any(nxt):
-                break
-            vec = nxt
-            powers.append([vec[j] for j in cols])
-        for c, j in enumerate(cols):
-            entry = [0] * n
-            for p, row in enumerate(powers):
-                x = row[c]
-                if x:
-                    for k in range(n - p):
-                        entry[k] += charpoly[k + 1 + p] * x
-            out[t, j] = entry
+            row = nxt
+        out.update(entries)
     return charpoly, out
 
 

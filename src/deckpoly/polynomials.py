@@ -27,10 +27,6 @@ def normalize(coeffs) -> Polynomial:
     return tuple(out)
 
 
-def degree(p: Polynomial) -> int:
-    return len(p) - 1
-
-
 def is_zero(p: Polynomial) -> bool:
     return p == ZERO
 

@@ -28,20 +28,16 @@ The relabellings of a digraph are made by every injective map of its
 non-isolated vertices into range(n), or of its complement's when those
 are fewer (a relabelling of the complement is one of the digraph, and
 complementing reverses lex order), so a sparse or a dense class costs
-perm(n, v) maps for small v, not n!. Those maps count each member once
-per automorphism of the touched part, so they are capped:
-RELABELLINGS_PER_DIGRAPH per (n, m)-digraph, more than any cell within
-the default budget needs. A class met when its maps would pass the cap
-is not relabelled. Its members then reach the kernel one by one, as in
-the labelled sweep, and the output does not change.
+n!/(n-v)! maps for small v, not n!. Those maps count each member once
+per automorphism of the touched part; within the default budget they
+number at most a few per labelled digraph, and the budget bounds the walk.
 
 Witnesses stay those of the labelled sweep, which keeps per (signature,
 polynomial) the first digraph that combinations yields. Both values are
 class invariants, so that digraph is the lex-first member of its class,
 and its class is the first with those values in the order of lex-first
 members. The walk meets the classes in exactly that order, each at its
-lex-first member; a class left unrelabelled is met there too, and its
-later members add nothing.
+lex-first member.
 
 The seam checks every kernel output to be monic of degree n, and the
 paper's structure is asserted on the result: members of a group differ
@@ -53,12 +49,12 @@ shows as a group that breaks this structure.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial
 from itertools import combinations, compress, permutations
-from math import comb, perm
+from math import comb
 from operator import getitem
 
 from . import graph_polys
@@ -67,8 +63,6 @@ from .graph_polys import PolyKind
 from .polynomials import Polynomial
 
 DEFAULT_BUDGET = 10**6
-# Relabelling maps the walk may make per labelled (n, m)-digraph.
-RELABELLINGS_PER_DIGRAPH = 4
 
 
 @dataclass(frozen=True)
@@ -127,46 +121,31 @@ def find_deck_collisions(n: int, m: int, kind: PolyKind,
         slot_index[s][t] = i
 
     rank_weights = cache(partial(_lex_rank_weights, len(slots)))
-    # Relabelling maps left to make: a fixed number per labelled digraph,
-    # so the walk never costs much more than the labelled sweep.
-    spare = RELABELLINGS_PER_DIGRAPH * total
 
-    def orbit(digraph: tuple[int, ...]) -> Iterable[int]:
+    def orbit(digraph: tuple[int, ...]) -> Iterator[int]:
         """The lex ranks of the relabellings of `digraph`: the images of its
         arcs, or of its complement's when those touch fewer vertices, under
-        every injective map of the touched vertices into range(n). When
-        those perm(n, touched) maps exceed `spare`, none are made, and the
-        class is met member by member as in the labelled sweep."""
-        nonlocal spare
+        every injective map of the touched vertices into range(n)."""
         degree = [0] * n
         for i in digraph:
             for v in slots[i]:
                 degree[v] += 1
-        touched = sum(d > 0 for d in degree)
-        co_touched = sum(d < 2 * (n - 1) for d in degree)
-        maps = perm(n, min(touched, co_touched))
-        if maps > spare:
-            return ()
-        spare -= maps
-        if touched <= co_touched:
-            weights = rank_weights(len(digraph))
-            return (sum(map(getitem, weights, image)) for image in images(digraph))
-        # Complementing reverses lex order: a k-subset of range(N) has rank
-        # comb(N, k) - 1 minus the rank of its complement.
-        kept = set(digraph)
-        complement = [i for i in range(len(slots)) if i not in kept]
-        weights = rank_weights(len(complement))
-        last = comb(len(slots), len(digraph)) - 1
-        return (last - sum(map(getitem, weights, image)) for image in images(complement))
-
-    def images(digraph: tuple[int, ...] | list[int]) -> Iterator[list[int]]:
-        """`digraph` relabelled by every injective map of its non-isolated
-        vertices into range(n), each as a sorted slot-index list."""
-        arcs = [slots[i] for i in digraph]
-        vertices = sorted({v for arc in arcs for v in arc})
-        local = [(vertices.index(s), vertices.index(t)) for s, t in arcs]
-        return (sorted([slot_index[p[s]][p[t]] for s, t in local])
-                for p in permutations(range(n), len(vertices)))
+        touched = [v for v, d in enumerate(degree) if d]
+        # The complement misses only the vertices that carry all 2(n-1) arcs.
+        co_touched = [v for v, d in enumerate(degree) if d < 2 * (n - 1)]
+        complemented = len(co_touched) < len(touched)
+        if complemented:
+            kept = set(digraph)
+            digraph = [i for i in range(len(slots)) if i not in kept]
+            touched = co_touched
+        weights = rank_weights(len(digraph))
+        local = {v: x for x, v in enumerate(touched)}
+        arcs = [(local[s], local[t]) for s, t in map(slots.__getitem__, digraph)]
+        for p in permutations(range(n), len(touched)):
+            rank = sum(map(getitem, weights, sorted([slot_index[p[s]][p[t]] for s, t in arcs])))
+            # Complementing reverses lex order: an m-subset of the slots has
+            # rank comb(len(slots), m) - 1 minus the rank of its complement.
+            yield total - 1 - rank if complemented else rank
 
     # (n, m)-digraphs by lex rank: 1 until their class has been walked.
     fresh = bytearray(b"\x01") * total
