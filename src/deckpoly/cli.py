@@ -14,6 +14,7 @@ import os
 import random
 import sys
 from contextlib import contextmanager
+from functools import cache
 from math import comb
 
 from . import identities, matrices, search, serialize
@@ -167,7 +168,10 @@ def cmd_counterexample(args) -> int:
     return 0
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The deckpoly parser, built on the first call and kept for the
+    process: main reuses it, since parse_args keeps no state between calls."""
     parser = argparse.ArgumentParser(
         prog="deckpoly",
         description="Exact digraph pencil polynomials, edge decks, identity checks, "
@@ -231,9 +235,8 @@ def _unlimited_int_digits():
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

@@ -80,16 +80,13 @@ def check_thm31(g: Digraph, beta, gamma, mode: str) -> IdentityReport:
     makes the right side the zero polynomial.
     """
     kind = PolyKind(beta, gamma, mode)
-    base = poly_of(g, kind)
-    lhs = polynomials.add(
-        polynomials.scale(base, g.m - g.n),
-        polynomials.mul(polynomials.X, polynomials.derivative(base)),
-    )
-    rhs = polynomials.ZERO
+    # Coefficient k of the left side is (m - n + k) * c_k, the equation
+    # reconstruct solves, and of the right side the column sum s_k.
+    lhs = polynomials.normalize((g.m - g.n + k) * c for k, c in enumerate(poly_of(g, kind)))
     # By deletion, not through graph_polys.deck: deck computes its members
     # by the column linearity this identity is proved from.
-    for e in range(g.m):
-        rhs = polynomials.add(rhs, poly_of(digraphs.delete_arc(g, e), kind))
+    cards = [poly_of(digraphs.delete_arc(g, e), kind) for e in range(g.m)]
+    rhs = polynomials.normalize(map(sum, zip(*cards)))
     instance = {
         "digraph": serialize.digraph_to_obj(g),
         "beta": str(kind.beta),
@@ -133,15 +130,12 @@ def random_nonzero_rational(rng: random.Random, magnitude: int = 9) -> Fraction:
     return Fraction(num, rng.randint(1, magnitude))
 
 
-def random_digraph(rng: random.Random, max_n: int, weighted: bool = False,
-                   m: int | None = None) -> Digraph:
+def random_digraph(rng: random.Random, max_n: int, weighted: bool = False) -> Digraph:
     """Uniform arc-subset sample: n uniform in [1, max_n], m uniform over
-    [0, n*(n-1)] unless given, arcs a uniform m-subset of the slots."""
+    [0, n*(n-1)], arcs a uniform m-subset of the slots."""
     n = rng.randint(1, max_n)
     slots = digraphs.all_arc_slots(n)
-    if m is None:
-        m = rng.randint(0, len(slots))
-    arcs = tuple(sorted(rng.sample(slots, m)))
+    arcs = tuple(sorted(rng.sample(slots, rng.randint(0, len(slots)))))
     weights = None
     if weighted:
         weights = tuple(random_nonzero_rational(rng) for _ in arcs)

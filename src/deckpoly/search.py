@@ -19,25 +19,32 @@ polynomials are built only for the groups reported.
 
 The sweep works on relabelling classes. A polynomial and a deck multiset
 do not change when the vertices are relabelled, so the kernel runs once
-per class. A digraph is a sorted tuple of indices into all_arc_slots(n)
-and is stored by its rank in the lex order of itertools.combinations. The
-walk skips every digraph whose class it has already met (a bytearray by
-rank); otherwise it makes one kernel call and marks the digraph's class.
+per class. The walk runs over the k-subsets of the n(n-1) arc slots, as
+sorted index tuples ranked in the lex order of itertools.combinations,
+with k = min(m, n(n-1) - m): a dense cell (2m > n(n-1)) walks the
+complements of its digraphs, whose classes are the digraphs' classes. It
+skips every subset whose class it has already met (a bytearray by rank);
+otherwise it complements the subset if the cell is dense, makes one
+kernel call and marks the class.
 
-The relabellings of a digraph are made by every injective map of its
-non-isolated vertices into range(n), or of its complement's when those
-are fewer (a relabelling of the complement is one of the digraph, and
-complementing reverses lex order), so a sparse or a dense class costs
-n!/(n-v)! maps for small v, not n!. Those maps count each member once
-per automorphism of the touched part; within the default budget they
+The relabellings of a walked subset are made by every injective map of
+its non-isolated vertices into range(n), so a sparse or a dense class
+costs n!/(n-v)! maps for small v, not n!. Those maps count each member
+once per automorphism of the touched part; within the default budget they
 number at most a few per labelled digraph, and the budget bounds the walk.
+Choosing the side per digraph instead would save maps only where at
+least two vertices carry all 2(n-1) walked arcs, and more vertices than
+carry none: n >= 8 and 4n - 6 walked arcs or more, cells of at least
+comb(56, 26) ~ 6.6e15 digraphs.
 
 Witnesses stay those of the labelled sweep, which keeps per (signature,
 polynomial) the first digraph that combinations yields. Both values are
 class invariants, so that digraph is the lex-first member of its class,
 and its class is the first with those values in the order of lex-first
-members. The walk meets the classes in exactly that order, each at its
-lex-first member.
+members. A sparse cell walks the classes in exactly that order, each at
+its lex-first member. A dense cell has no witness to keep: it has m > n
+for n >= 3, where the deck fixes every coefficient and no group exists,
+and its one case with m <= n, (2, 2), holds a single digraph.
 
 The seam checks every kernel output to be monic of degree n, and the
 paper's structure is asserted on the result: members of a group differ
@@ -52,7 +59,6 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, partial
 from itertools import combinations, compress, permutations
 from math import comb
 from operator import getitem
@@ -111,52 +117,42 @@ def find_deck_collisions(n: int, m: int, kind: PolyKind,
     total = comb(len(slots), m)
     if total > budget:
         raise ValueError(f"enumerating {total} digraphs exceeds the budget of {budget}")
-    if m == 0:
-        return []
+    # A dense cell walks the complements of its digraphs (see the module docstring).
+    dense = 2 * m > len(slots)
+    k = len(slots) - m if dense else m
     # Every unweighted arc carries the same integer terms under one scale.
     scale, [term] = graph_polys._arc_terms(kind, [Fraction(1)])
     terms = [term] * m
     slot_index = [[0] * n for _ in range(n)]
     for i, (s, t) in enumerate(slots):
         slot_index[s][t] = i
+    weights = _lex_rank_weights(len(slots), k)
 
-    rank_weights = cache(partial(_lex_rank_weights, len(slots)))
-
-    def orbit(digraph: tuple[int, ...]) -> Iterator[int]:
-        """The lex ranks of the relabellings of `digraph`: the images of its
-        arcs, or of its complement's when those touch fewer vertices, under
-        every injective map of the touched vertices into range(n)."""
+    def orbit(subset: tuple[int, ...]) -> Iterator[int]:
+        """The lex ranks of the relabellings of `subset`: the images of its
+        arcs under every injective map of its touched vertices into range(n)."""
         degree = [0] * n
-        for i in digraph:
+        for i in subset:
             for v in slots[i]:
                 degree[v] += 1
         touched = [v for v, d in enumerate(degree) if d]
-        # The complement misses only the vertices that carry all 2(n-1) arcs.
-        co_touched = [v for v, d in enumerate(degree) if d < 2 * (n - 1)]
-        complemented = len(co_touched) < len(touched)
-        if complemented:
-            kept = set(digraph)
-            digraph = [i for i in range(len(slots)) if i not in kept]
-            touched = co_touched
-        weights = rank_weights(len(digraph))
         local = {v: x for x, v in enumerate(touched)}
-        arcs = [(local[s], local[t]) for s, t in map(slots.__getitem__, digraph)]
+        arcs = [(local[s], local[t]) for s, t in map(slots.__getitem__, subset)]
         for p in permutations(range(n), len(touched)):
-            rank = sum(map(getitem, weights, sorted([slot_index[p[s]][p[t]] for s, t in arcs])))
-            # Complementing reverses lex order: an m-subset of the slots has
-            # rank comb(len(slots), m) - 1 minus the rank of its complement.
-            yield total - 1 - rank if complemented else rank
+            yield sum(map(getitem, weights, sorted([slot_index[p[s]][p[t]] for s, t in arcs])))
 
-    # (n, m)-digraphs by lex rank: 1 until their class has been walked.
+    # k-subsets of the slots by lex rank: 1 until their class has been walked.
     fresh = bytearray(b"\x01") * total
     groups: dict[tuple[tuple[int, ...], ...], dict[tuple[int, ...], tuple[int, ...]]] = {}
     # compress reads `fresh` as it goes, so the members of a class walked
     # below are skipped when combinations reaches them.
-    for digraph in compress(combinations(range(len(slots)), m), fresh):
-        for r in orbit(digraph):
+    for subset in compress(combinations(range(len(slots)), k), fresh):
+        for r in orbit(subset):
             fresh[r] = 0
+        digraph = tuple(sorted(set(range(len(slots))).difference(subset))) if dense else subset
         coeffs, deck = graph_polys._deck_coefficients(kind, n, [slots[i] for i in digraph], terms)
-        # `digraph` is the lex-first member of its class (see the module docstring).
+        # `subset` is the lex-first member of its class; on a sparse cell that
+        # is `digraph` itself, and a dense cell reports no group to witness.
         groups.setdefault(tuple(sorted(map(tuple, deck))), {}).setdefault(tuple(coeffs), digraph)
     out = []
     for signature in sorted(groups):

@@ -11,7 +11,7 @@ import pytest
 from deckpoly import graph_polys, identities
 from deckpoly import matrices as mx
 from deckpoly import search
-from deckpoly.cli import main
+from deckpoly.cli import build_parser, main
 from deckpoly.serialize import load_json
 
 C3 = {"format_version": 1, "n": 3, "arcs": [[0, 1], [1, 2], [2, 0]]}
@@ -446,3 +446,39 @@ def test_counterexample_checks_the_permanent_cap_first(monkeypatch, capsys):
 
 def test_no_command_is_usage_error(capsys):
     assert main([]) == 2
+
+
+def test_one_process_reuses_the_parser_without_carrying_state(tmp_path, capsys):
+    # main builds the parser once per process. Each call must still read
+    # like a fresh process: flags and defaults of one call do not leak into
+    # the next, and a bad flag exits 2 without spoiling later calls.
+    c3 = write(tmp_path, "c3.json", C3)
+    deck_path = str(tmp_path / "deck.json")
+    assert main(["deck", "--kind", "f4", "--input", c3, "--output", deck_path]) == 0
+    calls = [
+        ["verify", "--theorem", "3.1", "--trials", "5", "--max-n", "4", "--seed", "3",
+         "--weighted"],
+        ["verify", "--theorem", "3.1", "--trials", "5", "--seed", "3"],
+        ["compute", "--kind", "f2", "--input", c3],
+        ["search", "--vertices", "3", "--arcs", "3", "--kind", "f4", "--output", "OUT"],
+        ["verify", "--theorem", "2.3", "--trials", "oops", "--seed", "1"],
+        ["reconstruct", "--deck", deck_path],
+        ["search", "--vertices", "4", "--arcs", "8", "--kind", "f1", "--output", "OUT"],
+        ["counterexample", "--n", "3"],
+        ["verify", "--theorem", "2.1", "--trials", "5", "--seed", "3"],
+    ]
+    src = os.path.dirname(os.path.dirname(identities.__file__))
+    codes = []
+    for i, argv in enumerate(calls):
+        ours, fresh = tmp_path / f"ours{i}.ndjson", tmp_path / f"fresh{i}.ndjson"
+        code, out, _ = run(capsys, *[str(ours) if a == "OUT" else a for a in argv])
+        proc = subprocess.run(
+            [sys.executable, "-m", "deckpoly.cli",
+             *[str(fresh) if a == "OUT" else a for a in argv]],
+            capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": src})
+        assert (code, out) == (proc.returncode, proc.stdout), argv
+        if "OUT" in argv:
+            assert ours.read_bytes() == fresh.read_bytes(), argv
+        codes.append(code)
+    assert codes == [0, 0, 0, 0, 2, 3, 0, 0, 0]
+    assert build_parser.cache_info().misses == 1

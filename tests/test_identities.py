@@ -5,9 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from deckpoly import matrices
+from deckpoly import identities, matrices
 from deckpoly import polynomials as poly
-from deckpoly.digraphs import Digraph, directed_cycle
+from deckpoly.digraphs import Digraph, delete_arc, directed_cycle
 from deckpoly.graph_polys import SIX_KINDS, deck
 from deckpoly.identities import (
     check_eq17,
@@ -134,6 +134,31 @@ def test_thm31_random_sweep_weighted_and_unweighted():
         mode = rng.choice(("det", "per"))
         report = check_thm31(g, beta, gamma, mode)
         assert report.holds, report.instance
+
+
+@pytest.mark.parametrize("g, beta, gamma, mode", [
+    (directed_cycle(4), 0, 1, "det"),
+    (STAR_OF_DIGONS, Fraction(1, 2), Fraction(-2, 3), "per"),
+    (Digraph(4, ((0, 1), (2, 3)), (Fraction(3), Fraction(-1, 2))), 1, 1, "det"),
+])
+def test_thm31_reports_a_perturbed_card_as_violated(monkeypatch, g, beta, gamma, mode):
+    # The right side sums the cards column by column, so a shift of one
+    # card's coefficient k must show at every k, the annihilated n - m and
+    # the leading n included, and nowhere else.
+    holding = check_thm31(g, beta, gamma, mode)
+    assert holding.holds
+    real_poly_of = identities.poly_of
+    card = delete_arc(g, 0)
+    for k in range(g.n + 1):
+        def perturbed(h, kind):
+            p = real_poly_of(h, kind)
+            return poly.add(p, P(*([0] * k + [1]))) if h == card else p
+
+        monkeypatch.setattr(identities, "poly_of", perturbed)
+        report = check_thm31(g, beta, gamma, mode)
+        assert report.verdict == "violated", k
+        assert report.lhs == holding.lhs
+        assert report.rhs == poly.add(holding.rhs, P(*([0] * k + [1])))
 
 
 def test_eq17_all_six_kinds_on_c4():

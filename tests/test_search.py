@@ -14,7 +14,7 @@ import pytest
 from deckpoly import graph_polys
 from deckpoly import polynomials as poly
 from deckpoly import search
-from deckpoly.digraphs import Digraph, delete_arc, enumerate_digraphs
+from deckpoly.digraphs import Digraph, all_arc_slots, delete_arc, enumerate_digraphs
 from deckpoly.graph_polys import F1, F2, F4, SIX_KINDS, deck, parse_kind, poly_of
 from deckpoly.search import CollisionGroup, canonical_counterexample, find_deck_collisions
 
@@ -95,7 +95,7 @@ def test_edge_cases():
     assert find_deck_collisions(3, 0, F1) == []
     with pytest.raises(ValueError):
         find_deck_collisions(3, 7, F1)
-    # The vertex count is checked before the arcless shortcut.
+    # The vertex count is checked before the walk.
     for n in (0, -1):
         with pytest.raises(ValueError, match="vertex count"):
             find_deck_collisions(n, 0, F1)
@@ -202,6 +202,9 @@ def test_search_matches_the_reference_search(kind):
     cells += [(4, m) for m in range(6)]
     if kind in (F1, GENERAL_PER):
         cells += [(5, m) for m in range(4)]
+    if kind in (F1, F2, F4):
+        # Both sides of 2m = 12, and the complete digraph.
+        cells += [(4, 6), (4, 7), (4, 12)]
     found = 0
     for n, m in cells:
         groups = find_deck_collisions(n, m, kind)
@@ -288,6 +291,49 @@ def test_sparse_cells_relabel_every_class(monkeypatch, kind, n):
     find_deck_collisions(n, 3, kind)
     assert len(calls) == 17
     assert len(made) <= 3 * comb(n * (n - 1), 3)
+
+
+def record_deck_calls(monkeypatch):
+    """Make every graph_polys._deck_coefficients call append its arcs to
+    the returned list."""
+    real = graph_polys._deck_coefficients
+    arc_lists = []
+
+    def recorded(kind, n, arcs, terms):
+        arc_lists.append(list(arcs))
+        return real(kind, n, arcs, terms)
+
+    monkeypatch.setattr(graph_polys, "_deck_coefficients", recorded)
+    return arc_lists
+
+
+@pytest.mark.parametrize("n, m", [(4, 7), (4, 11), (5, 15)])
+def test_dense_cells_complement_each_class_before_its_kernel_call(monkeypatch, n, m):
+    # A dense cell walks complements, but every kernel call must see the m
+    # arcs of a digraph of the cell; one fed the walked complement can still
+    # return no group, since these cells have none. Complementing keeps
+    # classes, so the sparse cell of the complements makes as many calls.
+    arc_lists = record_deck_calls(monkeypatch)
+    slots = all_arc_slots(n)
+    find_deck_collisions(n, len(slots) - m, F1)
+    classes = len(arc_lists)
+    arc_lists.clear()
+    assert find_deck_collisions(n, m, F1) == []
+    assert len(arc_lists) == classes >= 1
+    for arcs in arc_lists:
+        assert len(arcs) == len(set(arcs)) == m
+        assert set(arcs) <= set(slots)
+
+
+@pytest.mark.parametrize("kind", [F1, F4], ids=graph_polys.kind_name)
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_arcless_and_complete_cells_are_one_class_walks(monkeypatch, kind, n):
+    arc_lists = record_deck_calls(monkeypatch)
+    slots = all_arc_slots(n)
+    for m in (0, len(slots)):
+        arc_lists.clear()
+        assert find_deck_collisions(n, m, kind) == []
+        assert arc_lists == [list(slots) if m else []]
 
 
 @pytest.mark.parametrize("size", [0, 1, 6])
