@@ -22,13 +22,12 @@ returned in Python ints.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from itertools import chain, permutations
+from itertools import chain
 from math import prod
 
 Matrix = list[list[int]]
 
-# Hard caps: the expansions cost n! terms, Ryser 2^n subsets, Glynn 2^(n-1).
-EXPANSION_MAX_ORDER = 8
+# Hard cap: Ryser costs 2^n subsets, Glynn 2^(n-1).
 RYSER_MAX_ORDER = 16
 
 
@@ -91,24 +90,6 @@ def _det_bareiss(rows: Matrix, n: int) -> int:
             row_i[k] = 0
         prev = pkk
     return sign * rows[n - 1][n - 1]
-
-
-def permutation_expansion(matrix: Matrix, signed: bool) -> int:
-    """Permutation-sum determinant (signed) or permanent (unsigned); the
-    n!-term oracle for det_bareiss and per_ryser."""
-    n = order_of(matrix)
-    if n > EXPANSION_MAX_ORDER:
-        raise ValueError(
-            f"permutation_expansion is capped at order {EXPANSION_MAX_ORDER}, got {n}")
-    total = 0
-    for perm in permutations(range(n)):
-        term = permutation_sign(perm) if signed else 1
-        for i, j in enumerate(perm):
-            term *= matrix[i][j]
-            if not term:
-                break
-        total += term
-    return total
 
 
 def per_ryser(matrix: Matrix) -> int:

@@ -14,7 +14,6 @@ Polynomial = tuple[Fraction, ...]
 
 ZERO: Polynomial = (Fraction(0),)
 ONE: Polynomial = (Fraction(1),)
-X: Polynomial = (Fraction(0), Fraction(1))
 
 
 def normalize(coeffs) -> Polynomial:
@@ -55,10 +54,6 @@ def mul(p: Polynomial, q: Polynomial) -> Polynomial:
         for j, b in enumerate(q):
             out[i + j] += a * b
     return normalize(out)
-
-
-def derivative(p: Polynomial) -> Polynomial:
-    return normalize(k * p[k] for k in range(1, len(p)))
 
 
 def evaluate(p: Polynomial, t) -> Fraction:

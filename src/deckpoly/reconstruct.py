@@ -46,14 +46,6 @@ class Inconsistent:
 ReconstructionResult = Unique | OneParameterFamily | Inconsistent
 
 
-def deck_sum(d: Deck) -> Polynomial:
-    """Exact sum of the deck members: one int sum and one division per
-    coefficient, normalized once; degree n with leading coefficient m."""
-    if not d.coefficients:
-        raise ValueError("cannot sum an empty deck")
-    return polynomials.normalize(map(Fraction, map(sum, zip(*d.coefficients)), d.denominators))
-
-
 def reconstruct(d: Deck) -> ReconstructionResult:
     """Solve the coefficient equations (m - n + k) * c_k = s_k.
 

@@ -52,6 +52,33 @@ only at coefficient n-m, and no group exists for m > n or m = 1. A deck
 read off one kernel call keeps the deck-sum identity only if the kernel's
 coefficients agree with its adjugate entries, so a faulty kernel still
 shows as a group that breaks this structure.
+
+When beta = 0 (f1, f4), the one coefficient that may differ has a closed
+form in the arcs alone.
+
+Proposition. Let beta = 0 and let G have m <= n arcs of weights w_e.
+If the arcs of G are vertex-disjoint directed cycles, c of them, then
+
+    c_{n-m} = (-1)^c * prod(gamma * w_e)   in det mode,
+    c_{n-m} = (-1)^m * prod(gamma * w_e)   in per mode;
+
+otherwise c_{n-m} = 0.
+
+Proof. The pencil is x*I - gamma*A, so c_{n-m} is (-1)^m times the sum,
+over the m-vertex sets S, of det or per of (gamma*A)[S]. A nonzero term
+of that minor is a permutation p of S with an arc s -> p(s) for every s
+in S: m arcs, one out of and one into each vertex of S. G has only m
+arcs, so these are all of them, and every touched vertex has in- and
+out-degree 1. Hence the arcs are disjoint cycles covering S, S is the
+set of touched vertices, and p is the successor map, the only term. It
+is prod(gamma * w_e), times sgn p = (-1)^(m-c) in det mode; with the
+factor (-1)^m that gives the two forms. If the arcs are not such cycles,
+no term survives. QED
+
+So an f1 or f4 collision at m <= n is a set of digraphs with one deck
+that differ in whether their arcs are disjoint cycles or, under f1, in
+the parity of the cycle count; canonical_counterexample is such a pair.
+tests/test_closed_form.py checks the proposition against poly_of.
 """
 
 from __future__ import annotations
@@ -171,13 +198,8 @@ def find_deck_collisions(n: int, m: int, kind: PolyKind,
 def _lex_rank_weights(size: int, k: int) -> list[list[int]]:
     """Weights w with sum(w[i][c_i]) the rank of the sorted k-subset c of
     range(size) in the lex order that itertools.combinations walks: by the
-    combinatorial number system, comb(size, k) - 1 - sum comb(size-1-c_i, k-i).
-    Entry i of a sorted k-subset lies in [i, size - k + i], and only there
-    is a weight computed, so a k near size costs no big ints elsewhere."""
-    weights = [[0] * size for _ in range(k)]
-    for i, row in enumerate(weights):
-        for c in range(i, size - k + i + 1):
-            row[c] = -comb(size - 1 - c, k - i)
+    combinatorial number system, comb(size, k) - 1 - sum comb(size-1-c_i, k-i)."""
+    weights = [[-comb(size - 1 - c, k - i) for c in range(size)] for i in range(k)]
     if weights:
         weights[0] = [comb(size, k) - 1 + w for w in weights[0]]
     return weights

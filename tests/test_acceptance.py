@@ -10,7 +10,7 @@ import time
 from fractions import Fraction
 
 from deckpoly import polynomials as poly
-from deckpoly.digraphs import Digraph, all_arc_slots, directed_cycle, directed_path, enumerate_digraphs
+from deckpoly.digraphs import Digraph, all_arc_slots, directed_cycle, enumerate_digraphs
 from deckpoly.graph_polys import (
     DETERMINANT,
     F1,
@@ -33,9 +33,10 @@ from deckpoly.identities import (
     random_nonzero_rational,
     random_rational,
 )
-from deckpoly.matrices import det_bareiss, per_ryser, permutation_expansion
-from deckpoly.reconstruct import OneParameterFamily, Unique, deck_sum, reconstruct
+from deckpoly.matrices import det_bareiss, per_ryser
+from deckpoly.reconstruct import OneParameterFamily, Unique, reconstruct
 from deckpoly.search import canonical_counterexample, find_deck_collisions
+from oracles import P, deck_sum, permutation_expansion, xpow
 
 
 def criterion(num, description):
@@ -52,24 +53,12 @@ def criterion(num, description):
     return wrap
 
 
-def P(*coeffs):
-    return poly.normalize(coeffs)
-
-
-def xpow(n):
-    return P(*([0] * n + [1]))
-
-
-def path_plus_arc(n):
-    return Digraph(n, directed_path(n).arcs + ((0, n - 1),))
-
-
 @criterion(1, "golden cycle and path-plus-arc values, n=3..8")
 def test_criterion_1_golden_values():
     start = time.monotonic()
     for n in range(3, 9):
         cycle = directed_cycle(n)
-        rival = path_plus_arc(n)
+        rival = canonical_counterexample(n)[1]
         xn = xpow(n)
         assert poly_of(cycle, F1) == poly.sub(xn, P(1))
         assert poly_of(cycle, F4) == poly.add(xn, P((-1) ** n))

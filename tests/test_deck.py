@@ -11,21 +11,12 @@ from deckpoly import digraphs as dg
 from deckpoly import matrices as mx
 from deckpoly import polynomials as poly
 from deckpoly.digraphs import Digraph
-from deckpoly.graph_polys import F1, F4, SIX_KINDS, PolyKind, deck, poly_of
-from deckpoly.identities import (random_digraph, random_matrix, random_nonzero_rational,
-                                 random_rational)
+from deckpoly.graph_polys import F1, F4, SIX_KINDS, PolyKind, deck
+from deckpoly.identities import random_digraph, random_matrix, random_nonzero_rational
+from oracles import deletion_deck, permutation_expansion, random_kind
 
 GENERAL_KINDS = (PolyKind(Fraction(1, 3), Fraction(-5, 2), "det"),
                  PolyKind(Fraction(-2, 3), Fraction(3, 4), "per"))
-
-
-def deletion_oracle(g, kind):
-    """The deck by definition: poly_of of every single-arc deletion."""
-    return tuple(sorted(poly_of(dg.delete_arc(g, e), kind) for e in range(g.m)))
-
-
-def random_kind(rng, mode):
-    return PolyKind(random_rational(rng), random_nonzero_rational(rng), mode)
 
 
 @pytest.mark.parametrize("n, kinds", [
@@ -37,7 +28,7 @@ def test_deck_matches_deletion_oracle_exhaustively(n, kinds):
     for m in range(1, n * (n - 1) + 1):
         for g in dg.enumerate_digraphs(n, m):
             for kind in kinds:
-                assert deck(g, kind).polys == deletion_oracle(g, kind), (g, kind)
+                assert deck(g, kind).polys == deletion_deck(g, kind), (g, kind)
 
 
 # Digons (0,1)/(1,0) and (2,3)/(3,2), head 2 of in-degree 3, and heads 0,
@@ -57,7 +48,7 @@ def test_deck_matches_deletion_oracle_on_random_weighted_digraphs(mode, max_n):
             continue
         for kind in (rng.choice(named), random_kind(rng, mode)):
             d = deck(g, kind)
-            assert d.polys == deletion_oracle(g, kind), (g, kind)
+            assert d.polys == deletion_deck(g, kind), (g, kind)
             total = sum(g.arc_weights(), Fraction(0))
             assert d.arc_weight == (None if g.weights is None or total == g.m else total)
 
@@ -136,13 +127,13 @@ def check_adjugate(matrix, signed):
     points = []
     for x in range(n + 1):
         pencil = [[int(i == j) * x - matrix[i][j] for j in range(n)] for i in range(n)]
-        points.append((x, mx.permutation_expansion(pencil, signed)))
+        points.append((x, permutation_expansion(pencil, signed)))
         if x == n:
             break
         for (t, j), entry in entries.items():
             rows = [row[:t] + row[t + 1:] for r, row in enumerate(pencil) if r != j]
             # The minor of an order-1 matrix is the empty product, 1.
-            want = mx.permutation_expansion(rows, signed) if n > 1 else 1
+            want = permutation_expansion(rows, signed) if n > 1 else 1
             if signed and (t + j) % 2:
                 want = -want
             assert sum(c * x ** k for k, c in enumerate(entry)) == want, (matrix, t, j, x)

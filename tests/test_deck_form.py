@@ -14,7 +14,7 @@ from deckpoly import polynomials as poly
 from deckpoly import serialize as ser
 from deckpoly.graph_polys import F1, F5, Deck, _rational_pair, deck, parse_kind
 from deckpoly.identities import random_digraph
-from deckpoly.reconstruct import deck_sum
+from oracles import deck_sum
 
 # The six named kinds, the roundtrip benchmark's general kind and one more
 # general kind per mode.

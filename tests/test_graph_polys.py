@@ -32,19 +32,8 @@ from deckpoly.graph_polys import (
     poly_of_oracle,
 )
 from deckpoly.identities import random_digraph, random_nonzero_rational, random_rational
-
-
-def P(*coeffs):
-    return poly.normalize(coeffs)
-
-
-def xpow(n):
-    return P(*([0] * n + [1]))
-
-
-def path_plus_arc(n):
-    """Directed path 0->...->n-1 plus the arc (0, n-1): acyclic, n arcs."""
-    return Digraph(n, dg.directed_path(n).arcs + ((0, n - 1),))
+from deckpoly.search import canonical_counterexample
+from oracles import P, deletion_deck, random_kind, xpow
 
 
 STAR_OF_DIGONS = Digraph(3, ((0, 1), (1, 0), (0, 2), (2, 0)))
@@ -113,7 +102,7 @@ def test_cycle_golden_values(n):
 
 @pytest.mark.parametrize("n", range(3, 7))
 def test_path_plus_arc_is_annihilated_to_x_n(n):
-    g = path_plus_arc(n)
+    g = canonical_counterexample(n)[1]
     assert poly_of(g, F1) == xpow(n)
     assert poly_of(g, F4) == xpow(n)
 
@@ -225,10 +214,6 @@ def interpolation_oracle(g, kind):
     return poly.interpolate(points)
 
 
-def random_kind(rng, mode):
-    return PolyKind(random_rational(rng), random_nonzero_rational(rng), mode)
-
-
 @pytest.mark.parametrize("mode, max_n", [("det", 12), ("per", 9)])
 def test_poly_of_matches_interpolation_oracle_on_random_weighted_digraphs(mode, max_n):
     rng = random.Random(53 if mode == "det" else 59)
@@ -298,8 +283,7 @@ def test_arc_terms_scale_clears_every_arc_term(monkeypatch, text, arcs, weights,
     assert poly_of(g, kind) == interpolation_oracle(g, kind) == poly_of_oracle(g, kind)
     assert [[Fraction(x, scale) for x in row] for row in seen[0]] == [
         b_entries[3 * i:3 * i + 3] for i in range(3)]
-    deletions = sorted(poly_of(dg.delete_arc(g, e), kind) for e in range(g.m))
-    assert deck(g, kind).polys == tuple(deletions)
+    assert deck(g, kind).polys == deletion_deck(g, kind)
 
 
 @pytest.mark.parametrize("text", ["general:1/2,3/4,det", "general:2/3,5/7,per"])
@@ -354,7 +338,7 @@ def test_size_caps():
 def test_cycle_deck_is_n_copies_of_x_n(n):
     d = deck(dg.directed_cycle(n), F1)
     assert d.polys == (xpow(n),) * n
-    d2 = deck(path_plus_arc(n), F1)
+    d2 = deck(canonical_counterexample(n)[1], F1)
     assert d2.polys == (xpow(n),) * n
 
 

@@ -20,13 +20,9 @@ from deckpoly.identities import (
     random_nonzero_rational,
     random_rational,
 )
-from deckpoly.reconstruct import deck_sum
+from oracles import P, deck_sum
 
 STAR_OF_DIGONS = Digraph(3, ((0, 1), (1, 0), (0, 2), (2, 0)))
-
-
-def P(*coeffs):
-    return poly.normalize(coeffs)
 
 
 def test_thm21_two_by_two_hand_example():

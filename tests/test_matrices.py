@@ -10,6 +10,7 @@ import pytest
 from deckpoly import matrices as mx
 from deckpoly import polynomials as poly
 from deckpoly.identities import random_matrix
+from oracles import permutation_expansion
 
 
 def identity_matrix(n):
@@ -56,8 +57,8 @@ def test_kernels_reject_fraction_entries(kernel):
 
 
 def test_det_expansion_matches_hand_values():
-    assert mx.permutation_expansion([[1, 2], [3, 4]], True) == -2
-    assert mx.permutation_expansion([[2, 0, 0], [0, 3, 0], [0, 0, 5]], True) == 30
+    assert permutation_expansion([[1, 2], [3, 4]], True) == -2
+    assert permutation_expansion([[2, 0, 0], [0, 3, 0], [0, 0, 5]], True) == 30
 
 
 def test_per_ryser_hand_values():
@@ -68,16 +69,16 @@ def test_per_ryser_hand_values():
 
 
 def test_per_expansion_hand_values():
-    assert mx.permutation_expansion([[1, 2], [3, 4]], False) == 10
-    assert mx.permutation_expansion([[0, 0], [0, 0]], False) == 0
+    assert permutation_expansion([[1, 2], [3, 4]], False) == 10
+    assert permutation_expansion([[0, 0], [0, 0]], False) == 0
 
 
 def test_expansions_match_fast_kernels_on_random_matrices():
     rng = random.Random(1105)
     for _ in range(200):
         m = random_matrix(rng, rng.randint(1, 6))
-        assert mx.permutation_expansion(m, True) == mx.det_bareiss(m)
-        assert mx.permutation_expansion(m, False) == mx.per_ryser(m)
+        assert permutation_expansion(m, True) == mx.det_bareiss(m)
+        assert permutation_expansion(m, False) == mx.per_ryser(m)
 
 
 def test_det_alternates_per_is_symmetric_under_row_swap():
@@ -161,7 +162,7 @@ def test_per_matches_expansion_on_every_small_sign_matrix():
     for n in (1, 2, 3):
         for flat in product((-1, 0, 1), repeat=n * n):
             m = [list(flat[i * n:(i + 1) * n]) for i in range(n)]
-            assert mx.per_ryser(m) == mx.permutation_expansion(m, False), m
+            assert mx.per_ryser(m) == permutation_expansion(m, False), m
 
 
 @pytest.mark.parametrize("zero_density", [0.0, 0.3, 0.7, 0.9])
@@ -172,7 +173,7 @@ def test_per_matches_expansion_on_random_matrices(zero_density):
         n = rng.randint(1, 8)
         m = random_matrix(rng, n, zero_density=zero_density)
         value = mx.per_ryser(m)
-        assert value == mx.permutation_expansion(m, False), m
+        assert value == permutation_expansion(m, False), m
         orders.add(n % 2)
         signs.add((value > 0) - (value < 0))
     assert orders == {0, 1}
@@ -200,9 +201,9 @@ def test_per_at_the_order_cap():
 def test_size_caps_are_hard_errors():
     big = identity_matrix(9)
     with pytest.raises(ValueError):
-        mx.permutation_expansion(big, True)
+        permutation_expansion(big, True)
     with pytest.raises(ValueError):
-        mx.permutation_expansion(big, False)
+        permutation_expansion(big, False)
     with pytest.raises(ValueError):
         mx.per_ryser(identity_matrix(17))
     with pytest.raises(ValueError):

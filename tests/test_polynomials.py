@@ -6,10 +6,7 @@ from fractions import Fraction
 import pytest
 
 from deckpoly import polynomials as poly
-
-
-def P(*coeffs):
-    return poly.normalize(coeffs)
+from oracles import P
 
 
 def random_poly(rng, max_degree=6):
@@ -41,14 +38,6 @@ def test_sub_scale_mul():
     assert poly.scale(P(1, 2), 0) == poly.ZERO
     assert poly.mul(P(1, 1), P(1, 1)) == P(1, 2, 1)
     assert poly.mul(P(0, 1), P(0, -1, 0, 3)) == P(0, 0, -1, 0, 3)
-
-
-def test_derivative():
-    assert poly.derivative(P(0, -2, 0, 1)) == P(-2, 0, 3)
-    assert poly.derivative(P(5)) == poly.ZERO
-    for n in range(1, 6):
-        xn = P(*([0] * n + [1]))
-        assert poly.derivative(xn) == P(*([0] * (n - 1) + [n]))
 
 
 def test_evaluate():
@@ -97,13 +86,10 @@ def test_interpolate_errors():
         poly.interpolate([(1, 2), (1, 3)])
 
 
-def test_derivative_and_evaluate_are_linear():
+def test_evaluate_is_linear():
     rng = random.Random(23)
     for _ in range(30):
         p = random_poly(rng)
         q = random_poly(rng)
-        assert poly.derivative(poly.add(p, q)) == poly.add(
-            poly.derivative(p), poly.derivative(q)
-        )
         t = Fraction(rng.randint(-5, 5), rng.randint(1, 5))
         assert poly.evaluate(poly.add(p, q), t) == poly.evaluate(p, t) + poly.evaluate(q, t)

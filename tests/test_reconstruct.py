@@ -6,31 +6,20 @@ from fractions import Fraction
 import pytest
 
 from deckpoly import polynomials as poly
-from deckpoly.digraphs import Digraph, directed_cycle, directed_path, enumerate_digraphs
+from deckpoly.digraphs import Digraph, directed_cycle, enumerate_digraphs
 from deckpoly.graph_polys import F1, F2, F4, F5, SIX_KINDS, Deck, PolyKind, deck, poly_of
 from deckpoly.identities import random_digraph
 from deckpoly.reconstruct import (
     Inconsistent,
     OneParameterFamily,
     Unique,
-    deck_sum,
     reconstruct,
     verify_roundtrip,
 )
+from deckpoly.search import canonical_counterexample
+from oracles import P, deck_sum, xpow
 
 STAR_OF_DIGONS = Digraph(3, ((0, 1), (1, 0), (0, 2), (2, 0)))
-
-
-def P(*coeffs):
-    return poly.normalize(coeffs)
-
-
-def xpow(n):
-    return P(*([0] * n + [1]))
-
-
-def path_plus_arc(n):
-    return Digraph(n, directed_path(n).arcs + ((0, n - 1),))
 
 
 def test_deck_sum_examples():
@@ -40,9 +29,7 @@ def test_deck_sum_examples():
     assert deck_sum(deck(STAR_OF_DIGONS, F1)) == P(0, -4, 0, 4)
 
 
-def test_deck_sum_empty_deck_raises():
-    with pytest.raises(ValueError):
-        deck_sum(Deck.from_polys(2, F1, ()))
+def test_reconstruct_empty_deck_raises():
     with pytest.raises(ValueError):
         reconstruct(Deck.from_polys(2, F1, ()))
 
@@ -61,7 +48,7 @@ def test_reconstruct_cycle_f1_is_one_parameter_family(n):
     assert result.base == xpow(n)
     # Both genuine preimages sit inside the family: they differ from the
     # base only in the constant coefficient.
-    for truth in (poly_of(directed_cycle(n), F1), poly_of(path_plus_arc(n), F1)):
+    for truth in (poly_of(directed_cycle(n), F1), poly_of(canonical_counterexample(n)[1], F1)):
         diff = poly.sub(truth, result.base)
         assert all(c == 0 for k, c in enumerate(diff) if k != 0)
 
@@ -74,18 +61,18 @@ def test_every_family_member_satisfies_the_deck_equation():
         assert isinstance(result, OneParameterFamily)
         s = deck_sum(d)
         m = len(d.polys)
-        free = P(*([0] * result.free_exponent + [1]))
         for c in (0, 1, -2):
-            g = poly.add(result.base, poly.scale(free, c))
-            lhs = poly.add(poly.scale(g, m - n),
-                           poly.mul(poly.X, poly.derivative(g)))
+            g = poly.add(result.base, poly.scale(xpow(result.free_exponent), c))
+            # Coefficient k of (m - n) * g + x * g' is (m - n + k) * c_k.
+            lhs = P(*((m - n + k) * coeff for k, coeff in enumerate(g)))
             assert lhs == s
 
 
 def test_reconstruct_m_equals_n_laplacian_is_pinned_to_zero_constant():
     # Any det kind with beta = -gamma has c_0 = 0, not only f2.
     for g, kind in ((directed_cycle(3), F2), (directed_cycle(4), F2),
-                    (path_plus_arc(4), F2), (directed_cycle(4), PolyKind(2, -2, "det"))):
+                    (canonical_counterexample(4)[1], F2),
+                    (directed_cycle(4), PolyKind(2, -2, "det"))):
         result = reconstruct(deck(g, kind))
         assert result == Unique(poly_of(g, kind))
         assert result.poly[0] == 0

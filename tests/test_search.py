@@ -14,17 +14,10 @@ import pytest
 from deckpoly import graph_polys
 from deckpoly import polynomials as poly
 from deckpoly import search
-from deckpoly.digraphs import Digraph, all_arc_slots, delete_arc, enumerate_digraphs
+from deckpoly.digraphs import Digraph, all_arc_slots, enumerate_digraphs
 from deckpoly.graph_polys import F1, F2, F4, SIX_KINDS, deck, parse_kind, poly_of
 from deckpoly.search import CollisionGroup, canonical_counterexample, find_deck_collisions
-
-
-def P(*coeffs):
-    return poly.normalize(coeffs)
-
-
-def xpow(n):
-    return P(*([0] * n + [1]))
+from oracles import P, deletion_deck, xpow
 
 
 def test_counterexample_arc_lists_at_n3():
@@ -184,7 +177,7 @@ def reference_collisions(n, m, kind):
     route."""
     groups = {}
     for g in enumerate_digraphs(n, m):
-        signature = tuple(sorted(poly_of(delete_arc(g, e), kind) for e in range(m)))
+        signature = deletion_deck(g, kind)
         groups.setdefault(signature, {}).setdefault(poly_of(g, kind), g)
     return [CollisionGroup(kind, n, m, signature,
                            tuple((groups[signature][p], p) for p in sorted(groups[signature])))

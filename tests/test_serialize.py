@@ -11,10 +11,7 @@ from deckpoly.digraphs import Digraph
 from deckpoly.graph_polys import F2, Deck
 from deckpoly.identities import check_thm21
 from deckpoly.reconstruct import Inconsistent, OneParameterFamily, Unique
-
-
-def P(*coeffs):
-    return poly.normalize(coeffs)
+from oracles import P
 
 
 def test_fraction_strings():
