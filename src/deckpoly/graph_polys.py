@@ -79,13 +79,11 @@ F6 = PolyKind(1, 1, PERMANENT)
 
 NAMED_KINDS = {"f1": F1, "f2": F2, "f3": F3, "f4": F4, "f5": F5, "f6": F6}
 SIX_KINDS = (F1, F2, F3, F4, F5, F6)
+_KIND_NAMES = {kind: name for name, kind in NAMED_KINDS.items()}
 
 
 def kind_name(kind: PolyKind) -> str:
-    for name, known in NAMED_KINDS.items():
-        if kind == known:
-            return name
-    return f"general:{kind.beta},{kind.gamma},{kind.mode}"
+    return _KIND_NAMES.get(kind) or f"general:{kind.beta},{kind.gamma},{kind.mode}"
 
 
 _RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")

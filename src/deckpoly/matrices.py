@@ -15,8 +15,8 @@ of the matching adjugate of x*I - M: the signed cofactors, or the
 permanental minors, down one column, which is what a change to that column
 needs (column linearity). adjugate_rows reads its entries off Berkowitz's
 coefficients by Horner's rule in M; per_adjugate_rows gets the permanent and
-every minor from one Gray-code Ryser walk. Everything is computed and
-returned in Python ints.
+every minor from one Gray-code Ryser walk on polynomials packed into ints
+at x = 2^B (Kronecker substitution). Everything is in Python ints.
 """
 
 from __future__ import annotations
@@ -230,20 +230,32 @@ def per_adjugate_rows(matrix: Matrix, wanted: dict[int, Iterable[int]]
     quotient to every head t outside S that wants that row. A zero u_r
     outside S makes T_S zero: if it is the only one and row r is wanted,
     the subset adds to row r's minors alone, otherwise the subset is
-    skipped before its product is expanded. In Gray-code order each step
-    updates u by the nonzeros of one column.
+    dropped. In Gray-code order each step updates u by the nonzeros of one
+    column.
+
+    Each polynomial is one int, its value at x = X = 2^B (Kronecker
+    substitution): a product is a few int multiplications (a zero u_r in S
+    a shift by B), each division above an exact int division, a sum one
+    int addition. Each result is read once as balanced base-X digits, its
+    coefficients if all are below 2^(B-1) in absolute value, as they are for
+    B = bit_length(2^n * P) + 1, P = prod_r (1 + sum_c |M[r][c]|): |u_r| is
+    at most row r's absolute sum, so the absolute coefficients of T_S, with
+    or without one factor, sum to at most P, and a result adds <= 2^n of them.
     """
     n = order_of(matrix)
     if n > RYSER_MAX_ORDER:
         raise ValueError(f"per_adjugate_rows is capped at order {RYSER_MAX_ORDER}, got {n}")
-    out = {(t, j): [0] * n for t, rows in wanted.items() for j in rows}
-    heads: dict[int, list] = {}  # row j -> (t, entry (t, j)) per head t that wants it
-    for (t, j), entry in out.items():
-        heads.setdefault(j, []).append((t, entry))
+    keys = list(dict.fromkeys((t, j) for t, rows in wanted.items() for j in rows))
+    heads: dict[int, list] = {}  # row j -> (t, index of entry (t, j)) per head t that wants it
+    for i, (t, j) in enumerate(keys):
+        heads.setdefault(j, []).append((t, i))
     masks = {j: sum(1 << t for t, _ in ts) for j, ts in heads.items()}
     columns = [[(i, matrix[i][j]) for i in range(n) if matrix[i][j]] for j in range(n)]
-    sums = [0] * n
-    total = [0] * (n + 1)
+    # Zero rows of M have u_r = 0 for every S: apply the zero rule to them by bit mask.
+    empty, wants = sum(1 << r for r in range(n) if not any(matrix[r])), sum(1 << j for j in heads)
+    bits = (prod(1 + sum(map(abs, row)) for row in matrix) << n).bit_length() + 1
+    x = 1 << bits
+    sums, total, acc = [0] * n, 0, [0] * len(keys)
     for g in range(1 << n):
         gray = g ^ (g >> 1)
         if g:
@@ -254,46 +266,44 @@ def per_adjugate_rows(matrix: Matrix, wanted: dict[int, Iterable[int]]
             else:
                 for i, v in columns[col]:
                     sums[i] -= v
-        const = 1
-        roots = []
-        zero = None
+        lone = empty & ~gray
+        if lone & (lone - 1) or lone & ~wants:
+            continue
+        term, shift, zero = 1, 0, None
         for r, s in enumerate(sums):
-            if gray >> r & 1:
-                roots.append(s)
-            elif s:
-                const *= s
+            if s:
+                term *= x - s if gray >> r & 1 else s
+            elif gray >> r & 1:
+                shift += bits
             elif zero is None and r in heads:
                 zero = r
             else:
                 break
         else:
-            # T_S, or T_S / u_zero, leading coefficient first
-            prod = [const]
-            for root in roots:
-                prod.append(0)
-                if root:
-                    for k in range(len(prod) - 1, 0, -1):
-                        prod[k] -= root * prod[k - 1]
-            size = len(roots)
+            # T_S, or T_S / u_zero, at X is term << shift: divide, then shift.
             if zero is None:
-                for k, c in enumerate(prod):
-                    total[size - k] += c
+                total += term << shift
             for j in heads if zero is None else (zero,):
                 if not masks[j] & ~gray:
                     continue  # every head that wants row j is in S
                 u = sums[j]
                 if zero is not None:
-                    top, quot = size, prod
-                elif gray >> j & 1:
-                    # -T_S / (x - u_j), by synthetic division
-                    top, quot, q = size - 1, [], 0
-                    for c in prod[:-1]:
-                        q = c + u * q
-                        quot.append(-q)
+                    quot = term << shift
+                elif not gray >> j & 1:
+                    quot = term // u << shift
                 else:
-                    top, quot = size, [c // u for c in prod]
-                for t, entry in heads[j]:
+                    quot = -(term // (x - u) << shift if u else term << shift - bits)
+                for t, i in heads[j]:
                     if not gray >> t & 1:
-                        for k, c in enumerate(quot):
-                            entry[top - k] += c
-    return total, out
+                        acc[i] += quot
+    return _unpacked(total, n + 1, bits), {k: _unpacked(v, n, bits) for k, v in zip(keys, acc)}
+
+
+def _unpacked(value: int, count: int, bits: int) -> list[int]:
+    """The `count` coefficients, constant term first, packed in `value` at x = 2^bits:
+    balanced digits in [-2^(bits-1), 2^(bits-1)), the last taking what is left."""
+    half, mask, out = 1 << (bits - 1), (1 << bits) - 1, []
+    for _ in range(count - 1):
+        out.append(((value + half) & mask) - half)
+        value = (value - out[-1]) >> bits
+    return out + [value]

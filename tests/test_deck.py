@@ -4,6 +4,7 @@ adjugate kernels against sympy and the permutation expansion."""
 import random
 from fractions import Fraction
 from itertools import product
+from math import lcm
 
 import pytest
 
@@ -177,3 +178,53 @@ def test_adjugate_rows_matches_expansion_on_every_small_matrix():
 def test_adjugate_rows_matches_expansion_on_random_sparse_matrices():
     for matrix in sparse_matrices():
         check_adjugate(matrix, signed=True)
+
+
+def l_scaled_matrix(rng, n, density, sign):
+    """L*B for a random B of rationals p/q, |p| <= 10^6 and q <= 30, with L
+    the lcm of the q: entries of up to about 60 bits, as a pencil of
+    rational weights has. sign > 0 or < 0 makes every entry of that sign
+    or zero; sign = 0 mixes them."""
+    rows = [[Fraction(rng.randint(1, 10**6) * (sign or rng.choice((1, -1))), rng.randint(1, 30))
+             if rng.random() < density else Fraction(0) for _ in range(n)] for _ in range(n)]
+    scale = lcm(*(v.denominator for row in rows for v in row))
+    return [[int(v * scale) for v in row] for row in rows]
+
+
+def packing_cases():
+    """Orders 1-9, dense and sparse, mixed signs and each single sign; and
+    a zero row, whose u_r is 0 for every column subset, so every subset
+    without that row takes the single-zero (`zero`) branch. All entries
+    <= 0 is the worst case for the packing bound: x*I - M is then
+    nonnegative for x >= 0, so no sum of terms cancels and every
+    coefficient takes its largest magnitude for the given |M|."""
+    rng = random.Random(2311)
+    for n in range(1, 10):
+        for density, sign in ((1.0, 0), (0.5, 0), (1.0, -1), (1.0, 1), (0.5, -1)):
+            yield l_scaled_matrix(rng, n, density, sign)
+        matrix = l_scaled_matrix(rng, n, 1.0, -1)
+        matrix[rng.randrange(n)] = [0] * n
+        yield matrix
+
+
+def at(coeffs, x):
+    return sum(c * x ** k for k, c in enumerate(coeffs))
+
+
+def test_per_adjugate_rows_packing_holds_on_large_entries():
+    """Every coefficient and minor of the packed walk against per_ryser (an
+    independent scalar kernel) of the pencil at x = 0..n and of each minor
+    at x = 0..n-1, which fix polynomials of n + 1 and n coefficients."""
+    for matrix in packing_cases():
+        n = len(matrix)
+        coeffs, entries = mx.per_adjugate_rows(matrix, {t: range(n) for t in range(n)})
+        assert len(coeffs) == n + 1 and len(entries) == n * n
+        for x in range(n + 1):
+            pencil = [[x * (i == j) - v for j, v in enumerate(row)] for i, row in enumerate(matrix)]
+            assert at(coeffs, x) == mx.per_ryser(pencil), (matrix, x)
+            if x == n:
+                break
+            for (t, j), entry in entries.items():
+                minor = [row[:t] + row[t + 1:] for r, row in enumerate(pencil) if r != j]
+                # The minor of an order-1 matrix is the empty product, 1.
+                assert at(entry, x) == (mx.per_ryser(minor) if n > 1 else 1), (matrix, t, j, x)

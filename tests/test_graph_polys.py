@@ -22,6 +22,7 @@ from deckpoly.graph_polys import (
     F4,
     F5,
     F6,
+    NAMED_KINDS,
     SIX_KINDS,
     PolyKind,
     deck,
@@ -56,6 +57,15 @@ def test_kind_names_round_trip():
     assert parse_kind(kind_name(general)) == general
     assert parse_kind("general:1,-1,det") == F2
     assert kind_name(PolyKind(1, -1, "det")) == "f2"
+
+
+def test_a_general_kind_equal_to_a_named_one_prints_its_name():
+    for name, kind in NAMED_KINDS.items():
+        text = f"general:{kind.beta},{kind.gamma},{kind.mode}"
+        assert kind_name(parse_kind(text)) == name
+    assert kind_name(parse_kind("general:0,1,per")) == "f4"
+    assert kind_name(PolyKind(Fraction(0), Fraction(2, 2), "per")) == "f4"
+    assert kind_name(PolyKind(0, -1, "per")) == "general:0,-1,per"
 
 
 def test_parse_kind_errors():

@@ -1,5 +1,6 @@
 """Property tests: relabelling invariance, serialize round trips, and no
-missed round trip, on weighted digraphs with up to 6 vertices.
+missed round trip, on weighted digraphs with up to 6 vertices; and the
+permanental kernel's relabelling rule on integer matrices.
 
 Examples are derandomized, so the suite is deterministic.
 """
@@ -13,6 +14,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from deckpoly import matrices as mx  # noqa: E402
 from deckpoly import serialize as ser  # noqa: E402
 from deckpoly.digraphs import Digraph, all_arc_slots  # noqa: E402
 from deckpoly.graph_polys import SIX_KINDS, PolyKind, deck, poly_of  # noqa: E402
@@ -52,6 +54,38 @@ def test_poly_of_and_deck_are_invariant_under_relabelling(g, kind, rng):
     h = relabel(g, perm)
     assert poly_of(h, kind) == poly_of(g, kind)
     assert deck(h, kind) == deck(g, kind)
+
+
+@st.composite
+def matrices_and_wanted(draw, max_n=6):
+    """An integer matrix of small, zero and 40-bit entries, and a `wanted`
+    of random (t, j) entries."""
+    n = draw(st.integers(1, max_n))
+    values = st.one_of(st.just(0), st.integers(-9, 9), st.integers(-2**40, 2**40))
+    matrix = [[draw(values) for _ in range(n)] for _ in range(n)]
+    wanted = {}
+    for t, j in draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)))):
+        wanted.setdefault(t, set()).add(j)
+    return matrix, wanted
+
+
+@PROPERTY
+@given(matrices_and_wanted(), st.data())
+def test_per_adjugate_rows_commutes_with_relabelling(case, data):
+    # With (P M P^T)[p[i]][p[j]] = M[i][j], x*I - P M P^T = P (x*I - M) P^T:
+    # the permanent is the same, and the minor without row j and column t
+    # is the one without row p[j] and column p[t].
+    matrix, wanted = case
+    n = len(matrix)
+    p = data.draw(st.permutations(range(n)))
+    moved = [[0] * n for _ in range(n)]
+    for i, row in enumerate(matrix):
+        for j, v in enumerate(row):
+            moved[p[i]][p[j]] = v
+    coeffs, entries = mx.per_adjugate_rows(matrix, wanted)
+    moved_wanted = {p[t]: {p[j] for j in js} for t, js in wanted.items()}
+    assert mx.per_adjugate_rows(moved, moved_wanted) == (
+        coeffs, {(p[t], p[j]): entry for (t, j), entry in entries.items()})
 
 
 @PROPERTY
