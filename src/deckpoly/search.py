@@ -17,34 +17,11 @@ keeps both equality and lexicographic order, so the groups and their
 order are those of the polynomials. Digraph values and Fraction
 polynomials are built only for the groups reported.
 
-The sweep works on relabelling classes. A polynomial and a deck multiset
-do not change when the vertices are relabelled, so the kernel runs once
-per class. The walk runs over the k-subsets of the n(n-1) arc slots, as
-sorted index tuples ranked in the lex order of itertools.combinations,
-with k = min(m, n(n-1) - m): a dense cell (2m > n(n-1)) walks the
-complements of its digraphs, whose classes are the digraphs' classes. It
-skips every subset whose class it has already met (a bytearray by rank);
-otherwise it complements the subset if the cell is dense, makes one
-kernel call and marks the class.
-
-The relabellings of a walked subset are made by every injective map of
-its non-isolated vertices into range(n), so a sparse or a dense class
-costs n!/(n-v)! maps for small v, not n!. Those maps count each member
-once per automorphism of the touched part; within the default budget they
-number at most a few per labelled digraph, and the budget bounds the walk.
-Choosing the side per digraph instead would save maps only where at
-least two vertices carry all 2(n-1) walked arcs, and more vertices than
-carry none: n >= 8 and 4n - 6 walked arcs or more, cells of at least
-comb(56, 26) ~ 6.6e15 digraphs.
-
-Witnesses stay those of the labelled sweep, which keeps per (signature,
-polynomial) the first digraph that combinations yields. Both values are
-class invariants, so that digraph is the lex-first member of its class,
-and its class is the first with those values in the order of lex-first
-members. A sparse cell walks the classes in exactly that order, each at
-its lex-first member. A dense cell has no witness to keep: it has m > n
-for n >= 3, where the deck fixes every coefficient and no group exists,
-and its one case with m <= n, (2, 2), holds a single digraph.
+The kernel runs once per relabelling class: a polynomial and a deck
+multiset do not change when the vertices are relabelled, so the sweep
+groups one representative per class, from classes(n, m). That walk over
+the cell does not depend on the kind; its docstring says how it runs and
+which member represents a class.
 
 The seam checks every kernel output to be monic of degree n, and the
 paper's structure is asserted on the result: members of a group differ
@@ -83,7 +60,6 @@ tests/test_closed_form.py checks the proposition against poly_of.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, compress, permutations
@@ -95,7 +71,9 @@ from .digraphs import Digraph, all_arc_slots, directed_cycle, directed_path
 from .graph_polys import PolyKind
 from .polynomials import Polynomial
 
-DEFAULT_BUDGET = 10**6
+# comb(42, 7), the (7, 7) cell: 36.6-41.0 s per kind and 42 MB peak RSS on a
+# 2-core host, Python 3.11. The walk keeps one byte per labelled digraph.
+DEFAULT_BUDGET = comb(42, 7)
 
 
 @dataclass(frozen=True)
@@ -135,51 +113,14 @@ def find_deck_collisions(n: int, m: int, kind: PolyKind,
     by polynomial. The comb(n*(n-1), m) digraphs must stay within `budget`,
     and n within the polynomial size cap of the kind's mode.
     """
-    if n < 1:
-        raise ValueError(f"vertex count must be >= 1, got {n}")
     graph_polys._check_cap(n, kind)
     slots = all_arc_slots(n)
-    if not 0 <= m <= len(slots):
-        raise ValueError(f"arc count {m} outside [0, {len(slots)}]")
-    total = comb(len(slots), m)
-    if total > budget:
-        raise ValueError(f"enumerating {total} digraphs exceeds the budget of {budget}")
-    # A dense cell walks the complements of its digraphs (see the module docstring).
-    dense = 2 * m > len(slots)
-    k = len(slots) - m if dense else m
     # Every unweighted arc carries the same integer terms under one scale.
     scale, [term] = graph_polys._arc_terms(kind, [Fraction(1)])
     terms = [term] * m
-    slot_index = [[0] * n for _ in range(n)]
-    for i, (s, t) in enumerate(slots):
-        slot_index[s][t] = i
-    weights = _lex_rank_weights(len(slots), k)
-
-    def orbit(subset: tuple[int, ...]) -> Iterator[int]:
-        """The lex ranks of the relabellings of `subset`: the images of its
-        arcs under every injective map of its touched vertices into range(n)."""
-        degree = [0] * n
-        for i in subset:
-            for v in slots[i]:
-                degree[v] += 1
-        touched = [v for v, d in enumerate(degree) if d]
-        local = {v: x for x, v in enumerate(touched)}
-        arcs = [(local[s], local[t]) for s, t in map(slots.__getitem__, subset)]
-        for p in permutations(range(n), len(touched)):
-            yield sum(map(getitem, weights, sorted([slot_index[p[s]][p[t]] for s, t in arcs])))
-
-    # k-subsets of the slots by lex rank: 1 until their class has been walked.
-    fresh = bytearray(b"\x01") * total
     groups: dict[tuple[tuple[int, ...], ...], dict[tuple[int, ...], tuple[int, ...]]] = {}
-    # compress reads `fresh` as it goes, so the members of a class walked
-    # below are skipped when combinations reaches them.
-    for subset in compress(combinations(range(len(slots)), k), fresh):
-        for r in orbit(subset):
-            fresh[r] = 0
-        digraph = tuple(sorted(set(range(len(slots))).difference(subset))) if dense else subset
+    for digraph in classes(n, m, budget):
         coeffs, deck = graph_polys._deck_coefficients(kind, n, [slots[i] for i in digraph], terms)
-        # `subset` is the lex-first member of its class; on a sparse cell that
-        # is `digraph` itself, and a dense cell reports no group to witness.
         groups.setdefault(tuple(sorted(map(tuple, deck))), {}).setdefault(tuple(coeffs), digraph)
     out = []
     for signature in sorted(groups):
@@ -192,6 +133,83 @@ def find_deck_collisions(n: int, m: int, kind: PolyKind,
                         for c in sorted(by_poly))
         out.append(CollisionGroup(kind, n, m, deck_signature, members))
     _check_paper_structure(out, n, m)
+    return out
+
+
+def classes(n: int, m: int, budget: int = DEFAULT_BUDGET) -> list[tuple[int, ...]]:
+    """One member of each relabelling class of the (n, m)-digraphs, as
+    sorted indices into all_arc_slots(n), in the order the walk meets them.
+
+    The walk runs over the m-subsets of the N = n(n-1) arc slots, as sorted
+    index tuples ranked in the lex order of itertools.combinations. It
+    skips every subset whose class it has already met (a bytearray by
+    rank); otherwise it keeps the subset and marks its class. The
+    relabellings of a kept subset are made by every injective map of its
+    non-isolated vertices into range(n), so a class of digraphs touching v
+    vertices costs n!/(n-v)! maps, not n!. Those maps count each member
+    once per automorphism of the touched part; within the default budget
+    they number at most a few per labelled digraph, and the budget bounds
+    the walk.
+
+    A dense cell (2m > N) returns the complements of classes(n, N - m):
+    complementing keeps classes, and the complements touch fewer vertices.
+    Choosing the side per digraph instead would save maps only where at
+    least two vertices carry all 2(n-1) walked arcs, and more vertices than
+    carry none: n >= 8 and 4n - 6 walked arcs or more, cells of at least
+    comb(56, 26) ~ 6.6e15 digraphs.
+
+    On a sparse cell each representative is the lex-first member of its
+    class, and the classes come in the order of their lex-first members.
+    So keeping, per value of a class invariant, the first representative
+    that has it keeps the first labelled digraph that combinations yields
+    with it: the witness of a labelled sweep. On a dense cell a
+    representative is the complement of the lex-first member of the
+    complement class, which need not be the lex-first member of its own.
+    For n >= 3 a dense cell has m > n, where the deck fixes every
+    coefficient and no collision group exists, and its one case with
+    m <= n, (2, 2), holds a single digraph.
+
+    n < 1, m outside [0, N] and more than `budget` labelled digraphs raise
+    ValueError at the call.
+    """
+    if n < 1:
+        raise ValueError(f"vertex count must be >= 1, got {n}")
+    slots = all_arc_slots(n)
+    if not 0 <= m <= len(slots):
+        raise ValueError(f"arc count {m} outside [0, {len(slots)}]")
+    total = comb(len(slots), m)
+    if total > budget:
+        raise ValueError(f"enumerating {total} digraphs exceeds the budget of {budget}")
+    if 2 * m > len(slots):
+        return [tuple(sorted(set(range(len(slots))).difference(c)))
+                for c in classes(n, len(slots) - m, budget)]
+    slot_of = [[0] * n for _ in range(n)]
+    for i, (s, t) in enumerate(slots):
+        slot_of[s][t] = i
+    weights = _lex_rank_weights(len(slots), m)
+
+    def mark(subset: tuple[int, ...]) -> None:
+        """Clear `fresh` at the lex ranks of the relabellings of `subset`: the
+        images of its arcs under every injective map of its touched vertices
+        into range(n)."""
+        degree = [0] * n
+        for i in subset:
+            for v in slots[i]:
+                degree[v] += 1
+        touched = [v for v, d in enumerate(degree) if d]
+        local = {v: x for x, v in enumerate(touched)}
+        arcs = [(local[s], local[t]) for s, t in map(slots.__getitem__, subset)]
+        for p in permutations(range(n), len(touched)):
+            fresh[sum(map(getitem, weights, sorted([slot_of[p[s]][p[t]] for s, t in arcs])))] = 0
+
+    # m-subsets of the slots by lex rank: 1 until their class has been walked.
+    fresh = bytearray(b"\x01") * total
+    out = []
+    # compress reads `fresh` as it goes, so the members of a class walked
+    # below are skipped when combinations reaches them.
+    for subset in compress(combinations(range(len(slots)), m), fresh):
+        mark(subset)
+        out.append(subset)
     return out
 
 

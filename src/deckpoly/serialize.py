@@ -12,8 +12,8 @@ from fractions import Fraction
 from math import gcd
 
 from .digraphs import Digraph
-from .graph_polys import (Deck, _rational_pair, _scaled_columns, kind_name, parse_kind,
-                          parse_rational)
+from .graph_polys import (MAX_RATIONAL_CHARS, Deck, _rational_pair, _scaled_columns, kind_name,
+                          parse_kind, parse_rational)
 from .polynomials import Polynomial
 from .reconstruct import Inconsistent, OneParameterFamily, Unique
 
@@ -180,10 +180,20 @@ def to_canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+def _bounded_int(text: str) -> int:
+    """An integer literal of a JSON input, read only up to MAX_RATIONAL_CHARS
+    characters, like a rational string: int() takes time quadratic in the
+    length, and the CLI lifts Python's digit limit on it."""
+    if len(text) > MAX_RATIONAL_CHARS:
+        raise FormatError(f"integer literal of {len(text)} characters; "
+                          f"at most {MAX_RATIONAL_CHARS} are read")
+    return int(text)
+
+
 def load_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, parse_int=_bounded_int)
     except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deeply
         raise FormatError(f"{path}: invalid JSON ({exc})") from exc
 

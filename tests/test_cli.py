@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -181,6 +182,22 @@ def test_input_rationals_have_a_length_bound(tmp_path, capsys):
     assert f"at most {graph_polys.MAX_RATIONAL_CHARS}" in err and len(err) < 200
 
 
+@pytest.mark.parametrize("digits", [graph_polys.MAX_RATIONAL_CHARS + 1,
+                                    4 * graph_polys.MAX_RATIONAL_CHARS])
+def test_json_integer_literals_have_a_length_bound(tmp_path, capsys, digits):
+    # A JSON integer literal is read by int() too: without the bound, 400,000
+    # digits took seconds to read, and the error echoed every one of them.
+    path = tmp_path / "long_n.json"
+    path.write_text('{"format_version": 1, "n": 1' + "0" * (digits - 1) + ', "arcs": []}')
+    for argv in (["compute", "--kind", "f1", "--input", str(path)],
+                 ["reconstruct", "--deck", str(path)]):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 2, argv
+        assert (code, out) == (2, ""), argv
+        assert f"integer literal of {digits} characters" in err and len(err) < 200, argv
+
+
 def test_reconstruct_inconsistent_deck(tmp_path, capsys):
     deck_path = write(tmp_path, "bad.json", {
         "format_version": 1, "n": 2, "kind": "f1", "polys": [["0", "1", "1"]],
@@ -321,6 +338,15 @@ def test_search_budget_env_override(tmp_path, capsys, monkeypatch):
     code, _, err = run(capsys, "search", "--vertices", "3", "--arcs", "1",
                        "--kind", "f1", "--output", str(tmp_path / "g.ndjson"))
     assert code == 2 and "DECKPOLY_BUDGET" in err
+
+
+def test_search_default_budget_refuses_8_6(tmp_path, capsys, monkeypatch):
+    # comb(56, 6) = 32,468,436 digraphs, just above the (7, 7) cell's 26,978,328.
+    monkeypatch.delenv("DECKPOLY_BUDGET", raising=False)
+    code, out, err = run(capsys, "search", "--vertices", "8", "--arcs", "6",
+                         "--kind", "f1", "--output", str(tmp_path / "g.ndjson"))
+    assert (code, out) == (2, "")
+    assert "enumerating 32468436 digraphs exceeds the budget of 26978328" in err
 
 
 def test_search_rejects_an_empty_or_negative_vertex_set(tmp_path, capsys):

@@ -12,6 +12,12 @@ sign is (-1)^(m - cycles), so
     c_{n-m} = (-1)^m * prod(gamma*w)        (per),
 
 and c_{n-m} = 0 when the arcs are not such a set of cycles.
+
+At m = n the annihilated coefficient is c_0, which has a closed form for
+any beta (proved in reconstruct's docstring): 0 unless every in-degree is
+1, and otherwise (-1)^n * prod(w) * beta^(n - |V(cycles)|) times, over the
+cycles C, beta^|C| + s_C * gamma^|C|, with s_C = (-1)^(|C| - 1) in det mode
+and 1 in per mode.
 """
 
 import random
@@ -22,8 +28,9 @@ from math import prod
 import pytest
 
 from deckpoly.digraphs import Digraph, enumerate_digraphs
-from deckpoly.graph_polys import F1, F4, parse_kind, poly_of
+from deckpoly.graph_polys import F1, F2, F3, F4, F5, F6, parse_kind, poly_of
 from deckpoly.identities import random_nonzero_rational
+from oracles import random_kind
 
 KINDS = (F1, F4, parse_kind("general:0,-3/2,det"), parse_kind("general:0,-3/2,per"))
 
@@ -97,3 +104,69 @@ def test_closed_form_on_random_weighted_digraphs(kind):
         linear += cycle_count(g) is not None and g.m > 0
         assert coefficient(g, kind) == closed_form(g, kind), g
     assert linear >= 75
+
+
+def cycle_lengths_if_in_degrees_are_one(g):
+    """The lengths of g's directed cycles when every vertex has in-degree
+    exactly 1, else None. Each vertex then has one predecessor, so walking
+    back from any vertex ends on exactly one cycle."""
+    pred = {t: s for s, t in g.arcs}
+    if g.m != g.n or len(pred) != g.n:
+        return None
+    lengths, seen = [], set()
+    for start in range(g.n):
+        path, v = [], start
+        while v not in seen:
+            seen.add(v)
+            path.append(v)
+            v = pred[v]
+        if v in path:
+            lengths.append(len(path) - path.index(v))
+    return lengths
+
+
+def c0_closed_form(g, kind):
+    lengths = cycle_lengths_if_in_degrees_are_one(g)
+    if lengths is None:
+        return Fraction(0)
+    value = (-1) ** g.n * prod(g.arc_weights(), start=Fraction(1))
+    value *= kind.beta ** (g.n - sum(lengths))
+    for length in lengths:
+        sign = (-1) ** (length - 1) if kind.mode == "det" else 1
+        value *= kind.beta ** length + sign * kind.gamma ** length
+    return value
+
+
+@pytest.mark.parametrize("kind", [F2, F3, F5, F6])
+def test_c0_closed_form_on_every_small_digraph_with_m_equal_n(kind):
+    nonzero = 0
+    for n in (2, 3, 4):
+        for g in enumerate_digraphs(n, n):
+            expected = c0_closed_form(g, kind)
+            assert poly_of(g, kind)[0] == expected, g
+            nonzero += expected != 0
+    # Under f2 every factor is 1 - 1: c_0 = 0, the rule reconstruct applies.
+    assert (nonzero == 0) == (kind == F2)
+
+
+def planted_predecessors(rng, n):
+    """The arcs (p(t), t) of a random predecessor map p without fixed
+    points: every vertex gets in-degree 1."""
+    return sorted((rng.choice([s for s in range(n) if s != t]), t) for t in range(n))
+
+
+def test_c0_closed_form_on_random_weighted_digraphs():
+    rng = random.Random(5)
+    planted = 0
+    for trial in range(300):
+        n = rng.randint(2, 7)
+        kind = random_kind(rng, rng.choice(["det", "per"]))
+        if trial % 2:
+            arcs = planted_predecessors(rng, n)
+        else:
+            slots = [(s, t) for s in range(n) for t in range(n) if s != t]
+            arcs = sorted(rng.sample(slots, n))
+        g = Digraph(n, tuple(arcs), tuple(random_nonzero_rational(rng) for _ in arcs))
+        planted += cycle_lengths_if_in_degrees_are_one(g) is not None
+        assert poly_of(g, kind)[0] == c0_closed_form(g, kind), (g, kind)
+    assert planted >= 150

@@ -1,14 +1,13 @@
-"""Collision search: the canonical pair, exhaustive sweeps, re-verification."""
+"""Collision search: the canonical pair, the class walk, exhaustive sweeps, re-verification."""
 
 import os
 import subprocess
 import sys
 import textwrap
-from itertools import combinations
+from itertools import combinations, permutations
 from math import comb
 from operator import getitem
 
-import networkx as nx
 import pytest
 
 from deckpoly import graph_polys
@@ -17,7 +16,7 @@ from deckpoly import search
 from deckpoly.digraphs import Digraph, all_arc_slots, enumerate_digraphs
 from deckpoly.graph_polys import F1, F2, F4, SIX_KINDS, deck, parse_kind, poly_of
 from deckpoly.search import CollisionGroup, canonical_counterexample, find_deck_collisions
-from oracles import P, deletion_deck, xpow
+from oracles import P, deletion_deck, digraph_classes, xpow
 
 
 def test_counterexample_arc_lists_at_n3():
@@ -206,20 +205,6 @@ def test_search_matches_the_reference_search(kind):
     assert found
 
 
-def isomorphism_classes(n, m):
-    """The number of (n, m)-digraphs up to relabelling, by networkx."""
-    reps = {}
-    for g in enumerate_digraphs(n, m):
-        h = nx.DiGraph()
-        h.add_nodes_from(range(n))
-        h.add_edges_from(g.arcs)
-        degrees = tuple(sorted(zip(dict(h.in_degree).values(), dict(h.out_degree).values())))
-        bucket = reps.setdefault(degrees, [])
-        if not any(nx.is_isomorphic(h, r) for r in bucket):
-            bucket.append(h)
-    return sum(map(len, reps.values()))
-
-
 def count_kernel_calls(monkeypatch):
     """Make every kernel call append its order to the returned list."""
     kernel_of = graph_polys._kernel
@@ -243,7 +228,7 @@ def count_kernel_calls(monkeypatch):
 def test_search_calls_the_kernel_once_per_class(monkeypatch, kind, n, m):
     calls = count_kernel_calls(monkeypatch)
     find_deck_collisions(n, m, kind)
-    assert len(calls) == isomorphism_classes(n, m)
+    assert len(calls) == digraph_classes(n, m)
 
 
 def count_relabellings(monkeypatch):
@@ -269,7 +254,7 @@ def test_dense_cells_relabel_through_the_complement(monkeypatch, n, m):
     made = count_relabellings(monkeypatch)
     slots = n * (n - 1)
     assert find_deck_collisions(n, m, F1) == []
-    assert len(calls) == isomorphism_classes(n, slots - m)
+    assert len(calls) == digraph_classes(n, slots - m)
     assert len(made) <= 2 * comb(slots, m)
 
 
@@ -335,3 +320,76 @@ def test_lex_rank_follows_combinations(size):
         weights = search._lex_rank_weights(size, k)
         ranks = [sum(map(getitem, weights, c)) for c in combinations(range(size), k)]
         assert ranks == list(range(comb(size, k)))
+
+
+# Unlabelled digraphs by (n, m), m = 0..n (OEIS A052283).
+PUBLISHED_CLASS_COUNTS = {
+    6: [1, 1, 5, 17, 76, 288, 1043],
+    7: [1, 1, 5, 17, 79, 346, 1637, 6940],
+    8: [1, 1, 5, 17, 80, 361, 1894, 9699, 48886],
+}
+
+
+@pytest.mark.parametrize("n", sorted(PUBLISHED_CLASS_COUNTS))
+def test_burnside_count_matches_the_published_counts(n):
+    assert [digraph_classes(n, m) for m in range(n + 1)] == PUBLISHED_CLASS_COUNTS[n]
+
+
+@pytest.mark.parametrize("n, arc_counts", [
+    (1, [0]), (2, range(3)), (3, range(7)), (4, range(13)), (5, range(7)), (6, range(6))])
+def test_classes_meet_every_class_once(n, arc_counts):
+    for m in arc_counts:
+        assert len(search.classes(n, m)) == digraph_classes(n, m), (n, m)
+
+
+def relabellings(n, slots, arcs):
+    """The sorted slot-index tuples of every relabelling of `arcs`."""
+    index = {arc: i for i, arc in enumerate(slots)}
+    return {tuple(sorted(index[p[s], p[t]] for s, t in arcs)) for p in permutations(range(n))}
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_class_representatives_are_lex_first_or_complements_of_lex_first(n):
+    # A sparse cell's witnesses are lex-first members; a dense cell's
+    # representatives are the complements of the sparse cell's.
+    slots = all_arc_slots(n)
+    for m in range(len(slots) // 2 + 1):
+        sparse = search.classes(n, m)
+        seen = set()
+        for rep in sparse:
+            members = relabellings(n, slots, [slots[i] for i in rep])
+            assert rep == min(members) and not members & seen, (n, m, rep)
+            seen |= members
+        assert sorted(seen) == list(combinations(range(len(slots)), m))
+        assert search.classes(n, len(slots) - m) == (
+            sparse if 2 * m == len(slots)
+            else [tuple(i for i in range(len(slots)) if i not in rep) for rep in sparse])
+
+
+@pytest.mark.parametrize("n, m, budget, message", [
+    (0, 0, 1, "vertex count must be >= 1, got 0"),
+    (-1, 0, 1, "vertex count must be >= 1, got -1"),
+    (3, 7, 10, r"arc count 7 outside \[0, 6\]"),
+    (3, -1, 10, r"arc count -1 outside \[0, 6\]"),
+    (4, 4, 100, "enumerating 495 digraphs exceeds the budget of 100"),
+    (4, 10, 65, "enumerating 66 digraphs exceeds the budget of 65"),
+])
+def test_classes_raise_at_the_call(n, m, budget, message):
+    # The call alone raises: nothing has to iterate the result.
+    with pytest.raises(ValueError, match=message):
+        search.classes(n, m, budget)
+
+
+def test_default_budget_admits_the_7_7_cell_and_refuses_8_6_before_walking(monkeypatch):
+    assert search.DEFAULT_BUDGET == comb(42, 7) < comb(56, 6) == 32_468_436
+
+    def walk(*args):
+        raise AssertionError("the walk started")
+
+    monkeypatch.setattr(search, "combinations", walk)
+    monkeypatch.setattr(search, "_lex_rank_weights", walk)
+    with pytest.raises(ValueError, match="enumerating 32468436 digraphs exceeds the budget "
+                                         "of 26978328"):
+        search.classes(8, 6)
+    with pytest.raises(ValueError, match="exceeds the budget"):
+        find_deck_collisions(8, 6, F1)
