@@ -4,6 +4,12 @@ Each check computes both sides of one identity on a concrete instance and
 reports them verbatim. Everything is exact rational arithmetic; there is
 no tolerance anywhere. Violation reports carry the full instance so any
 failure can be replayed.
+
+The zeroed-entry checks (theorems 2.1-2.3) take their left side from the
+scalar kernel on X (det_bareiss, per_ryser) and their right side from one
+zeroing sweep (matrices.zeroed_dets, zeroed_pers), which evaluates every
+zeroed copy by its own elimination or Glynn sum, sharing with X only the
+intermediate values that are equal in both, never a cofactor of X.
 """
 
 from __future__ import annotations
@@ -39,38 +45,37 @@ def _support(matrix: Matrix, n: int) -> list[tuple[int, int]]:
     return [(i, j) for i, j in _entries(matrix, n) if matrix[i][j] != 0]
 
 
-def _check_zeroing(identity: str, matrix: Matrix, kernel, core, select) -> IdentityReport:
-    """(len(positions) - n) * kernel(X) == sum of core(X_ij) over (i, j) in
-    positions = select(X, n); kernel(X) is the only validation of X."""
+def _check_zeroing(identity: str, matrix: Matrix, kernel, sweep, select) -> IdentityReport:
+    """(len(positions) - n) * kernel(X) == sum of sweep's values, one per
+    zeroed copy X_ij over (i, j) in positions = select(X, n); kernel(X) is
+    the only validation of X."""
     base = kernel(matrix)
     n = len(matrix)
     positions = select(matrix, n)
     lhs = (len(positions) - n) * base
-    # Each zeroed copy is evaluated from scratch: a cofactor shortcut,
-    # det(X_ij) = det(X) - x_ij * C_ij, is the linearity the theorems are
-    # proved from and would make the check a tautology, as in check_thm31.
-    rhs = 0
-    for i, j in positions:
-        rows = [list(row) for row in matrix]
-        rows[i][j] = 0
-        rhs += core(rows, n)
+    # Each zeroed copy gets its own elimination or Glynn sum: the sweep
+    # shares only values equal in the copy and in X and never reads det X,
+    # per X or a cofactor. A cofactor shortcut, det(X_ij) = det(X) -
+    # x_ij * C_ij, is the linearity the theorems are proved from and would
+    # make the check a tautology, as in check_thm31.
+    rhs = sum(sweep(matrix, n, positions))
     instance = {"matrix": serialize.matrix_to_strings(matrix)}
     return IdentityReport(identity, instance, lhs, rhs, lhs == rhs)
 
 
 def check_thm21(matrix: Matrix) -> IdentityReport:
     """(n^2 - n) * det(X) == sum of det(X with one entry zeroed), over all entries."""
-    return _check_zeroing("2.1", matrix, matrices.det_bareiss, matrices._det_bareiss, _entries)
+    return _check_zeroing("2.1", matrix, matrices.det_bareiss, matrices.zeroed_dets, _entries)
 
 
 def check_thm22(matrix: Matrix) -> IdentityReport:
     """(m - n) * det(X) == sum of det(X_ij) over the m nonzero entries only."""
-    return _check_zeroing("2.2", matrix, matrices.det_bareiss, matrices._det_bareiss, _support)
+    return _check_zeroing("2.2", matrix, matrices.det_bareiss, matrices.zeroed_dets, _support)
 
 
 def check_thm23(matrix: Matrix) -> IdentityReport:
     """(m - n) * per(X) == sum of per(X_ij) over the m nonzero entries only."""
-    return _check_zeroing("2.3", matrix, matrices.per_ryser, matrices._per_glynn, _support)
+    return _check_zeroing("2.3", matrix, matrices.per_ryser, matrices.zeroed_pers, _support)
 
 
 def check_thm31(g: Digraph, beta, gamma, mode: str) -> IdentityReport:

@@ -1,13 +1,23 @@
 """Dense integer matrices with determinant and permanent kernels.
 
 A matrix is a plain list of equal-length rows of Python ints; every
-public kernel goes through order_of (the cores _det_bareiss and
-_per_glynn skip it), which rejects any other entry type (a Fraction
-included), because Bareiss's exact division is only exact on integers.
-A caller with rational entries clears denominators first, as graph_polys
-does. No public function mutates its input.
+public kernel but the zeroing sweeps goes through order_of (the cores
+_det_bareiss and _per_glynn skip it too), which rejects any other entry
+type (a Fraction included), because Bareiss's exact division is only exact
+on integers. A caller with rational entries clears denominators first, as
+graph_polys does. No public function mutates its input.
 
 det_bareiss and per_ryser (Glynn's formula) give one scalar value.
+zeroed_dets and zeroed_pers give one value per zeroed copy X_ij of X (X
+with entry (i, j) set to 0), for the zeroed-entry identities: each copy
+gets its own elimination, or its own Glynn sum, and a copy shares with X
+only the intermediate values that are equal in both. So the det sweep runs
+one Bareiss elimination of X (the trunk) and finishes a copy from the step
+where its one differing entry first matters, and the per sweep walks the
+Glynn sign vectors once and forms each copy's product of column sums.
+Neither reads det X, per X, a cofactor or a minor of X. Both skip input
+checks: the caller has validated X with the scalar kernel.
+
 charpoly_berkowitz gives every coefficient of det(x*I - M) at once.
 adjugate_rows and per_adjugate_rows share one contract: (M, wanted) gives
 every coefficient of det(x*I - M), or of per(x*I - M), and chosen entries
@@ -22,8 +32,9 @@ at x = 2^B (Kronecker substitution). Everything is in Python ints.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from itertools import chain
+from itertools import accumulate, chain
 from math import prod
+from operator import mul
 
 Matrix = list[list[int]]
 
@@ -71,25 +82,100 @@ def det_bareiss(matrix: Matrix) -> int:
 
 def _det_bareiss(rows: Matrix, n: int) -> int:
     """det_bareiss without input checks, eliminating in place in `rows`."""
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
+    return _bareiss(rows, n, 0, 1, 1)
+
+
+def _bareiss(rows: Matrix, n: int, start: int, prev: int, sign: int) -> int:
+    """The determinant, by Bareiss's elimination of `rows` in place from step
+    `start` on, given the pivot `prev` of step start - 1 (1 at step 0) and
+    the `sign` of the row swaps so far."""
+    for k in range(start, n - 1):
         if rows[k][k] == 0:
-            pivot = next((r for r in range(k + 1, n) if rows[r][k] != 0), None)
+            pivot = _pivot_row(rows, n, k)
             if pivot is None:
                 return 0
             rows[k], rows[pivot] = rows[pivot], rows[k]
             sign = -sign
-        pkk = rows[k][k]
-        row_k = rows[k]
-        for i in range(k + 1, n):
-            row_i = rows[i]
-            rik = row_i[k]
-            for j in range(k + 1, n):
-                row_i[j] = (row_i[j] * pkk - rik * row_k[j]) // prev
-            row_i[k] = 0
-        prev = pkk
+        prev = _eliminate(rows, n, k, prev)
     return sign * rows[n - 1][n - 1]
+
+
+def _pivot_row(rows: Matrix, n: int, k: int) -> int | None:
+    """Step k's pivot row: the first row from k on with a nonzero in column k."""
+    return k if rows[k][k] else next((r for r in range(k + 1, n) if rows[r][k]), None)
+
+
+def _eliminate(rows: Matrix, n: int, k: int, prev: int) -> int:
+    """Step k of Bareiss's elimination, with the pivot in place at (k, k):
+    rows k+1.. become (a_ij * a_kk - a_ik * a_kj) / prev over columns k+1..
+    Column k below the pivot keeps its values, since no later step reads it.
+    Returns the pivot, the next step's prev."""
+    pkk = rows[k][k]
+    row_k = rows[k]
+    for i in range(k + 1, n):
+        row_i = rows[i]
+        rik = row_i[k]
+        for j in range(k + 1, n):
+            row_i[j] = (row_i[j] * pkk - rik * row_k[j]) // prev
+    return pkk
+
+
+def zeroed_dets(rows: Matrix, n: int, positions: list[tuple[int, int]]) -> list[int]:
+    """det(X_ij) for each (i, j) in `positions`, in order, where X_ij is the
+    int matrix X = `rows` with entry (i, j) set to 0; no input checks, and
+    `rows` is not modified.
+
+    One Bareiss elimination of X, the trunk, carries every copy as long as
+    the copy's own elimination would repeat it. Before step s, a carried
+    copy's state is the trunk's but for one entry (r, c) with r, c >= s: a
+    swap moves row r with the trunk's, and the entry's value v starts at 0
+    and takes the copy's own update v <- (v * p - a_rs * a_sc) / prev, where
+    the pivot p and a_rs, a_sc are equal in copy and trunk; the division is
+    exact because v is a minor of X_ij. At step s, before the swap, a copy
+    whose column is s (its pivot choice may differ) or whose row is the
+    trunk's pivot row (its pivot row differs) branches off: it copies the
+    trunk's rows from s on, writes v and finishes its own elimination from
+    step s with the trunk's prev and sign. If the trunk has no pivot at step
+    s, every copy still carried shares the trunk's zero column s and has
+    det 0. Zeroing an entry that is 0 already leaves X, whose elimination is
+    the trunk's.
+
+    Each copy's value is thus its own elimination's, sharing only values
+    equal in the copy and in X; det X, a cofactor or a minor of X is never
+    read, which the zeroed-entry identities need: they are proved from
+    det(X_ij) = det(X) - x_ij * C_ij, and a sweep built on it would check
+    a tautology.
+    """
+    trunk = [list(row) for row in rows]
+    out = [0] * len(positions)
+    carried = {k: [i, j, 0] for k, (i, j) in enumerate(positions) if rows[i][j]}
+    det, prev, sign = 0, 1, 1
+    for s in range(n):
+        pivot = _pivot_row(trunk, n, s)
+        for k in [k for k, (r, c, _) in carried.items() if c == s or r == pivot]:
+            r, c, v = carried.pop(k)
+            block = trunk[:s] + [list(row) for row in trunk[s:]]
+            block[r][c] = v
+            out[k] = _bareiss(block, n, s, prev, sign)
+        if pivot is None:
+            break
+        if pivot != s:
+            trunk[s], trunk[pivot] = trunk[pivot], trunk[s]
+            sign = -sign
+            for copy in carried.values():
+                if copy[0] == s:
+                    copy[0] = pivot
+        p, row_s = trunk[s][s], trunk[s]
+        for copy in carried.values():
+            r, c, v = copy
+            copy[2] = (v * p - trunk[r][s] * row_s[c]) // prev
+        prev = _eliminate(trunk, n, s, prev)
+    else:  # the trunk ran to the end: X is nonsingular
+        det = sign * prev
+    for k, (i, j) in enumerate(positions):
+        if not rows[i][j]:
+            out[k] = det
+    return out
 
 
 def per_ryser(matrix: Matrix) -> int:
@@ -109,9 +195,22 @@ def per_ryser(matrix: Matrix) -> int:
 
 def _per_glynn(rows: Matrix, n: int) -> int:
     """per_ryser without input checks; `rows` is not modified."""
+    total = 0
+    for g, sums in _glynn_walk(rows, n):
+        if 0 not in sums:
+            total += -prod(sums) if g & 1 else prod(sums)
+    return _glynn_quotient(total, n)
+
+
+def _glynn_walk(rows: Matrix, n: int):
+    """Yield (g, sums) for g = 0 .. 2^(n-1) - 1: the column sums
+    sums[j] = sum_i d_i * rows[i][j] at the g-th sign vector d in Gray-code
+    order, where d_0 = +1 and d_i = -1 exactly when bit i of
+    (g ^ (g >> 1)) << 1 is set, so that prod_i d_i = (-1)^g. `sums` is one
+    list, updated in place between yields."""
     doubled = [[(j, 2 * v) for j, v in enumerate(row) if v] for row in rows[1:]]
     sums = [sum(col) for col in zip(*rows)]
-    total = 0 if 0 in sums else prod(sums)
+    yield 0, sums
     for g in range(1, 1 << (n - 1)):
         bit = (g & -g).bit_length() - 1
         if (g ^ (g >> 1)) >> bit & 1:
@@ -120,12 +219,45 @@ def _per_glynn(rows: Matrix, n: int) -> int:
         else:
             for j, v in doubled[bit]:
                 sums[j] += v
-        if 0 not in sums:
-            total += -prod(sums) if g & 1 else prod(sums)
+        yield g, sums
+
+
+def _glynn_quotient(total: int, n: int) -> int:
+    """A Glynn sum over 2^(n-1), which must divide it."""
     per, rest = divmod(total, 1 << (n - 1))
     if rest:
         raise AssertionError(f"Glynn sum {total} is not divisible by 2^{n - 1}")
     return per
+
+
+def zeroed_pers(rows: Matrix, n: int, positions: list[tuple[int, int]]) -> list[int]:
+    """per(X_ij) for each (i, j) in `positions`, in order, where X_ij is the
+    int matrix X = `rows` with entry (i, j) set to 0; no input checks, and
+    `rows` is not modified.
+
+    One Glynn walk (see per_ryser) serves every copy. At sign vector d,
+    copy (i, j) has X's column sums s but for column j's, which is
+    s_j - d_i * x_ij. So the products of all column sums but column j's,
+    excl_j, are formed once by prefix and suffix products, and copy (i, j)
+    adds its own Glynn term (prod_i d_i) * excl_j * (s_j - d_i * x_ij), the
+    product of its own column sums; each copy's sum is then divided by
+    2^(n-1). Each copy's value is thus its own Glynn sum, sharing only the
+    column sums equal in the copy and in X; per X, or a permanental minor
+    of X, is never read (see zeroed_dets for why that matters).
+    """
+    copies = [(i, j, rows[i][j]) for i, j in positions]
+    acc = [0] * len(copies)
+    for g, sums in _glynn_walk(rows, n):
+        if sums.count(0) > 1:
+            continue  # every copy keeps a zero column sum
+        negative = (g ^ (g >> 1)) << 1  # bit i set: d_i = -1
+        # excl[j] = (prod_i d_i) * the product of every column sum but s_j.
+        head = accumulate(sums, mul, initial=-1 if g & 1 else 1)
+        tail = list(accumulate(reversed(sums), mul, initial=1))
+        excl = list(map(mul, head, reversed(tail[:-1])))
+        for k, (i, j, x) in enumerate(copies):
+            acc[k] += excl[j] * (sums[j] + x if negative >> i & 1 else sums[j] - x)
+    return [_glynn_quotient(total, n) for total in acc]
 
 
 def charpoly_berkowitz(matrix: Matrix) -> list[int]:

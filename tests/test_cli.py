@@ -291,6 +291,11 @@ def test_verify_reports_a_faulty_kernel_as_violated(theorem, capsys, monkeypatch
     det_core, per_core = mx._det_bareiss, mx._per_glynn
     monkeypatch.setattr(mx, "_det_bareiss", lambda rows, n: det_core(rows, n) + 1)
     monkeypatch.setattr(mx, "_per_glynn", lambda rows, n: per_core(rows, n) + 1)
+    # The zeroed copies are evaluated by the sweeps, not one core call each.
+    for name in ("zeroed_dets", "zeroed_pers"):
+        sweep = getattr(mx, name)
+        monkeypatch.setattr(mx, name, lambda rows, n, positions, sweep=sweep:
+                            [v + 1 for v in sweep(rows, n, positions)])
     code, out, _ = run(capsys, "verify", "--theorem", theorem, "--trials", "6",
                        "--max-n", "4", "--seed", "42")
     monkeypatch.undo()

@@ -1,6 +1,7 @@
 """Property tests: relabelling invariance, serialize round trips, and no
 missed round trip, on weighted digraphs with up to 6 vertices; and the
-permanental kernel's relabelling rule on integer matrices.
+relabelling rules of the permanental kernel and the zeroing sweeps on
+integer matrices.
 
 Examples are derandomized, so the suite is deterministic.
 """
@@ -86,6 +87,23 @@ def test_per_adjugate_rows_commutes_with_relabelling(case, data):
     moved_wanted = {p[t]: {p[j] for j in js} for t, js in wanted.items()}
     assert mx.per_adjugate_rows(moved, moved_wanted) == (
         coeffs, {(p[t], p[j]): entry for (t, j), entry in entries.items()})
+
+
+@PROPERTY
+@given(matrices_and_wanted(), st.data())
+def test_zeroing_sweeps_commute_with_relabelling(case, data):
+    # Zeroing entry (i, j) of M zeroes entry (p[i], p[j]) of P M P^T, whose
+    # det and per are M's: relabelling the positions permutes the values.
+    matrix, _ = case
+    n = len(matrix)
+    p = data.draw(st.permutations(range(n)))
+    moved = [[0] * n for _ in range(n)]
+    for i, row in enumerate(matrix):
+        for j, v in enumerate(row):
+            moved[p[i]][p[j]] = v
+    positions = [(i, j) for i in range(n) for j in range(n)]
+    for sweep in (mx.zeroed_dets, mx.zeroed_pers):
+        assert sweep(moved, n, [(p[i], p[j]) for i, j in positions]) == sweep(matrix, n, positions)
 
 
 @PROPERTY
