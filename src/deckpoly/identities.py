@@ -9,7 +9,11 @@ The zeroed-entry checks (theorems 2.1-2.3) take their left side from the
 scalar kernel on X (det_bareiss, per_ryser) and their right side from one
 zeroing sweep (matrices.zeroed_dets, zeroed_pers), which evaluates every
 zeroed copy by its own elimination or Glynn sum, sharing with X only the
-intermediate values that are equal in both, never a cofactor of X.
+intermediate values that are equal in both, never a cofactor of X. A det
+copy X_ij rides the elimination of X carrying its one differing entry,
+then row or column, and finishes its own from step max(i, j) when the
+elimination swaps no rows, so a theorem 2.1 trial of order n costs about
+n^5 / 30 multiplication pairs.
 """
 
 from __future__ import annotations
@@ -117,13 +121,8 @@ def random_matrix(rng: random.Random, order: int, zero_density: float = 0.3,
     """Integer entries, zero with probability zero_density, else uniform
     over the nonzero values in [-magnitude, magnitude]."""
     values = tuple(k for k in range(-magnitude, magnitude + 1) if k != 0)
-
-    def entry():
-        if rng.random() < zero_density:
-            return 0
-        return rng.choice(values)
-
-    return [[entry() for _ in range(order)] for _ in range(order)]
+    return [[0 if rng.random() < zero_density else rng.choice(values) for _ in range(order)]
+            for _ in range(order)]
 
 
 def random_rational(rng: random.Random, magnitude: int = 9) -> Fraction:

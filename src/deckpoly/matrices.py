@@ -12,9 +12,12 @@ zeroed_dets and zeroed_pers give one value per zeroed copy X_ij of X (X
 with entry (i, j) set to 0), for the zeroed-entry identities: each copy
 gets its own elimination, or its own Glynn sum, and a copy shares with X
 only the intermediate values that are equal in both. So the det sweep runs
-one Bareiss elimination of X (the trunk) and finishes a copy from the step
-where its one differing entry first matters, and the per sweep walks the
-Glynn sign vectors once and forms each copy's product of column sums.
+one Bareiss elimination of X (the trunk), carries each copy's differing
+entry, then its differing row or column, alongside it, and finishes the
+copy's own elimination from step max(i, j) on when the trunk swaps no
+rows, about n^5 / 30 multiplication pairs for all n^2 copies; the per
+sweep walks the Glynn sign vectors once and forms each copy's product of
+column sums.
 Neither reads det X, per X, a cofactor or a minor of X. Both skip input
 checks: the caller has validated X with the scalar kernel.
 
@@ -126,56 +129,113 @@ def zeroed_dets(rows: Matrix, n: int, positions: list[tuple[int, int]]) -> list[
     `rows` is not modified.
 
     One Bareiss elimination of X, the trunk, carries every copy as long as
-    the copy's own elimination would repeat it. Before step s, a carried
-    copy's state is the trunk's but for one entry (r, c) with r, c >= s: a
-    swap moves row r with the trunk's, and the entry's value v starts at 0
-    and takes the copy's own update v <- (v * p - a_rs * a_sc) / prev, where
-    the pivot p and a_rs, a_sc are equal in copy and trunk; the division is
-    exact because v is a minor of X_ij. At step s, before the swap, a copy
-    whose column is s (its pivot choice may differ) or whose row is the
-    trunk's pivot row (its pivot row differs) branches off: it copies the
-    trunk's rows from s on, writes v and finishes its own elimination from
-    step s with the trunk's prev and sign. If the trunk has no pivot at step
-    s, every copy still carried shares the trunk's zero column s and has
-    det 0. Zeroing an entry that is 0 already leaves X, whose elimination is
-    the trunk's.
+    the copy's own elimination would repeat it: to step max(i, j) when the
+    trunk finds each pivot in place. A carried copy's state is the trunk's
+    but for one entry, one row or one column, which takes the copy's own
+    update (a * p - a_rs * a_sc) / prev at step s; the pivot p, prev and the
+    other inputs are equal in copy and trunk, and the division is exact
+    because the result is a minor of X_ij. In trunk coordinates:
 
-    Each copy's value is thus its own elimination's, sharing only values
-    equal in the copy and in X; det X, a cofactor or a minor of X is never
-    read, which the zeroed-entry identities need: they are proved from
-    det(X_ij) = det(X) - x_ij * C_ij, and a sweep built on it would check
-    a tautology.
+    - Entry (r, c) starts at 0 and moves with the trunk's row swaps. At step
+      c its column is the pivot column, so the copy's multiplier for row r
+      differs and it becomes row r. When its row is the trunk's pivot row,
+      the swap moves it to row s; every row below then subtracts a multiple
+      of it, and it becomes column c.
+    - Row r is updated against the trunk's pivot row. It stays in place,
+      since it branches before any swap could reach it.
+    - Column c is updated against the trunk's multipliers, and swaps its
+      entries as the trunk swaps rows.
+
+    At step s, before the swap, a copy whose pivot choice may differ
+    branches off: a row r (an entry in column s becomes one first) when the
+    trunk's pivot row is missing or lies at or below r, so at step r at the
+    latest, and a column c = s. It copies the trunk's rows from s on, writes
+    its own row or column and finishes its own elimination from step s with
+    the trunk's prev and sign. A copy left at the last step ends on its own
+    entry (n-1, n-1). If the trunk has no pivot at step s, every copy still
+    carried shares its zero column s and has det 0. Zeroing an entry that is
+    0 already leaves X, whose elimination is the trunk's.
+
+    Branching at step t leaves about (n - t)^3 / 3 multiplication pairs, so
+    the n^2 copies cost about n^5 / 30 (2n^5 / 15 if each branched at step
+    min(i, j)), plus O(n^4) of carrying.
+
+    Each copy's value is thus its own elimination's: a carried row or
+    column holds the copy's own entries, each updated from the copy's own
+    previous ones, and the trunk lends only the rows and columns that the
+    zeroing leaves equal in copy and X. det X, a cofactor or a minor of X
+    is never read, which the zeroed-entry identities need: they are proved
+    from det(X_ij) = det(X) - x_ij * C_ij, and a sweep built on it would
+    check a tautology.
     """
-    trunk = [list(row) for row in rows]
-    out = [0] * len(positions)
-    carried = {k: [i, j, 0] for k, (i, j) in enumerate(positions) if rows[i][j]}
+    trunk = list(map(list, rows))
+    perm = list(range(n))  # trunk row r is row perm[r] of X, moved by the swaps
+    # Per trunk row r, {c: v} for each copy carried as entry (r, c) and
+    # (copy, row) for each copy carried as row r; per column c, (copy, column)
+    # for each copy carried as column c. A copy is named by its (i, j).
+    entries: list[dict[int, int]] = [{} for _ in range(n)]
+    lines: list[list] = [[] for _ in range(n)]
+    cols: list[list] = [[] for _ in range(n)]
+    for i, j in positions:
+        if rows[i][j]:
+            entries[i][j] = 0
+    value = {}
     det, prev, sign = 0, 1, 1
-    for s in range(n):
+    for s in range(n - 1):
         pivot = _pivot_row(trunk, n, s)
-        for k in [k for k, (r, c, _) in carried.items() if c == s or r == pivot]:
-            r, c, v = carried.pop(k)
-            block = trunk[:s] + [list(row) for row in trunk[s:]]
-            block[r][c] = v
-            out[k] = _bareiss(block, n, s, prev, sign)
+        for r in range(s, n):  # column s is the pivot column: entry (r, s) becomes row r
+            if s in entries[r]:
+                line = list(trunk[r])
+                line[s] = entries[r].pop(s)
+                lines[r].append(((perm[r], s), line))
+        for r in range(s, n if pivot is None else pivot + 1):
+            for copy, line in lines[r]:
+                block = trunk[:s] + list(map(list, trunk[s:]))
+                block[r] = line
+                value[copy] = _bareiss(block, n, s, prev, sign)
+            lines[r] = []
+        for copy, col in cols[s]:
+            block = trunk[:s] + list(map(list, trunk[s:]))
+            for r in range(s, n):
+                block[r][s] = col[r]
+            value[copy] = _bareiss(block, n, s, prev, sign)
         if pivot is None:
             break
         if pivot != s:
-            trunk[s], trunk[pivot] = trunk[pivot], trunk[s]
+            for seq in (trunk, entries, perm):
+                seq[s], seq[pivot] = seq[pivot], seq[s]
             sign = -sign
-            for copy in carried.values():
-                if copy[0] == s:
-                    copy[0] = pivot
+            for c in range(s + 1, n):
+                for _, col in cols[c]:
+                    col[s], col[pivot] = col[pivot], col[s]
         p, row_s = trunk[s][s], trunk[s]
-        for copy in carried.values():
-            r, c, v = copy
-            copy[2] = (v * p - trunk[r][s] * row_s[c]) // prev
+        for c, v in entries[s].items():  # in the pivot row: column c differs below
+            col = [row[c] for row in trunk]
+            col[s] = v
+            cols[c].append(((perm[s], c), col))
+        for r in range(s + 1, n):
+            carried, a = entries[r], trunk[r][s]
+            for c, v in carried.items():
+                carried[c] = (v * p - a * row_s[c]) // prev
+            for _, line in lines[r]:
+                a = line[s]
+                for j in range(s + 1, n):
+                    line[j] = (line[j] * p - a * row_s[j]) // prev
+        for c in range(s + 1, n):
+            for _, col in cols[c]:
+                a = col[s]
+                for r in range(s + 1, n):
+                    col[r] = (col[r] * p - trunk[r][s] * a) // prev
         prev = _eliminate(trunk, n, s, prev)
-    else:  # the trunk ran to the end: X is nonsingular
-        det = sign * prev
-    for k, (i, j) in enumerate(positions):
-        if not rows[i][j]:
-            out[k] = det
-    return out
+    else:  # the trunk ran to its last step: each copy left ends on its own (n-1, n-1)
+        last = n - 1
+        for v in entries[last].values():
+            value[perm[last], last] = sign * v
+        for copy, line in chain(lines[last], cols[last]):
+            value[copy] = sign * line[last]
+        det = sign * trunk[last][last]
+    # A copy still carried when the trunk turned singular has det 0.
+    return [value.get((i, j), 0) if rows[i][j] else det for i, j in positions]
 
 
 def per_ryser(matrix: Matrix) -> int:
