@@ -1,15 +1,66 @@
 """Loopless simple digraphs with optional nonzero rational arc weights.
 
-Vertices are 0-indexed. Arc order is preserved as given; an absent
-`weights` means every arc has weight 1. Digraph values are immutable and
-hashable, so they can key caches and appear in reports directly.
+Vertices are 0-indexed integers. Arc order is preserved as given; an
+absent `weights` means every arc has weight 1. Digraph values are
+immutable and hashable, so they can key caches and appear in reports
+directly.
+
+`Frozen` is the base of every value type deckpoly exports (Digraph,
+PolyKind, Deck, the reconstruction results and the reports): a slotted
+class whose fields are its `__slots__`, compared, hashed, printed and
+pickled as the tuple of their values. It is plain code with one
+`operator.attrgetter` per class: defining the types generates no code
+and loads no further module, costs every CLI run would pay at startup.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable
 from fractions import Fraction
 from itertools import combinations
+from operator import attrgetter, index
+
+# Assigns a field of a Frozen instance; only constructors call it.
+_set = object.__setattr__
+
+
+class Frozen:
+    """An immutable value: its fields are the subclass's `__slots__`, in
+    order, and its `__init__` (which sets them with `_set`) takes them in
+    that order. Instances are equal only to instances of the same class
+    with equal fields and hash like their field tuple. Assignment and
+    deletion raise AttributeError. Copies and pickles call the class again
+    on the field values, so whatever `__init__` normalizes is normalized
+    again and must come out unchanged."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        get = attrgetter(*cls.__slots__)
+        # attrgetter of one name returns the value itself, not a 1-tuple.
+        cls._values = staticmethod(get if len(cls.__slots__) > 1 else lambda obj: (get(obj),))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values(self) == other._values(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}"
+                           for name, value in zip(self.__slots__, self._values(self)))
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, self._values(self)
 
 
 class InvalidDigraphError(ValueError):
@@ -24,16 +75,28 @@ class InvalidDigraphError(ValueError):
         self.reason = reason
 
 
-@dataclass(frozen=True)
-class Digraph:
-    n: int
-    arcs: tuple[tuple[int, int], ...] = ()
-    weights: tuple[Fraction, ...] | None = None
+def _integer(value, what: str) -> int:
+    try:
+        return index(value)
+    except TypeError:
+        raise TypeError(f"{what} must be an integer, got {value!r}") from None
 
-    def __post_init__(self):
-        object.__setattr__(self, "arcs", tuple((int(s), int(t)) for s, t in self.arcs))
-        if self.weights is not None:
-            object.__setattr__(self, "weights", tuple(Fraction(w) for w in self.weights))
+
+class Digraph(Frozen):
+    """n vertices, `arcs` a tuple of (source, target) int pairs, `weights`
+    a parallel tuple of Fractions or None. The constructor takes any
+    iterables and integer-like values (int, bool, anything with
+    __index__); a float or str endpoint raises TypeError. It does not
+    validate: see validate."""
+
+    __slots__ = ("n", "arcs", "weights")
+
+    def __init__(self, n: int, arcs: Iterable[tuple[int, int]] = (),
+                 weights: Iterable[Fraction] | None = None):
+        _set(self, "n", _integer(n, "vertex count"))
+        _set(self, "arcs", tuple((_integer(s, "arc source"), _integer(t, "arc target"))
+                                 for s, t in arcs))
+        _set(self, "weights", None if weights is None else tuple(map(Fraction, weights)))
 
     @property
     def m(self) -> int:

@@ -35,14 +35,13 @@ from __future__ import annotations
 
 import re
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
 from math import gcd, lcm
 
 from . import digraphs, matrices, polynomials
-from .digraphs import Digraph
+from .digraphs import Digraph, Frozen, _set
 from .matrices import Matrix
 from .polynomials import Polynomial
 
@@ -55,19 +54,20 @@ DET_MAX_VERTICES = 64
 ORACLE_MAX_VERTICES = 7
 
 
-@dataclass(frozen=True)
-class PolyKind:
-    beta: Fraction
-    gamma: Fraction
-    mode: str
+class PolyKind(Frozen):
+    """The pencil point (beta, gamma, mode): beta and gamma as Fractions,
+    gamma nonzero, mode DETERMINANT or PERMANENT."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "beta", Fraction(self.beta))
-        object.__setattr__(self, "gamma", Fraction(self.gamma))
+    __slots__ = ("beta", "gamma", "mode")
+
+    def __init__(self, beta: Fraction, gamma: Fraction, mode: str):
+        _set(self, "beta", Fraction(beta))
+        _set(self, "gamma", Fraction(gamma))
+        _set(self, "mode", mode)
         if self.gamma == 0:
             raise ValueError("gamma must be nonzero")
-        if self.mode not in (DETERMINANT, PERMANENT):
-            raise ValueError(f"mode must be {DETERMINANT!r} or {PERMANENT!r}, got {self.mode!r}")
+        if mode not in (DETERMINANT, PERMANENT):
+            raise ValueError(f"mode must be {DETERMINANT!r} or {PERMANENT!r}, got {mode!r}")
 
 
 F1 = PolyKind(0, 1, DETERMINANT)
@@ -261,8 +261,7 @@ def poly_of_oracle(g: Digraph, kind: PolyKind) -> Polynomial:
     return total
 
 
-@dataclass(frozen=True)
-class Deck:
+class Deck(Frozen):
     """Edge deck of a digraph mapped through one polynomial kind.
 
     Member i (in `polys` as Fractions) has degree n and coefficient k equal
@@ -275,29 +274,28 @@ class Deck:
     when m = 1.
     """
 
-    n: int
-    kind: PolyKind
-    coefficients: tuple[tuple[int, ...], ...]
-    denominators: tuple[int, ...]
-    arc_weight: Fraction | None = None
+    __slots__ = ("n", "kind", "coefficients", "denominators", "arc_weight")
 
-    def __post_init__(self):
-        if len(self.denominators) != self.n + 1:
-            raise ValueError(f"a deck of degree {self.n} needs {self.n + 1} denominators, "
-                             f"got {len(self.denominators)}")
-        if any(den < 1 for den in self.denominators):
-            raise ValueError(f"deck denominators must be >= 1, got {self.denominators}")
-        if any(len(row) != self.n + 1 for row in self.coefficients):
-            raise ValueError(f"every deck member needs {self.n + 1} coefficients")
+    def __init__(self, n: int, kind: PolyKind, coefficients: Sequence[Sequence[int]],
+                 denominators: Sequence[int], arc_weight: Fraction | None = None):
+        if len(denominators) != n + 1:
+            raise ValueError(f"a deck of degree {n} needs {n + 1} denominators, "
+                             f"got {len(denominators)}")
+        if any(den < 1 for den in denominators):
+            raise ValueError(f"deck denominators must be >= 1, got {denominators}")
+        if any(len(row) != n + 1 for row in coefficients):
+            raise ValueError(f"every deck member needs {n + 1} coefficients")
         # Each column and its denominator over their gcd, which leaves the lcm
         # of its reduced denominators; then the rows sorted as Fractions.
-        rows, dens = self.coefficients, self.denominators
+        rows, dens = coefficients, denominators
         commons = [gcd(den, *column) for den, column in zip(dens, zip(*rows))] or dens
         if any(g != 1 for g in commons):
             rows = [[c // g for c, g in zip(row, commons)] for row in rows]
-        object.__setattr__(self, "coefficients", tuple(sorted(map(tuple, rows))))
-        object.__setattr__(self, "denominators",
-                           tuple(den // g for den, g in zip(dens, commons)))
+        _set(self, "n", n)
+        _set(self, "kind", kind)
+        _set(self, "coefficients", tuple(sorted(map(tuple, rows))))
+        _set(self, "denominators", tuple(den // g for den, g in zip(dens, commons)))
+        _set(self, "arc_weight", arc_weight)
 
     @classmethod
     def from_polys(cls, n: int, kind: PolyKind, polys: Iterable[Sequence],

@@ -19,22 +19,23 @@ n^5 / 30 multiplication pairs.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import digraphs, matrices, polynomials, serialize
-from .digraphs import Digraph
+from .digraphs import Digraph, Frozen, _set
 from .graph_polys import PolyKind, kind_name, poly_of
 from .matrices import Matrix
 
 
-@dataclass(frozen=True)
-class IdentityReport:
-    identity: str
-    instance: dict
-    lhs: object
-    rhs: object
-    holds: bool
+class IdentityReport(Frozen):
+    __slots__ = ("identity", "instance", "lhs", "rhs", "holds")
+
+    def __init__(self, identity: str, instance: dict, lhs: object, rhs: object, holds: bool):
+        _set(self, "identity", identity)
+        _set(self, "instance", instance)
+        _set(self, "lhs", lhs)
+        _set(self, "rhs", rhs)
+        _set(self, "holds", holds)
 
     @property
     def verdict(self) -> str:

@@ -16,31 +16,36 @@ the honest answer is a one-parameter family, not a guess.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import polynomials
-from .digraphs import Digraph
+from .digraphs import Digraph, Frozen, _set
 from .graph_polys import DETERMINANT, Deck, PolyKind, deck, poly_of
 from .polynomials import Polynomial
 
 
-@dataclass(frozen=True)
-class Unique:
-    poly: Polynomial
+class Unique(Frozen):
+    __slots__ = ("poly",)
+
+    def __init__(self, poly: Polynomial):
+        _set(self, "poly", poly)
 
 
-@dataclass(frozen=True)
-class OneParameterFamily:
+class OneParameterFamily(Frozen):
     """base + C * x^free_exponent satisfies the deck equation for every C."""
 
-    base: Polynomial
-    free_exponent: int
+    __slots__ = ("base", "free_exponent")
+
+    def __init__(self, base: Polynomial, free_exponent: int):
+        _set(self, "base", base)
+        _set(self, "free_exponent", free_exponent)
 
 
-@dataclass(frozen=True)
-class Inconsistent:
-    detail: str
+class Inconsistent(Frozen):
+    __slots__ = ("detail",)
+
+    def __init__(self, detail: str):
+        _set(self, "detail", detail)
 
 
 ReconstructionResult = Unique | OneParameterFamily | Inconsistent
@@ -116,17 +121,19 @@ def reconstruct(d: Deck) -> ReconstructionResult:
     return OneParameterFamily(polynomials.normalize(coeffs), kstar)
 
 
-@dataclass(frozen=True)
-class RoundTripReport:
+class RoundTripReport(Frozen):
     """Outcome of deck -> reconstruct against the known source polynomial.
 
     outcome is "recovered" (Unique and equal), "covered" (family contains
     the truth), or "missed".
     """
 
-    outcome: str
-    expected: Polynomial
-    result: ReconstructionResult
+    __slots__ = ("outcome", "expected", "result")
+
+    def __init__(self, outcome: str, expected: Polynomial, result: ReconstructionResult):
+        _set(self, "outcome", outcome)
+        _set(self, "expected", expected)
+        _set(self, "result", result)
 
 
 def verify_roundtrip(g: Digraph, kind: PolyKind) -> RoundTripReport:

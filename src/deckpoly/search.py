@@ -60,14 +60,13 @@ tests/test_closed_form.py checks the proposition against poly_of.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, compress, permutations
 from math import comb
 from operator import getitem
 
 from . import graph_polys
-from .digraphs import Digraph, all_arc_slots, directed_cycle, directed_path
+from .digraphs import Digraph, Frozen, _set, all_arc_slots, directed_cycle, directed_path
 from .graph_polys import PolyKind
 from .polynomials import Polynomial
 
@@ -76,17 +75,20 @@ from .polynomials import Polynomial
 DEFAULT_BUDGET = comb(42, 7)
 
 
-@dataclass(frozen=True)
-class CollisionGroup:
+class CollisionGroup(Frozen):
     """Digraphs sharing one deck signature but carrying >= 2 distinct
     polynomials. `members` keeps one witness digraph per distinct
     polynomial value, sorted by polynomial."""
 
-    kind: PolyKind
-    n: int
-    m: int
-    deck_signature: tuple[Polynomial, ...]
-    members: tuple[tuple[Digraph, Polynomial], ...]
+    __slots__ = ("kind", "n", "m", "deck_signature", "members")
+
+    def __init__(self, kind: PolyKind, n: int, m: int, deck_signature: tuple[Polynomial, ...],
+                 members: tuple[tuple[Digraph, Polynomial], ...]):
+        _set(self, "kind", kind)
+        _set(self, "n", n)
+        _set(self, "m", m)
+        _set(self, "deck_signature", deck_signature)
+        _set(self, "members", members)
 
 
 def canonical_counterexample(n: int) -> tuple[Digraph, Digraph]:

@@ -164,3 +164,26 @@ def test_digraph_is_hashable_and_coerces_input():
     assert g.arcs == ((0, 1), (1, 2))
     assert g.weights == (Fraction(1), Fraction(1, 2))
     assert hash(g) == hash(Digraph(3, ((0, 1), (1, 2)), (1, Fraction(1, 2))))
+
+
+@pytest.mark.parametrize("arcs", [((0, 1.7), (2.9, 0)), ((0, "1"),), ((Fraction(1), 0),)])
+def test_non_integral_endpoints_are_refused(arcs):
+    # int() would truncate 1.7 and 2.9 to an arc set that passes validate.
+    bad = next(v for arc in arcs for v in arc if type(v) is not int)
+    with pytest.raises(TypeError, match=repr(bad).replace("(", r"\(").replace(")", r"\)")):
+        Digraph(3, arcs)
+
+
+@pytest.mark.parametrize("n", [3.0, "3", Fraction(3)])
+def test_non_integral_vertex_count_is_refused(n):
+    with pytest.raises(TypeError, match="vertex count"):
+        Digraph(n)
+
+
+def test_int_and_bool_indices_are_kept_as_ints():
+    g = Digraph(True, ())
+    assert g.n == 1 and type(g.n) is int
+    g = Digraph(3, ((True, False), (0, 2)))
+    assert g.arcs == ((1, 0), (0, 2))
+    assert all(type(v) is int for arc in g.arcs for v in arc)
+    dg.validate(g)
