@@ -9,11 +9,10 @@ The zeroed-entry checks (theorems 2.1-2.3) take their left side from the
 scalar kernel on X (det_bareiss, per_ryser) and their right side from one
 zeroing sweep (matrices.zeroed_dets, zeroed_pers), which evaluates every
 zeroed copy by its own elimination or Glynn sum, sharing with X only the
-intermediate values that are equal in both, never a cofactor of X. A det
-copy X_ij rides the elimination of X carrying its one differing entry,
-then row or column, and finishes its own from step max(i, j) when the
-elimination swaps no rows, so a theorem 2.1 trial of order n costs about
-n^5 / 30 multiplication pairs.
+intermediate values that are equal in both, never a cofactor of X. The
+det copies in row i share one elimination of X's other n - 1 rows, and
+each copy carries only its own row through it, so a theorem 2.1 trial of
+order n costs about 5n^4 / 6 multiplication pairs.
 """
 
 from __future__ import annotations

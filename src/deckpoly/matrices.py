@@ -11,15 +11,15 @@ det_bareiss and per_ryser (Glynn's formula) give one scalar value.
 zeroed_dets and zeroed_pers give one value per zeroed copy X_ij of X (X
 with entry (i, j) set to 0), for the zeroed-entry identities: each copy
 gets its own elimination, or its own Glynn sum, and a copy shares with X
-only the intermediate values that are equal in both. So the det sweep runs
-one Bareiss elimination of X (the trunk), carries each copy's differing
-entry, then its differing row or column, alongside it, and finishes the
-copy's own elimination from step max(i, j) on when the trunk swaps no
-rows, about n^5 / 30 multiplication pairs for all n^2 copies; the per
-sweep walks the Glynn sign vectors once and forms each copy's product of
-column sums.
-Neither reads det X, per X, a cofactor or a minor of X. Both skip input
-checks: the caller has validated X with the scalar kernel.
+only the intermediate values that are equal in both. So the det sweep runs,
+for each row i, one fraction-free elimination of X's other n - 1 rows,
+which every copy in row i shares, and each copy carries only its own row
+through it, about 5n^4 / 6 multiplication pairs for all n^2 copies; the
+per sweep walks the Glynn sign vectors once and forms each copy's product
+of column sums.
+Neither reads det X, per X or a cofactor of X, and every value either
+sweep shares with X is a value of the copy too. Both skip input checks:
+the caller has validated X with the scalar kernel.
 
 charpoly_berkowitz gives every coefficient of det(x*I - M) at once.
 adjugate_rows and per_adjugate_rows share one contract: (M, wanted) gives
@@ -84,43 +84,27 @@ def det_bareiss(matrix: Matrix) -> int:
 
 
 def _det_bareiss(rows: Matrix, n: int) -> int:
-    """det_bareiss without input checks, eliminating in place in `rows`."""
-    return _bareiss(rows, n, 0, 1, 1)
+    """det_bareiss without input checks, eliminating in place in `rows`.
 
-
-def _bareiss(rows: Matrix, n: int, start: int, prev: int, sign: int) -> int:
-    """The determinant, by Bareiss's elimination of `rows` in place from step
-    `start` on, given the pivot `prev` of step start - 1 (1 at step 0) and
-    the `sign` of the row swaps so far."""
-    for k in range(start, n - 1):
+    Step k, with the pivot in place at (k, k), makes rows k+1..
+    (a_ij * a_kk - a_ik * a_kj) / prev over columns k+1..; column k below
+    the pivot keeps its values, since no later step reads it."""
+    prev, sign = 1, 1
+    for k in range(n - 1):
         if rows[k][k] == 0:
-            pivot = _pivot_row(rows, n, k)
+            pivot = next((r for r in range(k + 1, n) if rows[r][k]), None)
             if pivot is None:
                 return 0
             rows[k], rows[pivot] = rows[pivot], rows[k]
             sign = -sign
-        prev = _eliminate(rows, n, k, prev)
+        row_k = rows[k]
+        pkk = row_k[k]
+        for row_i in rows[k + 1:]:
+            rik = row_i[k]
+            for j in range(k + 1, n):
+                row_i[j] = (row_i[j] * pkk - rik * row_k[j]) // prev
+        prev = pkk
     return sign * rows[n - 1][n - 1]
-
-
-def _pivot_row(rows: Matrix, n: int, k: int) -> int | None:
-    """Step k's pivot row: the first row from k on with a nonzero in column k."""
-    return k if rows[k][k] else next((r for r in range(k + 1, n) if rows[r][k]), None)
-
-
-def _eliminate(rows: Matrix, n: int, k: int, prev: int) -> int:
-    """Step k of Bareiss's elimination, with the pivot in place at (k, k):
-    rows k+1.. become (a_ij * a_kk - a_ik * a_kj) / prev over columns k+1..
-    Column k below the pivot keeps its values, since no later step reads it.
-    Returns the pivot, the next step's prev."""
-    pkk = rows[k][k]
-    row_k = rows[k]
-    for i in range(k + 1, n):
-        row_i = rows[i]
-        rik = row_i[k]
-        for j in range(k + 1, n):
-            row_i[j] = (row_i[j] * pkk - rik * row_k[j]) // prev
-    return pkk
 
 
 def zeroed_dets(rows: Matrix, n: int, positions: list[tuple[int, int]]) -> list[int]:
@@ -128,114 +112,76 @@ def zeroed_dets(rows: Matrix, n: int, positions: list[tuple[int, int]]) -> list[
     int matrix X = `rows` with entry (i, j) set to 0; no input checks, and
     `rows` is not modified.
 
-    One Bareiss elimination of X, the trunk, carries every copy as long as
-    the copy's own elimination would repeat it: to step max(i, j) when the
-    trunk finds each pivot in place. A carried copy's state is the trunk's
-    but for one entry, one row or one column, which takes the copy's own
-    update (a * p - a_rs * a_sc) / prev at step s; the pivot p, prev and the
-    other inputs are equal in copy and trunk, and the division is exact
-    because the result is a minor of X_ij. In trunk coordinates:
+    Every copy in row i has X's other n - 1 rows, so one fraction-free
+    elimination of those rows (Bareiss, see det_bareiss) serves them all.
+    It pivots by column and never swaps rows: step s pivots on row s's
+    first nonzero among the columns not yet pivoted. Each copy carries only
+    its own row through the same steps: X's row i with entry j set to 0.
+    At step s, with pivot p and previous pivot prev (1 at step 0), an entry
+    v of a row below the pivot row, in a column c not yet pivoted, becomes
+    (v * p - a * w) / prev, where a is the row's entry in the pivot column
+    and w the pivot row's entry in column c.
 
-    - Entry (r, c) starts at 0 and moves with the trunk's row swaps. At step
-      c its column is the pivot column, so the copy's multiplier for row r
-      differs and it becomes row r. When its row is the trunk's pivot row,
-      the swap moves it to row s; every row below then subtracts a multiple
-      of it, and it becomes column c.
-    - Row r is updated against the trunk's pivot row. It stays in place,
-      since it branches before any swap could reach it.
-    - Column c is updated against the trunk's multipliers, and swaps its
-      entries as the trunk swaps rows.
+    This is Bareiss's elimination of the copy with row i moved last and its
+    columns in pivot order p_0, p_1, ... So after step s every entry is an
+    (s+1)-minor of the copy: the one on its rows 0..s of the other rows and
+    the entry's own row, and on columns p_0..p_s and c. The pivot p is such
+    a minor too, on the rows and columns of steps 0..s, so each division is
+    exact and no pivot is 0. If row s has no nonzero left, every minor on
+    its rows 0..s is 0 while the last pivot is not, so row s is a
+    combination of the rows before it: the other rows are dependent, and
+    every copy in row i has det 0. Otherwise the one entry left in a copy's
+    row is det X_ij, times the signs of moving row i last, past n - 1 - i
+    rows, and of the column order, each step's pivot column moving to the
+    front of those left.
 
-    At step s, before the swap, a copy whose pivot choice may differ
-    branches off: a row r (an entry in column s becomes one first) when the
-    trunk's pivot row is missing or lies at or below r, so at step r at the
-    latest, and a column c = s. It copies the trunk's rows from s on, writes
-    its own row or column and finishes its own elimination from step s with
-    the trunk's prev and sign. A copy left at the last step ends on its own
-    entry (n-1, n-1). If the trunk has no pivot at step s, every copy still
-    carried shares its zero column s and has det 0. Zeroing an entry that is
-    0 already leaves X, whose elimination is the trunk's.
+    The elimination costs about n^3 / 3 multiplication pairs per row and a
+    copy about n^2 / 2, so all n^2 copies cost about 5n^4 / 6.
 
-    Branching at step t leaves about (n - t)^3 / 3 multiplication pairs, so
-    the n^2 copies cost about n^5 / 30 (2n^5 / 15 if each branched at step
-    min(i, j)), plus O(n^4) of carrying.
-
-    Each copy's value is thus its own elimination's: a carried row or
-    column holds the copy's own entries, each updated from the copy's own
-    previous ones, and the trunk lends only the rows and columns that the
-    zeroing leaves equal in copy and X. det X, a cofactor or a minor of X
-    is never read, which the zeroed-entry identities need: they are proved
-    from det(X_ij) = det(X) - x_ij * C_ij, and a sweep built on it would
-    check a tautology.
+    Each copy's value is thus its own elimination's: the shared steps read
+    only the rows that X_ij and X have in common, and the copy's own row
+    gets its own arithmetic. det X and the cofactors of X are never read,
+    and every minor that the shared steps form avoids row i, so it is a
+    minor of X_ij too. The zeroed-entry identities need this: they are
+    proved from det(X_ij) = det(X) - x_ij * C_ij, and a sweep built on it
+    would check a tautology.
     """
-    trunk = list(map(list, rows))
-    perm = list(range(n))  # trunk row r is row perm[r] of X, moved by the swaps
-    # Per trunk row r, {c: v} for each copy carried as entry (r, c) and
-    # (copy, row) for each copy carried as row r; per column c, (copy, column)
-    # for each copy carried as column c. A copy is named by its (i, j).
-    entries: list[dict[int, int]] = [{} for _ in range(n)]
-    lines: list[list] = [[] for _ in range(n)]
-    cols: list[list] = [[] for _ in range(n)]
-    for i, j in positions:
-        if rows[i][j]:
-            entries[i][j] = 0
-    value = {}
-    det, prev, sign = 0, 1, 1
-    for s in range(n - 1):
-        pivot = _pivot_row(trunk, n, s)
-        for r in range(s, n):  # column s is the pivot column: entry (r, s) becomes row r
-            if s in entries[r]:
-                line = list(trunk[r])
-                line[s] = entries[r].pop(s)
-                lines[r].append(((perm[r], s), line))
-        for r in range(s, n if pivot is None else pivot + 1):
-            for copy, line in lines[r]:
-                block = trunk[:s] + list(map(list, trunk[s:]))
-                block[r] = line
-                value[copy] = _bareiss(block, n, s, prev, sign)
-            lines[r] = []
-        for copy, col in cols[s]:
-            block = trunk[:s] + list(map(list, trunk[s:]))
-            for r in range(s, n):
-                block[r][s] = col[r]
-            value[copy] = _bareiss(block, n, s, prev, sign)
-        if pivot is None:
-            break
-        if pivot != s:
-            for seq in (trunk, entries, perm):
-                seq[s], seq[pivot] = seq[pivot], seq[s]
-            sign = -sign
-            for c in range(s + 1, n):
-                for _, col in cols[c]:
-                    col[s], col[pivot] = col[pivot], col[s]
-        p, row_s = trunk[s][s], trunk[s]
-        for c, v in entries[s].items():  # in the pivot row: column c differs below
-            col = [row[c] for row in trunk]
-            col[s] = v
-            cols[c].append(((perm[s], c), col))
-        for r in range(s + 1, n):
-            carried, a = entries[r], trunk[r][s]
-            for c, v in carried.items():
-                carried[c] = (v * p - a * row_s[c]) // prev
-            for _, line in lines[r]:
-                a = line[s]
-                for j in range(s + 1, n):
-                    line[j] = (line[j] * p - a * row_s[j]) // prev
-        for c in range(s + 1, n):
-            for _, col in cols[c]:
-                a = col[s]
-                for r in range(s + 1, n):
-                    col[r] = (col[r] * p - trunk[r][s] * a) // prev
-        prev = _eliminate(trunk, n, s, prev)
-    else:  # the trunk ran to its last step: each copy left ends on its own (n-1, n-1)
-        last = n - 1
-        for v in entries[last].values():
-            value[perm[last], last] = sign * v
-        for copy, line in chain(lines[last], cols[last]):
-            value[copy] = sign * line[last]
-        det = sign * trunk[last][last]
-    # A copy still carried when the trunk turned singular has det 0.
-    return [value.get((i, j), 0) if rows[i][j] else det for i, j in positions]
+    by_row: dict[int, list[tuple[int, int]]] = {}
+    for k, (i, j) in enumerate(positions):
+        by_row.setdefault(i, []).append((k, j))
+    out = [0] * len(positions)
+    for i, copies in by_row.items():
+        dets = _stacked_dets(rows[:i] + rows[i + 1:], rows[i], [j for _, j in copies])
+        sign = -1 if (n - 1 - i) & 1 else 1
+        for (k, _), det in zip(copies, dets):
+            out[k] = sign * det
+    return out
+
+
+def _stacked_dets(others: Matrix, row: list[int], zeroed: list[int]) -> list[int]:
+    """The determinant of the n - 1 rows `others` stacked over `row` with
+    entry j set to 0, for each j in `zeroed`, in order, by the elimination
+    that zeroed_dets describes."""
+    # Column c holds each stacked row's entry, then the other rows' from
+    # the last to the first, so that the next pivot row is always last.
+    cols = [[x] * len(zeroed) for x in row]
+    for col, rest in zip(cols, zip(*reversed(others))):
+        col += rest
+    for t, j in enumerate(zeroed):
+        cols[j][t] = 0
+    prev, parity = 1, 0
+    for _ in others:
+        for q, col in enumerate(cols):
+            if col[-1]:
+                break
+        else:
+            return [0] * len(zeroed)
+        parity += q
+        a = cols.pop(q)
+        p = a.pop()
+        cols = [[(v * p - x * w) // prev for v, x in zip(col, a)] for col in cols for w in [col[-1]]]
+        prev = p
+    return [-v for v in cols[0]] if parity & 1 else cols[0]
 
 
 def per_ryser(matrix: Matrix) -> int:

@@ -1,6 +1,7 @@
 """CLI surface: flags, file wiring, exit codes, byte-deterministic output."""
 
 import hashlib
+import inspect
 import json
 import os
 import subprocess
@@ -310,6 +311,23 @@ def test_verify_reports_a_faulty_kernel_as_violated(theorem, capsys, monkeypatch
         assert int(violation["lhs"]) - int(violation["rhs"]) == -n
     matrix = [[int(x) for x in row] for row in obj["violations"][0]["instance"]["matrix"]]
     assert MATRIX_CHECKS[theorem](matrix).holds
+
+
+@pytest.mark.parametrize("theorem", ["2.1", "2.2"])
+def test_verify_reports_a_perturbed_shared_pivot_as_violated(theorem, capsys, monkeypatch):
+    # A mutant of the elimination shared by a row's zeroed copies, whose
+    # pivot at the last step is one too high; det_bareiss, the left side,
+    # is left alone.
+    source = inspect.getsource(mx._stacked_dets)
+    mutant = source.replace("p = a.pop()", "p = a.pop() + (len(cols) == 1)")
+    assert mutant != source
+    namespace = dict(vars(mx))
+    exec(mutant, namespace)
+    monkeypatch.setattr(mx, "_stacked_dets", namespace["_stacked_dets"])
+    code, out, _ = run(capsys, "verify", "--theorem", theorem, "--trials", "6",
+                       "--max-n", "4", "--seed", "42")
+    monkeypatch.undo()
+    assert code == 5 and json.loads(out)["verdict"] == "violated"
 
 
 def test_search_finds_the_canonical_collision(tmp_path, capsys):

@@ -4,8 +4,9 @@ matrices.zeroed_dets and zeroed_pers give det or per of X with one entry
 set to 0, for many entries at once. Each value must equal the scalar core
 (_det_bareiss, _per_glynn) on the explicit copy and the n!-term
 permutation expansion, exhaustively on small {-1, 0, 1} matrices and on
-seeded random ones; the hand cases pin the branches of the shared Bareiss
-trunk. The relabelling property is in test_properties.py.
+seeded random ones. The hand cases pin the det sweep's column pivots,
+dependent rows and sharing: one elimination per row of the positions. The
+relabelling property is in test_properties.py.
 """
 
 import random
@@ -76,11 +77,13 @@ def test_order_one():
     assert mx.zeroed_pers([[-3]], 1, []) == []
 
 
+# The next hand cases were chosen for the row swaps and the singular pivot
+# of X's own row-pivoted elimination. The sweep never eliminates X; each
+# comment says what the case asks of the elimination of X without row i.
+
+
 def test_zero_pivot_swaps_a_carried_copy_in_and_one_out():
-    # Step 0 leaves (1, 1) = 4 * 1 - 2 * 2 = 0, so step 1 swaps rows 1 and 2.
-    # The copy at (2, 2) is in the incoming pivot row: it moves to row 1 and
-    # is carried as column 2 to the last step; the copy at (1, 2) moves out
-    # to row 2 and is carried there as an entry.
+    # Without row 2, step 0 leaves row 1 as (0, 1): step 1 pivots on column 2.
     m = [[1, 2, 3], [2, 4, 7], [5, 6, 8]]
     assert permutation_expansion(m, True) == 4
     assert mx.zeroed_dets(m, 3, [(2, 2), (1, 2)]) == [4, -24]
@@ -88,8 +91,7 @@ def test_zero_pivot_swaps_a_carried_copy_in_and_one_out():
 
 
 def test_zero_pivot_at_step_zero_moves_a_carried_copy_down():
-    # Column 0 pivots on row 2, so the copies in row 0 move to row 2 as
-    # entries, and the copy at (2, 1) moves to row 0 and becomes column 1.
+    # Without row 2, both rows start with 0: step 0 pivots on column 1.
     m = [[0, 3, 1], [0, 2, 5], [4, 1, 1]]
     positions = [(0, 1), (0, 2), (2, 1), (1, 2)]
     assert mx.zeroed_dets(m, 3, positions) == [
@@ -97,9 +99,8 @@ def test_zero_pivot_at_step_zero_moves_a_carried_copy_down():
 
 
 def test_singular_trunk_with_a_nonsingular_copy_in_its_zero_column():
-    # After step 0 column 1 of the trunk is zero from row 1 down, so X is
-    # singular, but at step 1 the copy zeroed at (1, 1) becomes row 1, which
-    # branches before the copies left are given det 0.
+    # X is singular, but X without row 1 is not: the copy zeroed at (1, 1)
+    # is nonsingular. Without row 2, rows 0 and 1 are equal.
     m = [[1, 1, 1], [1, 1, 1], [1, 1, 2]]
     assert mx.det_bareiss(m) == 0
     assert mx.zeroed_dets(m, 3, [(1, 1)]) == [-1]
@@ -110,38 +111,26 @@ def expansions(m, positions):
     return [permutation_expansion(zeroed(m, i, j), True) for i, j in positions]
 
 
-# Every leading principal minor is nonzero (2, 5, 16, 12), so the trunk
-# finds each pivot in place and swaps no rows.
+# Every leading principal minor is nonzero (2, 5, 16, 12), so X's
+# elimination swaps no rows, and each row's elimination of the other rows
+# pivots on the first column left at every step.
 UNSWAPPED = [[2, 1, 1, 3], [1, 3, 2, 1], [1, 1, 4, 2], [3, 2, 1, 5]]
-# Step 0 leaves (1, 1) and (2, 1) at 0, so step 1 swaps rows 1 and 3.
+# Step 0 leaves (1, 1) and (2, 1) at 0, so X's elimination swaps rows 1
+# and 3 at step 1; without row 3, step 1 pivots on column 2.
 SWAPPED = [[1, 2, 3, 4], [2, 4, 1, 1], [3, 6, 2, 3], [3, 1, 1, 2]]
 
 
 @pytest.mark.parametrize("m, positions, dets", [
-    # (2, 0) and (3, 0) become rows 2 and 3 at step 0, (3, 1) becomes row 3
-    # at step 1; each row takes its own update at every step it is carried.
     pytest.param(UNSWAPPED, [(2, 0), (3, 0), (3, 1)], [19, 87, 2],
                  id="row-carried-from-step-j-to-step-i"),
-    # (0, 2) and (0, 3) become columns at step 0; the trunk's swap of rows 1
-    # and 3 at step 1 must swap their entries too.
     pytest.param(SWAPPED, [(0, 2), (0, 3)], [-25, 40],
                  id="column-carried-across-a-row-swap"),
-    # At step 1 row 3 is the trunk's pivot row: the swap moves the copies at
-    # (3, 2) and (3, 3) to row 1, where every row below subtracts a multiple
-    # of their entry, so each is carried on as its column. The copies at
-    # (1, 2) and (1, 3) move out to row 3.
     pytest.param(SWAPPED, [(3, 2), (3, 3), (1, 2), (1, 3)], [20, 20, -25, 55],
                  id="entry-in-the-incoming-pivot-row-becomes-a-column"),
-    # (2, 0) and (3, 0) are rows 2 and 3 after step 0. At step 1 the trunk
-    # pivots on row 3, at or below both, while each copy has a nonzero in
-    # column 1 of its own row: both must branch at step 1, before row 2.
     pytest.param(SWAPPED, [(2, 0), (3, 0)], [41, -4],
                  id="row-branches-when-the-trunk-pivot-lies-at-or-below-it"),
-    # Column 1 is twice column 0, so X is singular and the trunk has no
-    # pivot at step 1. Row 2 of the copy zeroed at (2, 0) is carried from
-    # step 0 and still has a nonzero in column 1: it branches, and that copy
-    # is nonsingular. The copy zeroed at (0, 3), carried as column 3, keeps
-    # the zero column and has det 0.
+    # Column 1 is twice column 0, so X is singular, but the copy zeroed at
+    # (2, 0) is not: no step may stop on a zero column of X.
     pytest.param([[1, 2, 3, 4], [2, 4, 1, 1], [3, 6, 2, 3], [1, 2, 5, 7]],
                  [(2, 0), (3, 0), (0, 3), (1, 2)], [6, -8, 0, 0],
                  id="row-or-column-open-when-the-trunk-turns-singular"),
@@ -150,24 +139,40 @@ def test_carried_rows_and_columns(m, positions, dets):
     assert mx.zeroed_dets(m, len(m), positions) == expansions(m, positions) == dets
 
 
-def test_each_copy_branches_at_step_max_i_j_when_the_trunk_swaps_no_rows(monkeypatch):
-    # Every leading principal minor is nonzero (2, 5, 16, 12, 24). A copy
-    # whose max(i, j) is the last step ends on its own entry (4, 4) there,
-    # without an elimination of its own.
+# Rows 0 and 2 are equal, so X without row 1 or row 3 has dependent rows,
+# though neither row 1 nor row 3 is in the span of the others; a copy
+# zeroed in row 0 or row 2 can be nonsingular.
+DEPENDENT = [[1, 2, 0, 1], [0, 1, 3, 2], [1, 2, 0, 1], [2, 0, 1, 1]]
+# Without row 3, every row is 0 at column 0, and row 1 at column 1 too:
+# steps 0, 1 and 2 pivot on columns 1, 2 and 3, each at index 1 of the
+# columns left.
+PIVOTED = [[0, 3, 1, 2], [0, 0, 2, 5], [0, 1, 4, 1], [4, 1, 1, 3]]
+
+
+@pytest.mark.parametrize("m, positions", [
+    pytest.param(DEPENDENT, entries(4), id="other-rows-dependent"),
+    pytest.param(PIVOTED, entries(4), id="column-pivot"),
+    pytest.param([[7]], [(0, 0), (0, 0)], id="order-1"),
+    pytest.param(SWAPPED, [(1, 2), (3, 0), (1, 2), (1, 2), (3, 0)], id="repeated-positions"),
+    pytest.param(PIVOTED, [(i, 1) for i in range(4)], id="one-column"),
+])
+def test_shared_elimination_values(m, positions):
+    assert mx.zeroed_dets(m, len(m), positions) == expansions(m, positions)
+
+
+def test_one_shared_elimination_per_row_and_each_copy_rides_it_as_its_own_row(monkeypatch):
     m = [[2, 1, 1, 3, 1], [1, 3, 2, 1, 2], [1, 1, 4, 2, 1], [3, 2, 1, 5, 1], [1, 2, 3, 1, 4]]
-    n = len(m)
-    starts = []
-    bareiss = mx._bareiss
+    positions = [(3, 1), (0, 0), (3, 4), (3, 1), (4, 2), (0, 3)]
+    calls = []
+    stacked_dets = mx._stacked_dets
 
-    def recording(rows, n, start, prev, sign):
-        starts.append(start)
-        return bareiss(rows, n, start, prev, sign)
+    def recording(others, row, zeroed):
+        calls.append((others, row, zeroed))
+        return stacked_dets(others, row, zeroed)
 
-    monkeypatch.setattr(mx, "_bareiss", recording)
-    for i, j in entries(n):
-        starts.clear()
-        assert mx.zeroed_dets(m, n, [(i, j)]) == expansions(m, [(i, j)])
-        assert starts == ([max(i, j)] if max(i, j) < n - 1 else []), (i, j)
+    monkeypatch.setattr(mx, "_stacked_dets", recording)
+    assert mx.zeroed_dets(m, len(m), positions) == expansions(m, positions)
+    assert calls == [(m[:3] + m[4:], m[3], [1, 4, 1]), (m[1:], m[0], [0, 3]), (m[:4], m[4], [2])]
 
 
 def test_zeroing_a_zero_entry_gives_the_matrix_itself():
