@@ -7,17 +7,20 @@ directly.
 
 `Frozen` is the base of every value type deckpoly exports (Digraph,
 PolyKind, Deck, the reconstruction results and the reports): a slotted
-class whose fields are its `__slots__`, compared, hashed, printed and
-pickled as the tuple of their values. It is plain code with one
-`operator.attrgetter` per class: defining the types generates no code
-and loads no further module, costs every CLI run would pay at startup.
+class whose fields are its `__slots__`, built from them, compared,
+hashed, printed and pickled as the tuple of their values. A record
+declares only its `__slots__`; a type that normalizes or validates its
+fields (Digraph, PolyKind, Deck) writes its own `__init__` and sets them
+with `_set`. It is plain code with one `operator.attrgetter` per class:
+defining the types generates no code and loads no further module, costs
+every CLI run would pay at startup.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, repeat
 from operator import attrgetter, index
 
 # Assigns a field of a Frozen instance; only constructors call it.
@@ -26,14 +29,30 @@ _set = object.__setattr__
 
 class Frozen:
     """An immutable value: its fields are the subclass's `__slots__`, in
-    order, and its `__init__` (which sets them with `_set`) takes them in
-    that order. Instances are equal only to instances of the same class
-    with equal fields and hash like their field tuple. Assignment and
-    deletion raise AttributeError. Copies and pickles call the class again
-    on the field values, so whatever `__init__` normalizes is normalized
-    again and must come out unchanged."""
+    order. The constructor binds positional values, then keyword values,
+    to the fields in that order, and raises TypeError for a missing,
+    extra, repeated or unknown field; a subclass that normalizes its
+    fields replaces it with its own `__init__`, which sets them with
+    `_set`. Instances are equal only to instances of the same class with
+    equal fields and hash like their field tuple. Assignment and deletion
+    raise AttributeError. Copies and pickles call the class again on the
+    field values, so whatever `__init__` normalizes is normalized again
+    and must come out unchanged."""
 
     __slots__ = ()
+
+    def __init__(self, *values, **named):
+        slots = self.__slots__
+        if named:
+            values += tuple(named.pop(name) for name in slots[len(values):] if name in named)
+            if named:
+                raise TypeError(f"{self.__class__.__qualname__}() got repeated or unknown "
+                                f"fields {sorted(named)}")
+        if len(values) != len(slots):
+            raise TypeError(f"{self.__class__.__qualname__}() takes values for {slots}, "
+                            f"got {len(values)}")
+        # _set returns None, so any() runs it once for every field.
+        any(map(_set, repeat(self), slots, values))
 
     def __init_subclass__(cls):
         get = attrgetter(*cls.__slots__)

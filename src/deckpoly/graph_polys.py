@@ -269,9 +269,10 @@ class Deck(Frozen):
     one form, denominators[k] the lcm of coefficient k's reduced
     denominators over the members and the rows sorted, so decks compare and
     hash as multisets however they were built. `arc_weight` is the source's
-    total arc weight, set only when it differs from the arc count m (so
-    never for an unweighted digraph); the members alone do not determine it
-    when m = 1.
+    total arc weight, kept only when it differs from the arc count m, the
+    number of members (so never for an unweighted digraph): construction
+    stores None for a total equal to m. The members alone do not determine
+    it when m = 1.
     """
 
     __slots__ = ("n", "kind", "coefficients", "denominators", "arc_weight")
@@ -295,7 +296,7 @@ class Deck(Frozen):
         _set(self, "kind", kind)
         _set(self, "coefficients", tuple(sorted(map(tuple, rows))))
         _set(self, "denominators", tuple(den // g for den, g in zip(dens, commons)))
-        _set(self, "arc_weight", arc_weight)
+        _set(self, "arc_weight", None if arc_weight == len(coefficients) else arc_weight)
 
     @classmethod
     def from_polys(cls, n: int, kind: PolyKind, polys: Iterable[Sequence],
@@ -355,5 +356,4 @@ def deck(g: Digraph, kind: PolyKind) -> Deck:
     _, members = _deck_coefficients(kind, g.n, g.arcs, terms)
     total = None if g.weights is None else sum(g.weights, Fraction(0))
     # Coefficient k of a member is its column entry over L^(n-k) (see _unscaled).
-    return Deck(g.n, kind, members, [scale ** (g.n - k) for k in range(g.n + 1)],
-                None if total == g.m else total)
+    return Deck(g.n, kind, members, [scale ** (g.n - k) for k in range(g.n + 1)], total)

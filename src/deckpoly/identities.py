@@ -21,20 +21,16 @@ import random
 from fractions import Fraction
 
 from . import digraphs, matrices, polynomials, serialize
-from .digraphs import Digraph, Frozen, _set
+from .digraphs import Digraph, Frozen
 from .graph_polys import PolyKind, kind_name, poly_of
 from .matrices import Matrix
 
 
 class IdentityReport(Frozen):
-    __slots__ = ("identity", "instance", "lhs", "rhs", "holds")
+    """Both sides of one identity on one instance (a dict that replays it),
+    and whether they are equal."""
 
-    def __init__(self, identity: str, instance: dict, lhs: object, rhs: object, holds: bool):
-        _set(self, "identity", identity)
-        _set(self, "instance", instance)
-        _set(self, "lhs", lhs)
-        _set(self, "rhs", rhs)
-        _set(self, "holds", holds)
+    __slots__ = ("identity", "instance", "lhs", "rhs", "holds")
 
     @property
     def verdict(self) -> str:

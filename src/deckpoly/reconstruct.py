@@ -19,16 +19,14 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import polynomials
-from .digraphs import Digraph, Frozen, _set
+from .digraphs import Digraph, Frozen
 from .graph_polys import DETERMINANT, Deck, PolyKind, deck, poly_of
-from .polynomials import Polynomial
 
 
 class Unique(Frozen):
-    __slots__ = ("poly",)
+    """The deck fixes the polynomial: `poly`, a coefficient tuple."""
 
-    def __init__(self, poly: Polynomial):
-        _set(self, "poly", poly)
+    __slots__ = ("poly",)
 
 
 class OneParameterFamily(Frozen):
@@ -36,16 +34,11 @@ class OneParameterFamily(Frozen):
 
     __slots__ = ("base", "free_exponent")
 
-    def __init__(self, base: Polynomial, free_exponent: int):
-        _set(self, "base", base)
-        _set(self, "free_exponent", free_exponent)
-
 
 class Inconsistent(Frozen):
-    __slots__ = ("detail",)
+    """No digraph has this deck; `detail` says which equation fails."""
 
-    def __init__(self, detail: str):
-        _set(self, "detail", detail)
+    __slots__ = ("detail",)
 
 
 ReconstructionResult = Unique | OneParameterFamily | Inconsistent
@@ -55,11 +48,13 @@ def reconstruct(d: Deck) -> ReconstructionResult:
     """Solve the coefficient equations (m - n + k) * c_k = s_k.
 
     n and m are inferred from the deck itself (member degree and
-    cardinality). Side constraints on the annihilated coefficient, applied
-    in order: the trace rule pins c_{n-1} to -beta*W when m = 1, W the
-    deck's arc_weight (m when unset), and a determinant kind with
-    beta = -gamma (f2 among the named kinds) pins c_0 to 0 when m = n.
-    Anything else with k* in range stays a one-parameter family.
+    cardinality). Every member must be monic of degree n, as the pencil
+    polynomial of every card is; any other deck is Inconsistent. Side
+    constraints on the annihilated coefficient, applied in order: the
+    trace rule pins c_{n-1} to -beta*W when m = 1, W the deck's arc_weight
+    (m when unset), and a determinant kind with beta = -gamma (f2 among
+    the named kinds) pins c_0 to 0 when m = n. Anything else with k* in
+    range stays a one-parameter family.
 
     At m = n the annihilated c_0 has a closed form in the arcs, for any
     beta. No rule here uses it: whether the deck fixes it is open.
@@ -98,9 +93,10 @@ def reconstruct(d: Deck) -> ReconstructionResult:
         raise ValueError("cannot reconstruct from an empty deck")
     n = d.n
     sums, dens = list(map(sum, zip(*d.coefficients))), d.denominators
-    if sums[n] != m * dens[n]:
-        return Inconsistent(f"deck leading coefficients sum to {Fraction(sums[n], dens[n])}, "
-                            f"expected {m}")
+    # Monic: the leading entry equals its column's denominator (both 1 in canonical form).
+    for row in d.coefficients:
+        if row[n] != dens[n]:
+            return Inconsistent(f"deck member leading coefficient {Fraction(row[n], dens[n])} != 1")
     kstar = n - m
     coeffs = [Fraction(s, q * (k - kstar)) if k != kstar else Fraction(0)
               for k, (s, q) in enumerate(zip(sums, dens))]
@@ -129,11 +125,6 @@ class RoundTripReport(Frozen):
     """
 
     __slots__ = ("outcome", "expected", "result")
-
-    def __init__(self, outcome: str, expected: Polynomial, result: ReconstructionResult):
-        _set(self, "outcome", outcome)
-        _set(self, "expected", expected)
-        _set(self, "result", result)
 
 
 def verify_roundtrip(g: Digraph, kind: PolyKind) -> RoundTripReport:

@@ -66,9 +66,8 @@ from math import comb
 from operator import getitem
 
 from . import graph_polys
-from .digraphs import Digraph, Frozen, _set, all_arc_slots, directed_cycle, directed_path
+from .digraphs import Digraph, Frozen, all_arc_slots, directed_cycle, directed_path
 from .graph_polys import PolyKind
-from .polynomials import Polynomial
 
 # comb(42, 7), the (7, 7) cell: 36.6-41.0 s per kind and 42 MB peak RSS on a
 # 2-core host, Python 3.11. The walk keeps one byte per labelled digraph.
@@ -81,14 +80,6 @@ class CollisionGroup(Frozen):
     polynomial value, sorted by polynomial."""
 
     __slots__ = ("kind", "n", "m", "deck_signature", "members")
-
-    def __init__(self, kind: PolyKind, n: int, m: int, deck_signature: tuple[Polynomial, ...],
-                 members: tuple[tuple[Digraph, Polynomial], ...]):
-        _set(self, "kind", kind)
-        _set(self, "n", n)
-        _set(self, "m", m)
-        _set(self, "deck_signature", deck_signature)
-        _set(self, "members", members)
 
 
 def canonical_counterexample(n: int) -> tuple[Digraph, Digraph]:

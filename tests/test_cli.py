@@ -208,6 +208,20 @@ def test_reconstruct_inconsistent_deck(tmp_path, capsys):
     assert json.loads(out)["result"] == "inconsistent"
 
 
+@pytest.mark.parametrize("n, kind, polys", [
+    pytest.param(1, "f2", [["0", "3"], ["0", "-1"]], id="n1-f2"),
+    pytest.param(2, "f1", [["0", "0", "3"], ["0", "0", "-1"]], id="n2-f1"),
+])
+def test_reconstruct_non_monic_deck_exits_4(tmp_path, capsys, n, kind, polys):
+    # The leading coefficients sum to m, but no card is monic: no digraph
+    # has this deck, so no answer may be unique or a family.
+    deck_path = write(tmp_path, "bad.json",
+                      {"format_version": 1, "n": n, "kind": kind, "polys": polys})
+    code, out, _ = run(capsys, "reconstruct", "--deck", deck_path)
+    result = json.loads(out)
+    assert (code, result["result"]) == (4, "inconsistent") and "leading" in result["detail"]
+
+
 def test_reconstruct_malformed_deck_exits_2(tmp_path, capsys):
     deck_path = write(tmp_path, "bad.json", {"format_version": 1, "n": 2,
                                              "kind": "f1", "polys": [["0", "1"]]})

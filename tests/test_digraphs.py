@@ -1,4 +1,5 @@
-"""Digraph model: validation, matrices, arc deletion, labeled enumeration."""
+"""Digraph model: validation, matrices, arc deletion, labeled enumeration,
+and the constructor that every record inherits from Frozen."""
 
 import random
 from fractions import Fraction
@@ -8,7 +9,8 @@ import pytest
 
 from deckpoly import digraphs as dg
 from deckpoly.digraphs import Digraph, InvalidDigraphError
-from deckpoly.identities import random_digraph
+from deckpoly.identities import IdentityReport, random_digraph
+from deckpoly.reconstruct import Unique
 
 
 def test_validate_accepts_digon():
@@ -187,3 +189,34 @@ def test_int_and_bool_indices_are_kept_as_ints():
     assert g.arcs == ((1, 0), (0, 2))
     assert all(type(v) is int for arc in g.arcs for v in arc)
     dg.validate(g)
+
+
+RECORDS = [
+    pytest.param(Unique, ((1,),), id="1-field"),
+    pytest.param(IdentityReport, ("2.1", {}, 1, 1, True), id="5-field"),
+]
+
+
+@pytest.mark.parametrize("record, values", RECORDS)
+def test_frozen_binds_positional_then_keyword_values_in_slot_order(record, values):
+    names = record.__slots__
+    for split in range(len(values) + 1):
+        x = record(*values[:split], **dict(zip(names[split:], values[split:])))
+        assert tuple(getattr(x, name) for name in names) == values
+    assert record(**dict(reversed(list(zip(names, values))))) == record(*values)
+
+
+@pytest.mark.parametrize("record, values", RECORDS)
+def test_frozen_rejects_a_missing_extra_repeated_or_unknown_field(record, values):
+    names, last = record.__slots__, record.__slots__[-1]
+    missing = [(values[:-1], {}), ((), dict(zip(names[:-1], values)))]
+    extra = [(values + (None,), {})]
+    repeated = [(values, {names[0]: values[0]})]
+    unknown = [(values, {"extra": None}), (values[:-1], {last: values[-1], "extra": None}),
+               (values[:-1], {"extra": None})]
+    for args, kwargs in missing + extra:
+        with pytest.raises(TypeError, match="takes values for"):
+            record(*args, **kwargs)
+    for args, kwargs in repeated + unknown:
+        with pytest.raises(TypeError, match="repeated or unknown fields"):
+            record(*args, **kwargs)

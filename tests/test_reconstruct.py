@@ -146,11 +146,16 @@ def test_inconsistent_when_leading_sum_is_wrong():
 
 
 def test_leading_sum_reads_rational_leading_coefficients():
-    # The column's denominator enters the check: 1/2 + 3/2 = m, 1/2 != m.
+    # A leading sum of m is not enough: 1/2 + 3/2 = m, but every member must
+    # be monic, its leading entry read over the column's denominator.
     half, three_halves = P(0, 0, Fraction(1, 2)), P(0, 0, Fraction(3, 2))
-    assert not isinstance(reconstruct(Deck.from_polys(2, F1, (half, three_halves))), Inconsistent)
-    result = reconstruct(Deck.from_polys(2, F1, (half,)))
-    assert isinstance(result, Inconsistent) and "sum to 1/2, expected 1" in result.detail
+    result = reconstruct(Deck.from_polys(2, F1, (half, three_halves)))
+    assert isinstance(result, Inconsistent) and "coefficient 1/2 != 1" in result.detail
+    result = reconstruct(Deck.from_polys(2, F1, (three_halves,)))
+    assert isinstance(result, Inconsistent) and "coefficient 3/2 != 1" in result.detail
+    # A monic member passes whatever the other columns' denominators.
+    result = reconstruct(Deck.from_polys(2, F1, (P(Fraction(1, 2), 0, 1),)))
+    assert result == Unique(P(Fraction(-1, 2), 0, 1))
 
 
 def test_roundtrip_outcomes():

@@ -1,5 +1,7 @@
 """File formats: round trips, strictness, canonical JSON rendering."""
 
+import copy
+import pickle
 import re
 from fractions import Fraction
 
@@ -8,7 +10,7 @@ import pytest
 from deckpoly import polynomials as poly
 from deckpoly import serialize as ser
 from deckpoly.digraphs import Digraph
-from deckpoly.graph_polys import F2, Deck
+from deckpoly.graph_polys import F2, Deck, deck
 from deckpoly.identities import check_thm21
 from deckpoly.reconstruct import Inconsistent, OneParameterFamily, Unique
 from oracles import P
@@ -82,6 +84,22 @@ def test_deck_round_trip_sorts_members():
     obj = ser.deck_to_obj(weighted)
     assert obj["arc_weight"] == "-7/2"
     assert ser.deck_from_obj(obj) == weighted
+
+
+def test_arc_weight_equal_to_the_member_count_reads_as_absent():
+    d = deck(Digraph(3, ((0, 1), (1, 2))), F2)
+    obj = ser.deck_to_obj(d)
+    assert d.arc_weight is None and "arc_weight" not in obj
+    for arc_weight in ("2", "4/2"):
+        twin = ser.deck_from_obj({**obj, "arc_weight": arc_weight})
+        assert twin.arc_weight is None
+        assert twin == d and hash(twin) == hash(d)
+        assert ser.to_canonical_json(ser.deck_to_obj(twin)) == ser.to_canonical_json(obj)
+    for twin in (Deck.from_polys(d.n, d.kind, d.polys, 2),
+                 Deck(d.n, d.kind, d.coefficients, d.denominators, Fraction(2))):
+        assert twin == d and twin.arc_weight is None
+        assert pickle.loads(pickle.dumps(twin)) == copy.deepcopy(twin) == d
+    assert ser.deck_from_obj({**obj, "arc_weight": "3"}).arc_weight == 3
 
 
 def test_deck_from_obj_rejects_wrong_degree_and_bad_kind():

@@ -77,30 +77,33 @@ def test_order_one():
     assert mx.zeroed_pers([[-3]], 1, []) == []
 
 
-# The next hand cases were chosen for the row swaps and the singular pivot
-# of X's own row-pivoted elimination. The sweep never eliminates X; each
-# comment says what the case asks of the elimination of X without row i.
+# Each hand case is named after what it asks of the elimination of X's
+# other rows, one per row i of the positions: which column each step
+# pivots on, and whether those rows are dependent.
 
 
-def test_zero_pivot_swaps_a_carried_copy_in_and_one_out():
+def test_column_pivot_at_the_last_step_for_one_row_and_none_for_another():
     # Without row 2, step 0 leaves row 1 as (0, 1): step 1 pivots on column 2.
+    # Without row 1, every step pivots on the first column left.
     m = [[1, 2, 3], [2, 4, 7], [5, 6, 8]]
     assert permutation_expansion(m, True) == 4
     assert mx.zeroed_dets(m, 3, [(2, 2), (1, 2)]) == [4, -24]
     assert mx.zeroed_dets(m, 3, entries(3)) == copies_one_by_one(mx._det_bareiss, m, entries(3))
 
 
-def test_zero_pivot_at_step_zero_moves_a_carried_copy_down():
-    # Without row 2, both rows start with 0: step 0 pivots on column 1.
+def test_every_row_pivots_on_column_one_at_step_zero():
+    # Column 0's one nonzero is in row 2, which is never the first of X's
+    # other rows: step 0 pivots on column 1 for every row i.
     m = [[0, 3, 1], [0, 2, 5], [4, 1, 1]]
     positions = [(0, 1), (0, 2), (2, 1), (1, 2)]
     assert mx.zeroed_dets(m, 3, positions) == [
         permutation_expansion(zeroed(m, i, j), True) for i, j in positions] == [-8, 60, 52, -8]
 
 
-def test_singular_trunk_with_a_nonsingular_copy_in_its_zero_column():
-    # X is singular, but X without row 1 is not: the copy zeroed at (1, 1)
-    # is nonsingular. Without row 2, rows 0 and 1 are equal.
+def test_singular_x_with_a_nonsingular_copy_and_dependent_rows_for_row_2():
+    # X is singular, but rows 0 and 2 are independent: the copy zeroed at
+    # (1, 1) is nonsingular. Without row 2, rows 0 and 1 are equal, so every
+    # copy in row 2 has det 0.
     m = [[1, 1, 1], [1, 1, 1], [1, 1, 2]]
     assert mx.det_bareiss(m) == 0
     assert mx.zeroed_dets(m, 3, [(1, 1)]) == [-1]
@@ -116,26 +119,28 @@ def expansions(m, positions):
 # pivots on the first column left at every step.
 UNSWAPPED = [[2, 1, 1, 3], [1, 3, 2, 1], [1, 1, 4, 2], [3, 2, 1, 5]]
 # Step 0 leaves (1, 1) and (2, 1) at 0, so X's elimination swaps rows 1
-# and 3 at step 1; without row 3, step 1 pivots on column 2.
+# and 3 at step 1, and every row's elimination of the other rows pivots on
+# column 2 at step 1; row 3's pivots on column 3 at step 2.
 SWAPPED = [[1, 2, 3, 4], [2, 4, 1, 1], [3, 6, 2, 3], [3, 1, 1, 2]]
 
 
 @pytest.mark.parametrize("m, positions, dets", [
     pytest.param(UNSWAPPED, [(2, 0), (3, 0), (3, 1)], [19, 87, 2],
-                 id="row-carried-from-step-j-to-step-i"),
+                 id="no-pivot-two-copies-in-one-row"),
     pytest.param(SWAPPED, [(0, 2), (0, 3)], [-25, 40],
-                 id="column-carried-across-a-row-swap"),
+                 id="copy-zeroed-in-step-1-pivot-column"),
     pytest.param(SWAPPED, [(3, 2), (3, 3), (1, 2), (1, 3)], [20, 20, -25, 55],
-                 id="entry-in-the-incoming-pivot-row-becomes-a-column"),
+                 id="rows-with-different-pivot-columns"),
     pytest.param(SWAPPED, [(2, 0), (3, 0)], [41, -4],
-                 id="row-branches-when-the-trunk-pivot-lies-at-or-below-it"),
+                 id="copies-zeroed-in-step-0-pivot-column"),
     # Column 1 is twice column 0, so X is singular, but the copy zeroed at
-    # (2, 0) is not: no step may stop on a zero column of X.
+    # (2, 0) is not: every row's step 1 skips column 1, whose entries
+    # step 0 left at 0, and pivots on column 2.
     pytest.param([[1, 2, 3, 4], [2, 4, 1, 1], [3, 6, 2, 3], [1, 2, 5, 7]],
                  [(2, 0), (3, 0), (0, 3), (1, 2)], [6, -8, 0, 0],
-                 id="row-or-column-open-when-the-trunk-turns-singular"),
+                 id="singular-x-nonsingular-copy"),
 ])
-def test_carried_rows_and_columns(m, positions, dets):
+def test_column_pivots(m, positions, dets):
     assert mx.zeroed_dets(m, len(m), positions) == expansions(m, positions) == dets
 
 
