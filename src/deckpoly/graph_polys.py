@@ -140,7 +140,8 @@ def pencil_at(g: Digraph, kind: PolyKind, t) -> tuple[Matrix, int]:
     t = 0..n, fed to polynomials.interpolate, recomputes poly_of by an
     independent route: P is built from adjacency and in_degrees, not from
     the integer pencil poly_of uses, and takes n+1 scalar evaluations
-    instead of one coefficient kernel. That is why it stays in the package.
+    instead of one coefficient kernel. It stays in the package only because
+    perfbench/tracer.py binds it; ROADMAP item 1 moves it to tests/oracles.py.
     """
     t = Fraction(t)
     a = digraphs.adjacency(g)
@@ -213,17 +214,16 @@ def _unscaled(coeffs: Sequence[int], scale: int, n: int) -> Polynomial:
     return tuple(Fraction(c, scale ** (n - k)) for k, c in enumerate(coeffs))
 
 
-@lru_cache(maxsize=1 << 16)
-def _poly_of_cached(g: Digraph, kind: PolyKind) -> Polynomial:
-    scale, terms = _arc_terms(kind, g.arc_weights())
-    return _unscaled(_pencil_coefficients(kind, g.n, g.arcs, terms, {})[0], scale, g.n)
-
-
 def poly_of(g: Digraph, kind: PolyKind) -> Polynomial:
     """Exact monic degree-n polynomial of the pencil, read through the
     integer seam with no adjugate entries wanted. Assumes a validated digraph."""
     _check_cap(g.n, kind)
-    return _poly_of_cached(g, kind)
+    scale, terms = _arc_terms(kind, g.arc_weights())
+    return _unscaled(_pencil_coefficients(kind, g.n, g.arcs, terms, {})[0], scale, g.n)
+
+
+# Nothing calls it; perfbench/child.py reads its cache_info(), and ROADMAP item 1 deletes both.
+_poly_of_cached = lru_cache(maxsize=0)(poly_of)
 
 
 def poly_of_oracle(g: Digraph, kind: PolyKind) -> Polynomial:

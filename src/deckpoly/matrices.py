@@ -372,13 +372,13 @@ def per_adjugate_rows(matrix: Matrix, wanted: dict[int, Iterable[int]]
     column.
 
     Each polynomial is one int, its value at x = X = 2^B (Kronecker
-    substitution): a product is a few int multiplications (a zero u_r in S
-    a shift by B), each division above an exact int division, a sum one
-    int addition. Each result is read once as balanced base-X digits, its
-    coefficients if all are below 2^(B-1) in absolute value, as they are for
-    B = bit_length(2^n * P) + 1, P = prod_r (1 + sum_c |M[r][c]|): |u_r| is
-    at most row r's absolute sum, so the absolute coefficients of T_S, with
-    or without one factor, sum to at most P, and a result adds <= 2^n of them.
+    substitution): a product is a few int multiplications, each division
+    above an exact int division, a sum one int addition. Each result is read
+    once as balanced base-X digits, its coefficients if all are below
+    2^(B-1) in absolute value, as they are for B = bit_length(2^n * P) + 1,
+    P = prod_r (1 + sum_c |M[r][c]|): |u_r| is at most row r's absolute
+    sum, so the absolute coefficients of T_S, with or without one factor,
+    sum to at most P, and a result adds <= 2^n of them.
     """
     n = order_of(matrix)
     if n > RYSER_MAX_ORDER:
@@ -407,30 +407,29 @@ def per_adjugate_rows(matrix: Matrix, wanted: dict[int, Iterable[int]]
         lone = empty & ~gray
         if lone & (lone - 1) or lone & ~wants:
             continue
-        term, shift, zero = 1, 0, None
+        term, zero = 1, None
         for r, s in enumerate(sums):
-            if s:
-                term *= x - s if gray >> r & 1 else s
-            elif gray >> r & 1:
-                shift += bits
+            if gray >> r & 1:
+                term *= x - s
+            elif s:
+                term *= s
             elif zero is None and r in heads:
                 zero = r
             else:
                 break
         else:
-            # T_S, or T_S / u_zero, at X is term << shift: divide, then shift.
+            # term is T_S at X, or T_S / u_zero when a zero u_zero is left out.
             if zero is None:
-                total += term << shift
+                total += term
             for j in heads if zero is None else (zero,):
                 if not masks[j] & ~gray:
                     continue  # every head that wants row j is in S
-                u = sums[j]
                 if zero is not None:
-                    quot = term << shift
+                    quot = term
                 elif not gray >> j & 1:
-                    quot = term // u << shift
+                    quot = term // sums[j]
                 else:
-                    quot = -(term // (x - u) << shift if u else term << shift - bits)
+                    quot = -(term // (x - sums[j]))
                 for t, i in heads[j]:
                     if not gray >> t & 1:
                         acc[i] += quot

@@ -49,7 +49,9 @@ def reconstruct(d: Deck) -> ReconstructionResult:
 
     n and m are inferred from the deck itself (member degree and
     cardinality). Every member must be monic of degree n, as the pencil
-    polynomial of every card is; any other deck is Inconsistent. Side
+    polynomial of every card is; any other deck is Inconsistent. So is a
+    deck of more than n(n - 1) members, the most arcs a loopless digraph
+    on n vertices has, and one of one member with arc_weight 0. Side
     constraints on the annihilated coefficient, applied in order: the
     trace rule pins c_{n-1} to -beta*W when m = 1, W the deck's arc_weight
     (m when unset), and a determinant kind with beta = -gamma (f2 among
@@ -97,6 +99,11 @@ def reconstruct(d: Deck) -> ReconstructionResult:
     for row in d.coefficients:
         if row[n] != dens[n]:
             return Inconsistent(f"deck member leading coefficient {Fraction(row[n], dens[n])} != 1")
+    if m > n * (n - 1):
+        return Inconsistent(f"{m} deck members, more than the {n * (n - 1)} arcs "
+                            f"a loopless digraph on {n} vertices can have")
+    if m == 1 and d.arc_weight == 0:
+        return Inconsistent("arc_weight 0 for a single arc, whose weight is nonzero")
     kstar = n - m
     coeffs = [Fraction(s, q * (k - kstar)) if k != kstar else Fraction(0)
               for k, (s, q) in enumerate(zip(sums, dens))]

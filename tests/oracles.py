@@ -9,6 +9,7 @@ up to relabelling comes from Burnside's lemma, which never lists one.
 
 from collections import Counter
 from fractions import Fraction
+from functools import cache
 from itertools import permutations
 from math import factorial, gcd, lcm
 
@@ -53,9 +54,14 @@ def permutation_expansion(matrix, signed):
     return total
 
 
+# poly_of keeps no results; the exhaustive deck tests meet the same card
+# many times over, so the oracle memoizes its own.
+_card = cache(poly_of)
+
+
 def deletion_deck(g, kind):
     """The deck by definition: poly_of of every single-arc deletion, sorted."""
-    return tuple(sorted(poly_of(delete_arc(g, e), kind) for e in range(g.m)))
+    return tuple(sorted(_card(delete_arc(g, e), kind) for e in range(g.m)))
 
 
 def deck_sum(d):

@@ -222,6 +222,21 @@ def test_reconstruct_non_monic_deck_exits_4(tmp_path, capsys, n, kind, polys):
     assert (code, result["result"]) == (4, "inconsistent") and "leading" in result["detail"]
 
 
+@pytest.mark.parametrize("deck, detail", [
+    pytest.param({"n": 1, "kind": "f1", "polys": [["0", "1"]]}, "more than the 0 arcs",
+                 id="n1-one-member"),
+    pytest.param({"n": 2, "kind": "f1", "polys": [["0", "0", "1"]] * 3}, "more than the 2 arcs",
+                 id="n2-three-members"),
+    pytest.param({"n": 2, "kind": "f2", "polys": [["0", "0", "1"]], "arc_weight": "0"},
+                 "arc_weight 0", id="n2-zero-arc-weight"),
+])
+def test_reconstruct_deck_no_digraph_has_exits_4(tmp_path, capsys, deck, detail):
+    deck_path = write(tmp_path, "bad.json", {"format_version": 1, **deck})
+    code, out, _ = run(capsys, "reconstruct", "--deck", deck_path)
+    result = json.loads(out)
+    assert (code, result["result"]) == (4, "inconsistent") and detail in result["detail"]
+
+
 def test_reconstruct_malformed_deck_exits_2(tmp_path, capsys):
     deck_path = write(tmp_path, "bad.json", {"format_version": 1, "n": 2,
                                              "kind": "f1", "polys": [["0", "1"]]})

@@ -1,10 +1,12 @@
 """Pencil polynomials: golden values, the permutation-expansion oracle, decks."""
 
+import gc
 import os
 import random
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from fractions import Fraction
 from math import lcm
 
@@ -136,6 +138,22 @@ def test_poly_of_is_monic_of_degree_n():
             assert p[-1] == 1
 
 
+def test_poly_of_keeps_nothing():
+    # No result, digraph or kind outlives its call: a sweep of 2,000 fresh
+    # digraphs leaves less than 64 KB allocated behind it.
+    rng = random.Random(7)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        for i in range(2000):
+            poly_of(random_digraph(rng, 5), (F1, F4)[i % 2])
+        gc.collect()
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert retained < 64 * 1024
+
+
 def test_monic_check_survives_python_O():
     # A kernel returning wrong coefficients must raise even under -O, where
     # a bare assert would vanish and a non-monic polynomial would escape.
@@ -144,7 +162,6 @@ def test_monic_check_survives_python_O():
         from deckpoly.digraphs import Digraph
 
         graph_polys._kernel = lambda kind: lambda b, wanted: ([0] * (len(b) + 1), {})
-        graph_polys._poly_of_cached.cache_clear()
         try:
             graph_polys.poly_of(Digraph(2), graph_polys.F1)
         except AssertionError as exc:
@@ -289,7 +306,6 @@ def test_arc_terms_scale_clears_every_arc_term(monkeypatch, text, arcs, weights,
         return kernel
 
     monkeypatch.setattr(graph_polys, "_kernel", recording)
-    graph_polys._poly_of_cached.cache_clear()
     assert poly_of(g, kind) == interpolation_oracle(g, kind) == poly_of_oracle(g, kind)
     assert [[Fraction(x, scale) for x in row] for row in seen[0]] == [
         b_entries[3 * i:3 * i + 3] for i in range(3)]

@@ -145,6 +145,18 @@ def test_inconsistent_when_leading_sum_is_wrong():
     assert "leading" in result.detail
 
 
+@pytest.mark.parametrize("n, kind, polys, arc_weight, detail", [
+    pytest.param(1, F1, [P(0, 1)], None, "more than the 0 arcs", id="n1-one-member"),
+    pytest.param(2, F1, [xpow(2)] * 3, None, "more than the 2 arcs", id="n2-three-members"),
+    pytest.param(2, F2, [xpow(2)], Fraction(0), "arc_weight 0", id="n2-zero-arc-weight"),
+])
+def test_decks_no_digraph_has_are_inconsistent(n, kind, polys, arc_weight, detail):
+    # More members than the n(n - 1) arcs a loopless digraph on n vertices
+    # can have, or a single arc of weight 0.
+    result = reconstruct(Deck.from_polys(n, kind, polys, arc_weight))
+    assert isinstance(result, Inconsistent) and detail in result.detail
+
+
 def test_leading_sum_reads_rational_leading_coefficients():
     # A leading sum of m is not enough: 1/2 + 3/2 = m, but every member must
     # be monic, its leading entry read over the column's denominator.
