@@ -10,15 +10,17 @@ scalar kernel on X (det_bareiss, per_ryser) and their right side from one
 zeroing sweep (matrices.zeroed_dets, zeroed_pers), which evaluates every
 zeroed copy by its own elimination or Glynn sum, sharing with X only the
 intermediate values that are equal in both, never a cofactor of X. The
-det copies in row i share one elimination of X's other n - 1 rows, and
-each copy carries only its own row through it, so a theorem 2.1 trial of
-order n costs about 5n^4 / 6 multiplication pairs.
+det copies share one elimination trunk over X's rows, which row i's
+copies leave just before it pivots on row i to finish on the rows after
+it, and each copy carries its own row throughout, so a theorem 2.1 trial
+of order n costs about 7n^4 / 12 multiplication pairs.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import repeat
 
 from . import digraphs, matrices, polynomials, serialize
 from .digraphs import Digraph, Frozen
@@ -115,9 +117,21 @@ def check_eq17(g: Digraph, kind: PolyKind) -> IdentityReport:
 def random_matrix(rng: random.Random, order: int, zero_density: float = 0.3,
                   magnitude: int = 9) -> Matrix:
     """Integer entries, zero with probability zero_density, else uniform
-    over the nonzero values in [-magnitude, magnitude]."""
-    values = tuple(k for k in range(-magnitude, magnitude + 1) if k != 0)
-    return [[0 if rng.random() < zero_density else rng.choice(values) for _ in range(order)]
+    over the nonzero values in [-magnitude, magnitude]; magnitude must be
+    at least 1.
+
+    A nonzero entry is drawn as rng.choice over those values draws it:
+    rng.getrandbits(b), for b the bit length of their count, until a draw
+    is below the count (Random._randbelow's rejection loop), so a seed
+    gives the same matrices with the same calls to rng in the same order.
+    """
+    if magnitude < 1:
+        # No value to draw: the rejection loop would never end.
+        raise ValueError(f"magnitude must be >= 1, got {magnitude}")
+    values = (*range(-magnitude, 0), *range(1, magnitude + 1))
+    # Lazy, so each next() makes its own getrandbits calls and no more.
+    indices = filter(len(values).__gt__, map(rng.getrandbits, repeat(len(values).bit_length())))
+    return [[0 if rng.random() < zero_density else values[next(indices)] for _ in range(order)]
             for _ in range(order)]
 
 

@@ -11,12 +11,12 @@ det_bareiss and per_ryser (Glynn's formula) give one scalar value.
 zeroed_dets and zeroed_pers give one value per zeroed copy X_ij of X (X
 with entry (i, j) set to 0), for the zeroed-entry identities: each copy
 gets its own elimination, or its own Glynn sum, and a copy shares with X
-only the intermediate values that are equal in both. So the det sweep runs,
-for each row i, one fraction-free elimination of X's other n - 1 rows,
-which every copy in row i shares, and each copy carries only its own row
-through it, about 5n^4 / 6 multiplication pairs for all n^2 copies; the
-per sweep walks the Glynn sign vectors once and forms each copy's product
-of column sums.
+only the intermediate values that are equal in both. So the det sweep runs
+one fraction-free elimination trunk over X's rows in order, which row i's
+copies leave just before it pivots on row i, to finish on rows i+1..n-1
+together; each copy carries only its own row, about 7n^4 / 12
+multiplication pairs for all n^2 copies. The per sweep walks the Glynn sign
+vectors once and forms each copy's product of column sums.
 Neither reads det X, per X or a cofactor of X, and every value either
 sweep shares with X is a value of the copy too. Both skip input checks:
 the caller has validated X with the scalar kernel.
@@ -88,7 +88,8 @@ def _det_bareiss(rows: Matrix, n: int) -> int:
 
     Step k, with the pivot in place at (k, k), makes rows k+1..
     (a_ij * a_kk - a_ik * a_kj) / prev over columns k+1..; column k below
-    the pivot keeps its values, since no later step reads it."""
+    the pivot keeps its values, since no later step reads it. A step whose
+    prev is 1, step 0 among them, divides by nothing."""
     prev, sign = 1, 1
     for k in range(n - 1):
         if rows[k][k] == 0:
@@ -101,8 +102,12 @@ def _det_bareiss(rows: Matrix, n: int) -> int:
         pkk = row_k[k]
         for row_i in rows[k + 1:]:
             rik = row_i[k]
-            for j in range(k + 1, n):
-                row_i[j] = (row_i[j] * pkk - rik * row_k[j]) // prev
+            if prev == 1:
+                for j in range(k + 1, n):
+                    row_i[j] = row_i[j] * pkk - rik * row_k[j]
+            else:
+                for j in range(k + 1, n):
+                    row_i[j] = (row_i[j] * pkk - rik * row_k[j]) // prev
         prev = pkk
     return sign * rows[n - 1][n - 1]
 
@@ -112,76 +117,107 @@ def zeroed_dets(rows: Matrix, n: int, positions: list[tuple[int, int]]) -> list[
     int matrix X = `rows` with entry (i, j) set to 0; no input checks, and
     `rows` is not modified.
 
-    Every copy in row i has X's other n - 1 rows, so one fraction-free
-    elimination of those rows (Bareiss, see det_bareiss) serves them all.
-    It pivots by column and never swaps rows: step s pivots on row s's
-    first nonzero among the columns not yet pivoted. Each copy carries only
-    its own row through the same steps: X's row i with entry j set to 0.
-    At step s, with pivot p and previous pivot prev (1 at step 0), an entry
-    v of a row below the pivot row, in a column c not yet pivoted, becomes
-    (v * p - a * w) / prev, where a is the row's entry in the pivot column
-    and w the pivot row's entry in column c.
+    Copy X_ij is evaluated by a fraction-free elimination (Bareiss, see
+    det_bareiss) of X's other n - 1 rows in order, with the copy's own row,
+    X's row i with entry j set to 0, carried below them. It pivots by
+    column and never swaps rows: the step on row r pivots on that row's
+    first nonzero among the columns not yet pivoted. At a step with pivot p
+    and previous pivot prev, an entry v of a row below the pivot row, in a
+    column c not yet pivoted, becomes (v * p - a * w) / prev, where a is the
+    row's entry in the pivot column and w the pivot row's entry in column c;
+    a step whose prev is 1, the first one among them, divides by nothing.
 
     This is Bareiss's elimination of the copy with row i moved last and its
-    columns in pivot order p_0, p_1, ... So after step s every entry is an
-    (s+1)-minor of the copy: the one on its rows 0..s of the other rows and
-    the entry's own row, and on columns p_0..p_s and c. The pivot p is such
-    a minor too, on the rows and columns of steps 0..s, so each division is
-    exact and no pivot is 0. If row s has no nonzero left, every minor on
-    its rows 0..s is 0 while the last pivot is not, so row s is a
-    combination of the rows before it: the other rows are dependent, and
-    every copy in row i has det 0. Otherwise the one entry left in a copy's
-    row is det X_ij, times the signs of moving row i last, past n - 1 - i
-    rows, and of the column order, each step's pivot column moving to the
-    front of those left.
+    columns in pivot order p_0, p_1, ... So after s + 1 steps every entry is
+    an (s+1)-minor of the copy: the one on the s + 1 pivot rows and the
+    entry's own row, and on columns p_0..p_s and c. The pivot p is such a
+    minor too, on the rows and columns of the steps so far, so each division
+    is exact and no pivot is 0. If a pivot row has no nonzero left, every
+    minor on it and the pivot rows before it is 0 while the last pivot is
+    not, so that row is a combination of the rows before it: the other rows
+    are dependent, and every copy in row i has det 0. Otherwise the one
+    entry left in a copy's row is det X_ij, times the signs of moving row i
+    last, past n - 1 - i rows, and of the column order, each step's pivot
+    column moving to the front of those left.
 
-    The elimination costs about n^3 / 3 multiplication pairs per row and a
-    copy about n^2 / 2, so all n^2 copies cost about 5n^4 / 6.
+    The copies of row i pivot on rows 0..i-1 in the same order as every
+    copy of a later row, so those steps are shared: one trunk eliminates
+    X's rows in order, pivoting on row k once for every row after it, and
+    carries each copy as a row of its own. Just before the trunk pivots on
+    row i, row i's copies leave it and finish on rows i+1..n-1, which they
+    share with one another; the trunk stops at the last row that has
+    copies, so det X is never formed. The trunk costs about n^3 / 3
+    multiplication pairs, row i's finish about (n - i)^3 / 3 and a copy
+    about n^2 / 2, so all n^2 copies cost about 7n^4 / 12.
 
-    Each copy's value is thus its own elimination's: the shared steps read
-    only the rows that X_ij and X have in common, and the copy's own row
-    gets its own arithmetic. det X and the cofactors of X are never read,
-    and every minor that the shared steps form avoids row i, so it is a
-    minor of X_ij too. The zeroed-entry identities need this: they are
-    proved from det(X_ij) = det(X) - x_ij * C_ij, and a sweep built on it
-    would check a tautology.
+    Each copy's value is thus its own elimination's. The values a copy of
+    row i shares are the entries of its pivot rows: rows 0..i-1 as the
+    trunk leaves them, and rows i+1..n-1 as the trunk hands them to row i's
+    finish and its steps leave them. Each is a minor of X on that row and
+    the pivot rows before it, none of them row i, and X_ij differs from X
+    only in row i, so each is a minor of X_ij too. The copy's own row starts
+    as X_ij's row i; X's row i, det X and the cofactors of X are never
+    read. The zeroed-entry identities need this: they are proved from
+    det(X_ij) = det(X) - x_ij * C_ij, and a sweep built on it would check a
+    tautology.
     """
     by_row: dict[int, list[tuple[int, int]]] = {}
-    for k, (i, j) in enumerate(positions):
-        by_row.setdefault(i, []).append((k, j))
+    for t, (i, j) in enumerate(positions):
+        by_row.setdefault(i, []).append((t, j))
     out = [0] * len(positions)
-    for i, copies in by_row.items():
-        dets = _stacked_dets(rows[:i] + rows[i + 1:], rows[i], [j for _, j in copies])
-        sign = -1 if (n - 1 - i) & 1 else 1
-        for (k, _), det in zip(copies, dets):
-            out[k] = sign * det
+    if not by_row:
+        return out
+    # Column c holds each copy's entry, the copies of each row together and
+    # the rows in order, then X's rows from the last to the first, so that
+    # the next pivot row is always last and the next copies to leave first.
+    order = sorted(by_row)
+    copies = [c for i in order for c in by_row[i]]
+    cols = [list(col) for col in zip(*[rows[i] for i in order for _ in by_row[i]], *reversed(rows))]
+    for s, (_, j) in enumerate(copies):
+        cols[j][s] = 0
+    carried, prev, parity = len(copies), 1, 0
+    for k in range(order[-1] + 1):
+        leaving = len(by_row.get(k, ()))
+        if leaving:
+            finish = [col[:leaving] + col[carried:-1] for col in cols]
+            fprev, fparity = prev, parity + n - 1 - k
+            for _ in range(n - 1 - k):
+                step = _pivot_step(finish, fprev)
+                if step is None:
+                    break
+                q, fprev, finish = step
+                fparity += q
+            else:
+                for (t, _), det in zip(by_row[k], finish[0]):
+                    out[t] = -det if fparity & 1 else det
+            if k == order[-1]:
+                break
+            cols = [col[leaving:] for col in cols]
+            carried -= leaving
+        step = _pivot_step(cols, prev)
+        if step is None:
+            break  # rows 0..k are dependent: every later copy has det 0
+        q, prev, cols = step
+        parity += q
     return out
 
 
-def _stacked_dets(others: Matrix, row: list[int], zeroed: list[int]) -> list[int]:
-    """The determinant of the n - 1 rows `others` stacked over `row` with
-    entry j set to 0, for each j in `zeroed`, in order, by the elimination
-    that zeroed_dets describes."""
-    # Column c holds each stacked row's entry, then the other rows' from
-    # the last to the first, so that the next pivot row is always last.
-    cols = [[x] * len(zeroed) for x in row]
-    for col, rest in zip(cols, zip(*reversed(others))):
-        col += rest
-    for t, j in enumerate(zeroed):
-        cols[j][t] = 0
-    prev, parity = 1, 0
-    for _ in others:
-        for q, col in enumerate(cols):
-            if col[-1]:
-                break
-        else:
-            return [0] * len(zeroed)
-        parity += q
-        a = cols.pop(q)
-        p = a.pop()
-        cols = [[(v * p - x * w) // prev for v, x in zip(col, a)] for col in cols for w in [col[-1]]]
-        prev = p
-    return [-v for v in cols[0]] if parity & 1 else cols[0]
+def _pivot_step(cols: Matrix, prev: int) -> tuple[int, int, Matrix] | None:
+    """One step of the elimination that zeroed_dets describes, on the row
+    that is last in each column of `cols`, with previous pivot `prev`:
+    (q, p, the other columns without that row), where the pivot p is the
+    row's first nonzero, in column q. None when the row has no nonzero.
+    Consumes `cols`."""
+    for q, col in enumerate(cols):
+        if col[-1]:
+            break
+    else:
+        return None
+    a = cols.pop(q)
+    p = a.pop()
+    if prev == 1:
+        return q, p, [[v * p - x * w for v, x in zip(col, a)] for col in cols for w in [col[-1]]]
+    return q, p, [[(v * p - x * w) // prev for v, x in zip(col, a)] for col in cols for w in [col[-1]]]
 
 
 def per_ryser(matrix: Matrix) -> int:

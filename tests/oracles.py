@@ -3,8 +3,9 @@ the test files share. Nothing under src/ uses any of it.
 
 Each reference takes the slow road by definition: the n!-term permutation
 sum, the deck as poly_of of every single-arc deletion, the deck sum as
-Fraction column sums of the deck's polynomials. The number of digraphs
-up to relabelling comes from Burnside's lemma, which never lists one.
+Fraction column sums of the deck's polynomials, a random matrix drawn by
+rng.choice. The number of digraphs up to relabelling comes from
+Burnside's lemma, which never lists one.
 """
 
 from collections import Counter
@@ -62,6 +63,14 @@ _card = cache(poly_of)
 def deletion_deck(g, kind):
     """The deck by definition: poly_of of every single-arc deletion, sorted."""
     return tuple(sorted(_card(delete_arc(g, e), kind) for e in range(g.m)))
+
+
+def choice_matrix(rng, order, zero_density=0.3, magnitude=9):
+    """identities.random_matrix as rng.choice draws it: the reference for
+    the stream that random_matrix must read."""
+    values = tuple(k for k in range(-magnitude, magnitude + 1) if k != 0)
+    return [[0 if rng.random() < zero_density else rng.choice(values) for _ in range(order)]
+            for _ in range(order)]
 
 
 def deck_sum(d):

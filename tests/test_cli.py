@@ -344,15 +344,15 @@ def test_verify_reports_a_faulty_kernel_as_violated(theorem, capsys, monkeypatch
 
 @pytest.mark.parametrize("theorem", ["2.1", "2.2"])
 def test_verify_reports_a_perturbed_shared_pivot_as_violated(theorem, capsys, monkeypatch):
-    # A mutant of the elimination shared by a row's zeroed copies, whose
-    # pivot at the last step is one too high; det_bareiss, the left side,
-    # is left alone.
-    source = inspect.getsource(mx._stacked_dets)
+    # A mutant of the elimination step the zeroed copies share, whose pivot
+    # is one too high at the last step, the one that leaves a single column;
+    # det_bareiss, the left side, is left alone.
+    source = inspect.getsource(mx._pivot_step)
     mutant = source.replace("p = a.pop()", "p = a.pop() + (len(cols) == 1)")
     assert mutant != source
     namespace = dict(vars(mx))
     exec(mutant, namespace)
-    monkeypatch.setattr(mx, "_stacked_dets", namespace["_stacked_dets"])
+    monkeypatch.setattr(mx, "_pivot_step", namespace["_pivot_step"])
     code, out, _ = run(capsys, "verify", "--theorem", theorem, "--trials", "6",
                        "--max-n", "4", "--seed", "42")
     monkeypatch.undo()

@@ -5,11 +5,13 @@ set to 0, for many entries at once. Each value must equal the scalar core
 (_det_bareiss, _per_glynn) on the explicit copy and the n!-term
 permutation expansion, exhaustively on small {-1, 0, 1} matrices and on
 seeded random ones. The hand cases pin the det sweep's column pivots,
-dependent rows and sharing: one elimination per row of the positions. The
-relabelling property is in test_properties.py.
+dependent rows and sharing: one trunk over X's rows, which each row's
+copies leave to finish on the rows after it. The relabelling property is
+in test_properties.py.
 """
 
 import random
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -78,8 +80,8 @@ def test_order_one():
 
 
 # Each hand case is named after what it asks of the elimination of X's
-# other rows, one per row i of the positions: which column each step
-# pivots on, and whether those rows are dependent.
+# other rows that the copies of each row i of the positions get: which
+# column each step pivots on, and whether those rows are dependent.
 
 
 def test_column_pivot_at_the_last_step_for_one_row_and_none_for_another():
@@ -165,19 +167,73 @@ def test_shared_elimination_values(m, positions):
     assert mx.zeroed_dets(m, len(m), positions) == expansions(m, positions)
 
 
-def test_one_shared_elimination_per_row_and_each_copy_rides_it_as_its_own_row(monkeypatch):
+class Traced(int):
+    """An int that keeps the entries (row, column) of X it was computed
+    from: each operation the det sweep applies unites its operands'."""
+
+    def __new__(cls, value, sources):
+        self = super().__new__(cls, value)
+        self.sources = sources
+        return self
+
+    def _joined(self, other, value):
+        return Traced(value, self.sources | sources(other))
+
+    def __mul__(self, other):
+        return self._joined(other, int(self) * int(other))
+
+    __rmul__ = __mul__
+
+    def __sub__(self, other):
+        return self._joined(other, int(self) - int(other))
+
+    def __rsub__(self, other):
+        return self._joined(other, int(other) - int(self))
+
+    def __floordiv__(self, other):
+        return self._joined(other, int(self) // int(other))
+
+    def __rfloordiv__(self, other):
+        return self._joined(other, int(other) // int(self))
+
+    def __neg__(self):
+        return Traced(-int(self), self.sources)
+
+
+def sources(value):
+    return getattr(value, "sources", frozenset())
+
+
+def test_one_trunk_pivots_each_row_once_and_no_copy_reads_its_own_row(monkeypatch):
     m = [[2, 1, 1, 3, 1], [1, 3, 2, 1, 2], [1, 1, 4, 2, 1], [3, 2, 1, 5, 1], [1, 2, 3, 1, 4]]
-    positions = [(3, 1), (0, 0), (3, 4), (3, 1), (4, 2), (0, 3)]
-    calls = []
-    stacked_dets = mx._stacked_dets
+    positions = [(3, 1), (0, 0), (1, 4), (3, 1), (1, 2), (0, 3), (3, 4)]
+    traced = [[Traced(x, frozenset({(i, j)})) for j, x in enumerate(row)] for i, row in enumerate(m)]
+    # Each step pivots on the row last in every column. Its entries come
+    # from the rows pivoted before it in the same elimination and its own,
+    # the largest of them: (pivot row, the rows pivoted before it).
+    steps = []
+    pivot_step = mx._pivot_step
 
-    def recording(others, row, zeroed):
-        calls.append((others, row, zeroed))
-        return stacked_dets(others, row, zeroed)
+    def recording(cols, prev):
+        rows = {i for col in cols for i, _ in sources(col[-1])}
+        steps.append((max(rows), frozenset(rows) - {max(rows)}))
+        return pivot_step(cols, prev)
 
-    monkeypatch.setattr(mx, "_stacked_dets", recording)
-    assert mx.zeroed_dets(m, len(m), positions) == expansions(m, positions)
-    assert calls == [(m[:3] + m[4:], m[3], [1, 4, 1]), (m[1:], m[0], [0, 3]), (m[:4], m[4], [2])]
+    monkeypatch.setattr(mx, "_pivot_step", recording)
+    dets = mx.zeroed_dets(traced, 5, positions)
+    assert dets == expansions(m, positions)
+    # The trunk pivots on rows 0, 1 and 2 in order, on the rows before each,
+    # and stops short of row 3, the last with copies; row 4 has none.
+    trunk = [(k, frozenset(range(k))) for k in range(3)]
+    assert [step for step in steps if step[1] == frozenset(range(step[0]))] == trunk
+    # Row i's copies finish on rows i+1..4, pivoted after rows 0..i-1
+    # once for all of them, and no elimination pivots on a row twice.
+    finishes = [(r, frozenset(range(r)) - {i}) for i in (0, 1, 3) for r in range(i + 1, 5)]
+    assert Counter(steps) == Counter(trunk + finishes)
+    # No copy reads X's row i unzeroed: det X_ij is computed without x_ij.
+    for (i, j), det in zip(positions, dets):
+        assert (i, j) not in sources(det)
+        assert {(r, c) for r in range(5) for c in range(5) if r != i} <= sources(det)
 
 
 def test_zeroing_a_zero_entry_gives_the_matrix_itself():
