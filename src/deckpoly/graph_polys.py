@@ -13,10 +13,12 @@ Laplacian pair (beta=1, gamma=-1), f3/f6 the signless Laplacian pair
 Every pencil goes through one integer seam: _arc_terms scales each arc's
 terms gamma*w and beta*w to ints by one L, and _pencil_coefficients builds
 L*B (B = beta*D + gamma*A) from them, reads the coefficients off the
-kind's integer kernel (_kernel: Berkowitz in det mode, one Gray-code Ryser
-walk in per mode) and checks them monic; _unscaled divides coefficient k
-by L^(n-k). poly_of, deck and the collision search all use it. pencil_at
-(with polynomials.interpolate) and poly_of_oracle remain as test oracles.
+kind's integer kernel (_kernel: in det mode Berkowitz for coefficients
+alone and one Faddeev-LeVerrier pass over the arc-head rows of the
+adjugate for a deck, one Gray-code Ryser walk in per mode) and checks
+them monic; _unscaled divides coefficient k by L^(n-k). poly_of, deck and
+the collision search all use it. pencil_at (with polynomials.interpolate)
+and poly_of_oracle remain as test oracles.
 
 deck uses column linearity instead of m deletions. Deleting arc (s, t) of
 weight w changes only column t of P = x*I - B: entry (s, t) gains gamma*w
@@ -39,6 +41,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
 from math import gcd, lcm
+from operator import floordiv
 
 from . import digraphs, matrices, polynomials
 from .digraphs import Digraph, Frozen, _set
@@ -282,43 +285,50 @@ class Deck(Frozen):
         if len(denominators) != n + 1:
             raise ValueError(f"a deck of degree {n} needs {n + 1} denominators, "
                              f"got {len(denominators)}")
-        if any(den < 1 for den in denominators):
+        if min(denominators, default=1) < 1:
             raise ValueError(f"deck denominators must be >= 1, got {denominators}")
-        if any(len(row) != n + 1 for row in coefficients):
+        if set(map(len, coefficients)) - {n + 1}:
             raise ValueError(f"every deck member needs {n + 1} coefficients")
         # Each column and its denominator over their gcd, which leaves the lcm
         # of its reduced denominators; then the rows sorted as Fractions.
         rows, dens = coefficients, denominators
         commons = [gcd(den, *column) for den, column in zip(dens, zip(*rows))] or dens
-        if any(g != 1 for g in commons):
-            rows = [[c // g for c, g in zip(row, commons)] for row in rows]
+        if commons.count(1) != len(commons):
+            rows = [list(map(floordiv, row, commons)) for row in rows]
         _set(self, "n", n)
         _set(self, "kind", kind)
         _set(self, "coefficients", tuple(sorted(map(tuple, rows))))
-        _set(self, "denominators", tuple(den // g for den, g in zip(dens, commons)))
+        _set(self, "denominators", tuple(map(floordiv, dens, commons)))
         _set(self, "arc_weight", None if arc_weight == len(coefficients) else arc_weight)
 
     @classmethod
     def from_polys(cls, n: int, kind: PolyKind, polys: Iterable[Sequence],
                    arc_weight: Fraction | None = None) -> Deck:
-        rows = [[(c.numerator, c.denominator) for c in map(Fraction, p)] for p in polys]
-        return cls(n, kind, *_scaled_columns(n, rows), arc_weight)
+        rows = [list(map(Fraction, p)) for p in polys]
+        members = [([c.numerator for c in row], [c.denominator for c in row]) for row in rows]
+        return cls(n, kind, *_scaled_columns(n, members), arc_weight)
 
     @property
     def polys(self) -> tuple[Polynomial, ...]:
         return tuple(tuple(map(Fraction, row, self.denominators)) for row in self.coefficients)
 
 
-def _scaled_columns(n: int, rows: list[list[tuple[int, int]]]):
-    """(rows, dens) for Deck from reduced (p, q) member rows of degree n, trailing
-    zeros stripped: each column scaled to the lcm of its q."""
-    for row in rows:
-        while len(row) > 1 and not row[-1][0]:
-            row.pop()
-        if len(row) != n + 1:
-            raise ValueError(f"deck member has degree {len(row) - 1}, expected {n}")
-    dens = [lcm(*[q for _, q in column]) for column in zip(*rows)] or [1] * (n + 1)
-    return [[p * (den // q) for (p, q), den in zip(row, dens)] for row in rows], dens
+def _scaled_columns(n: int, members: list[tuple[list[int], list[int]]]):
+    """(rows, dens) for Deck from members of degree n, trailing zeros
+    stripped: each member a list of numerators and a list of their positive
+    denominators, and each column scaled to the lcm of its denominators. A
+    value need not be in lowest terms: Deck divides each column and its
+    denominator by their gcd."""
+    for nums, qs in members:
+        while len(nums) > 1 and not nums[-1]:
+            nums.pop()
+            qs.pop()
+        if len(nums) != n + 1:
+            raise ValueError(f"deck member has degree {len(nums) - 1}, expected {n}")
+    dens = [lcm(*column) for column in zip(*(qs for _, qs in members))] or [1] * (n + 1)
+    if dens.count(1) == len(dens):
+        return [nums for nums, _ in members], dens
+    return [[p * (den // q) for p, q, den in zip(nums, qs, dens)] for nums, qs in members], dens
 
 
 def _deck_coefficients(kind: PolyKind, n: int, arcs: Sequence[tuple[int, int]],

@@ -26,10 +26,13 @@ adjugate_rows and per_adjugate_rows share one contract: (M, wanted) gives
 every coefficient of det(x*I - M), or of per(x*I - M), and chosen entries
 of the matching adjugate of x*I - M: the signed cofactors, or the
 permanental minors, down one column, which is what a change to that column
-needs (column linearity). adjugate_rows reads its entries off Berkowitz's
-coefficients by Horner's rule in M; per_adjugate_rows gets the permanent and
-every minor from one Gray-code Ryser walk on polynomials packed into ints
-at x = 2^B (Kronecker substitution). Everything is in Python ints.
+needs (column linearity). adjugate_rows runs the Faddeev-LeVerrier
+recurrence on the rows of the adjugate at M's nonzero columns and the
+wanted heads, whose traces give the coefficients, so one pass gives both
+(with nothing wanted it returns Berkowitz's coefficients);
+per_adjugate_rows gets the permanent and every minor from one Gray-code
+Ryser walk on polynomials packed into ints at x = 2^B (Kronecker
+substitution). Everything is in Python ints.
 """
 
 from __future__ import annotations
@@ -342,48 +345,60 @@ def charpoly_berkowitz(matrix: Matrix) -> list[int]:
 def adjugate_rows(matrix: Matrix, wanted: dict[int, Iterable[int]]
                   ) -> tuple[list[int], dict[tuple[int, int], list[int]]]:
     """(coefficients of det(x*I - M), entries), both constant term first:
-    the coefficients from charpoly_berkowitz, and entry (t, j) of
-    adj(x*I - M), for each row t of `wanted` and each j in wanted[t], as n
-    coefficients.
+    entry (t, j) of adj(x*I - M), for each row t of `wanted` and each j in
+    wanted[t], as n coefficients. With nothing wanted the coefficients come
+    from charpoly_berkowitz.
 
     adj(x*I - M)[t][j] is the cofactor of entry (j, t) of x*I - M. With
-    c_0..c_n the coefficients of det(x*I - M), the Cayley-Hamilton identity
-    (x*I - M) * adj(x*I - M) = det(x*I - M) * I gives adj(x*I - M) =
-    sum_k x^k B_k with B_{n-1} = I and, by Horner's rule (the
-    Faddeev-LeVerrier recurrence),
+    c_0..c_n the coefficients of det(x*I - M), adj(x*I - M) = sum_k x^k B_k,
+    and the Faddeev-LeVerrier recurrence gives, for k = n-1, ..., 0,
 
-        B_{k-1} = c_k * I + B_k * M,
+        B_{n-1} = I,  c_k = -tr(B_k * M) / (n - k),  B_{k-1} = c_k * I + B_k * M.
 
-    so row t of each B_k follows from the one before by a sparse
-    vector-matrix product and is read at the wanted columns. Row t then
-    costs O(n * (z + c)) for z nonzeros and c wanted columns. Once the row
-    is zero and c_1..c_k are all zero, every later B_k row is zero too.
+    Row t of B_{k-1} follows from row t of B_k alone, and tr(B_k * M) sums
+    (row t of B_k) . (column t of M) over the t whose column of M is not
+    zero. So the kernel keeps only the rows of B_k at M's nonzero columns
+    and at the wanted heads, which for a deck pencil are the same rows, the
+    arc heads; one pass gives every coefficient and every entry. Row t of
+    B_k is zero outside M's nonzero columns and t, so its product with M
+    reads only M's rows at kept indices: a kept row costs O(n * (n + z))
+    over all k, for z nonzeros in those rows. Once every kept row is zero,
+    every later c_k and row is zero too.
+
+    Each c_k is an int, so each trace divides exactly; a remainder is a
+    kernel bug, raised even under -O. A coefficient-only call would keep
+    every row at M's nonzero columns, which costs more than Berkowitz.
     """
-    charpoly = charpoly_berkowitz(matrix)
     if not wanted:
-        return charpoly, {}
-    n = len(charpoly) - 1
-    nonzero = [[(j, v) for j, v in enumerate(row) if v] for row in matrix]
-    lowest = next(k for k in range(1, n + 1) if charpoly[k])  # c_n = 1
-    out = {}
-    for t, cols in wanted.items():
-        entries = {(t, j): [0] * n for j in cols}
-        row = [0] * n
-        row[t] = 1
-        for k in range(n - 1, -1, -1):
-            for (_, j), entry in entries.items():
-                entry[k] = row[j]
-            if not k or k < lowest and not any(row):
-                break
-            nxt = [0] * n
-            nxt[t] = charpoly[k]
-            for i, x in enumerate(row):
+        return charpoly_berkowitz(matrix), {}
+    n = order_of(matrix)
+    columns = [[(i, row[j]) for i, row in enumerate(matrix) if row[j]] for j in range(n)]
+    rows = {t: [int(j == t) for j in range(n)] for t in range(n) if columns[t] or t in wanted}
+    nonzero = [(i, nz) for i in rows if (nz := [(j, v) for j, v in enumerate(matrix[i]) if v])]
+    traced = [(t, columns[t]) for t in rows if columns[t]]
+    entries = {(t, j): [0] * n for t, cols in wanted.items() for j in cols}
+    coeffs = [0] * n + [1]
+    for k in range(n - 1, -1, -1):
+        for (t, j), entry in entries.items():
+            entry[k] = rows[t][j]
+        c, rest = divmod(-sum([rows[t][i] * v for t, col in traced for i, v in col]), n - k)
+        if rest:
+            raise AssertionError(f"tr(B_{k} * M) is not divisible by {n - k}")
+        coeffs[k] = c
+        if not k:
+            break
+        for t, row in rows.items():  # row t of B_{k-1} from row t of B_k alone
+            out = [0] * n
+            out[t] = c
+            for i, nz in nonzero:
+                x = row[i]
                 if x:
-                    for j, v in nonzero[i]:
-                        nxt[j] += x * v
-            row = nxt
-        out.update(entries)
-    return charpoly, out
+                    for j, v in nz:
+                        out[j] += x * v
+            rows[t] = out
+        if not any(map(any, rows.values())):
+            break
+    return coeffs, entries
 
 
 def per_adjugate_rows(matrix: Matrix, wanted: dict[int, Iterable[int]]

@@ -8,6 +8,7 @@ no precision is lost in transit; only those two forms are read back.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from math import gcd
 
@@ -104,6 +105,34 @@ def deck_to_obj(d: Deck) -> dict:
     return obj
 
 
+# One deck member, its strings joined by commas: _rational_pair's grammar
+# and length bound for each value. [0-9] is ASCII only, unlike int().
+_VALUE = rf"(?![^,]{{{MAX_RATIONAL_CHARS + 1}}})-?[0-9]+(?:/[0-9]+)?"
+_MEMBER = re.compile(rf"{_VALUE}(?:,{_VALUE})*")
+
+
+def _member(item: list) -> tuple[list[int], list[int]]:
+    """(numerators, denominators) of one deck member, each value as written,
+    not reduced. A member that does not match _MEMBER is read again value by
+    value, so the error names the bad one."""
+    try:
+        text = ",".join(item)
+    except TypeError:  # a value that is not a string
+        text = ""
+    if _MEMBER.fullmatch(text) and text.count(",") == len(item) - 1:
+        if "/" not in text:
+            return list(map(int, item)), [1] * len(item)
+        nums, dens = [], []
+        for value in item:
+            p, _, q = value.partition("/")
+            nums.append(int(p))
+            dens.append(int(q) if q else 1)
+        if all(dens):
+            return nums, dens
+    nums, dens = zip(*map(_rational_pair, item))
+    return list(nums), list(dens)
+
+
 def deck_from_obj(obj) -> Deck:
     if not isinstance(obj, dict):
         raise FormatError("a deck payload must be a JSON object")
@@ -124,8 +153,7 @@ def deck_from_obj(obj) -> Deck:
     if arc_weight is not None:
         arc_weight = fraction_from_str(arc_weight)
     try:
-        rows = [[_rational_pair(c) for c in item] for item in raw]
-        return Deck(n, kind, *_scaled_columns(n, rows), arc_weight)
+        return Deck(n, kind, *_scaled_columns(n, [_member(item) for item in raw]), arc_weight)
     except ValueError as exc:  # a bad coefficient or a member of the wrong degree
         raise FormatError(str(exc)) from exc
 
@@ -175,9 +203,12 @@ def collision_group_to_obj(group) -> dict:
     }
 
 
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def to_canonical_json(obj) -> str:
     """One fixed rendering so identical runs emit identical bytes."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return _CANONICAL.encode(obj)
 
 
 def _bounded_int(text: str) -> int:

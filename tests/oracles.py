@@ -4,7 +4,8 @@ the test files share. Nothing under src/ uses any of it.
 Each reference takes the slow road by definition: the n!-term permutation
 sum, the deck as poly_of of every single-arc deletion, the deck sum as
 Fraction column sums of the deck's polynomials, a random matrix drawn by
-rng.choice. The number of digraphs up to relabelling comes from
+rng.choice, the adjugate rows by Horner's rule from Berkowitz's
+coefficients. The number of digraphs up to relabelling comes from
 Burnside's lemma, which never lists one.
 """
 
@@ -18,7 +19,7 @@ from deckpoly import polynomials as poly
 from deckpoly.digraphs import delete_arc
 from deckpoly.graph_polys import PolyKind, poly_of
 from deckpoly.identities import random_nonzero_rational, random_rational
-from deckpoly.matrices import order_of, permutation_sign
+from deckpoly.matrices import charpoly_berkowitz, order_of, permutation_sign
 
 # The expansion costs n! terms.
 EXPANSION_MAX_ORDER = 8
@@ -53,6 +54,31 @@ def permutation_expansion(matrix, signed):
                 break
         total += term
     return total
+
+
+def horner_adjugate_rows(matrix, wanted):
+    """matrices.adjugate_rows by another route: the coefficients c_0..c_n
+    from charpoly_berkowitz, then each wanted row t of B_k, where
+    adj(x*I - M) = sum_k x^k B_k, by Horner's rule B_{k-1} = c_k * I + B_k * M
+    from B_{n-1} = I, read at the wanted columns. No trace is taken."""
+    charpoly = charpoly_berkowitz(matrix)
+    n = len(charpoly) - 1
+    nonzero = [[(j, v) for j, v in enumerate(row) if v] for row in matrix]
+    out = {}
+    for t, cols in wanted.items():
+        entries = {(t, j): [0] * n for j in cols}
+        row = [int(j == t) for j in range(n)]
+        for k in range(n - 1, -1, -1):
+            for (_, j), entry in entries.items():
+                entry[k] = row[j]
+            nxt = [0] * n
+            nxt[t] = charpoly[k]
+            for i, x in enumerate(row):
+                for j, v in nonzero[i]:
+                    nxt[j] += x * v
+            row = nxt
+        out.update(entries)
+    return charpoly, out
 
 
 # poly_of keeps no results; the exhaustive deck tests meet the same card

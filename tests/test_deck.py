@@ -1,5 +1,5 @@
 """deck by column linearity against the deletion oracle, and its two
-adjugate kernels against sympy and the permutation expansion."""
+adjugate kernels against sympy, the permutation expansion and Horner."""
 
 import random
 from fractions import Fraction
@@ -12,9 +12,9 @@ from deckpoly import digraphs as dg
 from deckpoly import matrices as mx
 from deckpoly import polynomials as poly
 from deckpoly.digraphs import Digraph
-from deckpoly.graph_polys import F1, F4, SIX_KINDS, PolyKind, deck
+from deckpoly.graph_polys import F1, F4, SIX_KINDS, PolyKind, deck, poly_of
 from deckpoly.identities import random_digraph, random_matrix, random_nonzero_rational
-from oracles import deletion_deck, permutation_expansion, random_kind
+from oracles import deletion_deck, horner_adjugate_rows, permutation_expansion, random_kind
 
 GENERAL_KINDS = (PolyKind(Fraction(1, 3), Fraction(-5, 2), "det"),
                  PolyKind(Fraction(-2, 3), Fraction(3, 4), "per"))
@@ -228,3 +228,90 @@ def test_per_adjugate_rows_packing_holds_on_large_entries():
                 minor = [row[:t] + row[t + 1:] for r, row in enumerate(pencil) if r != j]
                 # The minor of an order-1 matrix is the empty product, 1.
                 assert at(entry, x) == (mx.per_ryser(minor) if n > 1 else 1), (matrix, t, j, x)
+
+
+def wanted_sets(matrix, rng):
+    """Wanted rows for adjugate_rows: the deck's (each nonzero column t
+    wants its nonzero rows and t), every entry up to order 16, and a random
+    set, which need not cover M's nonzero columns, plus the zero columns
+    alone."""
+    n = len(matrix)
+    heads = [t for t in range(n) if any(row[t] for row in matrix)]
+    yield {t: {s for s in range(n) if matrix[s][t]} | {t} for t in heads}
+    if n <= 16:
+        yield {t: range(n) for t in range(n)}
+    yield {t: rng.sample(range(n), rng.randint(0, n)) for t in rng.sample(range(n), rng.randint(1, n))}
+    zero = [t for t in range(n) if t not in heads]
+    if zero:
+        yield {t: range(n) for t in zero}
+
+
+def check_against_horner(matrix, rng):
+    for wanted in wanted_sets(matrix, rng):
+        wanted = {t: list(cols) for t, cols in wanted.items()}
+        got = mx.adjugate_rows(matrix, wanted)
+        assert got == horner_adjugate_rows(matrix, wanted), (matrix, wanted)
+        assert got[0] == mx.charpoly_berkowitz(matrix)
+
+
+def test_adjugate_rows_matches_horner_on_every_small_matrix():
+    rng = random.Random(2503)
+    for matrix in small_matrices():
+        check_against_horner(matrix, rng)
+
+
+@pytest.mark.parametrize("density, orders", [
+    (0.15, [*range(1, 17), 32, 64]),
+    (0.4, range(1, 17)),
+    (1.0, range(1, 17)),
+])
+def test_adjugate_rows_matches_horner_on_random_sparse_matrices(density, orders):
+    """Up to order 6 the whole adjugate is also checked against the
+    permutation expansion."""
+    rng = random.Random(2507)
+    for n in orders:
+        matrix = random_matrix(rng, n, 1 - density, magnitude=rng.choice((1, 3, 9)))
+        check_against_horner(matrix, rng)
+        if n <= 6:
+            check_adjugate(matrix, signed=True)
+
+
+def test_adjugate_rows_on_zero_and_order_one_matrices():
+    for n in (1, 2, 5, 9):
+        coeffs, entries = mx.adjugate_rows([[0] * n for _ in range(n)], {t: range(n) for t in range(n)})
+        # adj(x*I) = x^(n-1) * I
+        assert coeffs == [0] * n + [1]
+        assert entries == {(t, j): [0] * (n - 1) + [int(t == j)] for t in range(n) for j in range(n)}
+    for a in (-3, 0, 1, 7):
+        assert mx.adjugate_rows([[a]], {0: [0]}) == ([-a, 1], {(0, 0): [1]})
+
+
+def test_adjugate_rows_on_acyclic_beta_zero_pencils():
+    """f1 pencils of acyclic digraphs: M is nilpotent, every c_k but c_n is
+    0, and B_k = M^(n-1-k), whose kept rows vanish after the longest path."""
+    rng = random.Random(2511)
+    for n in (2, 3, 5, 8, 16, 32):
+        order = rng.sample(range(n), n)
+        matrix = [[0] * n for _ in range(n)]
+        for _ in range(2 * n):
+            s, t = sorted(rng.sample(range(n), 2))
+            matrix[order[s]][order[t]] = rng.choice((1, -2, 5))
+        check_against_horner(matrix, rng)
+        g = Digraph(n, tuple((s, t) for s in range(n) for t in range(n) if matrix[s][t]))
+        if g.m and n <= 8:
+            assert deck(g, F1).polys == deletion_deck(g, F1)
+
+
+def test_only_coefficient_calls_run_berkowitz(monkeypatch):
+    """poly_of reads Berkowitz's coefficients; a det deck's one kernel pass
+    takes them from its own traces."""
+    orders = []
+    berkowitz = mx.charpoly_berkowitz
+    monkeypatch.setattr(mx, "charpoly_berkowitz", lambda m: orders.append(len(m)) or berkowitz(m))
+    g = Digraph(4, ((0, 1), (1, 2), (2, 0), (2, 3)), (1, Fraction(-1, 2), 3, 2))
+    for kind in (F1, GENERAL_KINDS[0]):
+        deck(g, kind)
+        assert orders == []
+        poly_of(g, kind)
+        assert orders == [4]
+        orders.clear()

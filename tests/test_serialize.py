@@ -10,7 +10,7 @@ import pytest
 from deckpoly import polynomials as poly
 from deckpoly import serialize as ser
 from deckpoly.digraphs import Digraph
-from deckpoly.graph_polys import F2, Deck, deck
+from deckpoly.graph_polys import F2, MAX_RATIONAL_CHARS, Deck, deck
 from deckpoly.identities import check_thm21
 from deckpoly.reconstruct import Inconsistent, OneParameterFamily, Unique
 from oracles import P
@@ -118,6 +118,37 @@ def test_deck_from_obj_rejects_wrong_degree_and_bad_kind():
         with pytest.raises(ser.FormatError):
             ser.deck_from_obj({"format_version": 1, "n": 2, "kind": "f1",
                                "polys": [["0", "0", "1"]], "arc_weight": arc_weight})
+
+
+@pytest.mark.parametrize("bad", ["1e3", "+1", " 1", "1_000", "", "1/0", "0x1", "\u0661", "1,2", 7])
+def test_deck_member_values_are_read_strictly(bad):
+    """A member is checked as a whole, then read again value by value, so
+    the error names the bad value; "\u0661" is an Arabic-Indic digit, which
+    int() accepts."""
+    obj = {"format_version": 1, "n": 2, "kind": "f1", "polys": [["0", "0", "1"]]}
+    for member in ([bad, "0", "1"], ["1/2", bad, "1"]):
+        with pytest.raises(ser.FormatError, match=re.escape(repr(bad))):
+            ser.deck_from_obj({**obj, "polys": [["0", "0", "1"], member]})
+
+
+def test_deck_member_values_have_a_length_bound():
+    obj = {"format_version": 1, "n": 2, "kind": "f1"}
+    for long in ("1" * (MAX_RATIONAL_CHARS + 1), "-" + "1" * MAX_RATIONAL_CHARS,
+                 "1/" + "1" * (MAX_RATIONAL_CHARS - 1)):
+        with pytest.raises(ser.FormatError, match=f"{MAX_RATIONAL_CHARS + 1} characters"):
+            ser.deck_from_obj({**obj, "polys": [["0", long, "1"]]})
+
+
+def test_deck_members_read_in_any_terms():
+    obj = {"format_version": 1, "n": 2, "kind": "f1"}
+    half = ser.deck_from_obj({**obj, "polys": [["1/2", "-3", "1"], ["0", "1/3", "1"]]})
+    for polys in ([["2/4", "-6/2", "1", "0", "0/5"], ["0/7", "2/6", "3/3", "0"]],
+                  [["1/2", "-3", "1/1"], ["0", "1/3", "1"]]):
+        twin = ser.deck_from_obj({**obj, "polys": polys})
+        assert twin == half and hash(twin) == hash(half)
+        assert twin.denominators == half.denominators == (2, 3, 1)
+        assert ser.deck_to_obj(twin) == ser.deck_to_obj(half)
+    assert half == Deck.from_polys(2, half.kind, [P(Fraction(1, 2), -3, 1), P(0, Fraction(1, 3), 1)])
 
 
 def test_deck_from_obj_accepts_non_monic_members():
