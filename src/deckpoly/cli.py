@@ -32,7 +32,9 @@ from .graph_polys import (
 )
 from .serialize import FormatError, to_canonical_json
 
-THEOREMS = ("2.1", "2.2", "2.3", "3.1", "1.7")
+# Theorems whose trials draw an int matrix; the others draw a digraph.
+MATRIX_THEOREMS = ("2.1", "2.2", "2.3")
+THEOREMS = (*MATRIX_THEOREMS, "3.1", "1.7")
 # Theorems whose trials may take a permanent of order --max-n.
 PERMANENT_THEOREMS = ("2.3", "3.1", "1.7")
 
@@ -73,7 +75,7 @@ def cmd_reconstruct(args) -> int:
 
 
 def _verify_trial(theorem: str, rng: random.Random, max_n: int, weighted: bool):
-    if theorem in ("2.1", "2.2", "2.3"):
+    if theorem in MATRIX_THEOREMS:
         matrix = identities.random_matrix(rng, rng.randint(1, max_n))
         if theorem == "2.1":
             return identities.check_thm21(matrix)
@@ -92,6 +94,8 @@ def _verify_trial(theorem: str, rng: random.Random, max_n: int, weighted: bool):
 def cmd_verify(args) -> int:
     if args.trials < 1 or args.max_n < 1:
         raise ValueError("--trials and --max-n must be >= 1")
+    if args.weighted and args.theorem in MATRIX_THEOREMS:
+        raise ValueError(f"--weighted weights digraph arcs; theorem {args.theorem} takes int matrices")
     taken, cap = (("permanents", matrices.RYSER_MAX_ORDER)
                   if args.theorem in PERMANENT_THEOREMS else ("determinants", DET_MAX_VERTICES))
     if args.max_n > cap:
@@ -200,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-n", type=int, default=6, dest="max_n")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--weighted", action="store_true",
-                   help="draw nonzero rational arc weights for digraph instances")
+                   help="draw nonzero rational arc weights (theorems 3.1 and 1.7 only)")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("search", help="exhaustive deck-collision search")

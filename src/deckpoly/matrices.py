@@ -1,11 +1,11 @@
 """Dense integer matrices with determinant and permanent kernels.
 
 A matrix is a plain list of equal-length rows of Python ints; every
-public kernel but the zeroing sweeps goes through order_of (the cores
-_det_bareiss and _per_glynn skip it too), which rejects any other entry
-type (a Fraction included), because Bareiss's exact division is only exact
-on integers. A caller with rational entries clears denominators first, as
-graph_polys does. No public function mutates its input.
+public kernel but the zeroing sweeps goes through order_of, which rejects
+any other entry type (a Fraction included), because Bareiss's exact
+division is only exact on integers. A caller with rational entries clears
+denominators first, as graph_polys does. No public function mutates its
+input.
 
 det_bareiss and per_ryser (Glynn's formula) give one scalar value.
 zeroed_dets and zeroed_pers give one value per zeroed copy X_ij of X (X
@@ -78,21 +78,15 @@ def det_bareiss(matrix: Matrix) -> int:
     """Exact determinant by fraction-free elimination with row pivoting
     (Bareiss 1968, Math. Comp. 22).
 
-    After step k each updated entry is a (k+1)-minor of the (row-swapped)
-    integer matrix, so the division by the previous pivot is exact.
-    A column with no usable pivot means the matrix is singular.
-    """
-    n = order_of(matrix)
-    return _det_bareiss([list(row) for row in matrix], n)
-
-
-def _det_bareiss(rows: Matrix, n: int) -> int:
-    """det_bareiss without input checks, eliminating in place in `rows`.
-
     Step k, with the pivot in place at (k, k), makes rows k+1..
     (a_ij * a_kk - a_ik * a_kj) / prev over columns k+1..; column k below
-    the pivot keeps its values, since no later step reads it. A step whose
-    prev is 1, step 0 among them, divides by nothing."""
+    the pivot keeps its values, since no later step reads it. After step k
+    each updated entry is a (k+1)-minor of the (row-swapped) integer
+    matrix, so the division by the previous pivot is exact. A column with
+    no usable pivot means the matrix is singular.
+    """
+    n = order_of(matrix)
+    rows = [list(row) for row in matrix]
     prev, sign = 1, 1
     for k in range(n - 1):
         if rows[k][k] == 0:
@@ -105,12 +99,8 @@ def _det_bareiss(rows: Matrix, n: int) -> int:
         pkk = row_k[k]
         for row_i in rows[k + 1:]:
             rik = row_i[k]
-            if prev == 1:
-                for j in range(k + 1, n):
-                    row_i[j] = row_i[j] * pkk - rik * row_k[j]
-            else:
-                for j in range(k + 1, n):
-                    row_i[j] = (row_i[j] * pkk - rik * row_k[j]) // prev
+            for j in range(k + 1, n):
+                row_i[j] = (row_i[j] * pkk - rik * row_k[j]) // prev
         prev = pkk
     return sign * rows[n - 1][n - 1]
 
@@ -127,8 +117,7 @@ def zeroed_dets(rows: Matrix, n: int, positions: list[tuple[int, int]]) -> list[
     first nonzero among the columns not yet pivoted. At a step with pivot p
     and previous pivot prev, an entry v of a row below the pivot row, in a
     column c not yet pivoted, becomes (v * p - a * w) / prev, where a is the
-    row's entry in the pivot column and w the pivot row's entry in column c;
-    a step whose prev is 1, the first one among them, divides by nothing.
+    row's entry in the pivot column and w the pivot row's entry in column c.
 
     This is Bareiss's elimination of the copy with row i moved last and its
     columns in pivot order p_0, p_1, ... So after s + 1 steps every entry is
@@ -218,8 +207,6 @@ def _pivot_step(cols: Matrix, prev: int) -> tuple[int, int, Matrix] | None:
         return None
     a = cols.pop(q)
     p = a.pop()
-    if prev == 1:
-        return q, p, [[v * p - x * w for v, x in zip(col, a)] for col in cols for w in [col[-1]]]
     return q, p, [[(v * p - x * w) // prev for v, x in zip(col, a)] for col in cols for w in [col[-1]]]
 
 
@@ -235,13 +222,8 @@ def per_ryser(matrix: Matrix) -> int:
     n = order_of(matrix)
     if n > RYSER_MAX_ORDER:
         raise ValueError(f"per_ryser is capped at order {RYSER_MAX_ORDER}, got {n}")
-    return _per_glynn(matrix, n)
-
-
-def _per_glynn(rows: Matrix, n: int) -> int:
-    """per_ryser without input checks; `rows` is not modified."""
     total = 0
-    for g, sums in _glynn_walk(rows, n):
+    for g, sums in _glynn_walk(matrix, n):
         if 0 not in sums:
             total += -prod(sums) if g & 1 else prod(sums)
     return _glynn_quotient(total, n)
@@ -293,8 +275,6 @@ def zeroed_pers(rows: Matrix, n: int, positions: list[tuple[int, int]]) -> list[
     copies = [(i, j, rows[i][j]) for i, j in positions]
     acc = [0] * len(copies)
     for g, sums in _glynn_walk(rows, n):
-        if sums.count(0) > 1:
-            continue  # every copy keeps a zero column sum
         negative = (g ^ (g >> 1)) << 1  # bit i set: d_i = -1
         # excl[j] = (prod_i d_i) * the product of every column sum but s_j.
         head = accumulate(sums, mul, initial=-1 if g & 1 else 1)

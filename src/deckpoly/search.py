@@ -185,11 +185,7 @@ def classes(n: int, m: int, budget: int = DEFAULT_BUDGET) -> list[tuple[int, ...
         """Clear `fresh` at the lex ranks of the relabellings of `subset`: the
         images of its arcs under every injective map of its touched vertices
         into range(n)."""
-        degree = [0] * n
-        for i in subset:
-            for v in slots[i]:
-                degree[v] += 1
-        touched = [v for v, d in enumerate(degree) if d]
+        touched = sorted({v for i in subset for v in slots[i]})
         local = {v: x for x, v in enumerate(touched)}
         arcs = [(local[s], local[t]) for s, t in map(slots.__getitem__, subset)]
         for p in permutations(range(n), len(touched)):

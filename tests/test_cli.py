@@ -260,6 +260,14 @@ def test_verify_weighted_sweep(capsys):
     assert json.loads(out)["weighted"] is True
 
 
+@pytest.mark.parametrize("theorem", ["2.1", "2.2", "2.3"])
+def test_verify_rejects_weighted_for_matrix_theorems(theorem, capsys):
+    # Their instances are int matrices, which have no arc weights to draw.
+    code, out, err = run(capsys, "verify", "--theorem", theorem, "--trials", "3",
+                         "--max-n", "4", "--seed", "7", "--weighted")
+    assert code == 2 and out == "" and "--weighted" in err
+
+
 def test_verify_output_is_byte_identical_across_runs(capsys):
     args = ("verify", "--theorem", "1.7", "--trials", "12", "--max-n", "5",
             "--seed", "99")
@@ -318,10 +326,10 @@ MATRIX_CHECKS = {"2.1": identities.check_thm21, "2.2": identities.check_thm22,
 
 @pytest.mark.parametrize("theorem", list(MATRIX_CHECKS))
 def test_verify_reports_a_faulty_kernel_as_violated(theorem, capsys, monkeypatch):
-    det_core, per_core = mx._det_bareiss, mx._per_glynn
-    monkeypatch.setattr(mx, "_det_bareiss", lambda rows, n: det_core(rows, n) + 1)
-    monkeypatch.setattr(mx, "_per_glynn", lambda rows, n: per_core(rows, n) + 1)
-    # The zeroed copies are evaluated by the sweeps, not one core call each.
+    det, per = mx.det_bareiss, mx.per_ryser
+    monkeypatch.setattr(mx, "det_bareiss", lambda matrix: det(matrix) + 1)
+    monkeypatch.setattr(mx, "per_ryser", lambda matrix: per(matrix) + 1)
+    # The zeroed copies are evaluated by the sweeps, not one kernel call each.
     for name in ("zeroed_dets", "zeroed_pers"):
         sweep = getattr(mx, name)
         monkeypatch.setattr(mx, name, lambda rows, n, positions, sweep=sweep:
@@ -335,7 +343,7 @@ def test_verify_reports_a_faulty_kernel_as_violated(theorem, capsys, monkeypatch
     for violation in obj["violations"]:
         # With every evaluation one too high, the left side gains
         # len(positions) - n and the right side len(positions), when the
-        # zeroed copies go through the faulty core too.
+        # zeroed copies go through the faulty kernel too.
         n = len(violation["instance"]["matrix"])
         assert int(violation["lhs"]) - int(violation["rhs"]) == -n
     matrix = [[int(x) for x in row] for row in obj["violations"][0]["instance"]["matrix"]]

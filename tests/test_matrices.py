@@ -158,6 +158,30 @@ def test_coefficient_kernels_match_sympy():
         assert per_coefficients(m) == want_per
 
 
+def test_det_matches_expansion_on_every_small_sign_matrix():
+    # Among them every zero pivot that forces a row swap, and every pivot
+    # of 1 or -1, which the next step divides by.
+    for n in (1, 2, 3):
+        for flat in product((-1, 0, 1), repeat=n * n):
+            m = [list(flat[i * n:(i + 1) * n]) for i in range(n)]
+            assert mx.det_bareiss(m) == permutation_expansion(m, True), m
+
+
+@pytest.mark.parametrize("zero_density", [0.0, 0.3, 0.6])
+def test_det_matches_expansion_on_random_matrices(zero_density):
+    rng = random.Random(1309)
+    orders, signs = set(), set()
+    for _ in range(80):
+        n = rng.randint(1, 8)
+        m = random_matrix(rng, n, zero_density=zero_density)
+        value = mx.det_bareiss(m)
+        assert value == permutation_expansion(m, True), m
+        orders.add(n)
+        signs.add((value > 0) - (value < 0))
+    assert orders == set(range(1, 9))
+    assert {-1, 1} <= signs
+
+
 def test_per_matches_expansion_on_every_small_sign_matrix():
     for n in (1, 2, 3):
         for flat in product((-1, 0, 1), repeat=n * n):

@@ -10,6 +10,7 @@ import pickle
 import subprocess
 import sys
 from fractions import Fraction
+from functools import cache
 
 import pytest
 
@@ -37,9 +38,12 @@ FIELDS = {
 WEIGHTED = Digraph(3, ((0, 1), (1, 2), (2, 0)), (Fraction(1, 2), 2, -3))
 
 
+@cache
 def instances():
+    """One instance of each type, by type: built when a test asks, so a
+    fault in the code that builds them fails tests instead of collection."""
     family = reconstruct(deck(directed_cycle(3), F1))
-    return [
+    return {type(x): x for x in [
         WEIGHTED,
         PolyKind(Fraction(1, 2), -3, "det"),
         deck(WEIGHTED, F2),
@@ -49,10 +53,7 @@ def instances():
         verify_roundtrip(directed_cycle(3), F1),
         identities.check_eq17(WEIGHTED, F2),
         search.find_deck_collisions(3, 3, F1)[0],
-    ]
-
-
-INSTANCES = instances()
+    ]}
 
 
 def values(x):
@@ -60,12 +61,12 @@ def values(x):
 
 
 def test_the_instances_cover_every_type():
-    assert [type(x) for x in INSTANCES] == list(FIELDS)
+    assert list(instances()) == list(FIELDS)
 
 
-@pytest.mark.parametrize("x", INSTANCES, ids=lambda x: type(x).__name__)
-def test_equal_fields_make_equal_values(x):
-    cls = type(x)
+@pytest.mark.parametrize("cls", FIELDS, ids=lambda cls: cls.__name__)
+def test_equal_fields_make_equal_values(cls):
+    x = instances()[cls]
     twin = cls(*values(x))
     assert twin == x and not twin != x and twin is not x
     assert cls(**dict(zip(FIELDS[cls], values(x)))) == x
@@ -78,18 +79,20 @@ def test_equal_fields_make_equal_values(x):
         assert hash(x) == hash(twin) == expected
 
 
-@pytest.mark.parametrize("x", INSTANCES, ids=lambda x: type(x).__name__)
-def test_another_class_with_equal_fields_is_not_equal(x):
-    other = type("Other", (type(x),), {})(*values(x))
+@pytest.mark.parametrize("cls", FIELDS, ids=lambda cls: cls.__name__)
+def test_another_class_with_equal_fields_is_not_equal(cls):
+    x = instances()[cls]
+    other = type("Other", (cls,), {})(*values(x))
     assert x.__eq__(other) is NotImplemented
     assert x != other and other != x
     assert x.__eq__(values(x)) is NotImplemented
 
 
-@pytest.mark.parametrize("x", INSTANCES, ids=lambda x: type(x).__name__)
-def test_fields_cannot_be_assigned_or_deleted(x):
+@pytest.mark.parametrize("cls", FIELDS, ids=lambda cls: cls.__name__)
+def test_fields_cannot_be_assigned_or_deleted(cls):
+    x = instances()[cls]
     before = values(x)
-    for name in FIELDS[type(x)]:
+    for name in FIELDS[cls]:
         with pytest.raises(AttributeError):
             setattr(x, name, None)
         with pytest.raises(AttributeError):
@@ -99,8 +102,9 @@ def test_fields_cannot_be_assigned_or_deleted(x):
     assert values(x) == before
 
 
-@pytest.mark.parametrize("x", INSTANCES, ids=lambda x: type(x).__name__)
-def test_pickle_and_copy_round_trip(x):
+@pytest.mark.parametrize("cls", FIELDS, ids=lambda cls: cls.__name__)
+def test_pickle_and_copy_round_trip(cls):
+    x = instances()[cls]
     copies = [pickle.loads(pickle.dumps(x, protocol))
               for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
     copies += [copy.copy(x), copy.deepcopy(x)]
@@ -110,10 +114,11 @@ def test_pickle_and_copy_round_trip(x):
         assert values(twin) == values(x)
 
 
-@pytest.mark.parametrize("x", INSTANCES, ids=lambda x: type(x).__name__)
-def test_repr_names_every_field(x):
-    fields = ", ".join(f"{name}={value!r}" for name, value in zip(FIELDS[type(x)], values(x)))
-    assert repr(x) == f"{type(x).__qualname__}({fields})"
+@pytest.mark.parametrize("cls", FIELDS, ids=lambda cls: cls.__name__)
+def test_repr_names_every_field(cls):
+    x = instances()[cls]
+    fields = ", ".join(f"{name}={value!r}" for name, value in zip(FIELDS[cls], values(x)))
+    assert repr(x) == f"{cls.__qualname__}({fields})"
 
 
 def test_digraph_repr():

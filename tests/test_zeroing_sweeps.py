@@ -1,8 +1,8 @@
 """The zeroing sweeps against each zeroed copy evaluated on its own.
 
 matrices.zeroed_dets and zeroed_pers give det or per of X with one entry
-set to 0, for many entries at once. Each value must equal the scalar core
-(_det_bareiss, _per_glynn) on the explicit copy and the n!-term
+set to 0, for many entries at once. Each value must equal the scalar
+kernel (det_bareiss, per_ryser) on the explicit copy and the n!-term
 permutation expansion, exhaustively on small {-1, 0, 1} matrices and on
 seeded random ones. The hand cases pin the det sweep's column pivots,
 dependent rows and sharing: one trunk over X's rows, which each row's
@@ -21,8 +21,8 @@ from deckpoly.identities import check_thm21, check_thm22, check_thm23, random_ma
 from oracles import permutation_expansion
 
 SWEEPS = [
-    pytest.param(mx.zeroed_dets, mx._det_bareiss, True, id="det"),
-    pytest.param(mx.zeroed_pers, mx._per_glynn, False, id="per"),
+    pytest.param(mx.zeroed_dets, mx.det_bareiss, True, id="det"),
+    pytest.param(mx.zeroed_pers, mx.per_ryser, False, id="per"),
 ]
 
 
@@ -36,18 +36,17 @@ def zeroed(matrix, i, j):
     return copy
 
 
-def copies_one_by_one(core, matrix, positions):
-    n = len(matrix)
-    return [core(zeroed(matrix, i, j), n) for i, j in positions]
+def copies_one_by_one(kernel, matrix, positions):
+    return [kernel(zeroed(matrix, i, j)) for i, j in positions]
 
 
-@pytest.mark.parametrize("sweep, core, signed", SWEEPS)
-def test_every_small_sign_matrix_at_every_entry(sweep, core, signed):
+@pytest.mark.parametrize("sweep, kernel, signed", SWEEPS)
+def test_every_small_sign_matrix_at_every_entry(sweep, kernel, signed):
     for n in (1, 2, 3):
         positions = entries(n)
         matrices = [[list(values[i * n:(i + 1) * n]) for i in range(n)]
                     for values in product((-1, 0, 1), repeat=n * n)]
-        values = [core([list(row) for row in m], n) for m in matrices]
+        values = [kernel(m) for m in matrices]
         assert values == [permutation_expansion(m, signed) for m in matrices]
         # A zeroed copy is in the list too: entry (i, j) is base-3 digit
         # x_ij + 1 of the index, with weight 3^(n*n - 1 - i*n - j).
@@ -56,9 +55,9 @@ def test_every_small_sign_matrix_at_every_entry(sweep, core, signed):
             assert sweep(m, n, positions) == [values[c] for c in copies], m
 
 
-@pytest.mark.parametrize("sweep, core, signed", SWEEPS)
+@pytest.mark.parametrize("sweep, kernel, signed", SWEEPS)
 @pytest.mark.parametrize("zero_density", [0.0, 0.3, 0.6, 0.9])
-def test_random_matrices_on_all_entries_and_on_the_support(sweep, core, signed, zero_density):
+def test_random_matrices_on_all_entries_and_on_the_support(sweep, kernel, signed, zero_density):
     rng = random.Random(1807)
     for n in range(1, 10 if signed else 9):
         for _ in range(3):
@@ -66,7 +65,7 @@ def test_random_matrices_on_all_entries_and_on_the_support(sweep, core, signed, 
             support = [(i, j) for i, j in entries(n) if m[i][j]]
             for positions in (entries(n), support):
                 got = sweep(m, n, positions)
-                assert got == copies_one_by_one(core, m, positions), m
+                assert got == copies_one_by_one(kernel, m, positions), m
                 if n <= 4:
                     assert got == [permutation_expansion(zeroed(m, i, j), signed)
                                    for i, j in positions], m
@@ -90,7 +89,7 @@ def test_column_pivot_at_the_last_step_for_one_row_and_none_for_another():
     m = [[1, 2, 3], [2, 4, 7], [5, 6, 8]]
     assert permutation_expansion(m, True) == 4
     assert mx.zeroed_dets(m, 3, [(2, 2), (1, 2)]) == [4, -24]
-    assert mx.zeroed_dets(m, 3, entries(3)) == copies_one_by_one(mx._det_bareiss, m, entries(3))
+    assert mx.zeroed_dets(m, 3, entries(3)) == copies_one_by_one(mx.det_bareiss, m, entries(3))
 
 
 def test_every_row_pivots_on_column_one_at_step_zero():
@@ -109,7 +108,7 @@ def test_singular_x_with_a_nonsingular_copy_and_dependent_rows_for_row_2():
     m = [[1, 1, 1], [1, 1, 1], [1, 1, 2]]
     assert mx.det_bareiss(m) == 0
     assert mx.zeroed_dets(m, 3, [(1, 1)]) == [-1]
-    assert mx.zeroed_dets(m, 3, entries(3)) == copies_one_by_one(mx._det_bareiss, m, entries(3))
+    assert mx.zeroed_dets(m, 3, entries(3)) == copies_one_by_one(mx.det_bareiss, m, entries(3))
 
 
 def expansions(m, positions):
@@ -257,15 +256,15 @@ def test_the_sweeps_leave_their_input_alone():
         assert m == [[0, 3, 1], [0, 2, 5], [4, 1, 1]]
 
 
-@pytest.mark.parametrize("check, sweep, core, n, support", [
-    pytest.param(check_thm21, mx.zeroed_dets, mx._det_bareiss, 20, False, id="2.1"),
-    pytest.param(check_thm22, mx.zeroed_dets, mx._det_bareiss, 20, True, id="2.2"),
-    pytest.param(check_thm23, mx.zeroed_pers, mx._per_glynn, 12, True, id="2.3"),
+@pytest.mark.parametrize("check, sweep, kernel, n, support", [
+    pytest.param(check_thm21, mx.zeroed_dets, mx.det_bareiss, 20, False, id="2.1"),
+    pytest.param(check_thm22, mx.zeroed_dets, mx.det_bareiss, 20, True, id="2.2"),
+    pytest.param(check_thm23, mx.zeroed_pers, mx.per_ryser, 12, True, id="2.3"),
 ])
-def test_large_orders_match_explicit_copies(check, sweep, core, n, support):
+def test_large_orders_match_explicit_copies(check, sweep, kernel, n, support):
     # Past the random tests' orders. Theorem 2.3 stops at order 12: the
     # permanent cap is 16, and at order 16 each explicit copy takes seconds.
     m = random_matrix(random.Random(n), n)
     positions = [(i, j) for i, j in entries(n) if m[i][j] or not support]
-    assert sweep(m, n, positions) == copies_one_by_one(core, m, positions)
+    assert sweep(m, n, positions) == copies_one_by_one(kernel, m, positions)
     assert check(m).holds
