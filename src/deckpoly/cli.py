@@ -32,9 +32,11 @@ from .graph_polys import (
 )
 from .serialize import FormatError, to_canonical_json
 
-# Theorems whose trials draw an int matrix; the others draw a digraph.
-MATRIX_THEOREMS = ("2.1", "2.2", "2.3")
-THEOREMS = (*MATRIX_THEOREMS, "3.1", "1.7")
+# The check of each theorem whose trials draw an int matrix; the others draw
+# a digraph. Named, not bound, so the call goes through the identities
+# module's attribute, which a tracer may wrap.
+MATRIX_CHECKS = {"2.1": "check_thm21", "2.2": "check_thm22", "2.3": "check_thm23"}
+THEOREMS = (*MATRIX_CHECKS, "3.1", "1.7")
 # Theorems whose trials may take a permanent of order --max-n.
 PERMANENT_THEOREMS = ("2.3", "3.1", "1.7")
 
@@ -75,13 +77,9 @@ def cmd_reconstruct(args) -> int:
 
 
 def _verify_trial(theorem: str, rng: random.Random, max_n: int, weighted: bool):
-    if theorem in MATRIX_THEOREMS:
+    if theorem in MATRIX_CHECKS:
         matrix = identities.random_matrix(rng, rng.randint(1, max_n))
-        if theorem == "2.1":
-            return identities.check_thm21(matrix)
-        if theorem == "2.2":
-            return identities.check_thm22(matrix)
-        return identities.check_thm23(matrix)
+        return getattr(identities, MATRIX_CHECKS[theorem])(matrix)
     g = identities.random_digraph(rng, max_n, weighted=weighted)
     if theorem == "3.1":
         beta = identities.random_rational(rng)
@@ -94,7 +92,7 @@ def _verify_trial(theorem: str, rng: random.Random, max_n: int, weighted: bool):
 def cmd_verify(args) -> int:
     if args.trials < 1 or args.max_n < 1:
         raise ValueError("--trials and --max-n must be >= 1")
-    if args.weighted and args.theorem in MATRIX_THEOREMS:
+    if args.weighted and args.theorem in MATRIX_CHECKS:
         raise ValueError(f"--weighted weights digraph arcs; theorem {args.theorem} takes int matrices")
     taken, cap = (("permanents", matrices.RYSER_MAX_ORDER)
                   if args.theorem in PERMANENT_THEOREMS else ("determinants", DET_MAX_VERTICES))

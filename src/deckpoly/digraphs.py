@@ -181,17 +181,23 @@ def all_arc_slots(n: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(n) for j in range(n) if i != j]
 
 
-def enumerate_digraphs(n: int, m: int):
-    """Yield every labeled loopless simple digraph with n vertices and m arcs.
-
-    Output order is lexicographic over arc sets and therefore deterministic.
-    """
+def cell_slots(n: int, m: int) -> list[tuple[int, int]]:
+    """all_arc_slots(n) for the cell of digraphs with n vertices and m arcs;
+    n < 1 or m outside [0, n(n-1)] raises ValueError."""
     if n < 1:
         raise ValueError(f"vertex count must be >= 1, got {n}")
     slots = all_arc_slots(n)
     if not 0 <= m <= len(slots):
         raise ValueError(f"arc count {m} outside [0, {len(slots)}]")
-    for subset in combinations(slots, m):
+    return slots
+
+
+def enumerate_digraphs(n: int, m: int):
+    """Yield every labeled loopless simple digraph with n vertices and m arcs.
+
+    Output order is lexicographic over arc sets and therefore deterministic.
+    """
+    for subset in combinations(cell_slots(n, m), m):
         yield Digraph(n, subset)
 
 

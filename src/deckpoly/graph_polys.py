@@ -89,32 +89,55 @@ def kind_name(kind: PolyKind) -> str:
     return _KIND_NAMES.get(kind) or f"general:{kind.beta},{kind.gamma},{kind.mode}"
 
 
-_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 # int() takes time quadratic in the digit count, and the CLI lifts Python's
 # 4,300-digit limit on it, so a rational string has its own length bound.
 MAX_RATIONAL_CHARS = 100_000
+# The one rational grammar, "p" or "p/q" of at most MAX_RATIONAL_CHARS
+# characters, matched over a run of values joined by commas. [0-9] is ASCII
+# only, unlike int().
+_VALUE = rf"(?![^,]{{{MAX_RATIONAL_CHARS + 1}}})-?[0-9]+(?:/[0-9]+)?"
+_VALUES = re.compile(rf"{_VALUE}(?:,{_VALUE})*")
+
+
+def _rational_pairs(values: Sequence[str]) -> tuple[list[int], list[int]]:
+    """(numerators, denominators) of rational strings, each value as written,
+    not reduced. A value is "p" or "p/q", the form str(Fraction) writes, and
+    nothing else: Fraction("1e999999999") alone would build 10^999999999. At
+    most MAX_RATIONAL_CHARS characters of a value are read. Values that do
+    not match as one comma-joined string are read again one by one, so the
+    error names the first bad one."""
+    try:
+        text = ",".join(values)
+    except TypeError:  # a value that is not a string
+        text = ""
+    if _VALUES.fullmatch(text) and text.count(",") == len(values) - 1:
+        if "/" not in text:
+            return list(map(int, values)), [1] * len(values)
+        nums, dens = [], []
+        for value in values:
+            p, _, q = value.partition("/")
+            nums.append(int(p))
+            dens.append(int(q) if q else 1)
+        if all(dens):
+            return nums, dens
+    for value in values:
+        if not isinstance(value, str):
+            raise ValueError(f"rational values must be strings, got {value!r}")
+        if len(value) > MAX_RATIONAL_CHARS:
+            raise ValueError(f"rational of {len(value)} characters; "
+                             f"at most {MAX_RATIONAL_CHARS} are read")
+        if "," in value or not _VALUES.fullmatch(value):
+            raise ValueError(f"bad rational {value!r}; expected an integer or p/q")
+        if not int(value.partition("/")[2] or 1):
+            raise ValueError(f"bad rational {value!r}: zero denominator")
+    raise ValueError("expected at least one rational value")
 
 
 def _rational_pair(text: str) -> tuple[int, int]:
-    """(p, q) in lowest terms with q > 0, from "p" or "p/q", the form
-    str(Fraction) writes, and nothing else: Fraction("1e999999999") alone
-    would build 10^999999999. At most MAX_RATIONAL_CHARS characters are read."""
-    if not isinstance(text, str):
-        raise ValueError(f"rational values must be strings, got {text!r}")
-    if len(text) > MAX_RATIONAL_CHARS:
-        raise ValueError(f"rational of {len(text)} characters; "
-                         f"at most {MAX_RATIONAL_CHARS} are read")
-    match = _RATIONAL.fullmatch(text)
-    if not match:
-        raise ValueError(f"bad rational {text!r}; expected an integer or p/q")
-    numerator, denominator = match.groups()
-    if denominator is None:
-        return int(numerator), 1
-    numerator, denominator = int(numerator), int(denominator)
-    if not denominator:
-        raise ValueError(f"bad rational {text!r}: zero denominator")
-    common = gcd(numerator, denominator)
-    return numerator // common, denominator // common
+    """(p, q) in lowest terms with q > 0, from one value _rational_pairs reads."""
+    [p], [q] = _rational_pairs([text])
+    common = gcd(p, q)
+    return p // common, q // common
 
 
 def parse_rational(text: str) -> Fraction:

@@ -66,7 +66,7 @@ from math import comb
 from operator import getitem
 
 from . import graph_polys
-from .digraphs import Digraph, Frozen, all_arc_slots, directed_cycle, directed_path
+from .digraphs import Digraph, Frozen, all_arc_slots, cell_slots, directed_cycle, directed_path
 from .graph_polys import PolyKind
 
 # comb(42, 7), the (7, 7) cell: 36.6-41.0 s per kind and 42 MB peak RSS on a
@@ -165,11 +165,7 @@ def classes(n: int, m: int, budget: int = DEFAULT_BUDGET) -> list[tuple[int, ...
     n < 1, m outside [0, N] and more than `budget` labelled digraphs raise
     ValueError at the call.
     """
-    if n < 1:
-        raise ValueError(f"vertex count must be >= 1, got {n}")
-    slots = all_arc_slots(n)
-    if not 0 <= m <= len(slots):
-        raise ValueError(f"arc count {m} outside [0, {len(slots)}]")
+    slots = cell_slots(n, m)
     total = comb(len(slots), m)
     if total > budget:
         raise ValueError(f"enumerating {total} digraphs exceeds the budget of {budget}")

@@ -8,12 +8,11 @@ no precision is lost in transit; only those two forms are read back.
 from __future__ import annotations
 
 import json
-import re
 from fractions import Fraction
 from math import gcd
 
 from .digraphs import Digraph
-from .graph_polys import (MAX_RATIONAL_CHARS, Deck, _rational_pair, _scaled_columns, kind_name,
+from .graph_polys import (MAX_RATIONAL_CHARS, Deck, _rational_pairs, _scaled_columns, kind_name,
                           parse_kind, parse_rational)
 from .polynomials import Polynomial
 from .reconstruct import Inconsistent, OneParameterFamily, Unique
@@ -25,16 +24,21 @@ class FormatError(ValueError):
     """A payload does not match the documented file formats."""
 
 
-def _check_version(obj: dict) -> None:
-    version = obj.get("format_version", FORMAT_VERSION)
-    if version != FORMAT_VERSION:
-        raise FormatError(f"unsupported format_version {version!r}")
-
-
 def _require_int(value, what: str) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
         raise FormatError(f"{what} must be an integer, got {value!r}")
     return value
+
+
+def _payload_n(obj, what: str) -> int:
+    """The integer "n" of a `what` payload: a JSON object whose
+    format_version, current when absent, is FORMAT_VERSION."""
+    if not isinstance(obj, dict):
+        raise FormatError(f"a {what} payload must be a JSON object")
+    version = obj.get("format_version", FORMAT_VERSION)
+    if version != FORMAT_VERSION:
+        raise FormatError(f"unsupported format_version {version!r}")
+    return _require_int(obj.get("n"), '"n"')
 
 
 def fraction_from_str(text) -> Fraction:
@@ -71,10 +75,7 @@ def digraph_to_obj(g: Digraph) -> dict:
 
 
 def digraph_from_obj(obj) -> Digraph:
-    if not isinstance(obj, dict):
-        raise FormatError("a digraph payload must be a JSON object")
-    _check_version(obj)
-    n = _require_int(obj.get("n"), '"n"')
+    n = _payload_n(obj, "digraph")
     arcs = obj.get("arcs")
     if not isinstance(arcs, list):
         raise FormatError('"arcs" must be an array of [source, target] pairs')
@@ -105,39 +106,8 @@ def deck_to_obj(d: Deck) -> dict:
     return obj
 
 
-# One deck member, its strings joined by commas: _rational_pair's grammar
-# and length bound for each value. [0-9] is ASCII only, unlike int().
-_VALUE = rf"(?![^,]{{{MAX_RATIONAL_CHARS + 1}}})-?[0-9]+(?:/[0-9]+)?"
-_MEMBER = re.compile(rf"{_VALUE}(?:,{_VALUE})*")
-
-
-def _member(item: list) -> tuple[list[int], list[int]]:
-    """(numerators, denominators) of one deck member, each value as written,
-    not reduced. A member that does not match _MEMBER is read again value by
-    value, so the error names the bad one."""
-    try:
-        text = ",".join(item)
-    except TypeError:  # a value that is not a string
-        text = ""
-    if _MEMBER.fullmatch(text) and text.count(",") == len(item) - 1:
-        if "/" not in text:
-            return list(map(int, item)), [1] * len(item)
-        nums, dens = [], []
-        for value in item:
-            p, _, q = value.partition("/")
-            nums.append(int(p))
-            dens.append(int(q) if q else 1)
-        if all(dens):
-            return nums, dens
-    nums, dens = zip(*map(_rational_pair, item))
-    return list(nums), list(dens)
-
-
 def deck_from_obj(obj) -> Deck:
-    if not isinstance(obj, dict):
-        raise FormatError("a deck payload must be a JSON object")
-    _check_version(obj)
-    n = _require_int(obj.get("n"), '"n"')
+    n = _payload_n(obj, "deck")
     if n < 1:
         raise FormatError(f'"n" must be >= 1, got {n}')
     try:
@@ -153,7 +123,7 @@ def deck_from_obj(obj) -> Deck:
     if arc_weight is not None:
         arc_weight = fraction_from_str(arc_weight)
     try:
-        return Deck(n, kind, *_scaled_columns(n, [_member(item) for item in raw]), arc_weight)
+        return Deck(n, kind, *_scaled_columns(n, [_rational_pairs(item) for item in raw]), arc_weight)
     except ValueError as exc:  # a bad coefficient or a member of the wrong degree
         raise FormatError(str(exc)) from exc
 

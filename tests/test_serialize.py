@@ -10,7 +10,7 @@ import pytest
 from deckpoly import polynomials as poly
 from deckpoly import serialize as ser
 from deckpoly.digraphs import Digraph
-from deckpoly.graph_polys import F2, MAX_RATIONAL_CHARS, Deck, deck
+from deckpoly.graph_polys import F2, MAX_RATIONAL_CHARS, Deck, deck, parse_kind
 from deckpoly.identities import check_thm21
 from deckpoly.reconstruct import Inconsistent, OneParameterFamily, Unique
 from oracles import P
@@ -120,15 +120,41 @@ def test_deck_from_obj_rejects_wrong_degree_and_bad_kind():
                                "polys": [["0", "0", "1"]], "arc_weight": arc_weight})
 
 
-@pytest.mark.parametrize("bad", ["1e3", "+1", " 1", "1_000", "", "1/0", "0x1", "\u0661", "1,2", 7])
-def test_deck_member_values_are_read_strictly(bad):
-    """A member is checked as a whole, then read again value by value, so
-    the error names the bad value; "\u0661" is an Arabic-Indic digit, which
-    int() accepts."""
-    obj = {"format_version": 1, "n": 2, "kind": "f1", "polys": [["0", "0", "1"]]}
-    for member in ([bad, "0", "1"], ["1/2", bad, "1"]):
-        with pytest.raises(ser.FormatError, match=re.escape(repr(bad))):
-            ser.deck_from_obj({**obj, "polys": [["0", "0", "1"], member]})
+GOOD_VALUES = ("3", "-1/2", "0/5")
+BAD_VALUES = ("1e3", "+1", " 1", "1_000", "", "1/0", "0x1", "\u0661", "1,2", 7)
+OVER_LENGTH = "1" * (MAX_RATIONAL_CHARS + 1)
+
+
+@pytest.mark.parametrize("value", [*GOOD_VALUES, *BAD_VALUES,
+                                   pytest.param(OVER_LENGTH, id="over-length")])
+def test_deck_member_values_are_read_strictly(value):
+    """One rational grammar at every entry point that reads a rational: a
+    digraph's weights, a deck's arc_weight, deck members (checked as a
+    whole, then read again value by value) and a kind's BETA. Each reads a
+    good value as the same Fraction, and each error names the bad value, or
+    its length when it is too long. "\u0661" is an Arabic-Indic digit,
+    which int() accepts."""
+    deck_obj = {"format_version": 1, "n": 2, "kind": "f1", "polys": [["0", "0", "1"]]}
+    entries = [
+        (ser.FormatError, lambda: ser.digraph_from_obj({"n": 2, "arcs": [[0, 1]],
+                                                        "weights": [value]}).weights[0]),
+        (ser.FormatError, lambda: ser.deck_from_obj({**deck_obj, "arc_weight": value}).arc_weight),
+        (ser.FormatError, lambda: ser.deck_from_obj({**deck_obj, "polys": [[value, "0", "1"]]})
+         .polys[0][0]),
+        (ser.FormatError, lambda: ser.deck_from_obj({**deck_obj, "polys": [["1/2", value, "1"]]})
+         .polys[0][1]),
+    ]
+    # A kind is text split at commas with the spaces around each part
+    # trimmed, so only a string free of both reaches its reader as written.
+    if isinstance(value, str) and "," not in value and value == value.strip():
+        entries.append((ValueError, lambda: parse_kind(f"general:{value},1,det").beta))
+    named = f"{MAX_RATIONAL_CHARS + 1} characters" if value == OVER_LENGTH else repr(value)
+    for error, entry in entries:
+        if value in GOOD_VALUES:
+            assert entry() == Fraction(value)
+        else:
+            with pytest.raises(error, match=re.escape(named)):
+                entry()
 
 
 def test_deck_member_values_have_a_length_bound():
