@@ -135,13 +135,16 @@ def random_matrix(rng: random.Random, order: int, zero_density: float = 0.3,
             for _ in range(order)]
 
 
-def random_rational(rng: random.Random, magnitude: int = 9) -> Fraction:
-    return Fraction(rng.randint(-magnitude, magnitude), rng.randint(1, magnitude))
+# Numerators of the random rationals lie in [-9, 9], denominators in [1, 9].
+_NONZERO_NUMERATORS = (*range(-9, 0), *range(1, 10))
 
 
-def random_nonzero_rational(rng: random.Random, magnitude: int = 9) -> Fraction:
-    num = rng.choice(tuple(k for k in range(-magnitude, magnitude + 1) if k != 0))
-    return Fraction(num, rng.randint(1, magnitude))
+def random_rational(rng: random.Random) -> Fraction:
+    return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+
+
+def random_nonzero_rational(rng: random.Random) -> Fraction:
+    return Fraction(rng.choice(_NONZERO_NUMERATORS), rng.randint(1, 9))
 
 
 def random_digraph(rng: random.Random, max_n: int, weighted: bool = False) -> Digraph:

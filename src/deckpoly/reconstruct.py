@@ -17,6 +17,7 @@ the honest answer is a one-parameter family, not a guess.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import zip_longest
 
 from . import polynomials
 from .digraphs import Digraph, Frozen
@@ -124,12 +125,22 @@ def reconstruct(d: Deck) -> ReconstructionResult:
     return OneParameterFamily(polynomials.normalize(coeffs), kstar)
 
 
-class RoundTripReport(Frozen):
-    """Outcome of deck -> reconstruct against the known source polynomial.
+def outcome(result: ReconstructionResult, poly: polynomials.Polynomial) -> str:
+    """How `result` stands to a polynomial `poly` the deck came from:
+    "recovered" (Unique and equal), "covered" (a family that contains it)
+    or "missed" (anything else, an Inconsistent result included)."""
+    if isinstance(result, Unique):
+        return "recovered" if result.poly == poly else "missed"
+    if isinstance(result, OneParameterFamily):
+        pairs = enumerate(zip_longest(poly, result.base, fillvalue=0))
+        if all(a == b for k, (a, b) in pairs if k != result.free_exponent):
+            return "covered"
+    return "missed"
 
-    outcome is "recovered" (Unique and equal), "covered" (family contains
-    the truth), or "missed".
-    """
+
+class RoundTripReport(Frozen):
+    """Outcome of deck -> reconstruct against the known source polynomial,
+    as `outcome` reads it."""
 
     __slots__ = ("outcome", "expected", "result")
 
@@ -137,14 +148,4 @@ class RoundTripReport(Frozen):
 def verify_roundtrip(g: Digraph, kind: PolyKind) -> RoundTripReport:
     expected = poly_of(g, kind)
     result = reconstruct(deck(g, kind))
-    if isinstance(result, Unique):
-        outcome = "recovered" if result.poly == expected else "missed"
-    elif isinstance(result, OneParameterFamily):
-        diff = polynomials.sub(expected, result.base)
-        in_family = all(
-            c == 0 for k, c in enumerate(diff) if k != result.free_exponent
-        )
-        outcome = "covered" if in_family else "missed"
-    else:
-        outcome = "missed"
-    return RoundTripReport(outcome, expected, result)
+    return RoundTripReport(outcome(result, expected), expected, result)

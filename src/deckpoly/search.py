@@ -23,12 +23,18 @@ groups one representative per class, from classes(n, m). That walk over
 the cell does not depend on the kind; its docstring says how it runs and
 which member represents a class.
 
-The seam checks every kernel output to be monic of degree n, and the
-paper's structure is asserted on the result: members of a group differ
-only at coefficient n-m, and no group exists for m > n or m = 1. A deck
-read off one kernel call keeps the deck-sum identity only if the kernel's
-coefficients agree with its adjugate entries, so a faulty kernel still
-shows as a group that breaks this structure.
+The seam checks every kernel output to be monic of degree n, and every
+reported group is checked against its deck: reconstruct reads the
+signature as a Deck, and each member's polynomial must be recovered or
+covered by the answer. So each member satisfies the deck-sum identity
+against the signature, the members differ only at the coefficient the
+deck leaves free (c_{n-m}), and no group is reported where reconstruct
+pins every coefficient: m > n, m = 1, and m = n for a det kind with
+beta = -gamma. A deck read off one kernel call keeps the identity only
+if the kernel's coefficients agree with its adjugate entries, so a faulty
+kernel that yields a group is caught there. The check sees only the
+groups: a faulty kernel that yields none, or loses a true one, is caught
+only by the pinned search digests.
 
 When beta = 0 (f1, f4), the one coefficient that may differ has a closed
 form in the arcs alone.
@@ -65,9 +71,10 @@ from itertools import combinations, compress, permutations
 from math import comb
 from operator import getitem
 
-from . import graph_polys
+from . import graph_polys, polynomials
 from .digraphs import Digraph, Frozen, all_arc_slots, cell_slots, directed_cycle, directed_path
-from .graph_polys import PolyKind
+from .graph_polys import Deck, PolyKind
+from .reconstruct import outcome, reconstruct
 
 # comb(42, 7), the (7, 7) cell: 36.6-41.0 s per kind and 42 MB peak RSS on a
 # 2-core host, Python 3.11. The walk keeps one byte per labelled digraph.
@@ -120,12 +127,13 @@ def find_deck_collisions(n: int, m: int, kind: PolyKind,
         by_poly = groups[signature]
         if len(by_poly) < 2:
             continue
-        deck_signature = tuple(graph_polys._unscaled(c, scale, n) for c in signature)
+        # Coefficient k of a row is its entry over L^(n-k) (see _unscaled).
+        deck = Deck(n, kind, signature, [scale ** (n - k) for k in range(n + 1)])
         members = tuple((Digraph(n, tuple(slots[i] for i in by_poly[c])),
                          graph_polys._unscaled(c, scale, n))
                         for c in sorted(by_poly))
-        out.append(CollisionGroup(kind, n, m, deck_signature, members))
-    _check_paper_structure(out, n, m)
+        _check_group(deck, members)
+        out.append(CollisionGroup(kind, n, m, deck.polys, members))
     return out
 
 
@@ -208,19 +216,11 @@ def _lex_rank_weights(size: int, k: int) -> list[list[int]]:
     return weights
 
 
-def _check_paper_structure(groups: list[CollisionGroup], n: int, m: int) -> None:
-    """The deck-sum identity (m - n + k) * c_k = s_k forces every coefficient
-    but c_{n-m} from the deck, so colliding members may differ only there,
-    and not at all when m > n. At m = 1 the trace rule fixes c_{n-1} too.
-    A violation is a bug, raised even under -O."""
-    if (m > n or m == 1) and groups:
-        raise AssertionError(f"{len(groups)} collision groups at n = {n}, m = {m}; "
-                             "none exist for m > n or m = 1")
-    for group in groups:
-        first = group.members[0][1]
-        for _, p in group.members[1:]:
-            diff = [k for k, (a, b) in enumerate(zip(first, p)) if a != b]
-            if diff != [n - m]:
-                raise AssertionError(
-                    f"collision group members differ at coefficients {diff}, "
-                    f"expected only {n - m}")
+def _check_group(deck: Deck, members: tuple[tuple[Digraph, polynomials.Polynomial], ...]) -> None:
+    """Raise unless the reconstruction of the group's deck recovers or
+    covers every member's polynomial. A miss is a bug, raised even under -O."""
+    result = reconstruct(deck)
+    missed = [g.arcs for g, p in members if outcome(result, p) == "missed"]
+    if missed:
+        raise AssertionError(f"collision group at n = {deck.n}, m = {len(deck.coefficients)}: the "
+                             f"{type(result).__name__} answer for its deck misses members {missed}")

@@ -13,6 +13,7 @@ from deckpoly.reconstruct import (
     Inconsistent,
     OneParameterFamily,
     Unique,
+    outcome,
     reconstruct,
     verify_roundtrip,
 )
@@ -177,6 +178,17 @@ def test_roundtrip_outcomes():
     assert isinstance(report.result, OneParameterFamily)
     assert verify_roundtrip(directed_cycle(4), F2).outcome == "recovered"
     assert verify_roundtrip(directed_cycle(4), F4).outcome == "covered"
+
+
+def test_outcome_reads_each_result():
+    family = OneParameterFamily(P(-1, 0, 0, 1), 0)
+    assert outcome(Unique(xpow(3)), xpow(3)) == "recovered"
+    assert outcome(Unique(xpow(3)), P(1, 0, 0, 1)) == "missed"
+    # A family covers any value at its free exponent, and nothing else.
+    assert outcome(family, xpow(3)) == outcome(family, P(5, 0, 0, 1)) == "covered"
+    assert outcome(family, P(-1, 1, 0, 1)) == "missed"
+    assert outcome(family, P(-1, 0, 1)) == "missed"
+    assert outcome(Inconsistent("no digraph"), xpow(3)) == "missed"
 
 
 def test_roundtrip_never_misses_on_unweighted_digraphs():

@@ -14,7 +14,7 @@ from deckpoly import graph_polys
 from deckpoly import polynomials as poly
 from deckpoly import search
 from deckpoly.digraphs import Digraph, all_arc_slots, enumerate_digraphs
-from deckpoly.graph_polys import F1, F2, F4, SIX_KINDS, deck, parse_kind, poly_of
+from deckpoly.graph_polys import F1, F2, F4, SIX_KINDS, Deck, deck, parse_kind, poly_of
 from deckpoly.search import CollisionGroup, canonical_counterexample, find_deck_collisions
 from oracles import P, deletion_deck, digraph_classes, xpow
 
@@ -93,14 +93,16 @@ def test_edge_cases():
             find_deck_collisions(n, 0, F1)
 
 
-@pytest.mark.parametrize("n, m, kind, coefficient, message", [
-    # (4, 4) has groups; a shift at coefficient 3 splits them there.
-    (4, 4, F1, 3, "differ at coefficients"),
-    # (3, 4) has none; the shift makes some, which m > n rules out. Its one
-    # deck shared by two classes has in-degrees {1, 1, 2} and {0, 2, 2}.
-    (3, 4, F2, 0, "n = 3, m = 4; none exist"),
+@pytest.mark.parametrize("n, m, kind, coefficient, answer", [
+    # (4, 4) has groups; a shift at coefficient 3 splits them there, which
+    # the deck fixes.
+    pytest.param(4, 4, F1, 3, "OneParameterFamily", id="4-4-f1-3"),
+    # (3, 4) has none; the shift makes some, but m > n fixes every
+    # coefficient. Its one deck shared by two classes has in-degrees
+    # {1, 1, 2} and {0, 2, 2}.
+    pytest.param(3, 4, F2, 0, "Unique", id="3-4-f2-0"),
 ])
-def test_search_asserts_the_paper_structure(monkeypatch, n, m, kind, coefficient, message):
+def test_search_asserts_the_paper_structure(monkeypatch, n, m, kind, coefficient, answer):
     kernel_of = graph_polys._kernel
 
     def perturbed_kernel(k):
@@ -126,7 +128,36 @@ def test_search_asserts_the_paper_structure(monkeypatch, n, m, kind, coefficient
         return perturbed
 
     monkeypatch.setattr(graph_polys, "_kernel", perturbed_kernel)
-    with pytest.raises(AssertionError, match=message):
+    with pytest.raises(AssertionError, match=f"group at n = {n}, m = {m}: the {answer} answer "
+                                             "for its deck misses members"):
+        find_deck_collisions(n, m, kind)
+
+
+def adjugate_off_by_one(kernel_of):
+    """A kernel lookup whose kernels add 1 to coefficient n - 1 of every
+    adjugate entry: the polynomials stay right, the decks do not."""
+
+    def faulty_kernel(kind):
+        kernel = kernel_of(kind)
+
+        def faulty(b, wanted):
+            coeffs, entries = kernel(b, wanted)
+            return coeffs, {key: [*entry[:-1], entry[-1] + 1] for key, entry in entries.items()}
+
+        return faulty
+
+    return faulty_kernel
+
+
+@pytest.mark.parametrize("n, m, kind", [(3, 3, F4), (4, 3, F1), (4, 4, F1), (5, 3, F1)],
+                         ids=["3-3-f4", "4-3-f1", "4-4-f1", "5-3-f1"])
+def test_search_rejects_groups_whose_deck_misses_a_member(monkeypatch, n, m, kind):
+    # Each card gains its arc's off-diagonal term at coefficient n - 1, so
+    # the signature no longer satisfies the deck-sum identity with the
+    # members. A check of only where members differ passes these groups.
+    monkeypatch.setattr(graph_polys, "_kernel", adjugate_off_by_one(graph_polys._kernel))
+    with pytest.raises(AssertionError, match=f"group at n = {n}, m = {m}: the "
+                                             "OneParameterFamily answer for its deck misses"):
         find_deck_collisions(n, m, kind)
 
 
@@ -134,20 +165,27 @@ def test_paper_structure_rejects_any_group_at_m_equal_1():
     # Every single-arc digraph is isomorphic to every other, so no kernel
     # perturbation can make the search itself report an m = 1 group.
     arc, other = Digraph(3, ((0, 1),)), Digraph(3, ((1, 2),))
-    group = CollisionGroup(F1, 3, 1, (xpow(3),), ((arc, xpow(3)), (other, P(0, 0, 1, 1))))
-    with pytest.raises(AssertionError, match="n = 3, m = 1; none exist"):
-        search._check_paper_structure([group], 3, 1)
+    members = ((arc, xpow(3)), (other, P(0, 0, 1, 1)))
+    with pytest.raises(AssertionError, match=r"n = 3, m = 1: the Unique answer for its deck "
+                                             r"misses members \[\(\(1, 2\),\)\]$"):
+        search._check_group(Deck.from_polys(3, F1, [xpow(3)]), members)
 
 
-@pytest.mark.parametrize("n, m", [
-    (3, 2),
+NON_MONIC = "coeffs[:-1] + [2], entries"
+ADJUGATE_OFF_BY_ONE = "coeffs, {key: [*e[:-1], e[-1] + 1] for key, e in entries.items()}"
+
+
+@pytest.mark.parametrize("n, m, broken, message", [
+    pytest.param(3, 2, NON_MONIC, "monic of degree 3", id="3-2"),
     # No group is ever reported at m > n: the check must still see every
     # kernel output.
-    (3, 4),
+    pytest.param(3, 4, NON_MONIC, "monic of degree 3", id="3-4"),
+    # The group check, as in test_search_rejects_groups_whose_deck_misses_a_member.
+    pytest.param(4, 3, ADJUGATE_OFF_BY_ONE, "answer for its deck misses", id="adjugate-4-3"),
 ])
-def test_search_monic_check_survives_python_O(n, m):
-    # Under -O a bare assert would vanish and a non-monic vector would key
-    # the groups unnoticed.
+def test_search_monic_check_survives_python_O(n, m, broken, message):
+    # Under -O a bare assert would vanish and a non-monic vector, or a
+    # wrong deck, would key the groups unnoticed.
     script = textwrap.dedent(f"""
         from deckpoly import graph_polys, search
 
@@ -155,7 +193,7 @@ def test_search_monic_check_survives_python_O(n, m):
 
         def broken(b, wanted):
             coeffs, entries = kernel(b, wanted)
-            return coeffs[:-1] + [2], entries
+            return {broken}
 
         graph_polys._kernel = lambda kind: broken
         try:
@@ -166,7 +204,7 @@ def test_search_monic_check_survives_python_O(n, m):
     src = os.path.dirname(os.path.dirname(graph_polys.__file__))
     proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
                           text=True, env={**os.environ, "PYTHONPATH": src}, check=True)
-    assert f"monic of degree {n}" in proc.stdout
+    assert message in proc.stdout
 
 
 def reference_collisions(n, m, kind):
