@@ -15,10 +15,11 @@ terms gamma*w and beta*w to ints by one L, and _pencil_coefficients builds
 L*B (B = beta*D + gamma*A) from them, reads the coefficients off the
 kind's integer kernel (_kernel: in det mode Berkowitz for coefficients
 alone and one Faddeev-LeVerrier pass over the arc-head rows of the
-adjugate for a deck, one Gray-code Ryser walk in per mode) and checks
-them monic; _unscaled divides coefficient k by L^(n-k). poly_of, deck and
-the collision search all use it. pencil_at (with polynomials.interpolate)
-and poly_of_oracle remain as test oracles.
+adjugate for a deck; in per mode a forward column-subset sweep, and a
+backward one too for a deck) and checks them monic; _unscaled divides
+coefficient k by L^(n-k). poly_of, deck and the collision search all use
+it. pencil_at (with polynomials.interpolate) and poly_of_oracle remain as
+test oracles.
 
 deck uses column linearity instead of m deletions. Deleting arc (s, t) of
 weight w changes only column t of P = x*I - B: entry (s, t) gains gamma*w

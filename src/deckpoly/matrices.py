@@ -30,9 +30,11 @@ needs (column linearity). adjugate_rows runs the Faddeev-LeVerrier
 recurrence on the rows of the adjugate at M's nonzero columns and the
 wanted heads, whose traces give the coefficients, so one pass gives both
 (with nothing wanted it returns Berkowitz's coefficients);
-per_adjugate_rows gets the permanent and every minor from one Gray-code
-Ryser walk on polynomials packed into ints at x = 2^B (Kronecker
-substitution). Everything is in Python ints.
+per_adjugate_rows expands per(x*I - M) along its rows in two sweeps over
+column subsets, one from the top row down and one from the bottom row up,
+and reads each wanted minor off pairs of their states, on polynomials
+packed into ints at x = 2^B (Kronecker substitution). Everything is in
+Python ints.
 """
 
 from __future__ import annotations
@@ -44,7 +46,8 @@ from operator import mul
 
 Matrix = list[list[int]]
 
-# Hard cap: Ryser costs 2^n subsets, Glynn 2^(n-1).
+# Hard cap: per_adjugate_rows holds up to 2^n column-subset states per
+# sweep, Glynn's walk (per_ryser) covers 2^(n-1) sign vectors.
 RYSER_MAX_ORDER = 16
 
 
@@ -387,84 +390,83 @@ def per_adjugate_rows(matrix: Matrix, wanted: dict[int, Iterable[int]]
     entry (t, j), for each row t of `wanted` and each j in wanted[t], is the
     permanent of x*I - M without row j and column t, as n coefficients.
 
-    One Gray-code Ryser walk over the column subsets S gives them all. Over
-    S, row r of x*I - M sums to x*[r in S] - u_r with u_r = sum_{c in S}
-    M[r][c], and the signs of Ryser's formula (see per_ryser) cancel:
+    Two sweeps over column subsets of P = x*I - M give them all. The
+    forward sweep's layer k holds F[S], for each k-subset S of the columns,
+    the permanent of rows 0..k-1 of P on the columns S; the backward
+    sweep's layer k holds G[T], the permanent of the last k rows on the
+    columns T. Both start from the empty set with value 1, and a layer
+    gives the next by expanding along the next row (row k forward, row
+    n-1-k backward): each state S is extended by each nonzero entry of that
+    row in a column c outside S, adding its value times the entry to state
+    S + {c}. Then per(P) is F[all columns], and expanding the minor without
+    row j and column t at the rows above j,
 
-        per(x*I - M) = sum_S T_S,  T_S = prod_{r not in S} u_r * prod_{r in S} (x - u_r).
+        entry (t, j) = sum over the j-subsets S without t of F[S] * G[all - S - {t}].
 
-    Minor (t, j) sums, over the S without t, T_S with row j's factor divided
-    out: T_S / u_j when j is not in S, -T_S / (x - u_j) when it is. So each
-    subset forms T_S once, divides each wanted row out once, and adds the
-    quotient to every head t outside S that wants that row. A zero u_r
-    outside S makes T_S zero: if it is the only one and row r is wanted,
-    the subset adds to row r's minors alone, otherwise the subset is
-    dropped. In Gray-code order each step updates u by the nonzeros of one
-    column.
+    A coefficient-only call runs the forward sweep alone. Otherwise the
+    backward sweep runs first, up to layer n-1-j for the least wanted row j,
+    keeping the layers the wanted rows read, and the forward sweep pairs
+    each layer j a wanted row reads with backward layer n-1-j as it passes.
+    Layer k holds at most comb(n, k) states, so a sweep makes at most 2^n
+    times d extensions, d the most nonzeros in a row of P.
 
     Each polynomial is one int, its value at x = X = 2^B (Kronecker
-    substitution): a product is a few int multiplications, each division
-    above an exact int division, a sum one int addition. Each result is read
-    once as balanced base-X digits, its coefficients if all are below
-    2^(B-1) in absolute value, as they are for B = bit_length(2^n * P) + 1,
-    P = prod_r (1 + sum_c |M[r][c]|): |u_r| is at most row r's absolute
-    sum, so the absolute coefficients of T_S, with or without one factor,
-    sum to at most P, and a result adds <= 2^n of them.
+    substitution): evaluation at X commutes with sums and products, so each
+    state is the value at X of its permanent, an extension is one int
+    multiply-add, and the results are per(P) and the minors at X. A state
+    is an exact int that is never decoded, so one of value 0 would add 0 to
+    every state and entry it reaches: it is dropped, not extended. Only the
+    results are decoded, once each, as balanced base-X digits, which are
+    their coefficients if all are below 2^(B-1) in absolute value. They are
+    for B = bit_length(Q) + 1, Q = prod_r (1 + sum_c |M[r][c]|): entry
+    (r, c) of P has absolute coefficients summing to [r = c] + |M[r][c]|,
+    so those of per(P) sum to at most per(I + |M|), and those of a minor to
+    at most the same minor of I + |M|; a nonnegative matrix's permanent is
+    at most the product of its row sums, and that product is at most Q.
     """
     n = order_of(matrix)
     if n > RYSER_MAX_ORDER:
         raise ValueError(f"per_adjugate_rows is capped at order {RYSER_MAX_ORDER}, got {n}")
     keys = list(dict.fromkeys((t, j) for t, rows in wanted.items() for j in rows))
-    heads: dict[int, list] = {}  # row j -> (t, index of entry (t, j)) per head t that wants it
+    heads: dict[int, list] = {}  # row j -> (bit of t, index of entry (t, j)) per head t that wants it
     for i, (t, j) in enumerate(keys):
-        heads.setdefault(j, []).append((t, i))
-    masks = {j: sum(1 << t for t, _ in ts) for j, ts in heads.items()}
-    columns = [[(i, matrix[i][j]) for i in range(n) if matrix[i][j]] for j in range(n)]
-    # Zero rows of M have u_r = 0 for every S: apply the zero rule to them by bit mask.
-    empty, wants = sum(1 << r for r in range(n) if not any(matrix[r])), sum(1 << j for j in heads)
-    bits = (prod(1 + sum(map(abs, row)) for row in matrix) << n).bit_length() + 1
+        heads.setdefault(j, []).append((1 << t, i))
+    bits = prod(1 + sum(map(abs, row)) for row in matrix).bit_length() + 1
     x = 1 << bits
-    sums, total, acc = [0] * n, 0, [0] * len(keys)
-    for g in range(1 << n):
-        gray = g ^ (g >> 1)
-        if g:
-            col = (g & -g).bit_length() - 1
-            if gray >> col & 1:
-                for i, v in columns[col]:
-                    sums[i] += v
-            else:
-                for i, v in columns[col]:
-                    sums[i] -= v
-        lone = empty & ~gray
-        if lone & (lone - 1) or lone & ~wants:
-            continue
-        term, zero = 1, None
-        for r, s in enumerate(sums):
-            if gray >> r & 1:
-                term *= x - s
-            elif s:
-                term *= s
-            elif zero is None and r in heads:
-                zero = r
-            else:
-                break
-        else:
-            # term is T_S at X, or T_S / u_zero when a zero u_zero is left out.
-            if zero is None:
-                total += term
-            for j in heads if zero is None else (zero,):
-                if not masks[j] & ~gray:
-                    continue  # every head that wants row j is in S
-                if zero is not None:
-                    quot = term
-                elif not gray >> j & 1:
-                    quot = term // sums[j]
-                else:
-                    quot = -(term // (x - sums[j]))
-                for t, i in heads[j]:
-                    if not gray >> t & 1:
-                        acc[i] += quot
-    return _unpacked(total, n + 1, bits), {k: _unpacked(v, n, bits) for k, v in zip(keys, acc)}
+    rows = [[(1 << c, x - v if c == r else -v) for c, v in enumerate(row) if v or c == r]
+            for r, row in enumerate(matrix)]
+    # Backward layer n-1-j, keyed by the wanted row j that reads it.
+    backward = {n - 1 - k: layer for k, layer in _sweep(rows[::-1], n - 1 - min(heads))
+                if n - 1 - k in heads} if heads else {}
+    full, acc = (1 << n) - 1, [0] * len(keys)
+    for j, layer in _sweep(rows, n):
+        back = backward.pop(j, None)
+        if back is not None:
+            for s, f in layer.items():
+                rest = full ^ s
+                for bit, i in heads[j]:
+                    if rest & bit and (g := back.get(rest ^ bit)):
+                        acc[i] += f * g
+    return _unpacked(layer.get(full, 0), n + 1, bits), {k: _unpacked(v, n, bits) for k, v in zip(keys, acc)}
+
+
+def _sweep(rows: list[list[tuple[int, int]]], depth: int):
+    """Yield (k, layer k) for k = 0..depth: layer 0 is {0: 1}, and layer
+    k + 1 extends each state S of layer k by each (bit c, value) of rows[k]
+    with c outside S, as per_adjugate_rows describes; a state of value 0 is
+    not extended. A layer maps column bitsets to ints."""
+    layer = {0: 1}
+    yield 0, layer
+    for k, row in enumerate(rows[:depth]):
+        last, layer = layer, {}
+        get = layer.get
+        for s, v in last.items():
+            if v:
+                for bit, a in row:
+                    if not s & bit:
+                        u = s | bit
+                        layer[u] = get(u, 0) + v * a
+        yield k + 1, layer
 
 
 def _unpacked(value: int, count: int, bits: int) -> list[int]:

@@ -141,9 +141,10 @@ def check_adjugate(matrix, signed):
     assert poly.normalize(coeffs) == poly.interpolate(points), matrix
 
 
-# Order 1 is the empty subset's term alone: the minor is the empty product,
-# 1. Small 0/1 and sign matrices make zero row sums, alone and in pairs,
-# over most column subsets, and row powers that vanish early.
+# Order 1 is one extension of the empty state, and its minor is the empty
+# product, 1. Small 0/1 and sign matrices make sweep states that cancel to
+# 0, rows whose only nonzero is the diagonal x, and row powers that vanish
+# early.
 SMALL_MATRIX_VALUES = ((1, (-1, 0, 1)), (2, (-1, 0, 1)), (3, (0, 1)))
 
 
@@ -193,8 +194,8 @@ def l_scaled_matrix(rng, n, density, sign):
 
 def packing_cases():
     """Orders 1-9, dense and sparse, mixed signs and each single sign; and
-    a zero row, whose u_r is 0 for every column subset, so every subset
-    without that row takes the single-zero (`zero`) branch. All entries
+    a zero row, whose row of x*I - M is x on the diagonal alone, so both
+    sweeps extend each state at that row by that one entry. All entries
     <= 0 is the worst case for the packing bound: x*I - M is then
     nonnegative for x >= 0, so no sum of terms cancels and every
     coefficient takes its largest magnitude for the given |M|."""
@@ -211,23 +212,84 @@ def at(coeffs, x):
     return sum(c * x ** k for k, c in enumerate(coeffs))
 
 
+def check_per_against_ryser(matrix, coeffs, entries):
+    """coeffs and entries, as per_adjugate_rows gives them for `matrix`,
+    against per_ryser (an independent scalar kernel) of the pencil at
+    x = 0..n and of each minor in `entries` at x = 0..n-1, which fix
+    polynomials of n + 1 and n coefficients."""
+    n = len(matrix)
+    for x in range(n + 1):
+        pencil = [[x * (i == j) - v for j, v in enumerate(row)] for i, row in enumerate(matrix)]
+        assert at(coeffs, x) == mx.per_ryser(pencil), (matrix, x)
+        if x == n:
+            break
+        for (t, j), entry in entries.items():
+            minor = [row[:t] + row[t + 1:] for r, row in enumerate(pencil) if r != j]
+            # The minor of an order-1 matrix is the empty product, 1.
+            assert at(entry, x) == (mx.per_ryser(minor) if n > 1 else 1), (matrix, t, j, x)
+
+
 def test_per_adjugate_rows_packing_holds_on_large_entries():
-    """Every coefficient and minor of the packed walk against per_ryser (an
-    independent scalar kernel) of the pencil at x = 0..n and of each minor
-    at x = 0..n-1, which fix polynomials of n + 1 and n coefficients."""
+    """Every coefficient and minor of the packed sweeps against per_ryser."""
     for matrix in packing_cases():
         n = len(matrix)
         coeffs, entries = mx.per_adjugate_rows(matrix, {t: range(n) for t in range(n)})
         assert len(coeffs) == n + 1 and len(entries) == n * n
-        for x in range(n + 1):
-            pencil = [[x * (i == j) - v for j, v in enumerate(row)] for i, row in enumerate(matrix)]
-            assert at(coeffs, x) == mx.per_ryser(pencil), (matrix, x)
-            if x == n:
-                break
-            for (t, j), entry in entries.items():
-                minor = [row[:t] + row[t + 1:] for r, row in enumerate(pencil) if r != j]
-                # The minor of an order-1 matrix is the empty product, 1.
-                assert at(entry, x) == (mx.per_ryser(minor) if n > 1 else 1), (matrix, t, j, x)
+        check_per_against_ryser(matrix, coeffs, entries)
+
+
+@pytest.mark.parametrize("n", [10, 11, 12])
+def test_per_adjugate_rows_matches_per_ryser_at_orders_10_to_12(n):
+    """Every entry wanted, so the backward sweep runs to layer n - 1; the
+    pencil and a sample of the minors, which always holds a minor of row
+    0, one of row n - 1 and one with t = j, checked as the packing cases
+    are. Dense with entries <= 0 (the packing bound's worst case), dense
+    with mixed signs, and sparse with mixed signs."""
+    rng = random.Random(2309 + n)
+    for density, sign in ((1.0, -1), (1.0, 0), (0.4, 0)):
+        matrix = l_scaled_matrix(rng, n, density, sign)
+        coeffs, entries = mx.per_adjugate_rows(matrix, {t: range(n) for t in range(n)})
+        assert list(entries) == [(t, j) for t in range(n) for j in range(n)]
+        t = rng.randrange(n)
+        sample = [(rng.randrange(n), 0), (rng.randrange(n), n - 1), (t, t)]
+        sample += rng.sample(sorted(entries), 3)
+        check_per_against_ryser(matrix, coeffs, {key: entries[key] for key in sample})
+
+
+def test_per_adjugate_rows_reads_end_rows_and_diagonal_entries():
+    """Wanted rows j = 0 alone (the backward sweep runs to layer n - 1),
+    j = n - 1 alone (it stops at layer 0), and the diagonal entries t = j
+    alone; each must return exactly the wanted keys, in order, with the
+    values the every-entry call gives, and match per_ryser."""
+    rng = random.Random(2333)
+    for n in range(1, 9):
+        matrix = random_matrix(rng, n, rng.choice((0.0, 0.3, 0.6)), magnitude=3)
+        _, every = mx.per_adjugate_rows(matrix, {t: range(n) for t in range(n)})
+        heads = rng.sample(range(n), rng.randint(1, n))
+        for wanted in ({t: [0] for t in heads}, {t: [n - 1] for t in heads},
+                       {t: [t] for t in heads}, {t: [n - 1, t, 0] for t in heads}):
+            coeffs, entries = mx.per_adjugate_rows(matrix, wanted)
+            assert list(entries) == list(dict.fromkeys((t, j) for t in heads for j in wanted[t]))
+            assert entries == {key: every[key] for key in entries}, (matrix, wanted)
+            check_per_against_ryser(matrix, coeffs, entries)
+
+
+def test_per_adjugate_rows_with_states_that_cancel_to_zero():
+    """Rows 0 and 1 of M put [[1, 1], [-1, 1]] on columns 2 and 3, and rows
+    2 and 3 put [[1, 1], [1, -1]] on columns 0 and 1, so the forward state
+    of rows 0, 1 on columns {2, 3} and the backward state of rows 2, 3 on
+    columns {0, 1} are permanents that vanish as polynomials: the sweeps
+    drop them, and every value must still be right. Orders 4-6, with the
+    other entries random."""
+    rng = random.Random(2339)
+    for n in (4, 4, 5, 6):
+        matrix = random_matrix(rng, n, 0.5, magnitude=2)
+        matrix[0][2:4], matrix[1][2:4] = [1, 1], [-1, 1]
+        matrix[2][0:2], matrix[3][0:2] = [1, 1], [1, -1]
+        assert permutation_expansion([row[2:4] for row in matrix[:2]], False) == 0
+        assert permutation_expansion([row[0:2] for row in matrix[2:4]], False) == 0
+        coeffs, entries = mx.per_adjugate_rows(matrix, {t: range(n) for t in range(n)})
+        check_per_against_ryser(matrix, coeffs, entries)
 
 
 def wanted_sets(matrix, rng):
