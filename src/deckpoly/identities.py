@@ -8,12 +8,19 @@ failure can be replayed.
 The zeroed-entry checks (theorems 2.1-2.3) take their left side from the
 scalar kernel on X (det_bareiss, per_ryser) and their right side from one
 zeroing sweep (matrices.zeroed_dets, zeroed_pers), which evaluates every
-zeroed copy by its own elimination or Glynn sum, sharing with X only the
-intermediate values that are equal in both, never a cofactor of X. The
-det copies share one elimination trunk over X's rows, which row i's
-copies leave just before it pivots on row i to finish on the rows after
-it, and each copy carries its own row throughout, so a theorem 2.1 trial
-of order n costs about 7n^4 / 12 multiplication pairs.
+zeroed copy by its own elimination or its own expansion along the zeroed
+row, sharing with X only the intermediate values that are equal in both,
+never a cofactor of X. The det copies share one elimination trunk over
+X's rows, which row i's copies leave just before it pivots on row i to
+finish on the rows after it, and each copy carries its own row
+throughout, so a theorem 2.1 trial of order n costs about 7n^4 / 12
+multiplication pairs. The per copies of row i share the subset states of
+the rows above and below it. per_ryser's sweep builds the same kind of
+states, so both sides of theorem 2.3 run one permanent algorithm. A fault
+common to both could pass the check: a signed sweep computes
+determinants, which satisfy the same identity (theorem 2.2). The tests
+therefore hold both sides to Glynn's formula, which shares no code with
+the sweep.
 """
 
 from __future__ import annotations
@@ -55,7 +62,7 @@ def _check_zeroing(identity: str, matrix: Matrix, kernel, sweep, select) -> Iden
     n = len(matrix)
     positions = select(matrix, n)
     lhs = (len(positions) - n) * base
-    # Each zeroed copy gets its own elimination or Glynn sum: the sweep
+    # Each zeroed copy gets its own elimination or row expansion: the sweep
     # shares only values equal in the copy and in X and never reads det X,
     # per X or a cofactor. A cofactor shortcut, det(X_ij) = det(X) -
     # x_ij * C_ij, is the linearity the theorems are proved from and would

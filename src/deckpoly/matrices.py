@@ -7,19 +7,24 @@ division is only exact on integers. A caller with rational entries clears
 denominators first, as graph_polys does. No public function mutates its
 input.
 
-det_bareiss and per_ryser (Glynn's formula) give one scalar value.
-zeroed_dets and zeroed_pers give one value per zeroed copy X_ij of X (X
-with entry (i, j) set to 0), for the zeroed-entry identities: each copy
-gets its own elimination, or its own Glynn sum, and a copy shares with X
+det_bareiss and per_ryser give one scalar value. zeroed_dets and
+zeroed_pers give one value per zeroed copy X_ij of X (X with entry (i, j)
+set to 0), for the zeroed-entry identities: each copy gets its own
+elimination, or its own expansion along row i, and a copy shares with X
 only the intermediate values that are equal in both. So the det sweep runs
 one fraction-free elimination trunk over X's rows in order, which row i's
 copies leave just before it pivots on row i, to finish on rows i+1..n-1
 together; each copy carries only its own row, about 7n^4 / 12
-multiplication pairs for all n^2 copies. The per sweep walks the Glynn sign
-vectors once and forms each copy's product of column sums.
+multiplication pairs for all n^2 copies. The per sweep pairs the subset
+states of X's rows above row i with those of the rows below it, row i's
+copies each in a lane of one int.
 Neither reads det X, per X or a cofactor of X, and every value either
 sweep shares with X is a value of the copy too. Both skip input checks:
 the caller has validated X with the scalar kernel.
+
+Every permanent here is one algorithm: expansion along the rows over
+column subsets (_sweep), forward from the top row and backward from the
+bottom one, for per_ryser, zeroed_pers and per_adjugate_rows alike.
 
 charpoly_berkowitz gives every coefficient of det(x*I - M) at once.
 adjugate_rows and per_adjugate_rows share one contract: (M, wanted) gives
@@ -40,14 +45,13 @@ Python ints.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from itertools import accumulate, chain
+from itertools import chain
 from math import prod
-from operator import mul
 
 Matrix = list[list[int]]
 
-# Hard cap: per_adjugate_rows holds up to 2^n column-subset states per
-# sweep, Glynn's walk (per_ryser) covers 2^(n-1) sign vectors.
+# Hard cap on every permanent: one subset sweep makes up to n * 2^n
+# extensions and holds up to 2^n column-subset states.
 RYSER_MAX_ORDER = 16
 
 
@@ -214,50 +218,21 @@ def _pivot_step(cols: Matrix, prev: int) -> tuple[int, int, Matrix] | None:
 
 
 def per_ryser(matrix: Matrix) -> int:
-    """Exact permanent by Glynn's formula (Glynn 2010, European J. Combin. 31):
-
-        per(M) = 2^-(n-1) * sum_d (prod_i d_i) * prod_j sum_i d_i * M[i][j]
-
-    over d in {+1, -1}^n with d_0 = +1, in Gray-code order: step g flips one
-    d_i, so prod_i d_i = (-1)^g, and moves the column sums by twice one row.
-    The name stays because perfbench/tracer.py and perfbench/tests bind it.
+    """Exact permanent by expansion along the rows over column subsets: the
+    forward sweep that per_adjugate_rows runs on x*I - M, here on M, whose
+    layer k holds, for each k-subset S of the columns, the permanent of
+    rows 0..k-1 on the columns S. per(M) is the state at all columns, or 0
+    when a row ends the sweep with no state left. Layer k holds at most
+    comb(n, k) states, so the sweep makes at most 2^n times d extensions,
+    d the most nonzeros in a row. The name stays because
+    perfbench/tracer.py and perfbench/tests bind it.
     """
     n = order_of(matrix)
     if n > RYSER_MAX_ORDER:
         raise ValueError(f"per_ryser is capped at order {RYSER_MAX_ORDER}, got {n}")
-    total = 0
-    for g, sums in _glynn_walk(matrix, n):
-        if 0 not in sums:
-            total += -prod(sums) if g & 1 else prod(sums)
-    return _glynn_quotient(total, n)
-
-
-def _glynn_walk(rows: Matrix, n: int):
-    """Yield (g, sums) for g = 0 .. 2^(n-1) - 1: the column sums
-    sums[j] = sum_i d_i * rows[i][j] at the g-th sign vector d in Gray-code
-    order, where d_0 = +1 and d_i = -1 exactly when bit i of
-    (g ^ (g >> 1)) << 1 is set, so that prod_i d_i = (-1)^g. `sums` is one
-    list, updated in place between yields."""
-    doubled = [[(j, 2 * v) for j, v in enumerate(row) if v] for row in rows[1:]]
-    sums = [sum(col) for col in zip(*rows)]
-    yield 0, sums
-    for g in range(1, 1 << (n - 1)):
-        bit = (g & -g).bit_length() - 1
-        if (g ^ (g >> 1)) >> bit & 1:
-            for j, v in doubled[bit]:
-                sums[j] -= v
-        else:
-            for j, v in doubled[bit]:
-                sums[j] += v
-        yield g, sums
-
-
-def _glynn_quotient(total: int, n: int) -> int:
-    """A Glynn sum over 2^(n-1), which must divide it."""
-    per, rest = divmod(total, 1 << (n - 1))
-    if rest:
-        raise AssertionError(f"Glynn sum {total} is not divisible by 2^{n - 1}")
-    return per
+    for _, layer in _sweep([[(1 << c, v) for c, v in enumerate(row) if v] for row in matrix], n):
+        pass
+    return layer.get((1 << n) - 1, 0)
 
 
 def zeroed_pers(rows: Matrix, n: int, positions: list[tuple[int, int]]) -> list[int]:
@@ -265,27 +240,63 @@ def zeroed_pers(rows: Matrix, n: int, positions: list[tuple[int, int]]) -> list[
     int matrix X = `rows` with entry (i, j) set to 0; no input checks, and
     `rows` is not modified.
 
-    One Glynn walk (see per_ryser) serves every copy. At sign vector d,
-    copy (i, j) has X's column sums s but for column j's, which is
-    s_j - d_i * x_ij. So the products of all column sums but column j's,
-    excl_j, are formed once by prefix and suffix products, and copy (i, j)
-    adds its own Glynn term (prod_i d_i) * excl_j * (s_j - d_i * x_ij), the
-    product of its own column sums; each copy's sum is then divided by
-    2^(n-1). Each copy's value is thus its own Glynn sum, sharing only the
-    column sums equal in the copy and in X; per X, or a permanental minor
-    of X, is never read (see zeroed_dets for why that matters).
+    Expanding X_ij along its row i over the sweeps of per_ryser, with F[S]
+    the forward state of rows 0..i-1 on the i-subset S of the columns and
+    G[T] the backward state of rows i+1..n-1 on T,
+
+        per(X_ij) = sum over S and the columns c outside S, c != j,
+                    of F[S] * x_ic * G[all - S - {c}].
+
+    Row i's copies share one pass over forward layer i and backward layer
+    n-1-i, each in a lane of B bits of one int: column c's weight holds
+    x_ic in the lane of every copy of row i but the one zeroed at c, which
+    holds 0, so each lane sums its own copy's terms, and _unpacked reads
+    them off as balanced digits. Those are the values if each is below
+    2^(B-1) in absolute value, which holds for B = bit_length(Q) + 1,
+    Q = prod_r sum_c |x_rc|: |per(X_ij)| <= per(|X|), and a nonnegative
+    matrix's permanent is at most the product of its row sums. The
+    backward sweep runs first, up to the first row with copies, keeping
+    the layers those rows read, and the forward sweep stops at the last
+    row with copies.
+
+    Each copy's value is thus its own expansion along row i. It shares with
+    X only the states F and G, permanents of rows other than row i, which
+    X_ij and X have in common; neither sweep passes every row, so per X is
+    never formed, and no copy is a row total less x_ij times a minor of X,
+    the shortcut the zeroed-entry identities are proved from (see
+    zeroed_dets for why that matters).
     """
-    copies = [(i, j, rows[i][j]) for i, j in positions]
-    acc = [0] * len(copies)
-    for g, sums in _glynn_walk(rows, n):
-        negative = (g ^ (g >> 1)) << 1  # bit i set: d_i = -1
-        # excl[j] = (prod_i d_i) * the product of every column sum but s_j.
-        head = accumulate(sums, mul, initial=-1 if g & 1 else 1)
-        tail = list(accumulate(reversed(sums), mul, initial=1))
-        excl = list(map(mul, head, reversed(tail[:-1])))
-        for k, (i, j, x) in enumerate(copies):
-            acc[k] += excl[j] * (sums[j] + x if negative >> i & 1 else sums[j] - x)
-    return [_glynn_quotient(total, n) for total in acc]
+    by_row: dict[int, list[tuple[int, int]]] = {}
+    for t, (i, j) in enumerate(positions):
+        by_row.setdefault(i, []).append((t, j))
+    out = [0] * len(positions)
+    if not by_row:
+        return out
+    bits = prod(sum(map(abs, row)) for row in rows).bit_length() + 1
+    sets = [[(1 << c, v) for c, v in enumerate(row) if v] for row in rows]
+    # Backward layer n-1-i, keyed by the row i whose copies read it.
+    backward = {n - 1 - k: layer for k, layer in _sweep(sets[::-1], n - 1 - min(by_row))
+                if n - 1 - k in by_row}
+    full = (1 << n) - 1
+    for i, layer in _sweep(sets, max(by_row)):
+        copies = by_row.get(i)
+        if copies:
+            # hit[c] has a 1 in the lane of each copy zeroed at column c.
+            hit = [0] * n
+            for k, (_, j) in enumerate(copies):
+                hit[j] += 1 << k * bits
+            ones = sum(hit)
+            weights = [(1 << c, v * (ones - hit[c]))
+                       for c, v in enumerate(rows[i]) if v and ones != hit[c]]
+            back, acc = backward.pop(i), 0
+            for s, f in layer.items():
+                rest = full ^ s
+                for bit, w in weights:
+                    if rest & bit and (g := back.get(rest ^ bit)):
+                        acc += f * g * w
+            for (t, _), value in zip(copies, _unpacked(acc, len(copies), bits)):
+                out[t] = value
+    return out
 
 
 def charpoly_berkowitz(matrix: Matrix) -> list[int]:

@@ -1,19 +1,20 @@
 """References the tests compare the package against, and the small helpers
 the test files share. Nothing under src/ uses any of it.
 
-Each reference takes the slow road by definition: the n!-term permutation
-sum, the deck as poly_of of every single-arc deletion, the deck sum as
-Fraction column sums of the deck's polynomials, a random matrix drawn by
-rng.choice, the adjugate rows by Horner's rule from Berkowitz's
-coefficients. The number of digraphs up to relabelling comes from
-Burnside's lemma, which never lists one.
+Each reference takes the slow road by definition, or a route that shares
+no code with the package's: the n!-term permutation sum, Glynn's
+sign-vector formula for the permanent, the deck as poly_of of every
+single-arc deletion, the deck sum as Fraction column sums of the deck's
+polynomials, a random matrix drawn by rng.choice, the adjugate rows by
+Horner's rule from Berkowitz's coefficients. The number of digraphs up to
+relabelling comes from Burnside's lemma, which never lists one.
 """
 
 from collections import Counter
 from fractions import Fraction
 from functools import cache
 from itertools import permutations
-from math import factorial, gcd, lcm
+from math import factorial, gcd, lcm, prod
 
 from deckpoly import polynomials as poly
 from deckpoly.digraphs import delete_arc
@@ -40,7 +41,7 @@ def random_kind(rng, mode):
 
 def permutation_expansion(matrix, signed):
     """Permutation-sum determinant (signed) or permanent (unsigned); the
-    n!-term oracle for det_bareiss and per_ryser."""
+    n!-term oracle for det_bareiss, per_ryser and glynn_permanent."""
     n = order_of(matrix)
     if n > EXPANSION_MAX_ORDER:
         raise ValueError(
@@ -54,6 +55,34 @@ def permutation_expansion(matrix, signed):
                 break
         total += term
     return total
+
+
+def glynn_permanent(matrix):
+    """Exact permanent by Glynn's formula (Glynn 2010, European J. Combin. 31):
+
+        per(M) = 2^-(n-1) * sum_d (prod_i d_i) * prod_j sum_i d_i * M[i][j]
+
+    over d in {+1, -1}^n with d_0 = +1, in Gray-code order: step g flips one
+    d_i, so prod_i d_i = (-1)^g, and moves the column sums by twice one row.
+    The scalar oracle for the permanent kernels, which all run on
+    matrices._sweep's subset states: it shares no code with them."""
+    n = order_of(matrix)
+    doubled = [[(j, 2 * v) for j, v in enumerate(row) if v] for row in matrix[1:]]
+    sums = [sum(col) for col in zip(*matrix)]
+    total = prod(sums)
+    for g in range(1, 1 << (n - 1)):
+        bit = (g & -g).bit_length() - 1
+        if (g ^ (g >> 1)) >> bit & 1:  # d_(bit+1) turns to -1
+            for j, v in doubled[bit]:
+                sums[j] -= v
+        else:
+            for j, v in doubled[bit]:
+                sums[j] += v
+        total += -prod(sums) if g & 1 else prod(sums)
+    per, rest = divmod(total, 1 << (n - 1))
+    if rest:
+        raise AssertionError(f"Glynn sum {total} is not divisible by 2^{n - 1}")
+    return per
 
 
 def horner_adjugate_rows(matrix, wanted):
@@ -102,6 +131,17 @@ def choice_matrix(rng, order, zero_density=0.3, magnitude=9):
 def deck_sum(d):
     """The sum of the deck's polynomials, as Fraction column sums."""
     return P(*(sum(column, Fraction(0)) for column in zip(*d.polys)))
+
+
+def l_scaled_matrix(rng, n, density, sign):
+    """L*B for a random B of rationals p/q, |p| <= 10^6 and q <= 30, with L
+    the lcm of the q: entries of up to about 60 bits, as a pencil of
+    rational weights has. sign > 0 or < 0 makes every entry of that sign
+    or zero; sign = 0 mixes them."""
+    rows = [[Fraction(rng.randint(1, 10**6) * (sign or rng.choice((1, -1))), rng.randint(1, 30))
+             if rng.random() < density else Fraction(0) for _ in range(n)] for _ in range(n)]
+    scale = lcm(*(v.denominator for row in rows for v in row))
+    return [[int(v * scale) for v in row] for row in rows]
 
 
 def partitions(n, largest=None):

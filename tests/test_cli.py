@@ -302,7 +302,8 @@ def test_verify_rejects_max_n_above_the_permanent_cap_up_front(capsys):
 
 
 # sha256 of stdout for (theorem, max-n, trials) at seed 1207, recorded on
-# the Ryser permanent and the per-copy validated sweep that preceded Glynn's.
+# the Ryser permanent and the per-copy validated sweep that preceded Glynn's
+# walk, and unchanged by it and by the subset sweeps that replaced it.
 VERIFY_DIGESTS = {
     ("2.1", 6, 40): "b6cad25372784da52fc281e14996900a46c04e7712b6c0e4cfdd25a8853826d6",
     ("2.2", 7, 40): "9cc5c468fa80f1d7af0b3be730462f9fc4eed21febf94629056cc665d7f351b6",

@@ -4,7 +4,6 @@ adjugate kernels against sympy, the permutation expansion and Horner."""
 import random
 from fractions import Fraction
 from itertools import product
-from math import lcm
 
 import pytest
 
@@ -14,7 +13,8 @@ from deckpoly import polynomials as poly
 from deckpoly.digraphs import Digraph
 from deckpoly.graph_polys import F1, F4, SIX_KINDS, PolyKind, deck, poly_of
 from deckpoly.identities import random_digraph, random_matrix, random_nonzero_rational
-from oracles import deletion_deck, horner_adjugate_rows, permutation_expansion, random_kind
+from oracles import (deletion_deck, glynn_permanent, horner_adjugate_rows, l_scaled_matrix,
+                     permutation_expansion, random_kind)
 
 GENERAL_KINDS = (PolyKind(Fraction(1, 3), Fraction(-5, 2), "det"),
                  PolyKind(Fraction(-2, 3), Fraction(3, 4), "per"))
@@ -181,17 +181,6 @@ def test_adjugate_rows_matches_expansion_on_random_sparse_matrices():
         check_adjugate(matrix, signed=True)
 
 
-def l_scaled_matrix(rng, n, density, sign):
-    """L*B for a random B of rationals p/q, |p| <= 10^6 and q <= 30, with L
-    the lcm of the q: entries of up to about 60 bits, as a pencil of
-    rational weights has. sign > 0 or < 0 makes every entry of that sign
-    or zero; sign = 0 mixes them."""
-    rows = [[Fraction(rng.randint(1, 10**6) * (sign or rng.choice((1, -1))), rng.randint(1, 30))
-             if rng.random() < density else Fraction(0) for _ in range(n)] for _ in range(n)]
-    scale = lcm(*(v.denominator for row in rows for v in row))
-    return [[int(v * scale) for v in row] for row in rows]
-
-
 def packing_cases():
     """Orders 1-9, dense and sparse, mixed signs and each single sign; and
     a zero row, whose row of x*I - M is x on the diagonal alone, so both
@@ -212,30 +201,30 @@ def at(coeffs, x):
     return sum(c * x ** k for k, c in enumerate(coeffs))
 
 
-def check_per_against_ryser(matrix, coeffs, entries):
+def check_per_against_glynn(matrix, coeffs, entries):
     """coeffs and entries, as per_adjugate_rows gives them for `matrix`,
-    against per_ryser (an independent scalar kernel) of the pencil at
-    x = 0..n and of each minor in `entries` at x = 0..n-1, which fix
-    polynomials of n + 1 and n coefficients."""
+    against Glynn's formula (glynn_permanent, which shares no code with the
+    subset sweeps) on the pencil at x = 0..n and on each minor in `entries`
+    at x = 0..n-1, which fix polynomials of n + 1 and n coefficients."""
     n = len(matrix)
     for x in range(n + 1):
         pencil = [[x * (i == j) - v for j, v in enumerate(row)] for i, row in enumerate(matrix)]
-        assert at(coeffs, x) == mx.per_ryser(pencil), (matrix, x)
+        assert at(coeffs, x) == glynn_permanent(pencil), (matrix, x)
         if x == n:
             break
         for (t, j), entry in entries.items():
             minor = [row[:t] + row[t + 1:] for r, row in enumerate(pencil) if r != j]
             # The minor of an order-1 matrix is the empty product, 1.
-            assert at(entry, x) == (mx.per_ryser(minor) if n > 1 else 1), (matrix, t, j, x)
+            assert at(entry, x) == (glynn_permanent(minor) if n > 1 else 1), (matrix, t, j, x)
 
 
 def test_per_adjugate_rows_packing_holds_on_large_entries():
-    """Every coefficient and minor of the packed sweeps against per_ryser."""
+    """Every coefficient and minor of the packed sweeps against Glynn's formula."""
     for matrix in packing_cases():
         n = len(matrix)
         coeffs, entries = mx.per_adjugate_rows(matrix, {t: range(n) for t in range(n)})
         assert len(coeffs) == n + 1 and len(entries) == n * n
-        check_per_against_ryser(matrix, coeffs, entries)
+        check_per_against_glynn(matrix, coeffs, entries)
 
 
 @pytest.mark.parametrize("n", [10, 11, 12])
@@ -243,7 +232,8 @@ def test_per_adjugate_rows_matches_per_ryser_at_orders_10_to_12(n):
     """Every entry wanted, so the backward sweep runs to layer n - 1; the
     pencil and a sample of the minors, which always holds a minor of row
     0, one of row n - 1 and one with t = j, checked as the packing cases
-    are. Dense with entries <= 0 (the packing bound's worst case), dense
+    are, against Glynn's formula (the name is from when per_ryser ran it).
+    Dense with entries <= 0 (the packing bound's worst case), dense
     with mixed signs, and sparse with mixed signs."""
     rng = random.Random(2309 + n)
     for density, sign in ((1.0, -1), (1.0, 0), (0.4, 0)):
@@ -253,14 +243,14 @@ def test_per_adjugate_rows_matches_per_ryser_at_orders_10_to_12(n):
         t = rng.randrange(n)
         sample = [(rng.randrange(n), 0), (rng.randrange(n), n - 1), (t, t)]
         sample += rng.sample(sorted(entries), 3)
-        check_per_against_ryser(matrix, coeffs, {key: entries[key] for key in sample})
+        check_per_against_glynn(matrix, coeffs, {key: entries[key] for key in sample})
 
 
 def test_per_adjugate_rows_reads_end_rows_and_diagonal_entries():
     """Wanted rows j = 0 alone (the backward sweep runs to layer n - 1),
     j = n - 1 alone (it stops at layer 0), and the diagonal entries t = j
     alone; each must return exactly the wanted keys, in order, with the
-    values the every-entry call gives, and match per_ryser."""
+    values the every-entry call gives, and match Glynn's formula."""
     rng = random.Random(2333)
     for n in range(1, 9):
         matrix = random_matrix(rng, n, rng.choice((0.0, 0.3, 0.6)), magnitude=3)
@@ -271,7 +261,7 @@ def test_per_adjugate_rows_reads_end_rows_and_diagonal_entries():
             coeffs, entries = mx.per_adjugate_rows(matrix, wanted)
             assert list(entries) == list(dict.fromkeys((t, j) for t in heads for j in wanted[t]))
             assert entries == {key: every[key] for key in entries}, (matrix, wanted)
-            check_per_against_ryser(matrix, coeffs, entries)
+            check_per_against_glynn(matrix, coeffs, entries)
 
 
 def test_per_adjugate_rows_with_states_that_cancel_to_zero():
@@ -289,7 +279,7 @@ def test_per_adjugate_rows_with_states_that_cancel_to_zero():
         assert permutation_expansion([row[2:4] for row in matrix[:2]], False) == 0
         assert permutation_expansion([row[0:2] for row in matrix[2:4]], False) == 0
         coeffs, entries = mx.per_adjugate_rows(matrix, {t: range(n) for t in range(n)})
-        check_per_against_ryser(matrix, coeffs, entries)
+        check_per_against_glynn(matrix, coeffs, entries)
 
 
 def wanted_sets(matrix, rng):

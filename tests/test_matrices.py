@@ -10,7 +10,7 @@ import pytest
 from deckpoly import matrices as mx
 from deckpoly import polynomials as poly
 from deckpoly.identities import random_matrix
-from oracles import permutation_expansion
+from oracles import glynn_permanent, permutation_expansion
 
 
 def identity_matrix(n):
@@ -189,7 +189,7 @@ def test_per_matches_expansion_on_random_matrices(zero_density):
         n = rng.randint(1, 8)
         m = random_matrix(rng, n, zero_density=zero_density)
         value = mx.per_ryser(m)
-        assert value == permutation_expansion(m, False), m
+        assert value == permutation_expansion(m, False) == glynn_permanent(m), m
         orders.add(n % 2)
         signs.add((value > 0) - (value < 0))
     assert orders == {0, 1}

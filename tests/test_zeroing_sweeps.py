@@ -1,13 +1,15 @@
 """The zeroing sweeps against each zeroed copy evaluated on its own.
 
 matrices.zeroed_dets and zeroed_pers give det or per of X with one entry
-set to 0, for many entries at once. Each value must equal the scalar
-kernel (det_bareiss, per_ryser) on the explicit copy and the n!-term
-permutation expansion, exhaustively on small {-1, 0, 1} matrices and on
-seeded random ones. The hand cases pin the det sweep's column pivots,
-dependent rows and sharing: one trunk over X's rows, which each row's
-copies leave to finish on the rows after it. The relabelling property is
-in test_properties.py.
+set to 0, for many entries at once. Each value must equal a scalar kernel
+on the explicit copy (det_bareiss; for the permanent Glynn's formula,
+glynn_permanent, since per_ryser and zeroed_pers share the subset sweeps)
+and the n!-term permutation expansion, exhaustively on small {-1, 0, 1}
+matrices and on seeded random ones. The hand cases pin the det sweep's
+column pivots, dependent rows and sharing: one trunk over X's rows, which
+each row's copies leave to finish on the rows after it; and the per
+sweep's lanes, one per copy of a row, on entries of about 60 bits. The
+relabelling property is in test_properties.py.
 """
 
 import random
@@ -18,11 +20,11 @@ import pytest
 
 from deckpoly import matrices as mx
 from deckpoly.identities import check_thm21, check_thm22, check_thm23, random_matrix
-from oracles import permutation_expansion
+from oracles import glynn_permanent, l_scaled_matrix, permutation_expansion
 
 SWEEPS = [
     pytest.param(mx.zeroed_dets, mx.det_bareiss, True, id="det"),
-    pytest.param(mx.zeroed_pers, mx.per_ryser, False, id="per"),
+    pytest.param(mx.zeroed_pers, glynn_permanent, False, id="per"),
 ]
 
 
@@ -244,7 +246,8 @@ def test_zeroing_a_zero_entry_gives_the_matrix_itself():
 
 def test_each_copy_has_its_own_column_sums():
     # per [[1, 1], [1, 1]] = 2, but each single zeroing leaves one
-    # permutation: a copy's term must use its own column sum s_j - d_i * x_ij.
+    # permutation: each copy's lane must drop its own entry x_ij, and only
+    # its own, from row i's weights.
     assert mx.zeroed_pers([[1, 1], [1, 1]], 2, entries(2)) == [1, 1, 1, 1]
     assert mx.zeroed_pers([[1, 2], [3, 4]], 2, entries(2)) == [6, 4, 4, 6]
 
@@ -256,15 +259,46 @@ def test_the_sweeps_leave_their_input_alone():
         assert m == [[0, 3, 1], [0, 2, 5], [4, 1, 1]]
 
 
-@pytest.mark.parametrize("check, sweep, kernel, n, support", [
-    pytest.param(check_thm21, mx.zeroed_dets, mx.det_bareiss, 20, False, id="2.1"),
-    pytest.param(check_thm22, mx.zeroed_dets, mx.det_bareiss, 20, True, id="2.2"),
-    pytest.param(check_thm23, mx.zeroed_pers, mx.per_ryser, 12, True, id="2.3"),
+def test_zeroed_pers_lanes_hold_large_entries():
+    """Dense single-sign matrices of entries of about 60 bits, where no sum
+    of terms cancels, at orders 1-9: as drawn, and with a diagonal 2^20
+    times its row's sum, which puts nearly all of per(|X|) on one
+    permutation, so that a copy zeroed off the diagonal comes within a
+    factor 1 - 2^-16 of the lane bound Q; and one with a zero row, whose
+    lanes are one bit wide. Every entry against Glynn's formula on the
+    explicit copy."""
+    rng = random.Random(2347)
+    cases = []
+    for n in range(1, 10):
+        for sign in (1, -1):
+            cases += [l_scaled_matrix(rng, n, 1.0, sign) for _ in range(3)]
+            for r, row in enumerate(cases[-1]):
+                row[r] = sum(row) << 20
+    cases.append(l_scaled_matrix(rng, 6, 1.0, 1))
+    cases[-1][rng.randrange(6)] = [0] * 6
+    for m in cases:
+        n = len(m)
+        assert mx.zeroed_pers(m, n, entries(n)) == copies_one_by_one(glynn_permanent, m, entries(n)), m
+
+
+@pytest.mark.parametrize("check, sweep, kernel, n, support, sample", [
+    pytest.param(check_thm21, mx.zeroed_dets, mx.det_bareiss, 20, False, 0, id="2.1"),
+    pytest.param(check_thm22, mx.zeroed_dets, mx.det_bareiss, 20, True, 0, id="2.2"),
+    pytest.param(check_thm23, mx.zeroed_pers, glynn_permanent, 16, True, 8, id="2.3"),
 ])
-def test_large_orders_match_explicit_copies(check, sweep, kernel, n, support):
-    # Past the random tests' orders. Theorem 2.3 stops at order 12: the
-    # permanent cap is 16, and at order 16 each explicit copy takes seconds.
-    m = random_matrix(random.Random(n), n)
-    positions = [(i, j) for i, j in entries(n) if m[i][j] or not support]
-    assert sweep(m, n, positions) == copies_one_by_one(kernel, m, positions)
+def test_large_orders_match_explicit_copies(check, sweep, kernel, n, support, sample):
+    # Past the random tests' orders, theorem 2.3 at the permanent cap. An
+    # explicit order-16 copy takes Glynn's formula about 33 ms, so theorem
+    # 2.3 checks a seeded sample of its copies, always with one in row 0,
+    # one in row n - 1 and one zeroed at a zero entry, which the sweep gets
+    # besides the support.
+    rng = random.Random(n)
+    m = random_matrix(rng, n)
+    positions = checked = [(i, j) for i, j in entries(n) if m[i][j] or not support]
+    if sample:
+        positions = positions + [rng.choice([(i, j) for i, j in entries(n) if not m[i][j]])]
+        ends = [next(p for p in positions if p[0] == i) for i in (0, n - 1)]
+        checked = ends + positions[-1:] + rng.sample(positions, sample)
+    values = dict(zip(positions, sweep(m, n, positions)))
+    assert [values[p] for p in checked] == copies_one_by_one(kernel, m, checked)
     assert check(m).holds
