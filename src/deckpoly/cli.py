@@ -17,12 +17,13 @@ from contextlib import contextmanager
 from functools import cache
 from math import comb
 
-from . import identities, matrices, search, serialize
+from . import graph_polys, identities, matrices, search, serialize
 from .digraphs import validate
 from .reconstruct import OneParameterFamily, Unique, reconstruct
 from .graph_polys import (
     DET_MAX_VERTICES,
     DETERMINANT,
+    F4,
     PERMANENT,
     SIX_KINDS,
     deck,
@@ -146,9 +147,7 @@ def cmd_search(args) -> int:
 
 
 def cmd_counterexample(args) -> int:
-    if args.n > matrices.RYSER_MAX_ORDER:  # f4 is always computed
-        raise ValueError(f"counterexample takes permanents of order --n, capped at "
-                         f"{matrices.RYSER_MAX_ORDER}, got {args.n}")
+    graph_polys._check_cap(args.n, F4)  # f4 is always computed
     cycle, rival = search.canonical_counterexample(args.n)
     pair = {"cycle": cycle, "path_plus_arc": rival}
     out = {

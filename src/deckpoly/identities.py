@@ -10,17 +10,17 @@ scalar kernel on X (det_bareiss, per_ryser) and their right side from one
 zeroing sweep (matrices.zeroed_dets, zeroed_pers), which evaluates every
 zeroed copy by its own elimination or its own expansion along the zeroed
 row, sharing with X only the intermediate values that are equal in both,
-never a cofactor of X. The det copies share one elimination trunk over
-X's rows, which row i's copies leave just before it pivots on row i to
-finish on the rows after it, and each copy carries its own row
+never through a cofactor shortcut. The det copies share one elimination
+trunk over X's rows, which row i's copies leave just before it pivots on
+row i to finish on the rows after it, and each copy carries its own row
 throughout, so a theorem 2.1 trial of order n costs about 7n^4 / 12
 multiplication pairs. The per copies of row i share the subset states of
-the rows above and below it. per_ryser's sweep builds the same kind of
-states, so both sides of theorem 2.3 run one permanent algorithm. A fault
-common to both could pass the check: a signed sweep computes
-determinants, which satisfy the same identity (theorem 2.2). The tests
-therefore hold both sides to Glynn's formula, which shares no code with
-the sweep.
+the rows above and below it, and the minors of row i that pairing them
+gives. per_ryser's sweep builds the same kind of states, so both sides of
+theorem 2.3 run one permanent algorithm. A fault common to both could
+pass the check: a signed sweep computes determinants, which satisfy the
+same identity (theorem 2.2). The tests therefore hold both sides to
+Glynn's formula, which shares no code with the sweep.
 """
 
 from __future__ import annotations
@@ -63,10 +63,10 @@ def _check_zeroing(identity: str, matrix: Matrix, kernel, sweep, select) -> Iden
     positions = select(matrix, n)
     lhs = (len(positions) - n) * base
     # Each zeroed copy gets its own elimination or row expansion: the sweep
-    # shares only values equal in the copy and in X and never reads det X,
-    # per X or a cofactor. A cofactor shortcut, det(X_ij) = det(X) -
-    # x_ij * C_ij, is the linearity the theorems are proved from and would
-    # make the check a tautology, as in check_thm31.
+    # shares only values equal in the copy and in X and never reads det X
+    # or per X. A cofactor shortcut, det(X_ij) = det(X) - x_ij * C_ij, is
+    # the linearity the theorems are proved from and would make the check a
+    # tautology, as in check_thm31.
     rhs = sum(sweep(matrix, n, positions))
     instance = {"matrix": serialize.matrix_to_strings(matrix)}
     return IdentityReport(identity, instance, lhs, rhs, lhs == rhs)

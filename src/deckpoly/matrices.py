@@ -16,10 +16,10 @@ one fraction-free elimination trunk over X's rows in order, which row i's
 copies leave just before it pivots on row i, to finish on rows i+1..n-1
 together; each copy carries only its own row, about 7n^4 / 12
 multiplication pairs for all n^2 copies. The per sweep pairs the subset
-states of X's rows above row i with those of the rows below it, row i's
-copies each in a lane of one int.
-Neither reads det X, per X or a cofactor of X, and every value either
-sweep shares with X is a value of the copy too. Both skip input checks:
+states of X's rows above row i with those of the rows below it once, into
+the minors of row i, and each copy of row i sums its own terms of them.
+No copy reads det X or per X or is a row total less a cofactor term, and
+every value either sweep shares with X is a value of the copy too. Both skip input checks:
 the caller has validated X with the scalar kernel.
 
 Every permanent here is one algorithm: expansion along the rows over
@@ -145,9 +145,12 @@ def zeroed_dets(rows: Matrix, n: int, positions: list[tuple[int, int]]) -> list[
     carries each copy as a row of its own. Just before the trunk pivots on
     row i, row i's copies leave it and finish on rows i+1..n-1, which they
     share with one another; the trunk stops at the last row that has
-    copies, so det X is never formed. The trunk costs about n^3 / 3
-    multiplication pairs, row i's finish about (n - i)^3 / 3 and a copy
-    about n^2 / 2, so all n^2 copies cost about 7n^4 / 12.
+    copies. When that is row n - 1, the trunk's step on row n - 2 leaves
+    X's row n - 1 as one entry, +-det X, which row n - 1's copies leave
+    without reading: det X may be formed, but no copy reads it. The trunk
+    costs about n^3 / 3 multiplication pairs, row i's finish about
+    (n - i)^3 / 3 and a copy about n^2 / 2, so all n^2 copies cost about
+    7n^4 / 12.
 
     Each copy's value is thus its own elimination's. The values a copy of
     row i shares are the entries of its pivot rows: rows 0..i-1 as the
@@ -244,27 +247,22 @@ def zeroed_pers(rows: Matrix, n: int, positions: list[tuple[int, int]]) -> list[
     the forward state of rows 0..i-1 on the i-subset S of the columns and
     G[T] the backward state of rows i+1..n-1 on T,
 
-        per(X_ij) = sum over S and the columns c outside S, c != j,
-                    of F[S] * x_ic * G[all - S - {c}].
+        per(X_ij) = sum over the columns c != j of x_ic * P_ic,
+        P_ic = sum over the S without c of F[S] * G[all - S - {c}],
 
-    Row i's copies share one pass over forward layer i and backward layer
-    n-1-i, each in a lane of B bits of one int: column c's weight holds
-    x_ic in the lane of every copy of row i but the one zeroed at c, which
-    holds 0, so each lane sums its own copy's terms, and _unpacked reads
-    them off as balanced digits. Those are the values if each is below
-    2^(B-1) in absolute value, which holds for B = bit_length(Q) + 1,
-    Q = prod_r sum_c |x_rc|: |per(X_ij)| <= per(|X|), and a nonnegative
-    matrix's permanent is at most the product of its row sums. The
-    backward sweep runs first, up to the first row with copies, keeping
-    the layers those rows read, and the forward sweep stops at the last
-    row with copies.
+    where P_ic is the permanent of X without row i and column c. Row i's
+    copies share one pass over forward layer i and backward layer n-1-i,
+    which gives P_ic at each nonzero column c of row i; then each copy sums
+    its own terms, every column of row i but its own. The backward sweep
+    runs first, up to the first row with copies, keeping the layers those
+    rows read, and the forward sweep stops at the last row with copies.
 
     Each copy's value is thus its own expansion along row i. It shares with
-    X only the states F and G, permanents of rows other than row i, which
-    X_ij and X have in common; neither sweep passes every row, so per X is
-    never formed, and no copy is a row total less x_ij times a minor of X,
-    the shortcut the zeroed-entry identities are proved from (see
-    zeroed_dets for why that matters).
+    X only the states F and G and the minors P_ic, permanents of rows other
+    than row i, which X_ij and X have in common; neither sweep passes every
+    row, so per X is never formed, and no copy is a row total less
+    x_ij * P_ij, the shortcut the zeroed-entry identities are proved from
+    (see zeroed_dets for why that matters).
     """
     by_row: dict[int, list[tuple[int, int]]] = {}
     for t, (i, j) in enumerate(positions):
@@ -272,7 +270,6 @@ def zeroed_pers(rows: Matrix, n: int, positions: list[tuple[int, int]]) -> list[
     out = [0] * len(positions)
     if not by_row:
         return out
-    bits = prod(sum(map(abs, row)) for row in rows).bit_length() + 1
     sets = [[(1 << c, v) for c, v in enumerate(row) if v] for row in rows]
     # Backward layer n-1-i, keyed by the row i whose copies read it.
     backward = {n - 1 - k: layer for k, layer in _sweep(sets[::-1], n - 1 - min(by_row))
@@ -281,21 +278,15 @@ def zeroed_pers(rows: Matrix, n: int, positions: list[tuple[int, int]]) -> list[
     for i, layer in _sweep(sets, max(by_row)):
         copies = by_row.get(i)
         if copies:
-            # hit[c] has a 1 in the lane of each copy zeroed at column c.
-            hit = [0] * n
-            for k, (_, j) in enumerate(copies):
-                hit[j] += 1 << k * bits
-            ones = sum(hit)
-            weights = [(1 << c, v * (ones - hit[c]))
-                       for c, v in enumerate(rows[i]) if v and ones != hit[c]]
-            back, acc = backward.pop(i), 0
+            # minors[bit of c] = P_ic, at each nonzero column c of row i.
+            back, minors = backward.pop(i), {bit: 0 for bit, _ in sets[i]}
             for s, f in layer.items():
                 rest = full ^ s
-                for bit, w in weights:
+                for bit, _ in sets[i]:
                     if rest & bit and (g := back.get(rest ^ bit)):
-                        acc += f * g * w
-            for (t, _), value in zip(copies, _unpacked(acc, len(copies), bits)):
-                out[t] = value
+                        minors[bit] += f * g
+            for t, j in copies:
+                out[t] = sum([v * minors[bit] for bit, v in sets[i] if bit != 1 << j])
     return out
 
 

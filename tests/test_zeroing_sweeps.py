@@ -8,8 +8,9 @@ and the n!-term permutation expansion, exhaustively on small {-1, 0, 1}
 matrices and on seeded random ones. The hand cases pin the det sweep's
 column pivots, dependent rows and sharing: one trunk over X's rows, which
 each row's copies leave to finish on the rows after it; and the per
-sweep's lanes, one per copy of a row, on entries of about 60 bits. The
-relabelling property is in test_properties.py.
+sweep's copies, each its own sum over the minors of its row, on entries
+of about 60 bits, and with no subset state at all n columns, so that per X
+is never formed. The relabelling property is in test_properties.py.
 """
 
 import random
@@ -246,8 +247,8 @@ def test_zeroing_a_zero_entry_gives_the_matrix_itself():
 
 def test_each_copy_has_its_own_column_sums():
     # per [[1, 1], [1, 1]] = 2, but each single zeroing leaves one
-    # permutation: each copy's lane must drop its own entry x_ij, and only
-    # its own, from row i's weights.
+    # permutation: each copy's sum must drop its own column j, and only its
+    # own, from row i's terms x_ic * P_ic.
     assert mx.zeroed_pers([[1, 1], [1, 1]], 2, entries(2)) == [1, 1, 1, 1]
     assert mx.zeroed_pers([[1, 2], [3, 4]], 2, entries(2)) == [6, 4, 4, 6]
 
@@ -259,14 +260,12 @@ def test_the_sweeps_leave_their_input_alone():
         assert m == [[0, 3, 1], [0, 2, 5], [4, 1, 1]]
 
 
-def test_zeroed_pers_lanes_hold_large_entries():
+def test_zeroed_pers_holds_large_entries():
     """Dense single-sign matrices of entries of about 60 bits, where no sum
     of terms cancels, at orders 1-9: as drawn, and with a diagonal 2^20
     times its row's sum, which puts nearly all of per(|X|) on one
-    permutation, so that a copy zeroed off the diagonal comes within a
-    factor 1 - 2^-16 of the lane bound Q; and one with a zero row, whose
-    lanes are one bit wide. Every entry against Glynn's formula on the
-    explicit copy."""
+    permutation; and one with a zero row. Every entry against Glynn's
+    formula on the explicit copy."""
     rng = random.Random(2347)
     cases = []
     for n in range(1, 10):
@@ -279,6 +278,32 @@ def test_zeroed_pers_lanes_hold_large_entries():
     for m in cases:
         n = len(m)
         assert mx.zeroed_pers(m, n, entries(n)) == copies_one_by_one(glynn_permanent, m, entries(n)), m
+
+
+def test_zeroed_pers_never_forms_per_x(monkeypatch):
+    # Every state of either sweep is a permanent of X's rows above row i,
+    # or below it, for a row i with copies, so no state has all n columns.
+    # per_ryser is the control: its forward sweep reaches them.
+    popcounts = set()
+    sweep = mx._sweep
+
+    def recording(rows, depth):
+        for k, layer in sweep(rows, depth):
+            popcounts.update(map(int.bit_count, layer))
+            yield k, layer
+
+    monkeypatch.setattr(mx, "_sweep", recording)
+    rng = random.Random(2411)
+    for n in range(1, 9):
+        for zero_density in (0.0, 0.3):
+            m = random_matrix(rng, n, zero_density)
+            for positions in (entries(n), [(i, j) for i, j in entries(n) if m[i][j]]):
+                popcounts.clear()
+                mx.zeroed_pers(m, n, positions)
+                assert max(popcounts, default=0) < n, m
+            popcounts.clear()
+            mx.per_ryser(m)
+            assert max(popcounts) == n, m
 
 
 @pytest.mark.parametrize("check, sweep, kernel, n, support, sample", [
