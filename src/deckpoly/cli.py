@@ -17,11 +17,10 @@ from contextlib import contextmanager
 from functools import cache
 from math import comb
 
-from . import graph_polys, identities, matrices, search, serialize
+from . import graph_polys, identities, search, serialize
 from .digraphs import validate
 from .reconstruct import OneParameterFamily, Unique, reconstruct
 from .graph_polys import (
-    DET_MAX_VERTICES,
     DETERMINANT,
     F4,
     PERMANENT,
@@ -95,8 +94,9 @@ def cmd_verify(args) -> int:
         raise ValueError("--trials and --max-n must be >= 1")
     if args.weighted and args.theorem in MATRIX_CHECKS:
         raise ValueError(f"--weighted weights digraph arcs; theorem {args.theorem} takes int matrices")
-    taken, cap = (("permanents", matrices.RYSER_MAX_ORDER)
-                  if args.theorem in PERMANENT_THEOREMS else ("determinants", DET_MAX_VERTICES))
+    taken, mode = (("permanents", PERMANENT) if args.theorem in PERMANENT_THEOREMS
+                   else ("determinants", DETERMINANT))
+    cap = graph_polys.cap_of(mode)
     if args.max_n > cap:
         raise ValueError(f"theorem {args.theorem} takes {taken} of order up to --max-n, "
                          f"capped at {cap}, got {args.max_n}")

@@ -226,8 +226,14 @@ def _pencil_coefficients(kind: PolyKind, n: int, arcs: Iterable[tuple[int, int]]
     return coeffs, entries
 
 
+def cap_of(mode: str) -> int:
+    """The largest order that `mode` takes: the most vertices of a digraph
+    whose polynomial is asked for, and of a matrix whose det or per is."""
+    return matrices.RYSER_MAX_ORDER if mode == PERMANENT else DET_MAX_VERTICES
+
+
 def _check_cap(n: int, kind: PolyKind) -> None:
-    cap = matrices.RYSER_MAX_ORDER if kind.mode == PERMANENT else DET_MAX_VERTICES
+    cap = cap_of(kind.mode)
     if n > cap:
         raise ValueError(f"{kind.mode} polynomials are capped at {cap} vertices, got {n}")
 

@@ -9,18 +9,19 @@ input.
 
 det_bareiss and per_ryser give one scalar value. zeroed_dets and
 zeroed_pers give one value per zeroed copy X_ij of X (X with entry (i, j)
-set to 0), for the zeroed-entry identities: each copy gets its own
-elimination, or its own expansion along row i, and a copy shares with X
-only the intermediate values that are equal in both. So the det sweep runs
-one fraction-free elimination trunk over X's rows in order, which row i's
-copies leave just before it pivots on row i, to finish on rows i+1..n-1
-together; each copy carries only its own row, about 7n^4 / 12
-multiplication pairs for all n^2 copies. The per sweep pairs the subset
-states of X's rows above row i with those of the rows below it once, into
-the minors of row i, and each copy of row i sums its own terms of them.
-No copy reads det X or per X or is a row total less a cofactor term, and
-every value either sweep shares with X is a value of the copy too. Both skip input checks:
-the caller has validated X with the scalar kernel.
+set to 0), for the zeroed-entry identities, by one rule (_expansions):
+each copy is its own expansion along row i, the sum over the columns
+c != j of x_ic times the minor of X without row i and column c. Those
+minors read only X's other rows, so they are the copy's too, and the
+copies of row i share them. The det sweep reads row i's cofactors off a
+fraction-free Gauss-Jordan elimination of X's other rows, from one trunk
+over X's rows in order that row i's elimination leaves just before the
+trunk pivots on row i, about n^4 / 6 multiplication pairs for all n rows.
+The per sweep pairs the subset states of X's rows above row i with those
+of the rows below it. No copy reads det X or per X or is a row total less
+a cofactor term, neither sweep forms det X or per X, and every value
+either sweep shares with X is a value of the copy too. Both skip input
+checks: the caller has validated X with the scalar kernel.
 
 Every permanent here is one algorithm: expansion along the rows over
 column subsets (_sweep), forward from the top row and backward from the
@@ -44,9 +45,10 @@ Python ints.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from itertools import chain
 from math import prod
+from operator import neg
 
 Matrix = list[list[int]]
 
@@ -117,107 +119,108 @@ def zeroed_dets(rows: Matrix, n: int, positions: list[tuple[int, int]]) -> list[
     int matrix X = `rows` with entry (i, j) set to 0; no input checks, and
     `rows` is not modified.
 
-    Copy X_ij is evaluated by a fraction-free elimination (Bareiss, see
-    det_bareiss) of X's other n - 1 rows in order, with the copy's own row,
-    X's row i with entry j set to 0, carried below them. It pivots by
-    column and never swaps rows: the step on row r pivots on that row's
-    first nonzero among the columns not yet pivoted. At a step with pivot p
-    and previous pivot prev, an entry v of a row below the pivot row, in a
-    column c not yet pivoted, becomes (v * p - a * w) / prev, where a is the
-    row's entry in the pivot column and w the pivot row's entry in column c.
+    Expanding X_ij along its row i (_expansions),
 
-    This is Bareiss's elimination of the copy with row i moved last and its
-    columns in pivot order p_0, p_1, ... So after s + 1 steps every entry is
-    an (s+1)-minor of the copy: the one on the s + 1 pivot rows and the
-    entry's own row, and on columns p_0..p_s and c. The pivot p is such a
-    minor too, on the rows and columns of the steps so far, so each division
-    is exact and no pivot is 0. If a pivot row has no nonzero left, every
-    minor on it and the pivot rows before it is 0 while the last pivot is
-    not, so that row is a combination of the rows before it: the other rows
-    are dependent, and every copy in row i has det 0. Otherwise the one
-    entry left in a copy's row is det X_ij, times the signs of moving row i
-    last, past n - 1 - i rows, and of the column order, each step's pivot
-    column moving to the front of those left.
+        det(X_ij) = sum over the columns c != j of x_ic * C_ic,
 
-    The copies of row i pivot on rows 0..i-1 in the same order as every
-    copy of a later row, so those steps are shared: one trunk eliminates
-    X's rows in order, pivoting on row k once for every row after it, and
-    carries each copy as a row of its own. Just before the trunk pivots on
-    row i, row i's copies leave it and finish on rows i+1..n-1, which they
-    share with one another; the trunk stops at the last row that has
-    copies. When that is row n - 1, the trunk's step on row n - 2 leaves
-    X's row n - 1 as one entry, +-det X, which row n - 1's copies leave
-    without reading: det X may be formed, but no copy reads it. The trunk
-    costs about n^3 / 3 multiplication pairs, row i's finish about
-    (n - i)^3 / 3 and a copy about n^2 / 2, so all n^2 copies cost about
-    7n^4 / 12.
+    where C_ic is the cofactor of X at (i, c): it reads only X's other
+    rows, so it is X_ij's cofactor too. Row i's cofactors come from one
+    fraction-free Gauss-Jordan elimination (Bareiss 1968, see det_bareiss)
+    of X's other n - 1 rows in order. It pivots by column and never swaps
+    rows: the step on row r pivots on that row's first nonzero among the
+    columns not yet pivoted. At a step with pivot p and previous pivot
+    prev, an entry v of every other row, pivoted before or not, in a column
+    c not yet pivoted, becomes (v * p - a * w) / prev, where a is the row's
+    entry in the pivot column and w the pivot row's entry in column c; the
+    pivot row keeps its entries.
 
-    Each copy's value is thus its own elimination's. The values a copy of
-    row i shares are the entries of its pivot rows: rows 0..i-1 as the
-    trunk leaves them, and rows i+1..n-1 as the trunk hands them to row i's
-    finish and its steps leave them. Each is a minor of X on that row and
-    the pivot rows before it, none of them row i, and X_ij differs from X
-    only in row i, so each is a minor of X_ij too. The copy's own row starts
-    as X_ij's row i; X's row i, det X and the cofactors of X are never
-    read. The zeroed-entry identities need this: they are proved from
-    det(X_ij) = det(X) - x_ij * C_ij, and a sweep built on it would check a
-    tautology.
+    After k steps, on pivot columns p_1..p_k, an entry in column c of a
+    row not yet pivoted is the minor of order k + 1 on the k pivot rows and
+    its own row, and on columns p_1..p_k and c; an entry of a pivot row is
+    the minor of order k on the pivot rows and columns, with c in place of
+    the row's own pivot column (Cramer's rule), and the last pivot D, the
+    minor on the pivot columns, in its own. So each division is exact and
+    no pivot is 0. If a pivot row has no nonzero left, it is a combination
+    of the rows pivoted before it: the other rows are dependent, and every
+    C_ic and every copy of row i is 0. Otherwise the n - 1 steps leave one
+    free column q, and each pivot row holds D on its pivot column and one
+    entry v on column q. With row i moved last, past n - 1 - i rows, and
+    the columns in the order p_1, ..., p_{n-1}, q, each step's pivot column
+    moving to the front of those left, the sign e of that reordering gives
+    C_iq = e * D and C_ic = -e * v at the pivot column c of each pivot row.
+
+    Row i's elimination pivots on rows 0..i-1 in the same order as that of
+    every later row, so those steps are shared: one trunk eliminates X's
+    rows in order, and just before it pivots on row i, row i's elimination
+    branches off, drops row i and finishes on rows i+1..n-1. The trunk
+    stops at L, the last row with copies, without pivoting on it, and drops
+    row L before its step on row L - 1, so that its state there is row L's
+    elimination: no step reads all of X's rows, and det X is never formed.
+    The trunk costs about n^3 / 2 multiplication pairs and row i's finish
+    about n * (n - i)^2 / 2, so all n rows cost about n^4 / 6, and the
+    copies' sums n^3.
+
+    Each copy's value is thus its own expansion along row i. It shares with
+    X only the cofactors of row i, minors of X's other rows, which X_ij and
+    X have in common; X's row i enters only as x_ic, c != j, and det X and
+    the term x_ij * C_ij are never read. The zeroed-entry identities need
+    this: they are proved from det(X_ij) = det(X) - x_ij * C_ij, and a
+    sweep built on it would check a tautology.
     """
-    by_row: dict[int, list[tuple[int, int]]] = {}
-    for t, (i, j) in enumerate(positions):
-        by_row.setdefault(i, []).append((t, j))
-    out = [0] * len(positions)
-    if not by_row:
-        return out
-    # Column c holds each copy's entry, the copies of each row together and
-    # the rows in order, then X's rows from the last to the first, so that
-    # the next pivot row is always last and the next copies to leave first.
-    order = sorted(by_row)
-    copies = [c for i in order for c in by_row[i]]
-    cols = [list(col) for col in zip(*[rows[i] for i in order for _ in by_row[i]], *reversed(rows))]
-    for s, (_, j) in enumerate(copies):
-        cols[j][s] = 0
-    carried, prev, parity = len(copies), 1, 0
-    for k in range(order[-1] + 1):
-        leaving = len(by_row.get(k, ()))
-        if leaving:
-            finish = [col[:leaving] + col[carried:-1] for col in cols]
-            fprev, fparity = prev, parity + n - 1 - k
+    return _expansions(rows, n, positions, _cofactors)
+
+
+def _cofactors(rows: Matrix, n: int, wanted: dict) -> Iterator[tuple[int, list[int]]]:
+    """Yield (i, terms) for the rows i of `wanted` in order: terms[c] =
+    x_ic * C_ic, C_ic the cofactor of X at (i, c), from the trunk and the
+    finishes that zeroed_dets describes. A row whose other rows are
+    dependent, so that every C_ic is 0, is left out."""
+    last = max(wanted)
+    # Column c holds the entries of the pivoted rows, the latest first, then
+    # those of the rows still to pivot, from the last to the first, so that
+    # the next pivot row is always last. labels holds the indices of the
+    # columns left, then of the pivot columns, the latest first.
+    cols = [list(col) for col in zip(*reversed(rows))]
+    labels, prev, parity = list(range(n)), 1, 0
+    for k in range(last + 1):
+        if k in wanted:
+            # Row k's elimination is the trunk without row k, its last row;
+            # at row L the trunk has left row L out already, unless L = 0.
+            fcols = cols if k == last > 0 else [col[:-1] for col in cols]
+            flabels, fprev, fparity = labels[:], prev, parity + n - 1 - k
             for _ in range(n - 1 - k):
-                step = _pivot_step(finish, fprev)
-                if step is None:
+                if (step := _pivot_step(fcols, fprev)) is None:
                     break
-                q, fprev, finish = step
+                q, fprev, fcols = step
                 fparity += q
+                flabels.insert(len(fcols), flabels.pop(q))
             else:
-                for (t, _), det in zip(by_row[k], finish[0]):
-                    out[t] = -det if fparity & 1 else det
-            if k == order[-1]:
-                break
-            cols = [col[leaving:] for col in cols]
-            carried -= leaving
-        step = _pivot_step(cols, prev)
-        if step is None:
-            break  # rows 0..k are dependent: every later copy has det 0
+                # C_kq = e * D at the free column, first in flabels, and
+                # C_kc = -e * v at the pivot column c of each pivot row.
+                cofactors = zip(flabels, [-fprev, *fcols[0]] if fparity & 1 else [fprev, *map(neg, fcols[0])])
+                yield k, [rows[k][c] * m for c, m in sorted(cofactors)]
+        if k == last - 1:
+            cols = [col[:-2] + col[-1:] for col in cols]  # row L leaves the trunk
+        if k == last or (step := _pivot_step(cols, prev)) is None:
+            return  # done, or rows 0..k are dependent: so are every later row's other rows
         q, prev, cols = step
         parity += q
-    return out
+        labels.insert(len(cols), labels.pop(q))
 
 
 def _pivot_step(cols: Matrix, prev: int) -> tuple[int, int, Matrix] | None:
     """One step of the elimination that zeroed_dets describes, on the row
     that is last in each column of `cols`, with previous pivot `prev`:
-    (q, p, the other columns without that row), where the pivot p is the
-    row's first nonzero, in column q. None when the row has no nonzero.
-    Consumes `cols`."""
+    (q, p, the other columns with that row moved first), where the pivot p
+    is the row's first nonzero, in column q. None when the row has no
+    nonzero. Consumes `cols`."""
     for q, col in enumerate(cols):
         if col[-1]:
-            break
-    else:
-        return None
-    a = cols.pop(q)
-    p = a.pop()
-    return q, p, [[(v * p - x * w) // prev for v, x in zip(col, a)] for col in cols for w in [col[-1]]]
+            a = cols.pop(q)
+            p = a.pop()
+            return q, p, [[w, *[(v * p - x * w) // prev for v, x in zip(col, a)]]
+                          for col in cols for w in [col[-1]]]
+    return None
 
 
 def per_ryser(matrix: Matrix) -> int:
@@ -243,9 +246,9 @@ def zeroed_pers(rows: Matrix, n: int, positions: list[tuple[int, int]]) -> list[
     int matrix X = `rows` with entry (i, j) set to 0; no input checks, and
     `rows` is not modified.
 
-    Expanding X_ij along its row i over the sweeps of per_ryser, with F[S]
-    the forward state of rows 0..i-1 on the i-subset S of the columns and
-    G[T] the backward state of rows i+1..n-1 on T,
+    Expanding X_ij along its row i (_expansions) over the sweeps of
+    per_ryser, with F[S] the forward state of rows 0..i-1 on the i-subset S
+    of the columns and G[T] the backward state of rows i+1..n-1 on T,
 
         per(X_ij) = sum over the columns c != j of x_ic * P_ic,
         P_ic = sum over the S without c of F[S] * G[all - S - {c}],
@@ -264,20 +267,20 @@ def zeroed_pers(rows: Matrix, n: int, positions: list[tuple[int, int]]) -> list[
     x_ij * P_ij, the shortcut the zeroed-entry identities are proved from
     (see zeroed_dets for why that matters).
     """
-    by_row: dict[int, list[tuple[int, int]]] = {}
-    for t, (i, j) in enumerate(positions):
-        by_row.setdefault(i, []).append((t, j))
-    out = [0] * len(positions)
-    if not by_row:
-        return out
+    return _expansions(rows, n, positions, _permanental_minors)
+
+
+def _permanental_minors(rows: Matrix, n: int, wanted: dict) -> Iterator[tuple[int, list[int]]]:
+    """Yield (i, terms) for the rows i of `wanted` in order: terms[c] =
+    x_ic * P_ic, P_ic at each nonzero column c of row i from the sweeps
+    that zeroed_pers describes, and 0 at the other columns."""
     sets = [[(1 << c, v) for c, v in enumerate(row) if v] for row in rows]
     # Backward layer n-1-i, keyed by the row i whose copies read it.
-    backward = {n - 1 - k: layer for k, layer in _sweep(sets[::-1], n - 1 - min(by_row))
-                if n - 1 - k in by_row}
+    backward = {n - 1 - k: layer for k, layer in _sweep(sets[::-1], n - 1 - min(wanted))
+                if n - 1 - k in wanted}
     full = (1 << n) - 1
-    for i, layer in _sweep(sets, max(by_row)):
-        copies = by_row.get(i)
-        if copies:
+    for i, layer in _sweep(sets, max(wanted)):
+        if i in wanted:
             # minors[bit of c] = P_ic, at each nonzero column c of row i.
             back, minors = backward.pop(i), {bit: 0 for bit, _ in sets[i]}
             for s, f in layer.items():
@@ -285,8 +288,29 @@ def zeroed_pers(rows: Matrix, n: int, positions: list[tuple[int, int]]) -> list[
                 for bit, _ in sets[i]:
                     if rest & bit and (g := back.get(rest ^ bit)):
                         minors[bit] += f * g
-            for t, j in copies:
-                out[t] = sum([v * minors[bit] for bit, v in sets[i] if bit != 1 << j])
+            terms = [0] * n
+            for bit, x in sets[i]:
+                terms[bit.bit_length() - 1] = x * minors[bit]
+            yield i, terms
+
+
+def _expansions(rows: Matrix, n: int, positions: list[tuple[int, int]], terms) -> list[int]:
+    """The values of zeroed_dets or zeroed_pers, one rule for both: with
+    the positions grouped by row, terms(rows, n, the groups) yields (i,
+    [x_ic * M_ic for each column c]) for rows i with copies, M_ic the
+    signed or permanental minor of X without row i and column c, and copy
+    (i, j) is the sum of the terms at the columns before j and after it,
+    never a row total less x_ij * M_ij. A row left out has copies of 0."""
+    by_row: dict[int, list[tuple[int, int]]] = {}
+    for t, (i, j) in enumerate(positions):
+        if i in by_row:
+            by_row[i].append((t, j))
+        else:
+            by_row[i] = [(t, j)]
+    out = [0] * len(positions)
+    for i, row in terms(rows, n, by_row) if by_row else ():
+        for t, j in by_row[i]:
+            out[t] = sum(row[:j]) + sum(row[j + 1:])
     return out
 
 

@@ -5,12 +5,16 @@ set to 0, for many entries at once. Each value must equal a scalar kernel
 on the explicit copy (det_bareiss; for the permanent Glynn's formula,
 glynn_permanent, since per_ryser and zeroed_pers share the subset sweeps)
 and the n!-term permutation expansion, exhaustively on small {-1, 0, 1}
-matrices and on seeded random ones. The hand cases pin the det sweep's
-column pivots, dependent rows and sharing: one trunk over X's rows, which
-each row's copies leave to finish on the rows after it; and the per
-sweep's copies, each its own sum over the minors of its row, on entries
-of about 60 bits, and with no subset state at all n columns, so that per X
-is never formed. The relabelling property is in test_properties.py.
+matrices and on seeded random ones. Both sweeps give each copy its own
+expansion along its row. The hand cases pin how the det sweep reads row
+i's cofactors off a Gauss-Jordan elimination of X's other rows: its column
+pivots, the free column and its sign, dependent rows, and the sharing of
+one trunk over X's rows, which each row's elimination leaves to finish on
+the rows after it, with no step reading every row of X, so that det X is
+never formed. For the per sweep they pin the copies, each its own sum over
+the minors of its row, on entries of about 60 bits, and with no subset
+state at all n columns, so that per X is never formed. The relabelling
+property is in test_properties.py.
 """
 
 import random
@@ -82,8 +86,9 @@ def test_order_one():
 
 
 # Each hand case is named after what it asks of the elimination of X's
-# other rows that the copies of each row i of the positions get: which
-# column each step pivots on, and whether those rows are dependent.
+# other rows that gives the cofactors of each row i of the positions: which
+# column each step pivots on, which column is left free, and whether those
+# rows are dependent.
 
 
 def test_column_pivot_at_the_last_step_for_one_row_and_none_for_another():
@@ -143,6 +148,22 @@ SWAPPED = [[1, 2, 3, 4], [2, 4, 1, 1], [3, 6, 2, 3], [3, 1, 1, 2]]
     pytest.param([[1, 2, 3, 4], [2, 4, 1, 1], [3, 6, 2, 3], [1, 2, 5, 7]],
                  [(2, 0), (3, 0), (0, 3), (1, 2)], [6, -8, 0, 0],
                  id="singular-x-nonsingular-copy"),
+    # Rows 0 and 2 are 0 at column 0, so row 1's elimination pivots on
+    # columns 1 and 2 and leaves column 0 free: each copy of row 1 is
+    # x_10 * C_10 = 3 * (-1) * (2 * 2 - 1 * 5) and, zeroed there, 0.
+    pytest.param([[0, 2, 1], [3, 1, 4], [0, 5, 2]], [(1, 0), (1, 1), (1, 2)], [0, 3, 3],
+                 id="free-column-0"),
+    # The trunk pivots on row 0 at column 0 and on row 1 at column 2, and
+    # then, without row 3, on row 2 at column 3. Row 1's finish pivots on
+    # row 2 at column 2 and on row 3 at column 1: its pivot columns are
+    # 0, 2, 1, not in the trunk's order.
+    pytest.param([[1, 1, 0, 0], [1, 1, 1, 0], [1, 1, 2, 3], [2, 3, 1, 1]],
+                 [(1, 0), (1, 1), (1, 2), (1, 3), (3, 2)], [2, 4, 0, 3, 3],
+                 id="finish-pivots-in-another-order"),
+    # Order 2 at every position: each copy is one product, and in the
+    # second matrix row 0 pivots on column 1, an odd move.
+    pytest.param([[2, 3], [5, 7]], entries(2), [-15, 14, 14, -15], id="order-2"),
+    pytest.param([[0, 3], [5, 7]], entries(2), [-15, 0, 0, -15], id="order-2-pivot-on-column-1"),
 ])
 def test_column_pivots(m, positions, dets):
     assert mx.zeroed_dets(m, len(m), positions) == expansions(m, positions) == dets
@@ -160,6 +181,11 @@ PIVOTED = [[0, 3, 1, 2], [0, 0, 2, 5], [0, 1, 4, 1], [4, 1, 1, 3]]
 
 @pytest.mark.parametrize("m, positions", [
     pytest.param(DEPENDENT, entries(4), id="other-rows-dependent"),
+    # Row 3 is row 0 plus row 1, so X's other rows are dependent for row 2
+    # alone. Rows 0, 1 and 2, which the trunk pivots on, are independent:
+    # row 2's finish meets the dependence at row 3, and its copies are 0.
+    pytest.param([[1, 2, 0, 1], [0, 1, 3, 2], [2, 0, 1, 1], [1, 3, 3, 3]], entries(4),
+                 id="other-rows-dependent-in-a-finish"),
     pytest.param(PIVOTED, entries(4), id="column-pivot"),
     pytest.param([[7]], [(0, 0), (0, 0)], id="order-1"),
     pytest.param(SWAPPED, [(1, 2), (3, 0), (1, 2), (1, 2), (3, 0)], id="repeated-positions"),
@@ -185,6 +211,11 @@ class Traced(int):
         return self._joined(other, int(self) * int(other))
 
     __rmul__ = __mul__
+
+    def __add__(self, other):
+        return self._joined(other, int(self) + int(other))
+
+    __radd__ = __add__
 
     def __sub__(self, other):
         return self._joined(other, int(self) - int(other))
@@ -304,6 +335,38 @@ def test_zeroed_pers_never_forms_per_x(monkeypatch):
             popcounts.clear()
             mx.per_ryser(m)
             assert max(popcounts) == n, m
+
+
+def test_zeroed_dets_never_forms_det_x(monkeypatch):
+    # Every entry of an elimination is a minor of the rows it has pivoted on
+    # and one more row. Row i's elimination leaves row i out, and the trunk
+    # leaves out row L, the last with copies, before it pivots on row L - 1,
+    # so no entry the step makes reads every row of X. Row n - 1 always has
+    # a copy here: a trunk that kept row L would make +-det X at its step
+    # on row n - 2.
+    made = []
+    pivot_step = mx._pivot_step
+
+    def recording(cols, prev):
+        step = pivot_step(cols, prev)
+        if step is not None:
+            made.extend([step[1], *(v for col in step[2] for v in col)])
+        return step
+
+    monkeypatch.setattr(mx, "_pivot_step", recording)
+    rng = random.Random(2417)
+    for n in range(1, 8):
+        for zero_density in (0.0, 0.3):
+            m = random_matrix(rng, n, zero_density)
+            traced = [[Traced(x, frozenset({(i, j)})) for j, x in enumerate(row)]
+                      for i, row in enumerate(m)]
+            support = [(i, j) for i, j in entries(n) if m[i][j]] + [(n - 1, 0)]
+            for positions in (entries(n), support):
+                made.clear()
+                dets = mx.zeroed_dets(traced, n, positions)
+                assert dets == copies_one_by_one(mx.det_bareiss, m, positions), m
+                assert made or n == 1
+                assert all({r for r, _ in sources(v)} != set(range(n)) for v in made), m
 
 
 @pytest.mark.parametrize("check, sweep, kernel, n, support, sample", [
