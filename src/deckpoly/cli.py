@@ -13,7 +13,7 @@ import argparse
 import os
 import random
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from functools import cache
 from math import comb
 
@@ -123,10 +123,10 @@ def _budget() -> int:
     raw = os.environ.get("DECKPOLY_BUDGET")
     if raw is None:
         return search.DEFAULT_BUDGET
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise FormatError(f"DECKPOLY_BUDGET must be an integer, got {raw!r}") from exc
+    with suppress(ValueError):  # the one rational grammar: int() also reads " 5" and "1_000"
+        if (budget := graph_polys.parse_rational(raw)).denominator == 1:
+            return budget.numerator
+    raise FormatError(f"DECKPOLY_BUDGET must be an integer, got {raw!r}")
 
 
 def cmd_search(args) -> int:
@@ -181,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("compute", help="polynomial of a digraph file")
-    p.add_argument("--kind", required=True, help='"f1".."f6" or "general:BETA,GAMMA,det|per"')
+    p.add_argument("--kind", required=True, help='"f1".."f6" or "general:BETA,GAMMA,det|per", read as written')
     p.add_argument("--input", required=True, help="digraph JSON file")
     p.set_defaults(func=cmd_compute)
 

@@ -134,24 +134,21 @@ def _rational_pairs(values: Sequence[str]) -> tuple[list[int], list[int]]:
     raise ValueError("expected at least one rational value")
 
 
-def _rational_pair(text: str) -> tuple[int, int]:
-    """(p, q) in lowest terms with q > 0, from one value _rational_pairs reads."""
-    [p], [q] = _rational_pairs([text])
-    common = gcd(p, q)
-    return p // common, q // common
-
-
 def parse_rational(text: str) -> Fraction:
-    return Fraction(*_rational_pair(text))
+    """One value _rational_pairs reads, as a Fraction, which reduces it."""
+    [p], [q] = _rational_pairs([text])
+    return Fraction(p, q)
 
 
 def parse_kind(text: str) -> PolyKind:
-    """Parse "f1".."f6" or "general:BETA,GAMMA,det|per" (rationals as "p/q")."""
-    name = text.strip().lower()
-    if name in NAMED_KINDS:
-        return NAMED_KINDS[name]
-    if name.startswith("general:"):
-        parts = [part.strip() for part in name[len("general:"):].split(",")]
+    """Parse "f1".."f6" or "general:BETA,GAMMA,det|per", read as written,
+    with no case folding or trimming and BETA and GAMMA in the one rational
+    grammar (_rational_pairs): " f1", "F1" and "general: 1,1,det" are
+    errors that name the bad value."""
+    if text in NAMED_KINDS:
+        return NAMED_KINDS[text]
+    if text.startswith("general:"):
+        parts = text[len("general:"):].split(",")
         if len(parts) != 3:
             raise ValueError(f"malformed kind {text!r}; expected general:BETA,GAMMA,det|per")
         return PolyKind(parse_rational(parts[0]), parse_rational(parts[1]), parts[2])
@@ -282,11 +279,11 @@ def poly_of_oracle(g: Digraph, kind: PolyKind) -> Polynomial:
         term = polynomials.ONE
         for i in range(n):
             factor = entries[i][perm[i]]
-            if polynomials.is_zero(factor):
+            if factor == polynomials.ZERO:
                 term = polynomials.ZERO
                 break
             term = polynomials.mul(term, factor)
-        if polynomials.is_zero(term):
+        if term == polynomials.ZERO:
             continue
         if signed and matrices.permutation_sign(perm) < 0:
             term = polynomials.scale(term, -1)

@@ -118,32 +118,26 @@ def check_eq17(g: Digraph, kind: PolyKind) -> IdentityReport:
 
 
 # Seeded random instance generation. Callers own the Random object, so a
-# sweep is reproducible from its seed alone.
+# sweep is reproducible from its seed alone. Numerators of the random
+# rationals lie in [-9, 9], denominators in [1, 9]; a random matrix entry
+# is zero with probability _ZERO_DENSITY, else a nonzero numerator.
+_ZERO_DENSITY = 0.3
+_NONZERO_NUMERATORS = (*range(-9, 0), *range(1, 10))
 
 
-def random_matrix(rng: random.Random, order: int, zero_density: float = 0.3,
-                  magnitude: int = 9) -> Matrix:
-    """Integer entries, zero with probability zero_density, else uniform
-    over the nonzero values in [-magnitude, magnitude]; magnitude must be
-    at least 1.
+def random_matrix(rng: random.Random, order: int) -> Matrix:
+    """Integer entries, zero with probability _ZERO_DENSITY, else uniform
+    over the 18 values of _NONZERO_NUMERATORS.
 
     A nonzero entry is drawn as rng.choice over those values draws it:
-    rng.getrandbits(b), for b the bit length of their count, until a draw
-    is below the count (Random._randbelow's rejection loop), so a seed
-    gives the same matrices with the same calls to rng in the same order.
+    rng.getrandbits(5) until a draw is below 18 (Random._randbelow's
+    rejection loop), so a seed gives the same matrices with the same calls
+    to rng in the same order.
     """
-    if magnitude < 1:
-        # No value to draw: the rejection loop would never end.
-        raise ValueError(f"magnitude must be >= 1, got {magnitude}")
-    values = (*range(-magnitude, 0), *range(1, magnitude + 1))
     # Lazy, so each next() makes its own getrandbits calls and no more.
-    indices = filter(len(values).__gt__, map(rng.getrandbits, repeat(len(values).bit_length())))
-    return [[0 if rng.random() < zero_density else values[next(indices)] for _ in range(order)]
-            for _ in range(order)]
-
-
-# Numerators of the random rationals lie in [-9, 9], denominators in [1, 9].
-_NONZERO_NUMERATORS = (*range(-9, 0), *range(1, 10))
+    indices = filter(len(_NONZERO_NUMERATORS).__gt__, map(rng.getrandbits, repeat(5)))
+    return [[0 if rng.random() < _ZERO_DENSITY else _NONZERO_NUMERATORS[next(indices)]
+             for _ in range(order)] for _ in range(order)]
 
 
 def random_rational(rng: random.Random) -> Fraction:

@@ -25,7 +25,9 @@ checks: the caller has validated X with the scalar kernel.
 
 Every permanent here is one algorithm: expansion along the rows over
 column subsets (_sweep), forward from the top row and backward from the
-bottom one, for per_ryser, zeroed_pers and per_adjugate_rows alike.
+bottom one, for per_ryser, zeroed_pers and per_adjugate_rows alike. So
+_sweep states their one cap: a sweep over more than RYSER_MAX_ORDER rows
+raises ValueError before its first layer.
 
 charpoly_berkowitz gives every coefficient of det(x*I - M) at once.
 adjugate_rows and per_adjugate_rows share one contract: (M, wanted) gives
@@ -52,8 +54,8 @@ from operator import neg
 
 Matrix = list[list[int]]
 
-# Hard cap on every permanent: one subset sweep makes up to n * 2^n
-# extensions and holds up to 2^n column-subset states.
+# Hard cap on every permanent, checked in _sweep: one subset sweep makes up
+# to n * 2^n extensions and holds up to 2^n column-subset states.
 RYSER_MAX_ORDER = 16
 
 
@@ -234,8 +236,6 @@ def per_ryser(matrix: Matrix) -> int:
     perfbench/tracer.py and perfbench/tests bind it.
     """
     n = order_of(matrix)
-    if n > RYSER_MAX_ORDER:
-        raise ValueError(f"per_ryser is capped at order {RYSER_MAX_ORDER}, got {n}")
     for _, layer in _sweep([[(1 << c, v) for c, v in enumerate(row) if v] for row in matrix], n):
         pass
     return layer.get((1 << n) - 1, 0)
@@ -451,8 +451,6 @@ def per_adjugate_rows(matrix: Matrix, wanted: dict[int, Iterable[int]]
     at most the product of its row sums, and that product is at most Q.
     """
     n = order_of(matrix)
-    if n > RYSER_MAX_ORDER:
-        raise ValueError(f"per_adjugate_rows is capped at order {RYSER_MAX_ORDER}, got {n}")
     keys = list(dict.fromkeys((t, j) for t, rows in wanted.items() for j in rows))
     heads: dict[int, list] = {}  # row j -> (bit of t, index of entry (t, j)) per head t that wants it
     for i, (t, j) in enumerate(keys):
@@ -480,7 +478,10 @@ def _sweep(rows: list[list[tuple[int, int]]], depth: int):
     """Yield (k, layer k) for k = 0..depth: layer 0 is {0: 1}, and layer
     k + 1 extends each state S of layer k by each (bit c, value) of rows[k]
     with c outside S, as per_adjugate_rows describes; a state of value 0 is
-    not extended. A layer maps column bitsets to ints."""
+    not extended. A layer maps column bitsets to ints. More than
+    RYSER_MAX_ORDER rows raise ValueError before the first layer."""
+    if len(rows) > RYSER_MAX_ORDER:
+        raise ValueError(f"permanents are capped at order {RYSER_MAX_ORDER}, got {len(rows)}")
     layer = {0: 1}
     yield 0, layer
     for k, row in enumerate(rows[:depth]):

@@ -26,10 +26,6 @@ def normalize(coeffs) -> Polynomial:
     return tuple(out)
 
 
-def is_zero(p: Polynomial) -> bool:
-    return p == ZERO
-
-
 def add(p: Polynomial, q: Polynomial) -> Polynomial:
     n = max(len(p), len(q))
     return normalize(

@@ -395,10 +395,14 @@ def test_search_budget_env_override(tmp_path, capsys, monkeypatch):
     code, _, err = run(capsys, "search", "--vertices", "4", "--arcs", "4",
                        "--kind", "f1", "--output", str(tmp_path / "g.ndjson"))
     assert code == 2 and "budget" in err
-    monkeypatch.setenv("DECKPOLY_BUDGET", "not-a-number")
-    code, _, err = run(capsys, "search", "--vertices", "3", "--arcs", "1",
-                       "--kind", "f1", "--output", str(tmp_path / "g.ndjson"))
-    assert code == 2 and "DECKPOLY_BUDGET" in err
+    # The one rational grammar, with denominator 1: int() would take the
+    # spaced, underscored, signed and Arabic-Indic values, and a string of
+    # any length under the CLI's lifted digit limit.
+    for raw in ("not-a-number", " 5", "1_000", "+7", "\u0663", "1/2", "1" * 100_001):
+        monkeypatch.setenv("DECKPOLY_BUDGET", raw)
+        code, _, err = run(capsys, "search", "--vertices", "3", "--arcs", "1",
+                           "--kind", "f1", "--output", str(tmp_path / "g.ndjson"))
+        assert code == 2 and "DECKPOLY_BUDGET must be an integer" in err
 
 
 def test_search_default_budget_refuses_8_6(tmp_path, capsys, monkeypatch):

@@ -12,8 +12,8 @@ from deckpoly import matrices as mx
 from deckpoly import polynomials as poly
 from deckpoly.digraphs import Digraph
 from deckpoly.graph_polys import F1, F4, SIX_KINDS, PolyKind, deck, poly_of
-from deckpoly.identities import random_digraph, random_matrix, random_nonzero_rational
-from oracles import (deletion_deck, glynn_permanent, horner_adjugate_rows, l_scaled_matrix,
+from deckpoly.identities import random_digraph, random_nonzero_rational
+from oracles import (choice_matrix, deletion_deck, glynn_permanent, horner_adjugate_rows, l_scaled_matrix,
                      permutation_expansion, random_kind)
 
 GENERAL_KINDS = (PolyKind(Fraction(1, 3), Fraction(-5, 2), "det"),
@@ -158,7 +158,7 @@ def sparse_matrices():
     rng = random.Random(1409)
     for _ in range(300):
         density = rng.choice((0.5, 0.7, 0.85))
-        yield random_matrix(rng, rng.randint(4, 6), density, magnitude=2)
+        yield choice_matrix(rng, rng.randint(4, 6), density, 2)
 
 
 def test_per_adjugate_rows_matches_expansion_on_every_small_matrix():
@@ -253,7 +253,7 @@ def test_per_adjugate_rows_reads_end_rows_and_diagonal_entries():
     values the every-entry call gives, and match Glynn's formula."""
     rng = random.Random(2333)
     for n in range(1, 9):
-        matrix = random_matrix(rng, n, rng.choice((0.0, 0.3, 0.6)), magnitude=3)
+        matrix = choice_matrix(rng, n, rng.choice((0.0, 0.3, 0.6)), 3)
         _, every = mx.per_adjugate_rows(matrix, {t: range(n) for t in range(n)})
         heads = rng.sample(range(n), rng.randint(1, n))
         for wanted in ({t: [0] for t in heads}, {t: [n - 1] for t in heads},
@@ -273,7 +273,7 @@ def test_per_adjugate_rows_with_states_that_cancel_to_zero():
     other entries random."""
     rng = random.Random(2339)
     for n in (4, 4, 5, 6):
-        matrix = random_matrix(rng, n, 0.5, magnitude=2)
+        matrix = choice_matrix(rng, n, 0.5, 2)
         matrix[0][2:4], matrix[1][2:4] = [1, 1], [-1, 1]
         matrix[2][0:2], matrix[3][0:2] = [1, 1], [1, -1]
         assert permutation_expansion([row[2:4] for row in matrix[:2]], False) == 0
@@ -322,7 +322,7 @@ def test_adjugate_rows_matches_horner_on_random_sparse_matrices(density, orders)
     permutation expansion."""
     rng = random.Random(2507)
     for n in orders:
-        matrix = random_matrix(rng, n, 1 - density, magnitude=rng.choice((1, 3, 9)))
+        matrix = choice_matrix(rng, n, 1 - density, rng.choice((1, 3, 9)))
         check_against_horner(matrix, rng)
         if n <= 6:
             check_adjugate(matrix, signed=True)

@@ -12,7 +12,7 @@ import pytest
 
 from deckpoly import polynomials as poly
 from deckpoly import serialize as ser
-from deckpoly.graph_polys import F1, F5, Deck, _rational_pair, deck, parse_kind
+from deckpoly.graph_polys import F1, F5, Deck, deck, parse_kind, parse_rational
 from deckpoly.identities import random_digraph
 from oracles import deck_sum
 
@@ -95,7 +95,6 @@ def test_deck_rejects_a_malformed_form(coefficients, denominators, message):
 
 
 def test_rational_pair_is_reduced():
-    assert _rational_pair("6/4") == (3, 2)
-    assert _rational_pair("-6/3") == (-2, 1)
-    assert _rational_pair("0/7") == (0, 1)
-    assert _rational_pair("-12") == (-12, 1)
+    for text, pair in (("6/4", (3, 2)), ("-6/3", (-2, 1)), ("0/7", (0, 1)), ("-12", (-12, 1))):
+        value = parse_rational(text)
+        assert (value.numerator, value.denominator) == pair

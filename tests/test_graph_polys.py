@@ -3,6 +3,7 @@
 import gc
 import os
 import random
+import re
 import subprocess
 import sys
 import textwrap
@@ -73,6 +74,12 @@ def test_a_general_kind_equal_to_a_named_one_prints_its_name():
 def test_parse_kind_errors():
     for text in ("f7", "general:1,2", "general:1,0,det", "general:1,2,foo", ""):
         with pytest.raises(ValueError):
+            parse_kind(text)
+    # A kind is read as written: no case folding and no trimming, and the
+    # error names the bad value.
+    for text, value in ((" f1", " f1"), ("F1", "F1"), ("general: 1,1,det", " 1"),
+                        ("general:1,1, det", " det")):
+        with pytest.raises(ValueError, match=re.escape(repr(value))):
             parse_kind(text)
 
 

@@ -10,7 +10,7 @@ import pytest
 from deckpoly import matrices as mx
 from deckpoly import polynomials as poly
 from deckpoly.identities import random_matrix
-from oracles import glynn_permanent, permutation_expansion
+from oracles import choice_matrix, glynn_permanent, permutation_expansion
 
 
 def identity_matrix(n):
@@ -124,14 +124,14 @@ def test_coefficient_kernels_match_interpolated_scalar_kernels(zero_density):
     rng = random.Random(1201)
     for _ in range(60):
         m = [[int(x) for x in row]
-             for row in random_matrix(rng, rng.randint(1, 8), zero_density=zero_density)]
+             for row in choice_matrix(rng, rng.randint(1, 8), zero_density)]
         assert poly.normalize(mx.charpoly_berkowitz(m)) == interpolated(m, mx.det_bareiss)
         assert poly.normalize(per_coefficients(m)) == interpolated(m, mx.per_ryser)
 
 
 def test_charpoly_berkowitz_at_order_twenty_matches_interpolation():
     rng = random.Random(1203)
-    m = [[int(x) for x in row] for row in random_matrix(rng, 20, zero_density=0.6)]
+    m = [[int(x) for x in row] for row in choice_matrix(rng, 20, 0.6)]
     assert poly.normalize(mx.charpoly_berkowitz(m)) == interpolated(m, mx.det_bareiss)
 
 
@@ -165,7 +165,7 @@ def test_det_matches_expansion_on_random_matrices(zero_density):
     orders, signs = set(), set()
     for _ in range(80):
         n = rng.randint(1, 8)
-        m = random_matrix(rng, n, zero_density=zero_density)
+        m = choice_matrix(rng, n, zero_density)
         value = mx.det_bareiss(m)
         assert value == permutation_expansion(m, True), m
         orders.add(n)
@@ -187,7 +187,7 @@ def test_per_matches_expansion_on_random_matrices(zero_density):
     orders, signs = set(), set()
     for _ in range(150):
         n = rng.randint(1, 8)
-        m = random_matrix(rng, n, zero_density=zero_density)
+        m = choice_matrix(rng, n, zero_density)
         value = mx.per_ryser(m)
         assert value == permutation_expansion(m, False) == glynn_permanent(m), m
         orders.add(n % 2)
@@ -200,7 +200,7 @@ def test_per_matches_sympy():
     sympy = pytest.importorskip("sympy")
     rng = random.Random(1303)
     for _ in range(40):
-        m = random_matrix(rng, rng.randint(1, 6), zero_density=rng.choice((0.0, 0.3, 0.7)))
+        m = choice_matrix(rng, rng.randint(1, 6), rng.choice((0.0, 0.3, 0.7)))
         assert mx.per_ryser(m) == int(sympy.Matrix(m).per()), m
 
 
@@ -220,10 +220,14 @@ def test_size_caps_are_hard_errors():
         permutation_expansion(big, True)
     with pytest.raises(ValueError):
         permutation_expansion(big, False)
-    with pytest.raises(ValueError):
+    # One cap for every permanent, raised by the subset sweep.
+    capped = "permanents are capped at order 16, got 17"
+    with pytest.raises(ValueError, match=capped):
         mx.per_ryser(identity_matrix(17))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=capped):
         mx.per_adjugate_rows(identity_matrix(17), {})
+    with pytest.raises(ValueError, match=capped):
+        mx.zeroed_pers(identity_matrix(17), 17, [(0, 0)])
 
 
 def test_non_square_rejected():

@@ -144,9 +144,9 @@ def test_deck_member_values_are_read_strictly(value):
         (ser.FormatError, lambda: ser.deck_from_obj({**deck_obj, "polys": [["1/2", value, "1"]]})
          .polys[0][1]),
     ]
-    # A kind is text split at commas with the spaces around each part
-    # trimmed, so only a string free of both reaches its reader as written.
-    if isinstance(value, str) and "," not in value and value == value.strip():
+    # A kind is text split at commas, so only a string free of them reaches
+    # its reader whole.
+    if isinstance(value, str) and "," not in value:
         entries.append((ValueError, lambda: parse_kind(f"general:{value},1,det").beta))
     named = f"{MAX_RATIONAL_CHARS + 1} characters" if value == OVER_LENGTH else repr(value)
     for error, entry in entries:

@@ -25,7 +25,7 @@ import pytest
 
 from deckpoly import matrices as mx
 from deckpoly.identities import check_thm21, check_thm22, check_thm23, random_matrix
-from oracles import glynn_permanent, l_scaled_matrix, permutation_expansion
+from oracles import choice_matrix, glynn_permanent, l_scaled_matrix, permutation_expansion
 
 SWEEPS = [
     pytest.param(mx.zeroed_dets, mx.det_bareiss, True, id="det"),
@@ -68,7 +68,7 @@ def test_random_matrices_on_all_entries_and_on_the_support(sweep, kernel, signed
     rng = random.Random(1807)
     for n in range(1, 10 if signed else 9):
         for _ in range(3):
-            m = random_matrix(rng, n, zero_density)
+            m = choice_matrix(rng, n, zero_density)
             support = [(i, j) for i, j in entries(n) if m[i][j]]
             for positions in (entries(n), support):
                 got = sweep(m, n, positions)
@@ -327,7 +327,7 @@ def test_zeroed_pers_never_forms_per_x(monkeypatch):
     rng = random.Random(2411)
     for n in range(1, 9):
         for zero_density in (0.0, 0.3):
-            m = random_matrix(rng, n, zero_density)
+            m = choice_matrix(rng, n, zero_density)
             for positions in (entries(n), [(i, j) for i, j in entries(n) if m[i][j]]):
                 popcounts.clear()
                 mx.zeroed_pers(m, n, positions)
@@ -357,7 +357,7 @@ def test_zeroed_dets_never_forms_det_x(monkeypatch):
     rng = random.Random(2417)
     for n in range(1, 8):
         for zero_density in (0.0, 0.3):
-            m = random_matrix(rng, n, zero_density)
+            m = choice_matrix(rng, n, zero_density)
             traced = [[Traced(x, frozenset({(i, j)})) for j, x in enumerate(row)]
                       for i, row in enumerate(m)]
             support = [(i, j) for i, j in entries(n) if m[i][j]] + [(n - 1, 0)]
