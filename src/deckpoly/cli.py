@@ -126,7 +126,8 @@ def _budget() -> int:
     with suppress(ValueError):  # the one rational grammar: int() also reads " 5" and "1_000"
         if (budget := graph_polys.parse_rational(raw)).denominator == 1:
             return budget.numerator
-    raise FormatError(f"DECKPOLY_BUDGET must be an integer, got {raw!r}")
+    got = repr(raw) if len(raw) <= 20 else f"a value of {len(raw)} characters"
+    raise FormatError(f"DECKPOLY_BUDGET must be an integer, got {got}")
 
 
 def cmd_search(args) -> int:

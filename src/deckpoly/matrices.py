@@ -154,13 +154,14 @@ def zeroed_dets(rows: Matrix, n: int, positions: list[tuple[int, int]]) -> list[
     Row i's elimination pivots on rows 0..i-1 in the same order as that of
     every later row, so those steps are shared: one trunk eliminates X's
     rows in order, and just before it pivots on row i, row i's elimination
-    branches off, drops row i and finishes on rows i+1..n-1. The trunk
-    stops at L, the last row with copies, without pivoting on it, and drops
-    row L before its step on row L - 1, so that its state there is row L's
-    elimination: no step reads all of X's rows, and det X is never formed.
-    The trunk costs about n^3 / 2 multiplication pairs and row i's finish
-    about n * (n - i)^2 / 2, so all n rows cost about n^4 / 6, and the
-    copies' sums n^3.
+    branches off, drops row i and finishes on rows i+1..n-1. Every row of
+    X gets its finish, whichever rows the positions name. The trunk stops
+    at row n - 1 without pivoting on it, and drops row n - 1 before its
+    step on row n - 2, so that its state there is row n - 1's elimination:
+    no step reads all of X's rows, and det X is never formed. The trunk
+    costs about n^3 / 2 multiplication pairs and row i's finish about
+    n * (n - i)^2 / 2, so all n rows cost about n^4 / 6, and the copies'
+    sums n^3.
 
     Each copy's value is thus its own expansion along row i. It shares with
     X only the cofactors of row i, minors of X's other rows, which X_ij and
@@ -172,38 +173,36 @@ def zeroed_dets(rows: Matrix, n: int, positions: list[tuple[int, int]]) -> list[
     return _expansions(rows, n, positions, _cofactors)
 
 
-def _cofactors(rows: Matrix, n: int, wanted: dict) -> Iterator[tuple[int, list[int]]]:
-    """Yield (i, terms) for the rows i of `wanted` in order: terms[c] =
-    x_ic * C_ic, C_ic the cofactor of X at (i, c), from the trunk and the
-    finishes that zeroed_dets describes. A row whose other rows are
-    dependent, so that every C_ic is 0, is left out."""
-    last = max(wanted)
+def _cofactors(rows: Matrix, n: int) -> Iterator[tuple[int, list[int]]]:
+    """Yield (i, terms) for the rows i of X in order: terms[c] = x_ic * C_ic,
+    C_ic the cofactor of X at (i, c), from the trunk and the finishes that
+    zeroed_dets describes. A row whose other rows are dependent, so that
+    every C_ic is 0, is left out."""
     # Column c holds the entries of the pivoted rows, the latest first, then
     # those of the rows still to pivot, from the last to the first, so that
     # the next pivot row is always last. labels holds the indices of the
     # columns left, then of the pivot columns, the latest first.
     cols = [list(col) for col in zip(*reversed(rows))]
     labels, prev, parity = list(range(n)), 1, 0
-    for k in range(last + 1):
-        if k in wanted:
-            # Row k's elimination is the trunk without row k, its last row;
-            # at row L the trunk has left row L out already, unless L = 0.
-            fcols = cols if k == last > 0 else [col[:-1] for col in cols]
-            flabels, fprev, fparity = labels[:], prev, parity + n - 1 - k
-            for _ in range(n - 1 - k):
-                if (step := _pivot_step(fcols, fprev)) is None:
-                    break
-                q, fprev, fcols = step
-                fparity += q
-                flabels.insert(len(fcols), flabels.pop(q))
-            else:
-                # C_kq = e * D at the free column, first in flabels, and
-                # C_kc = -e * v at the pivot column c of each pivot row.
-                cofactors = zip(flabels, [-fprev, *fcols[0]] if fparity & 1 else [fprev, *map(neg, fcols[0])])
-                yield k, [rows[k][c] * m for c, m in sorted(cofactors)]
-        if k == last - 1:
-            cols = [col[:-2] + col[-1:] for col in cols]  # row L leaves the trunk
-        if k == last or (step := _pivot_step(cols, prev)) is None:
+    for k in range(n):
+        # Row k's elimination is the trunk without row k, its last row; at
+        # row n - 1 the trunk has left row n - 1 out already, unless n = 1.
+        fcols = cols if k == n - 1 > 0 else [col[:-1] for col in cols]
+        flabels, fprev, fparity = labels[:], prev, parity + n - 1 - k
+        for _ in range(n - 1 - k):
+            if (step := _pivot_step(fcols, fprev)) is None:
+                break
+            q, fprev, fcols = step
+            fparity += q
+            flabels.insert(len(fcols), flabels.pop(q))
+        else:
+            # C_kq = e * D at the free column, first in flabels, and
+            # C_kc = -e * v at the pivot column c of each pivot row.
+            cofactors = zip(flabels, [-fprev, *fcols[0]] if fparity & 1 else [fprev, *map(neg, fcols[0])])
+            yield k, [rows[k][c] * m for c, m in sorted(cofactors)]
+        if k == n - 2:
+            cols = [col[:-2] + col[-1:] for col in cols]  # row n - 1 leaves the trunk
+        if k == n - 1 or (step := _pivot_step(cols, prev)) is None:
             return  # done, or rows 0..k are dependent: so are every later row's other rows
         q, prev, cols = step
         parity += q
@@ -256,9 +255,10 @@ def zeroed_pers(rows: Matrix, n: int, positions: list[tuple[int, int]]) -> list[
     where P_ic is the permanent of X without row i and column c. Row i's
     copies share one pass over forward layer i and backward layer n-1-i,
     which gives P_ic at each nonzero column c of row i; then each copy sums
-    its own terms, every column of row i but its own. The backward sweep
-    runs first, up to the first row with copies, keeping the layers those
-    rows read, and the forward sweep stops at the last row with copies.
+    its own terms, every column of row i but its own. Every row of X gets
+    its pass, whichever rows the positions name: the backward sweep runs
+    first, to layer n-1, keeping its layers, and the forward sweep stops at
+    layer n-1, which row n-1 reads.
 
     Each copy's value is thus its own expansion along row i. It shares with
     X only the states F and G and the minors P_ic, permanents of rows other
@@ -270,48 +270,39 @@ def zeroed_pers(rows: Matrix, n: int, positions: list[tuple[int, int]]) -> list[
     return _expansions(rows, n, positions, _permanental_minors)
 
 
-def _permanental_minors(rows: Matrix, n: int, wanted: dict) -> Iterator[tuple[int, list[int]]]:
-    """Yield (i, terms) for the rows i of `wanted` in order: terms[c] =
-    x_ic * P_ic, P_ic at each nonzero column c of row i from the sweeps
-    that zeroed_pers describes, and 0 at the other columns."""
+def _permanental_minors(rows: Matrix, n: int) -> Iterator[tuple[int, list[int]]]:
+    """Yield (i, terms) for the rows i of X in order: terms[c] = x_ic * P_ic,
+    P_ic at each nonzero column c of row i from the sweeps that zeroed_pers
+    describes, and 0 at the other columns."""
     sets = [[(1 << c, v) for c, v in enumerate(row) if v] for row in rows]
-    # Backward layer n-1-i, keyed by the row i whose copies read it.
-    backward = {n - 1 - k: layer for k, layer in _sweep(sets[::-1], n - 1 - min(wanted))
-                if n - 1 - k in wanted}
+    # Backward layers 0..n-1 by index: row i reads layer n-1-i, the last left.
+    backward = [layer for _, layer in _sweep(sets[::-1], n - 1)]
     full = (1 << n) - 1
-    for i, layer in _sweep(sets, max(wanted)):
-        if i in wanted:
-            # minors[bit of c] = P_ic, at each nonzero column c of row i.
-            back, minors = backward.pop(i), {bit: 0 for bit, _ in sets[i]}
-            for s, f in layer.items():
-                rest = full ^ s
-                for bit, _ in sets[i]:
-                    if rest & bit and (g := back.get(rest ^ bit)):
-                        minors[bit] += f * g
-            terms = [0] * n
-            for bit, x in sets[i]:
-                terms[bit.bit_length() - 1] = x * minors[bit]
-            yield i, terms
+    for i, layer in _sweep(sets, n - 1):
+        # minors[bit of c] = P_ic, at each nonzero column c of row i.
+        back, minors = backward.pop(), {bit: 0 for bit, _ in sets[i]}
+        for s, f in layer.items():
+            rest = full ^ s
+            for bit, _ in sets[i]:
+                if rest & bit and (g := back.get(rest ^ bit)):
+                    minors[bit] += f * g
+        terms = [0] * n
+        for bit, x in sets[i]:
+            terms[bit.bit_length() - 1] = x * minors[bit]
+        yield i, terms
 
 
 def _expansions(rows: Matrix, n: int, positions: list[tuple[int, int]], terms) -> list[int]:
-    """The values of zeroed_dets or zeroed_pers, one rule for both: with
-    the positions grouped by row, terms(rows, n, the groups) yields (i,
-    [x_ic * M_ic for each column c]) for rows i with copies, M_ic the
-    signed or permanental minor of X without row i and column c, and copy
-    (i, j) is the sum of the terms at the columns before j and after it,
-    never a row total less x_ij * M_ij. A row left out has copies of 0."""
-    by_row: dict[int, list[tuple[int, int]]] = {}
-    for t, (i, j) in enumerate(positions):
-        if i in by_row:
-            by_row[i].append((t, j))
-        else:
-            by_row[i] = [(t, j)]
-    out = [0] * len(positions)
-    for i, row in terms(rows, n, by_row) if by_row else ():
-        for t, j in by_row[i]:
-            out[t] = sum(row[:j]) + sum(row[j + 1:])
-    return out
+    """The values of zeroed_dets or zeroed_pers, one rule for both:
+    terms(rows, n) yields (i, [x_ic * M_ic for each column c]) for the rows
+    i of X, M_ic the signed or permanental minor of X without row i and
+    column c, and copy (i, j) is the sum of the terms at the columns before
+    j and after it, never a row total less x_ij * M_ij. A row left out has
+    copies of 0."""
+    row_terms = [[0] * n] * n
+    for i, row in terms(rows, n):
+        row_terms[i] = row
+    return [sum(row_terms[i][:j]) + sum(row_terms[i][j + 1:]) for i, j in positions]
 
 
 def charpoly_berkowitz(matrix: Matrix) -> list[int]:

@@ -403,6 +403,7 @@ def test_search_budget_env_override(tmp_path, capsys, monkeypatch):
         code, _, err = run(capsys, "search", "--vertices", "3", "--arcs", "1",
                            "--kind", "f1", "--output", str(tmp_path / "g.ndjson"))
         assert code == 2 and "DECKPOLY_BUDGET must be an integer" in err
+        assert len(err) < 200  # the length is named, not the value echoed
 
 
 def test_search_default_budget_refuses_8_6(tmp_path, capsys, monkeypatch):

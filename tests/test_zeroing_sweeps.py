@@ -76,6 +76,13 @@ def test_random_matrices_on_all_entries_and_on_the_support(sweep, kernel, signed
                 if n <= 4:
                     assert got == [permutation_expansion(zeroed(m, i, j), signed)
                                    for i, j in positions], m
+            # Zero rows, which the support skips: the first, the last, or
+            # every row but one.
+            for zero_rows in ({0}, {n - 1}, set(range(n)) - {n // 2}) if 3 <= n <= 5 else ():
+                z = [[0] * n if r in zero_rows else row for r, row in enumerate(m)]
+                for positions in (entries(n), [(i, j) for i, j in entries(n) if z[i][j]]):
+                    assert sweep(z, n, positions) == [permutation_expansion(zeroed(z, i, j), signed)
+                                                      for i, j in positions], z
 
 
 def test_order_one():
@@ -252,16 +259,19 @@ def test_one_trunk_pivots_each_row_once_and_no_copy_reads_its_own_row(monkeypatc
         steps.append((max(rows), frozenset(rows) - {max(rows)}))
         return pivot_step(cols, prev)
 
+    assert [i for i, _ in mx._cofactors(m, 5)] == list(range(5))
     monkeypatch.setattr(mx, "_pivot_step", recording)
     dets = mx.zeroed_dets(traced, 5, positions)
     assert dets == expansions(m, positions)
-    # The trunk pivots on rows 0, 1 and 2 in order, on the rows before each,
-    # and stops short of row 3, the last with copies; row 4 has none.
-    trunk = [(k, frozenset(range(k))) for k in range(3)]
+    # The trunk pivots on rows 0, 1, 2 and 3 in order, on the rows before
+    # each, and stops short of row 4, the last row of X, though rows 2 and 4
+    # have no copies.
+    trunk = [(k, frozenset(range(k))) for k in range(4)]
     assert [step for step in steps if step[1] == frozenset(range(step[0]))] == trunk
-    # Row i's copies finish on rows i+1..4, pivoted after rows 0..i-1
-    # once for all of them, and no elimination pivots on a row twice.
-    finishes = [(r, frozenset(range(r)) - {i}) for i in (0, 1, 3) for r in range(i + 1, 5)]
+    # Every row i gets a finish on rows i+1..4, pivoted after rows 0..i-1
+    # once for all of them (row 4's has no step left), and no elimination
+    # pivots on a row twice.
+    finishes = [(r, frozenset(range(r)) - {i}) for i in range(5) for r in range(i + 1, 5)]
     assert Counter(steps) == Counter(trunk + finishes)
     # No copy reads X's row i unzeroed: det X_ij is computed without x_ij.
     for (i, j), det in zip(positions, dets):
