@@ -9,13 +9,13 @@ and seeds produce byte-identical output.
 
 from __future__ import annotations
 
-import argparse
 import os
 import random
+import re
 import sys
 from contextlib import contextmanager, suppress
-from functools import cache
 from math import comb
+from types import SimpleNamespace
 
 from . import graph_polys, identities, search, serialize
 from .digraphs import validate
@@ -121,13 +121,7 @@ def cmd_verify(args) -> int:
 
 def _budget() -> int:
     raw = os.environ.get("DECKPOLY_BUDGET")
-    if raw is None:
-        return search.DEFAULT_BUDGET
-    with suppress(ValueError):  # the one rational grammar: int() also reads " 5" and "1_000"
-        if (budget := graph_polys.parse_rational(raw)).denominator == 1:
-            return budget.numerator
-    got = repr(raw) if len(raw) <= 20 else f"a value of {len(raw)} characters"
-    raise FormatError(f"DECKPOLY_BUDGET must be an integer, got {got}")
+    return search.DEFAULT_BUDGET if raw is None else _integer("DECKPOLY_BUDGET", raw)
 
 
 def cmd_search(args) -> int:
@@ -170,54 +164,133 @@ def cmd_counterexample(args) -> int:
     return 0
 
 
-@cache
-def build_parser() -> argparse.ArgumentParser:
-    """The deckpoly parser, built on the first call and kept for the
-    process: main reuses it, since parse_args keeps no state between calls."""
-    parser = argparse.ArgumentParser(
-        prog="deckpoly",
-        description="Exact digraph pencil polynomials, edge decks, identity checks, "
-                    "deck reconstruction, and collision search.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+REQUIRED = "required"
+KIND = (str, REQUIRED, '"f1".."f6" or "general:BETA,GAMMA,det|per", read as written')
+INPUT = (str, REQUIRED, "digraph JSON file")
 
-    p = sub.add_parser("compute", help="polynomial of a digraph file")
-    p.add_argument("--kind", required=True, help='"f1".."f6" or "general:BETA,GAMMA,det|per", read as written')
-    p.add_argument("--input", required=True, help="digraph JSON file")
-    p.set_defaults(func=cmd_compute)
+# Each command's function, one-line help and flags. A flag maps its name to
+# (type, default, help): the type is str, int, a tuple of the values the
+# flag takes, or bool for a switch that takes no value; the default is
+# REQUIRED for a flag that must be given. _read_flags reads argv against
+# this table in one loop: building argparse's parsers, whose gettext calls
+# import locale, took a fresh process 3.7-6.2 ms, more than a small search.
+COMMANDS = {
+    "compute": (cmd_compute, "polynomial of a digraph file", {"kind": KIND, "input": INPUT}),
+    "deck": (cmd_deck, "edge deck of a digraph file, canonically sorted", {
+        "kind": KIND, "input": INPUT, "output": (str, REQUIRED, "deck JSON file to write")}),
+    "reconstruct": (cmd_reconstruct, "recover a polynomial from a deck file", {
+        "deck": (str, REQUIRED, "deck JSON file")}),
+    "verify": (cmd_verify, "seeded random sweep of one identity", {
+        "theorem": (THEOREMS, REQUIRED, "identity to check"),
+        "trials": (int, 100, "random instances to check"),
+        "max-n": (int, 6, "largest order drawn"),
+        "seed": (int, REQUIRED, "seed of the instance stream"),
+        "weighted": (bool, False, "draw nonzero rational arc weights (theorems 3.1 and 1.7 only)")}),
+    "search": (cmd_search, "exhaustive deck-collision search", {
+        "vertices": (int, REQUIRED, "vertex count n"),
+        "arcs": (int, REQUIRED, "arc count m"),
+        "kind": KIND,
+        "output": (str, REQUIRED, "newline-delimited collision groups are written here")}),
+    "counterexample": (cmd_counterexample, "the colliding cycle / path-plus-arc pair", {
+        "n": (int, REQUIRED, "vertex count, at least 3")}),
+}
+# The words after a flag that start with "-" and still read as its value: "-"
+# alone, a negative number, or text with a space. Any other such word reads
+# as a flag, so "--output --kind f1" lacks the output's value.
+_NOT_A_FLAG = re.compile(r"-|-\d+|-\d*\.\d+|-.* .*")
 
-    p = sub.add_parser("deck", help="edge deck of a digraph file, canonically sorted")
-    p.add_argument("--kind", required=True)
-    p.add_argument("--input", required=True)
-    p.add_argument("--output", required=True, help="deck JSON file to write")
-    p.set_defaults(func=cmd_deck)
 
-    p = sub.add_parser("reconstruct", help="recover a polynomial from a deck file")
-    p.add_argument("--deck", required=True, help="deck JSON file")
-    p.set_defaults(func=cmd_reconstruct)
+def _integer(name: str, raw: str) -> int:
+    """raw in the one rational grammar (graph_polys.parse_rational) with
+    denominator 1, which int() is not: it also reads " 5" and "1_000"."""
+    with suppress(ValueError):
+        if (value := graph_polys.parse_rational(raw)).denominator == 1:
+            return value.numerator
+    got = repr(raw) if len(raw) <= 20 else f"a value of {len(raw)} characters"
+    raise FormatError(f"{name} must be an integer, got {got}")
 
-    p = sub.add_parser("verify", help="seeded random sweep of one identity")
-    p.add_argument("--theorem", required=True, choices=THEOREMS)
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--max-n", type=int, default=6, dest="max_n")
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--weighted", action="store_true",
-                   help="draw nonzero rational arc weights (theorems 3.1 and 1.7 only)")
-    p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("search", help="exhaustive deck-collision search")
-    p.add_argument("--vertices", type=int, required=True)
-    p.add_argument("--arcs", type=int, required=True)
-    p.add_argument("--kind", required=True)
-    p.add_argument("--output", required=True,
-                   help="newline-delimited collision groups are written here")
-    p.set_defaults(func=cmd_search)
+def _usage(command) -> str:
+    if command is None:
+        return f"usage: deckpoly [-h] {{{','.join(COMMANDS)}}} ..."
+    words = ["usage: deckpoly", command, "[-h]"]
+    for name, (type_, default, _) in COMMANDS[command][2].items():
+        word = _spelling(name, type_)
+        words.append(word if default is REQUIRED else f"[{word}]")
+    return " ".join(words)
 
-    p = sub.add_parser("counterexample", help="the colliding cycle / path-plus-arc pair")
-    p.add_argument("--n", type=int, required=True)
-    p.set_defaults(func=cmd_counterexample)
 
-    return parser
+def _spelling(name: str, type_) -> str:
+    if type_ is bool:
+        return f"--{name}"
+    if isinstance(type_, tuple):
+        return f"--{name} {{{','.join(type_)}}}"
+    return f"--{name} {name.upper().replace('-', '_')}"
+
+
+def _help(command) -> str:
+    lines = [_usage(command), ""]
+    if command is None:
+        lines += ["Exact digraph pencil polynomials, edge decks, identity checks,",
+                  "deck reconstruction, and collision search.", "", "commands:"]
+        lines += [f"  {name:<16}{spec[1]}" for name, spec in COMMANDS.items()]
+        flags = {}
+    else:
+        lines.append(f"{COMMANDS[command][1]}.")
+        flags = COMMANDS[command][2]
+    lines += ["", "flags:", f"  {'-h, --help':<16}show this help and exit"]
+    for name, (type_, default, text) in flags.items():
+        note = ("" if type_ is bool else " (required)" if default is REQUIRED
+                else f" (default {default})")
+        lines += [f"  {_spelling(name, type_)}", f"{'':<18}{text}{note}"]
+    return "\n".join(lines) + "\n"
+
+
+def _read_flags(command, argv):
+    """The flags of argv for command (None: the top level, which has none)
+    read against COMMANDS, with their defaults, as attributes named with _
+    for -; or None when argv asks for help. A flag is --name VALUE or
+    --name=VALUE, and name may be any prefix of one flag's name. Raises
+    ValueError on an unknown, ambiguous, malformed or missing flag."""
+    flags = COMMANDS[command][2] if command else {}
+    values = {}
+    argv = iter(argv)
+    for arg in argv:
+        if arg == "-h":
+            return None
+        if not arg.startswith("--"):
+            if command:
+                raise ValueError(f"unrecognized argument {arg!r}")
+            raise ValueError(f"unknown command {arg!r}; choose from {', '.join(COMMANDS)}")
+        name, eq, value = arg[2:].partition("=")
+        names = ([name] if name in flags else
+                 [f for f in (*flags, "help") if name and f.startswith(name)])
+        if len(names) != 1:
+            raise ValueError(f"{'ambiguous' if names else 'unknown'} flag --{name}")
+        name = names[0]
+        type_ = bool if name == "help" else flags[name][0]
+        if type_ is bool:
+            if eq:
+                raise ValueError(f"--{name} takes no value")
+            if name == "help":
+                return None
+            values[name] = True
+            continue
+        if not eq:
+            value = next(argv, None)
+            if value is None or value.startswith("-") and not _NOT_A_FLAG.fullmatch(value):
+                raise ValueError(f"--{name} expects a value")
+        if type_ is int:
+            value = _integer(f"--{name}", value)
+        elif isinstance(type_, tuple) and value not in type_:
+            raise ValueError(f"--{name} must be one of {', '.join(type_)}, got {value!r}")
+        values[name] = value
+    if command is None:
+        raise ValueError(f"a command is required; choose from {', '.join(COMMANDS)}")
+    if missing := [f"--{f}" for f, spec in flags.items() if spec[1] is REQUIRED and f not in values]:
+        raise ValueError(f"missing required flags: {', '.join(missing)}")
+    return SimpleNamespace(**{f.replace("-", "_"): values.get(f, spec[1])
+                              for f, spec in flags.items()})
 
 
 @contextmanager
@@ -237,13 +310,19 @@ def _unlimited_int_digits():
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    command = argv[0] if argv and argv[0] in COMMANDS else None
     try:
-        args = build_parser().parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
+        args = _read_flags(command, argv[1:] if command else argv)
+    except ValueError as exc:
+        sys.stderr.write(f"{_usage(command)}\nerror: {exc}\n")
+        return 2
+    if args is None:
+        sys.stdout.write(_help(command))
+        return 0
     try:
         with _unlimited_int_digits():
-            return args.func(args)
+            return COMMANDS[command][0](args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -52,12 +52,14 @@ def reconstruct(d: Deck) -> ReconstructionResult:
     cardinality). Every member must be monic of degree n, as the pencil
     polynomial of every card is; any other deck is Inconsistent. So is a
     deck of more than n(n - 1) members, the most arcs a loopless digraph
-    on n vertices has, and one of one member with arc_weight 0. Side
-    constraints on the annihilated coefficient, applied in order: the
-    trace rule pins c_{n-1} to -beta*W when m = 1, W the deck's arc_weight
-    (m when unset), and a determinant kind with beta = -gamma (f2 among
-    the named kinds) pins c_0 to 0 when m = n. Anything else with k* in
-    range stays a one-parameter family.
+    on n vertices has, and one of one member with arc_weight 0. The trace
+    rule, c_{n-1} = -beta*W with W the deck's arc_weight (m when unset),
+    holds for every pencil polynomial: at m >= 2 c_{n-1} is forced, and a
+    deck whose arc_weight is set and disagrees with it is Inconsistent.
+    Side constraints on the annihilated coefficient, applied in order: the
+    trace rule pins c_{n-1} when m = 1, and a determinant kind with
+    beta = -gamma (f2 among the named kinds) pins c_0 to 0 when m = n.
+    Anything else with k* in range stays a one-parameter family.
 
     At m = n the annihilated c_0 has a closed form in the arcs, for any
     beta. No rule here uses it: whether the deck fixes it is open.
@@ -108,6 +110,9 @@ def reconstruct(d: Deck) -> ReconstructionResult:
     kstar = n - m
     coeffs = [Fraction(s, q * (k - kstar)) if k != kstar else Fraction(0)
               for k, (s, q) in enumerate(zip(sums, dens))]
+    if m >= 2 and d.arc_weight is not None and coeffs[n - 1] != -d.kind.beta * d.arc_weight:
+        return Inconsistent(f"coefficient {n - 1} is {coeffs[n - 1]}, but the trace rule "
+                            f"gives -beta * arc_weight = {-d.kind.beta * d.arc_weight}")
     if kstar < 0:
         return Unique(polynomials.normalize(coeffs))
     if sums[kstar] != 0:

@@ -18,6 +18,9 @@ from .polynomials import Polynomial
 from .reconstruct import Inconsistent, OneParameterFamily, Unique
 
 FORMAT_VERSION = 1
+# What a value json.load returns is called in errors.
+_JSON_TYPES = {dict: "an object", list: "an array", int: "a number", float: "a number",
+               bool: "a boolean", type(None): "null"}
 
 
 class FormatError(ValueError):
@@ -110,9 +113,13 @@ def deck_from_obj(obj) -> Deck:
     n = _payload_n(obj, "deck")
     if n < 1:
         raise FormatError(f'"n" must be >= 1, got {n}')
+    kind = obj.get("kind", "")
+    if not isinstance(kind, str):
+        got = _JSON_TYPES.get(type(kind), type(kind).__name__)
+        raise FormatError(f'bad deck kind: "kind" must be a string, got {got}')
     try:
-        kind = parse_kind(obj.get("kind", ""))
-    except (ValueError, TypeError, AttributeError) as exc:
+        kind = parse_kind(kind)
+    except ValueError as exc:
         raise FormatError(f"bad deck kind: {exc}") from exc
     raw = obj.get("polys")
     if not isinstance(raw, list) or not raw:

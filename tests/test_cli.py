@@ -13,7 +13,7 @@ import pytest
 from deckpoly import graph_polys, identities
 from deckpoly import matrices as mx
 from deckpoly import search
-from deckpoly.cli import build_parser, main
+from deckpoly.cli import COMMANDS, main
 from deckpoly.serialize import load_json
 
 C3 = {"format_version": 1, "n": 3, "arcs": [[0, 1], [1, 2], [2, 0]]}
@@ -147,6 +147,24 @@ def test_reconstruct_weighted_single_arc_through_the_deck_file(tmp_path, capsys)
     code, out, _ = run(capsys, "reconstruct", "--deck", deck_path)
     assert code == 0
     assert json.loads(out) == {"result": "unique", "poly": ["0", "0", "-5", "1"]}
+
+
+def test_reconstruct_a_deck_whose_arc_weight_breaks_the_trace_rule_exits_4(tmp_path, capsys):
+    # 0->1 (2), 1->2 (3), 2->0 (1/2), 0->2 (1): f2 forces c_2 = -13/2 from
+    # the deck, so an arc_weight of 7 belongs to no digraph with this deck.
+    path = write(tmp_path, "w.json", {"format_version": 1, "n": 3,
+                                      "arcs": [[0, 1], [1, 2], [2, 0], [0, 2]],
+                                      "weights": ["2", "3", "1/2", "1"]})
+    deck_path = tmp_path / "deck.json"
+    assert run(capsys, "deck", "--kind", "f2", "--input", path, "--output", str(deck_path))[0] == 0
+    obj = load_json(str(deck_path))
+    assert obj["arc_weight"] == "13/2"
+    code, out, _ = run(capsys, "reconstruct", "--deck", str(deck_path))
+    assert (code, json.loads(out)) == (0, {"result": "unique", "poly": ["0", "21/2", "-13/2", "1"]})
+    deck_path.write_text(json.dumps({**obj, "arc_weight": "7"}))
+    code, out, _ = run(capsys, "reconstruct", "--deck", str(deck_path))
+    result = json.loads(out)
+    assert (code, result["result"]) == (4, "inconsistent") and "trace rule" in result["detail"]
 
 
 # 3,001 digits: accepted on input, and its products pass Python's default
@@ -540,10 +558,123 @@ def test_no_command_is_usage_error(capsys):
     assert main([]) == 2
 
 
-def test_one_process_reuses_the_parser_without_carrying_state(tmp_path, capsys):
-    # main builds the parser once per process. Each call must still read
-    # like a fresh process: flags and defaults of one call do not leak into
-    # the next, and a bad flag exits 2 without spoiling later calls.
+def test_flags_read_as_value_pairs_with_equals_and_as_unique_prefixes(tmp_path, capsys):
+    outputs = []
+    for argv in (["--theorem", "1.7", "--trials", "4", "--max-n", "4", "--seed", "3",
+                  "--weighted"],
+                 ["--theorem=1.7", "--trials=4", "--max-n=4", "--seed=3", "--weighted"],
+                 ["--th", "1.7", "--tr=4", "--max", "4", "--se", "3", "--w"],
+                 # a repeated flag keeps its last value
+                 ["--theorem", "2.1", "--theorem", "1.7", "--trials", "9", "--trials", "4",
+                  "--max-n", "4", "--seed", "3", "--weighted"]):
+        code, out, err = run(capsys, "verify", *argv)
+        assert (code, err) == (0, ""), argv
+        outputs.append(out)
+    assert len(set(outputs)) == 1 and json.loads(outputs[0])["trials"] == 4
+    # A value may start with "-" when it is a negative number.
+    code, _, err = run(capsys, "search", "--vertices", "-1", "--arcs", "0", "--kind", "f1",
+                       "--output", str(tmp_path / "g.ndjson"))
+    assert code == 2 and "vertex count" in err and "usage:" not in err
+
+
+# Each flag's help text, as the help of its command shows it.
+HELP_TEXTS = {
+    "compute": ['"f1".."f6" or "general:BETA,GAMMA,det|per", read as written',
+                "digraph JSON file"],
+    "deck": ["deck JSON file to write"],
+    "reconstruct": ["deck JSON file"],
+    "verify": ["{2.1,2.2,2.3,3.1,1.7}",
+               "draw nonzero rational arc weights (theorems 3.1 and 1.7 only)"],
+    "search": ["newline-delimited collision groups are written here"],
+    "counterexample": ["--n N"],
+}
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["--help"], ["--he"], *(
+    [command, flag] for command in COMMANDS for flag in ("-h", "--help"))])
+def test_help_goes_to_stdout_and_exits_0(argv, capsys):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    command = argv[0] if argv[0] in COMMANDS else None
+    assert out.startswith(f"usage: deckpoly {command or '[-h]'}")
+    if command is None:
+        assert all(f"  {name:<16}{spec[1]}\n" in out for name, spec in COMMANDS.items())
+    else:
+        assert COMMANDS[command][1] in out
+        assert all(f"--{flag}" in out for flag in COMMANDS[command][2])
+        assert all(text in out for text in HELP_TEXTS[command])
+
+
+SEARCH = ["search", "--vertices", "3", "--arcs", "2", "--kind", "f1", "--output", "OUT"]
+VERIFY = ["verify", "--theorem", "2.1", "--trials", "3", "--seed", "1"]
+USAGE_ERRORS = {
+    "unknown-command": ["serach", *SEARCH[1:]],
+    "flag-before-command": ["--kind", "f1", *SEARCH],
+    "unknown-flag": [*SEARCH, "--budget", "5"],
+    "short-flag": [*SEARCH, "-v"],
+    "stray-word": [*SEARCH, "extra"],
+    "ambiguous-prefix": [*VERIFY, "--t", "3"],
+    "empty-flag": [*SEARCH, "--"],
+    "missing-required": SEARCH[:5] + SEARCH[7:],
+    "missing-value": [*SEARCH[:-1]],
+    "flag-as-value": [*SEARCH[:-1], "--kind", "f1"],
+    "switch-with-value": [*VERIFY, "--weighted=yes"],
+    "help-with-value": [*SEARCH, "--help=1"],
+    "bad-theorem": ["verify", "--theorem", "2.4", "--seed", "1"],
+    "bad-int": [*SEARCH[:2], "three", *SEARCH[3:]],
+}
+
+
+@pytest.mark.parametrize("argv", list(USAGE_ERRORS.values()), ids=list(USAGE_ERRORS))
+def test_bad_flags_exit_2_with_usage_before_any_file_is_opened(tmp_path, capsys, argv):
+    out_path = tmp_path / "groups.ndjson"
+    code, out, err = run(capsys, *[str(out_path) if a == "OUT" else a for a in argv])
+    assert (code, out) == (2, "")
+    usage, error = err.splitlines()
+    assert usage.startswith("usage: deckpoly") and error.startswith("error: ")
+    assert not out_path.exists()
+
+
+INT_FLAGS = {
+    "trials": VERIFY[:3] + VERIFY[5:],
+    "max-n": VERIFY,
+    "seed": VERIFY[:5],
+    "vertices": SEARCH[:1] + SEARCH[3:],
+    "arcs": SEARCH[:3] + SEARCH[5:],
+    "n": ["counterexample"],
+}
+
+
+@pytest.mark.parametrize("flag", list(INT_FLAGS))
+@pytest.mark.parametrize("raw", ["1_000", " 5", "\u0663", "+7", "1/2", "0x10", ""])
+def test_int_flags_read_the_rational_grammar_with_denominator_1(tmp_path, capsys, flag, raw):
+    # DECKPOLY_BUDGET's rule: int() would take the first four.
+    out_path = tmp_path / "groups.ndjson"
+    argv = [str(out_path) if a == "OUT" else a for a in INT_FLAGS[flag]]
+    code, out, err = run(capsys, *argv, f"--{flag}", raw)
+    assert (code, out) == (2, "")
+    assert f"error: --{flag} must be an integer, got {raw!r}" in err
+    assert not out_path.exists()
+
+
+def test_a_search_in_a_fresh_process_imports_no_argparse_or_locale(tmp_path):
+    # Building argparse parsers imports locale through gettext; that cost
+    # landed in the first search of every process.
+    src = os.path.dirname(os.path.dirname(identities.__file__))
+    script = ("import sys\n"
+              "from deckpoly import cli\n"
+              "code = cli.main(['search', '--vertices', '3', '--arcs', '3', '--kind', 'f4',\n"
+              f"                 '--output', {str(tmp_path / 'g.ndjson')!r}])\n"
+              "print(code, 'argparse' in sys.modules, 'locale' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=60, env={**os.environ, "PYTHONPATH": src})
+    assert proc.stdout.splitlines()[-1] == "0 False False", proc.stderr
+
+
+def test_one_process_runs_many_commands_without_carrying_state(tmp_path, capsys):
+    # Each call of main in one process must read like a fresh process: flags
+    # and defaults of one call do not leak into the next, and a bad flag
+    # exits 2 without spoiling later calls.
     c3 = write(tmp_path, "c3.json", C3)
     deck_path = str(tmp_path / "deck.json")
     assert main(["deck", "--kind", "f4", "--input", c3, "--output", deck_path]) == 0
@@ -573,4 +704,3 @@ def test_one_process_reuses_the_parser_without_carrying_state(tmp_path, capsys):
             assert ours.read_bytes() == fresh.read_bytes(), argv
         codes.append(code)
     assert codes == [0, 0, 0, 0, 2, 3, 0, 0, 0]
-    assert build_parser.cache_info().misses == 1

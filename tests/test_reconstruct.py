@@ -98,6 +98,29 @@ def test_reconstruct_weighted_single_arc_uses_the_total_arc_weight():
     assert deck(STAR_OF_DIGONS, F2).arc_weight is None
 
 
+@pytest.mark.parametrize("arcs, weights", [
+    pytest.param(((0, 1), (1, 2), (2, 0), (0, 2)), (2, 3, Fraction(1, 2), 1), id="m4-unique"),
+    pytest.param(((0, 1), (1, 2)), (2, 3), id="m2-family"),
+])
+def test_a_set_arc_weight_the_forced_trace_disagrees_with_is_inconsistent(arcs, weights):
+    # At m >= 2 the column sums force c_{n-1}, and every pencil polynomial
+    # has c_{n-1} = -beta * W, W the total arc weight.
+    g = Digraph(3, arcs, tuple(map(Fraction, weights)))
+    d = deck(g, F2)
+    expected = outcome(reconstruct(d), poly_of(g, F2))
+    assert d.arc_weight == sum(g.weights) and expected in ("recovered", "covered")
+    edited = Deck(d.n, d.kind, d.coefficients, d.denominators, Fraction(7))
+    result = reconstruct(edited)
+    assert isinstance(result, Inconsistent) and "trace rule" in result.detail
+    # Without the field, the deck keeps its answer; with beta = 0, c_{n-1}
+    # is 0 whatever W.
+    assert outcome(reconstruct(Deck(d.n, d.kind, d.coefficients, d.denominators)),
+                   poly_of(g, F2)) == expected
+    d1 = deck(g, F1)
+    assert outcome(reconstruct(Deck(d1.n, F1, d1.coefficients, d1.denominators, Fraction(7))),
+                   poly_of(g, F1)) in ("recovered", "covered")
+
+
 def test_reconstruct_m_greater_than_n_exhaustive_small():
     for m in range(4, 7):
         for g in enumerate_digraphs(3, m):

@@ -120,6 +120,14 @@ def test_deck_from_obj_rejects_wrong_degree_and_bad_kind():
                                "polys": [["0", "0", "1"]], "arc_weight": arc_weight})
 
 
+@pytest.mark.parametrize("kind, got", [(1, "a number"), (["f1"], "an array"), (None, "null")])
+def test_deck_reader_names_a_kind_that_is_not_a_string(kind, got):
+    # Once the reader's own "'int' object has no attribute 'startswith'".
+    with pytest.raises(ser.FormatError) as excinfo:
+        ser.deck_from_obj({"format_version": 1, "n": 2, "kind": kind, "polys": [["0", "0", "1"]]})
+    assert str(excinfo.value) == f'bad deck kind: "kind" must be a string, got {got}'
+
+
 GOOD_VALUES = ("3", "-1/2", "0/5")
 BAD_VALUES = ("1e3", "+1", " 1", "1_000", "", "1/0", "0x1", "\u0661", "1,2", 7)
 OVER_LENGTH = "1" * (MAX_RATIONAL_CHARS + 1)

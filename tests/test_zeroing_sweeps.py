@@ -349,11 +349,10 @@ def test_zeroed_pers_never_forms_per_x(monkeypatch):
 
 def test_zeroed_dets_never_forms_det_x(monkeypatch):
     # Every entry of an elimination is a minor of the rows it has pivoted on
-    # and one more row. Row i's elimination leaves row i out, and the trunk
-    # leaves out row L, the last with copies, before it pivots on row L - 1,
-    # so no entry the step makes reads every row of X. Row n - 1 always has
-    # a copy here: a trunk that kept row L would make +-det X at its step
-    # on row n - 2.
+    # and one more row. Row i's elimination leaves row i out, and the trunk,
+    # which covers every row, drops row n - 1 before its step on row n - 2,
+    # so no entry a step makes reads every row of X. A trunk that kept row
+    # n - 1 would make +-det X at that step.
     made = []
     pivot_step = mx._pivot_step
 
@@ -370,7 +369,7 @@ def test_zeroed_dets_never_forms_det_x(monkeypatch):
             m = choice_matrix(rng, n, zero_density)
             traced = [[Traced(x, frozenset({(i, j)})) for j, x in enumerate(row)]
                       for i, row in enumerate(m)]
-            support = [(i, j) for i, j in entries(n) if m[i][j]] + [(n - 1, 0)]
+            support = [(i, j) for i, j in entries(n) if m[i][j]]
             for positions in (entries(n), support):
                 made.clear()
                 dets = mx.zeroed_dets(traced, n, positions)
