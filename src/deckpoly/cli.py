@@ -297,10 +297,7 @@ def _read_flags(command, argv):
 def _unlimited_int_digits():
     """Lift Python's int/str digit limit (4,300 digits by default) for one
     command, whose exact inputs and answers may be longer, and restore it
-    for the caller. Pythons before 3.10.7 have no limit."""
-    if not hasattr(sys, "set_int_max_str_digits"):
-        yield
-        return
+    for the caller."""
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:

@@ -53,9 +53,10 @@ def reconstruct(d: Deck) -> ReconstructionResult:
     polynomial of every card is; any other deck is Inconsistent. So is a
     deck of more than n(n - 1) members, the most arcs a loopless digraph
     on n vertices has, and one of one member with arc_weight 0. The trace
-    rule, c_{n-1} = -beta*W with W the deck's arc_weight (m when unset),
-    holds for every pencil polynomial: at m >= 2 c_{n-1} is forced, and a
-    deck whose arc_weight is set and disagrees with it is Inconsistent.
+    rule, c_{n-1} = -beta*W with W the deck's arc_weight (m when the field
+    is absent, for every check), holds for every pencil polynomial: at
+    m >= 2 c_{n-1} is forced, and a deck that disagrees with it is
+    Inconsistent, with the field or without it.
     Side constraints on the annihilated coefficient, applied in order: the
     trace rule pins c_{n-1} when m = 1, and a determinant kind with
     beta = -gamma (f2 among the named kinds) pins c_0 to 0 when m = n.
@@ -110,18 +111,20 @@ def reconstruct(d: Deck) -> ReconstructionResult:
     kstar = n - m
     coeffs = [Fraction(s, q * (k - kstar)) if k != kstar else Fraction(0)
               for k, (s, q) in enumerate(zip(sums, dens))]
-    if m >= 2 and d.arc_weight is not None and coeffs[n - 1] != -d.kind.beta * d.arc_weight:
+    # Trace rule: coefficient n-1 of the pencil polynomial is
+    # -beta * trace(D) = -beta * (total arc weight).
+    weight = m if d.arc_weight is None else d.arc_weight
+    trace = -d.kind.beta * weight
+    if m >= 2 and coeffs[n - 1] != trace:
         return Inconsistent(f"coefficient {n - 1} is {coeffs[n - 1]}, but the trace rule "
-                            f"gives -beta * arc_weight = {-d.kind.beta * d.arc_weight}")
+                            f"gives -beta * W = {trace} for the arc weight W = {weight}")
     if kstar < 0:
         return Unique(polynomials.normalize(coeffs))
     if sums[kstar] != 0:
         return Inconsistent(f"coefficient {kstar}: equation 0 * c_{kstar} = "
                             f"{Fraction(sums[kstar], dens[kstar])} cannot hold")
     if kstar == n - 1:
-        # Trace rule: coefficient n-1 of the pencil polynomial is
-        # -beta * trace(D) = -beta * (total arc weight).
-        coeffs[kstar] = -d.kind.beta * (m if d.arc_weight is None else d.arc_weight)
+        coeffs[kstar] = trace
         return Unique(polynomials.normalize(coeffs))
     if kstar == 0 and d.kind.mode == DETERMINANT and d.kind.beta == -d.kind.gamma:
         # At x = 0 the pencil is -beta*D - gamma*A = -beta*(D - A), whose

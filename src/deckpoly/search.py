@@ -30,9 +30,12 @@ covered by the answer. So each member satisfies the deck-sum identity
 against the signature, the members differ only at the coefficient the
 deck leaves free (c_{n-m}), and no group is reported where reconstruct
 pins every coefficient: m > n, m = 1, and m = n for a det kind with
-beta = -gamma. A deck read off one kernel call keeps the identity only
-if the kernel's coefficients agree with its adjugate entries, so a faulty
-kernel that yields a group is caught there. The check sees only the
+beta = -gamma. Nor is a group reported whose signature forces a c_{n-1}
+that breaks the trace rule, c_{n-1} = -beta*m for these unweighted
+digraphs: reconstruct answers Inconsistent, which misses every member. A
+deck read off one kernel call keeps the identity only if the kernel's
+coefficients agree with its adjugate entries, so a faulty kernel that
+yields a group is caught there. The check sees only the
 groups: a faulty kernel that yields none, or loses a true one, is caught
 only by the pinned search digests.
 

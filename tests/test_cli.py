@@ -167,6 +167,22 @@ def test_reconstruct_a_deck_whose_arc_weight_breaks_the_trace_rule_exits_4(tmp_p
     assert (code, result["result"]) == (4, "inconsistent") and "trace rule" in result["detail"]
 
 
+def test_reconstruct_a_deck_without_arc_weight_reads_w_as_m_and_exits_4(tmp_path, capsys):
+    # The same deck with "arc_weight" deleted declares W = m = 4, and the
+    # forced c_2 = -13/2 is not -beta * 4.
+    path = write(tmp_path, "w.json", {"format_version": 1, "n": 3,
+                                      "arcs": [[0, 1], [1, 2], [2, 0], [0, 2]],
+                                      "weights": ["2", "3", "1/2", "1"]})
+    deck_path = tmp_path / "deck.json"
+    assert run(capsys, "deck", "--kind", "f2", "--input", path, "--output", str(deck_path))[0] == 0
+    obj = load_json(str(deck_path))
+    del obj["arc_weight"]
+    deck_path.write_text(json.dumps(obj))
+    code, out, _ = run(capsys, "reconstruct", "--deck", str(deck_path))
+    result = json.loads(out)
+    assert (code, result["result"]) == (4, "inconsistent") and "trace rule" in result["detail"]
+
+
 # 3,001 digits: accepted on input, and its products pass Python's default
 # 4,300-digit int/str limit.
 HUGE = "1" + "0" * 3000

@@ -6,9 +6,20 @@ from fractions import Fraction
 import pytest
 
 from deckpoly import polynomials as poly
-from deckpoly.digraphs import Digraph, directed_cycle, enumerate_digraphs
-from deckpoly.graph_polys import F1, F2, F4, F5, SIX_KINDS, Deck, PolyKind, deck, poly_of
-from deckpoly.identities import random_digraph
+from deckpoly.digraphs import Digraph, all_arc_slots, directed_cycle, enumerate_digraphs
+from deckpoly.graph_polys import (
+    F1,
+    F2,
+    F4,
+    F5,
+    SIX_KINDS,
+    Deck,
+    PolyKind,
+    deck,
+    parse_kind,
+    poly_of,
+)
+from deckpoly.identities import random_digraph, random_nonzero_rational
 from deckpoly.reconstruct import (
     Inconsistent,
     OneParameterFamily,
@@ -112,13 +123,50 @@ def test_a_set_arc_weight_the_forced_trace_disagrees_with_is_inconsistent(arcs, 
     edited = Deck(d.n, d.kind, d.coefficients, d.denominators, Fraction(7))
     result = reconstruct(edited)
     assert isinstance(result, Inconsistent) and "trace rule" in result.detail
-    # Without the field, the deck keeps its answer; with beta = 0, c_{n-1}
-    # is 0 whatever W.
-    assert outcome(reconstruct(Deck(d.n, d.kind, d.coefficients, d.denominators)),
-                   poly_of(g, F2)) == expected
+    # Without the field W reads as m, which these weights do not sum to, so
+    # the deck is inconsistent too; with beta = 0, c_{n-1} is 0 whatever W.
+    bare = reconstruct(Deck(d.n, d.kind, d.coefficients, d.denominators))
+    assert isinstance(bare, Inconsistent)
+    assert bare.detail.endswith(f"the trace rule gives -beta * W = {-len(arcs)} "
+                                f"for the arc weight W = {len(arcs)}")
     d1 = deck(g, F1)
     assert outcome(reconstruct(Deck(d1.n, F1, d1.coefficients, d1.denominators, Fraction(7))),
                    poly_of(g, F1)) in ("recovered", "covered")
+
+
+@pytest.mark.parametrize("arc_weight", [None, Fraction(7)])
+def test_an_f1_deck_whose_forced_trace_is_not_0_is_inconsistent(arc_weight):
+    # Under f1 beta = 0, so c_{n-1} = 0 whatever W; one member's c_2 raised
+    # by 1 forces c_2 = 1/3.
+    members = list(map(list, deck(STAR_OF_DIGONS, F1).polys))
+    members[0][2] += 1
+    result = reconstruct(Deck.from_polys(3, F1, members, arc_weight))
+    assert isinstance(result, Inconsistent) and "coefficient 2 is 1/3" in result.detail
+
+
+def test_no_edited_deck_is_answered_unique_and_wrong():
+    # Aim 3's first rule on seeded random digraphs with m >= 2, half of them
+    # unweighted (a deck without arc_weight): a true deck is recovered or
+    # covered, and a deck with its arc_weight deleted or replaced, or one
+    # member's c_{n-1} raised by 1, is never Unique with another polynomial.
+    rng = random.Random(2305)
+    kinds = (*SIX_KINDS, parse_kind("general:1/2,-3/2,det"))
+    for _ in range(100):
+        n = rng.randint(2, 5)
+        arcs = tuple(sorted(rng.sample(all_arc_slots(n), rng.randint(2, n * (n - 1)))))
+        weights = None if rng.random() < 0.5 else tuple(random_nonzero_rational(rng) for _ in arcs)
+        g = Digraph(n, arcs, weights)
+        for kind in kinds:
+            expected, d = poly_of(g, kind), deck(g, kind)
+            assert outcome(reconstruct(d), expected) in ("recovered", "covered")
+            raised = [list(p) for p in d.polys]
+            raised[rng.randrange(len(raised))][n - 1] += 1
+            weight = len(arcs) if d.arc_weight is None else d.arc_weight
+            for edited in (Deck(n, kind, d.coefficients, d.denominators),
+                           Deck(n, kind, d.coefficients, d.denominators, weight + 1),
+                           Deck.from_polys(n, kind, raised, d.arc_weight)):
+                result = reconstruct(edited)
+                assert not isinstance(result, Unique) or result.poly == expected, (g, kind)
 
 
 def test_reconstruct_m_greater_than_n_exhaustive_small():

@@ -133,31 +133,44 @@ def test_search_asserts_the_paper_structure(monkeypatch, n, m, kind, coefficient
         find_deck_collisions(n, m, kind)
 
 
-def adjugate_off_by_one(kernel_of):
-    """A kernel lookup whose kernels add 1 to coefficient n - 1 of every
-    adjugate entry: the polynomials stay right, the decks do not."""
+def adjugate_off_by_one(kernel_of, coefficient):
+    """A kernel lookup whose kernels add 1 to `coefficient` (an index into
+    the n coefficients) of every adjugate entry: the polynomials stay right,
+    the decks do not."""
 
     def faulty_kernel(kind):
         kernel = kernel_of(kind)
 
         def faulty(b, wanted):
             coeffs, entries = kernel(b, wanted)
-            return coeffs, {key: [*entry[:-1], entry[-1] + 1] for key, entry in entries.items()}
+            entries = {key: list(entry) for key, entry in entries.items()}
+            for entry in entries.values():
+                entry[coefficient] += 1
+            return coeffs, entries
 
         return faulty
 
     return faulty_kernel
 
 
-@pytest.mark.parametrize("n, m, kind", [(3, 3, F4), (4, 3, F1), (4, 4, F1), (5, 3, F1)],
-                         ids=["3-3-f4", "4-3-f1", "4-4-f1", "5-3-f1"])
-def test_search_rejects_groups_whose_deck_misses_a_member(monkeypatch, n, m, kind):
-    # Each card gains its arc's off-diagonal term at coefficient n - 1, so
-    # the signature no longer satisfies the deck-sum identity with the
-    # members. A check of only where members differ passes these groups.
-    monkeypatch.setattr(graph_polys, "_kernel", adjugate_off_by_one(graph_polys._kernel))
-    with pytest.raises(AssertionError, match=f"group at n = {n}, m = {m}: the "
-                                             "OneParameterFamily answer for its deck misses"):
+@pytest.mark.parametrize("n, m, kind, coefficient, answer", [
+    # Coefficient n - 1: the forced c_{n-1} breaks the trace rule.
+    pytest.param(3, 3, F4, -1, "Inconsistent", id="3-3-f4"),
+    pytest.param(4, 3, F1, -1, "Inconsistent", id="4-3-f1"),
+    pytest.param(4, 4, F1, -1, "Inconsistent", id="4-4-f1"),
+    pytest.param(5, 3, F1, -1, "Inconsistent", id="5-3-f1"),
+    # Coefficient n - 2, forced and not the trace: the family's base is off.
+    pytest.param(4, 3, F1, -2, "OneParameterFamily", id="4-3-f1-below-trace"),
+])
+def test_search_rejects_groups_whose_deck_misses_a_member(monkeypatch, n, m, kind,
+                                                          coefficient, answer):
+    # Each card gains its arc's term at one coefficient, so the signature no
+    # longer satisfies the deck-sum identity with the members. A check of
+    # only where members differ passes these groups.
+    monkeypatch.setattr(graph_polys, "_kernel",
+                        adjugate_off_by_one(graph_polys._kernel, coefficient))
+    with pytest.raises(AssertionError, match=f"group at n = {n}, m = {m}: the {answer} "
+                                             "answer for its deck misses"):
         find_deck_collisions(n, m, kind)
 
 
