@@ -4,7 +4,8 @@ Results go to stdout, diagnostics to stderr. Exit codes: 0 success (or a
 unique reconstruction), 2 bad flags or unreadable/invalid input, 3 a
 one-parameter reconstruction family, 4 an inconsistent deck, 5 a violated
 identity in a verify sweep. Identical invocations with identical files
-and seeds produce byte-identical output.
+and seeds produce byte-identical output. An --output file is overwritten
+in place and cut to length (no O_TRUNC); a failed write leaves it empty.
 """
 
 from __future__ import annotations
@@ -127,9 +128,8 @@ def _budget() -> int:
 def cmd_search(args) -> int:
     kind = parse_kind(args.kind)
     groups = search.find_deck_collisions(args.vertices, args.arcs, kind, budget=_budget())
-    with open(args.output, "w", encoding="utf-8") as fh:
-        for group in groups:
-            fh.write(to_canonical_json(serialize.collision_group_to_obj(group)) + "\n")
+    serialize.write_text(args.output, "".join(
+        to_canonical_json(serialize.collision_group_to_obj(group)) + "\n" for group in groups))
     _print({
         "format_version": serialize.FORMAT_VERSION,
         "vertices": args.vertices,

@@ -149,36 +149,34 @@ def test_reconstruct_weighted_single_arc_through_the_deck_file(tmp_path, capsys)
     assert json.loads(out) == {"result": "unique", "poly": ["0", "0", "-5", "1"]}
 
 
-def test_reconstruct_a_deck_whose_arc_weight_breaks_the_trace_rule_exits_4(tmp_path, capsys):
+@pytest.fixture(scope="module")
+def trace_rule_deck(tmp_path_factory):
     # 0->1 (2), 1->2 (3), 2->0 (1/2), 0->2 (1): f2 forces c_2 = -13/2 from
-    # the deck, so an arc_weight of 7 belongs to no digraph with this deck.
+    # the deck, which the written arc_weight of 13/2 matches.
+    tmp_path = tmp_path_factory.mktemp("trace_rule")
     path = write(tmp_path, "w.json", {"format_version": 1, "n": 3,
                                       "arcs": [[0, 1], [1, 2], [2, 0], [0, 2]],
                                       "weights": ["2", "3", "1/2", "1"]})
-    deck_path = tmp_path / "deck.json"
-    assert run(capsys, "deck", "--kind", "f2", "--input", path, "--output", str(deck_path))[0] == 0
-    obj = load_json(str(deck_path))
+    deck_path = str(tmp_path / "deck.json")
+    assert main(["deck", "--kind", "f2", "--input", path, "--output", deck_path]) == 0
+    obj = load_json(deck_path)
     assert obj["arc_weight"] == "13/2"
-    code, out, _ = run(capsys, "reconstruct", "--deck", str(deck_path))
+    return obj
+
+
+@pytest.mark.parametrize("arc_weight", ["7", None], ids=["arc_weight-7", "arc_weight-deleted"])
+def test_reconstruct_a_deck_whose_arc_weight_breaks_the_trace_rule_exits_4(
+        tmp_path, capsys, trace_rule_deck, arc_weight):
+    # The deck as written is unique; an arc_weight of 7, or none (which
+    # declares W = m = 4), belongs to no digraph with this deck.
+    deck_path = write(tmp_path, "deck.json", trace_rule_deck)
+    code, out, _ = run(capsys, "reconstruct", "--deck", deck_path)
     assert (code, json.loads(out)) == (0, {"result": "unique", "poly": ["0", "21/2", "-13/2", "1"]})
-    deck_path.write_text(json.dumps({**obj, "arc_weight": "7"}))
-    code, out, _ = run(capsys, "reconstruct", "--deck", str(deck_path))
-    result = json.loads(out)
-    assert (code, result["result"]) == (4, "inconsistent") and "trace rule" in result["detail"]
-
-
-def test_reconstruct_a_deck_without_arc_weight_reads_w_as_m_and_exits_4(tmp_path, capsys):
-    # The same deck with "arc_weight" deleted declares W = m = 4, and the
-    # forced c_2 = -13/2 is not -beta * 4.
-    path = write(tmp_path, "w.json", {"format_version": 1, "n": 3,
-                                      "arcs": [[0, 1], [1, 2], [2, 0], [0, 2]],
-                                      "weights": ["2", "3", "1/2", "1"]})
-    deck_path = tmp_path / "deck.json"
-    assert run(capsys, "deck", "--kind", "f2", "--input", path, "--output", str(deck_path))[0] == 0
-    obj = load_json(str(deck_path))
-    del obj["arc_weight"]
-    deck_path.write_text(json.dumps(obj))
-    code, out, _ = run(capsys, "reconstruct", "--deck", str(deck_path))
+    obj = {k: v for k, v in trace_rule_deck.items() if k != "arc_weight"}
+    if arc_weight is not None:
+        obj["arc_weight"] = arc_weight
+    deck_path = write(tmp_path, "edited.json", obj)
+    code, out, _ = run(capsys, "reconstruct", "--deck", deck_path)
     result = json.loads(out)
     assert (code, result["result"]) == (4, "inconsistent") and "trace rule" in result["detail"]
 
@@ -189,7 +187,7 @@ HUGE = "1" + "0" * 3000
 
 
 def test_answers_beyond_the_int_string_digit_limit(tmp_path, capsys):
-    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    limit = sys.get_int_max_str_digits()
     digon = write(tmp_path, "digon.json", {"format_version": 1, "n": 2, "arcs": [[0, 1], [1, 0]],
                                            "weights": [HUGE, HUGE]})
     code, out, _ = run(capsys, "compute", "--kind", "f1", "--input", digon)
@@ -203,7 +201,7 @@ def test_answers_beyond_the_int_string_digit_limit(tmp_path, capsys):
     code, out, _ = run(capsys, "reconstruct", "--deck", deck_path)
     assert code == 0
     assert json.loads(out) == {"result": "unique", "poly": ["0", "-2" + "0" * 6000, "0", "1"]}
-    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+    assert sys.get_int_max_str_digits() == limit
 
 
 def test_input_rationals_have_a_length_bound(tmp_path, capsys):
@@ -422,6 +420,42 @@ def test_search_laplacian_finds_nothing(tmp_path, capsys):
     assert code == 0
     assert json.loads(out)["groups"] == 0
     assert open(out_path).read() == ""
+
+
+def test_a_search_with_no_group_empties_the_file_an_earlier_search_filled(tmp_path, capsys):
+    # The file is rewritten in place and cut to length: the (4, 4, f1)
+    # groups must not survive a (3, 4, f2) search, which has none (m > n).
+    out_path = tmp_path / "groups.ndjson"
+    for vertices, kind in (("4", "f1"), ("3", "f2")):
+        code, out, _ = run(capsys, "search", "--vertices", vertices, "--arcs", "4",
+                           "--kind", kind, "--output", str(out_path))
+        assert code == 0
+    assert json.loads(out)["groups"] == 0
+    assert out_path.read_bytes() == b""
+
+
+def _writer_argv(tmp_path, command):
+    """A command that writes --output, without that flag."""
+    if command == "search":
+        return ["search", "--vertices", "4", "--arcs", "4", "--kind", "f1"]
+    return ["deck", "--kind", "f1", "--input", write(tmp_path, "c4.json", C4)]
+
+
+@pytest.mark.parametrize("command", ["search", "deck"])
+def test_output_to_dev_null_exits_0(tmp_path, capsys, command):
+    # A character device has size 0 and is never truncated: an
+    # unconditional ftruncate raises EINVAL on it.
+    assert run(capsys, *_writer_argv(tmp_path, command), "--output", os.devnull)[0] == 0
+
+
+@pytest.mark.parametrize("command", ["search", "deck"])
+@pytest.mark.parametrize("target", ["directory", "missing-parent"])
+def test_an_output_path_that_cannot_be_opened_exits_2_and_names_it(tmp_path, capsys, command,
+                                                                   target):
+    out_path = str(tmp_path if target == "directory" else tmp_path / "missing" / "out.json")
+    code, out, err = run(capsys, *_writer_argv(tmp_path, command), "--output", out_path)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: [Errno ") and err.endswith(f": {out_path!r}\n")
 
 
 def test_search_budget_env_override(tmp_path, capsys, monkeypatch):

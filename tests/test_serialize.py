@@ -1,6 +1,9 @@
 """File formats: round trips, strictness, canonical JSON rendering."""
 
+import builtins
 import copy
+import errno
+import os
 import pickle
 import re
 from fractions import Fraction
@@ -229,3 +232,68 @@ def test_load_json_errors(tmp_path):
     path.write_text("{not json")
     with pytest.raises(ser.FormatError):
         ser.load_json(str(path))
+
+
+def test_a_rewrite_in_place_equals_a_fresh_write(tmp_path):
+    # A 4-arc deck, then a 1-arc one (shorter), into one path; then a short
+    # text, a longer one and none. Each file holds exactly the new bytes.
+    path = tmp_path / "out"
+    star = Digraph(n=3, arcs=((0, 1), (1, 0), (0, 2), (2, 0)))
+    single = Digraph(n=3, arcs=((0, 1),))
+    for g in (star, single):
+        obj = ser.deck_to_obj(deck(g, parse_kind("f1")))
+        ser.dump_json(obj, str(path))
+        assert path.read_bytes() == (ser.to_canonical_json(obj) + "\n").encode()
+    for text in ("ab\n", "a longer text\n" * 50, ""):
+        ser.write_text(str(path), text)
+        assert path.read_bytes() == text.encode()
+
+
+def test_a_new_file_gets_mode_0o666_less_the_umask(tmp_path):
+    for umask in (0o022, 0o077):
+        old = os.umask(umask)
+        try:
+            path = tmp_path / f"new-{umask:o}"
+            ser.write_text(str(path), "x\n")
+        finally:
+            os.umask(old)
+        assert path.stat().st_mode & 0o777 == 0o666 & ~umask
+
+
+class _FailsMidway:
+    """A file object whose first write takes half the bytes, then whose
+    next write raises ENOSPC, as a file system running out of room does."""
+
+    def __init__(self, fh):
+        self.fh, self.calls = fh, 0
+
+    def write(self, data):
+        self.calls += 1
+        if self.calls > 1:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return self.fh.write(data[:max(1, len(data) // 2)])
+
+    def __getattr__(self, name):
+        return getattr(self.fh, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+
+def test_a_write_that_fails_midway_leaves_no_old_byte(tmp_path, monkeypatch):
+    path = tmp_path / "out"
+    path.write_text("old content " * 100)
+    wrappers = []
+
+    def failing_open(*args, **kwargs):
+        wrappers.append(_FailsMidway(builtins.open(*args, **kwargs)))
+        return wrappers[-1]
+
+    monkeypatch.setattr(ser, "open", failing_open, raising=False)
+    with pytest.raises(OSError) as raised:
+        ser.write_text(str(path), "new text, shorter\n")
+    assert raised.value.errno == errno.ENOSPC and wrappers[0].calls == 2
+    assert path.read_bytes() == b""
