@@ -26,7 +26,7 @@ from .graph_polys import (
     poly_of,
     poly_of_oracle,
 )
-from .reconstruct import Inconsistent, OneParameterFamily, Unique, reconstruct, verify_roundtrip
+from .reconstruct import Inconsistent, OneParameterFamily, Unique, reconstruct
 
 __version__ = "0.1.0"
 
@@ -49,5 +49,4 @@ __all__ = [
     "poly_of_oracle",
     "reconstruct",
     "validate",
-    "verify_roundtrip",
 ]

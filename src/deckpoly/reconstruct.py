@@ -12,6 +12,11 @@ solves the homogeneous equation, and only structural side constraints
 can pin it: the trace rule at m = 1, and at m = n the zero column sums
 of D - A for determinant kinds with beta = -gamma. When none applies,
 the honest answer is a one-parameter family, not a guess.
+
+The module reads decks only: `reconstruct` takes a Deck and `outcome`
+reads its answer against a polynomial. A round trip from a digraph is
+composed by the caller, outcome(reconstruct(deck(g, kind)), poly_of(g,
+kind)).
 """
 
 from __future__ import annotations
@@ -20,8 +25,8 @@ from fractions import Fraction
 from itertools import zip_longest
 
 from . import polynomials
-from .digraphs import Digraph, Frozen
-from .graph_polys import DETERMINANT, Deck, PolyKind, deck, poly_of
+from .digraphs import Frozen
+from .graph_polys import DETERMINANT, Deck
 
 
 class Unique(Frozen):
@@ -144,16 +149,3 @@ def outcome(result: ReconstructionResult, poly: polynomials.Polynomial) -> str:
         if all(a == b for k, (a, b) in pairs if k != result.free_exponent):
             return "covered"
     return "missed"
-
-
-class RoundTripReport(Frozen):
-    """Outcome of deck -> reconstruct against the known source polynomial,
-    as `outcome` reads it."""
-
-    __slots__ = ("outcome", "expected", "result")
-
-
-def verify_roundtrip(g: Digraph, kind: PolyKind) -> RoundTripReport:
-    expected = poly_of(g, kind)
-    result = reconstruct(deck(g, kind))
-    return RoundTripReport(outcome(result, expected), expected, result)

@@ -36,10 +36,11 @@ def _require_int(value, what: str) -> int:
 
 def _payload_n(obj, what: str) -> int:
     """The integer "n" of a `what` payload: a JSON object whose
-    format_version, current when absent, is FORMAT_VERSION."""
+    format_version, current when absent, is the integer FORMAT_VERSION
+    (not true, 1.0 or "1")."""
     if not isinstance(obj, dict):
         raise FormatError(f"a {what} payload must be a JSON object")
-    version = obj.get("format_version", FORMAT_VERSION)
+    version = _require_int(obj.get("format_version", FORMAT_VERSION), '"format_version"')
     if version != FORMAT_VERSION:
         raise FormatError(f"unsupported format_version {version!r}")
     return _require_int(obj.get("n"), '"n"')

@@ -276,6 +276,35 @@ def test_reconstruct_malformed_deck_exits_2(tmp_path, capsys):
     assert code == 2 and "degree" in err
 
 
+# One payload of each kind the CLI reads: its command and what it prints.
+PAYLOADS = {
+    "digraph": (["compute", "--kind", "f1", "--input"], {"n": 2, "arcs": [[0, 1]]},
+                ["0", "0", "1"]),
+    "deck": (["reconstruct", "--deck"], {"n": 2, "kind": "f1", "polys": [["0", "0", "1"]]},
+             {"poly": ["0", "0", "1"], "result": "unique"}),
+}
+
+
+@pytest.mark.parametrize("version", [True, 1.0, "1"], ids=["true", "1.0", "string-1"])
+@pytest.mark.parametrize("payload", PAYLOADS)
+def test_a_format_version_other_than_the_integer_1_exits_2(tmp_path, capsys, payload, version):
+    # true and 1.0 compare equal to 1, but only the integer reads, as for "n".
+    argv, obj, _ = PAYLOADS[payload]
+    path = write(tmp_path, "in.json", {"format_version": version, **obj})
+    code, out, err = run(capsys, *argv, path)
+    assert (code, out) == (2, "")
+    assert f'error: "format_version" must be an integer, got {version!r}' in err
+
+
+@pytest.mark.parametrize("header", [{"format_version": 1}, {}], ids=["1", "absent"])
+@pytest.mark.parametrize("payload", PAYLOADS)
+def test_format_version_1_or_absent_reads(tmp_path, capsys, payload, header):
+    argv, obj, printed = PAYLOADS[payload]
+    path = write(tmp_path, "in.json", {**header, **obj})
+    code, out, _ = run(capsys, *argv, path)
+    assert (code, json.loads(out)) == (0, printed)
+
+
 @pytest.mark.parametrize("theorem", ["2.1", "2.2", "2.3", "3.1", "1.7"])
 def test_verify_holds_for_every_identity(theorem, capsys):
     code, out, _ = run(capsys, "verify", "--theorem", theorem, "--trials", "15",

@@ -19,7 +19,7 @@ from deckpoly import matrices as mx  # noqa: E402
 from deckpoly import serialize as ser  # noqa: E402
 from deckpoly.digraphs import Digraph, all_arc_slots  # noqa: E402
 from deckpoly.graph_polys import SIX_KINDS, PolyKind, deck, poly_of  # noqa: E402
-from deckpoly.reconstruct import verify_roundtrip  # noqa: E402
+from deckpoly.reconstruct import outcome, reconstruct  # noqa: E402
 
 PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=60)
 
@@ -122,7 +122,7 @@ def test_digraph_and_deck_payloads_round_trip(g, kind):
 @PROPERTY
 @given(weighted_digraphs(min_m=1), kinds)
 def test_roundtrip_never_misses_on_weighted_digraphs(g, kind):
-    assert verify_roundtrip(g, kind).outcome in ("recovered", "covered")
+    assert outcome(reconstruct(deck(g, kind)), poly_of(g, kind)) in ("recovered", "covered")
 
 
 @settings(PROPERTY, max_examples=500)
