@@ -83,15 +83,8 @@ class Frozen:
 
 
 class InvalidDigraphError(ValueError):
-    """A digraph value violates a structural invariant.
-
-    `reason` is one of: "vertex-count", "index-out-of-range", "loop-found",
-    "duplicate-arc", "weight-count-mismatch", "zero-weight".
-    """
-
-    def __init__(self, reason: str, message: str):
-        super().__init__(message)
-        self.reason = reason
+    """A digraph value violates a structural invariant; the message says
+    which."""
 
 
 def _integer(value, what: str) -> int:
@@ -130,26 +123,21 @@ class Digraph(Frozen):
 def validate(g: Digraph) -> None:
     """Check every invariant; raise InvalidDigraphError on the first violation."""
     if g.n < 1:
-        raise InvalidDigraphError("vertex-count", f"vertex count must be >= 1, got {g.n}")
+        raise InvalidDigraphError(f"vertex count must be >= 1, got {g.n}")
     if g.weights is not None and len(g.weights) != g.m:
-        raise InvalidDigraphError(
-            "weight-count-mismatch",
-            f"{len(g.weights)} weights for {g.m} arcs",
-        )
+        raise InvalidDigraphError(f"{len(g.weights)} weights for {g.m} arcs")
     seen = set()
     for s, t in g.arcs:
         if not (0 <= s < g.n and 0 <= t < g.n):
-            raise InvalidDigraphError(
-                "index-out-of-range", f"arc ({s}, {t}) outside vertex range [0, {g.n})"
-            )
+            raise InvalidDigraphError(f"arc ({s}, {t}) outside vertex range [0, {g.n})")
         if s == t:
-            raise InvalidDigraphError("loop-found", f"loop at vertex {s}")
+            raise InvalidDigraphError(f"loop at vertex {s}")
         if (s, t) in seen:
-            raise InvalidDigraphError("duplicate-arc", f"arc ({s}, {t}) repeated")
+            raise InvalidDigraphError(f"arc ({s}, {t}) repeated")
         seen.add((s, t))
     for w in g.arc_weights():
         if w == 0:
-            raise InvalidDigraphError("zero-weight", "arc weights must be nonzero")
+            raise InvalidDigraphError("arc weights must be nonzero")
 
 
 def adjacency(g: Digraph) -> list[list[Fraction]]:

@@ -36,10 +36,14 @@ from .matrices import Matrix
 
 
 class IdentityReport(Frozen):
-    """Both sides of one identity on one instance (a dict that replays it),
-    and whether they are equal."""
+    """Both sides of one identity on one instance (a dict that replays it).
+    `holds` reads whether the sides are equal."""
 
-    __slots__ = ("identity", "instance", "lhs", "rhs", "holds")
+    __slots__ = ("identity", "instance", "lhs", "rhs")
+
+    @property
+    def holds(self) -> bool:
+        return self.lhs == self.rhs
 
     @property
     def verdict(self) -> str:
@@ -69,7 +73,7 @@ def _check_zeroing(identity: str, matrix: Matrix, kernel, sweep, select) -> Iden
     # tautology, as in check_thm31.
     rhs = sum(sweep(matrix, n, positions))
     instance = {"matrix": serialize.matrix_to_strings(matrix)}
-    return IdentityReport(identity, instance, lhs, rhs, lhs == rhs)
+    return IdentityReport(identity, instance, lhs, rhs)
 
 
 def check_thm21(matrix: Matrix) -> IdentityReport:
@@ -107,14 +111,14 @@ def check_thm31(g: Digraph, beta, gamma, mode: str) -> IdentityReport:
         "gamma": str(kind.gamma),
         "mode": kind.mode,
     }
-    return IdentityReport("3.1", instance, lhs, rhs, lhs == rhs)
+    return IdentityReport("3.1", instance, lhs, rhs)
 
 
 def check_eq17(g: Digraph, kind: PolyKind) -> IdentityReport:
     """The deck-sum identity specialized to a named polynomial kind."""
     inner = check_thm31(g, kind.beta, kind.gamma, kind.mode)
     instance = {"digraph": serialize.digraph_to_obj(g), "kind": kind_name(kind)}
-    return IdentityReport("1.7", instance, inner.lhs, inner.rhs, inner.holds)
+    return IdentityReport("1.7", instance, inner.lhs, inner.rhs)
 
 
 # Seeded random instance generation. Callers own the Random object, so a

@@ -85,11 +85,12 @@ DEFAULT_BUDGET = comb(42, 7)
 
 
 class CollisionGroup(Frozen):
-    """Digraphs sharing one deck signature but carrying >= 2 distinct
-    polynomials. `members` keeps one witness digraph per distinct
+    """Digraphs sharing one deck but carrying >= 2 distinct polynomials.
+    `deck` is that Deck, whose kind, n and member count (m) are the
+    group's; `members` keeps one (digraph, polynomial) witness per distinct
     polynomial value, sorted by polynomial."""
 
-    __slots__ = ("kind", "n", "m", "deck_signature", "members")
+    __slots__ = ("deck", "members")
 
 
 def canonical_counterexample(n: int) -> tuple[Digraph, Digraph]:
@@ -136,7 +137,7 @@ def find_deck_collisions(n: int, m: int, kind: PolyKind,
                          graph_polys._unscaled(c, scale, n))
                         for c in sorted(by_poly))
         _check_group(deck, members)
-        out.append(CollisionGroup(kind, n, m, deck.polys, members))
+        out.append(CollisionGroup(deck, members))
     return out
 
 

@@ -98,13 +98,18 @@ def digraph_from_obj(obj) -> Digraph:
     return Digraph(n=n, arcs=tuple(pairs), weights=weights)
 
 
+def _deck_members(d: Deck) -> list[list[str]]:
+    """The members of d as coefficient strings, str() of each Fraction."""
+    return [[str(c) if q == 1 else _rational_str(c, q) for c, q in zip(row, d.denominators)]
+            for row in d.coefficients]
+
+
 def deck_to_obj(d: Deck) -> dict:
     obj = {
         "format_version": FORMAT_VERSION,
         "n": d.n,
         "kind": kind_name(d.kind),
-        "polys": [[str(c) if q == 1 else _rational_str(c, q) for c, q in zip(row, d.denominators)]
-                  for row in d.coefficients],
+        "polys": _deck_members(d),
     }
     if d.arc_weight is not None:
         obj["arc_weight"] = str(d.arc_weight)
@@ -171,10 +176,10 @@ def result_to_obj(result) -> dict:
 def collision_group_to_obj(group) -> dict:
     return {
         "format_version": FORMAT_VERSION,
-        "kind": kind_name(group.kind),
-        "n": group.n,
-        "m": group.m,
-        "deck_signature": [poly_to_strings(p) for p in group.deck_signature],
+        "kind": kind_name(group.deck.kind),
+        "n": group.deck.n,
+        "m": len(group.deck.coefficients),
+        "deck_signature": _deck_members(group.deck),
         "members": [
             {"digraph": digraph_to_obj(g), "poly": poly_to_strings(p)}
             for g, p in group.members

@@ -18,39 +18,34 @@ def test_validate_accepts_digon():
 
 
 def test_validate_rejects_loop():
-    with pytest.raises(InvalidDigraphError) as err:
+    with pytest.raises(InvalidDigraphError, match=r"^loop at vertex 0$"):
         dg.validate(Digraph(1, ((0, 0),)))
-    assert err.value.reason == "loop-found"
 
 
 def test_validate_rejects_duplicate_arc():
-    with pytest.raises(InvalidDigraphError) as err:
+    with pytest.raises(InvalidDigraphError, match=r"^arc \(0, 1\) repeated$"):
         dg.validate(Digraph(2, ((0, 1), (0, 1))))
-    assert err.value.reason == "duplicate-arc"
 
 
 def test_validate_rejects_out_of_range_index():
-    with pytest.raises(InvalidDigraphError) as err:
+    with pytest.raises(InvalidDigraphError,
+                       match=r"^arc \(0, 2\) outside vertex range \[0, 2\)$"):
         dg.validate(Digraph(2, ((0, 2),)))
-    assert err.value.reason == "index-out-of-range"
 
 
 def test_validate_rejects_zero_weight():
-    with pytest.raises(InvalidDigraphError) as err:
+    with pytest.raises(InvalidDigraphError, match=r"^arc weights must be nonzero$"):
         dg.validate(Digraph(2, ((0, 1),), (Fraction(0),)))
-    assert err.value.reason == "zero-weight"
 
 
 def test_validate_rejects_weight_count_mismatch():
-    with pytest.raises(InvalidDigraphError) as err:
+    with pytest.raises(InvalidDigraphError, match=r"^2 weights for 1 arcs$"):
         dg.validate(Digraph(2, ((0, 1),), (Fraction(1), Fraction(2))))
-    assert err.value.reason == "weight-count-mismatch"
 
 
 def test_validate_rejects_empty_vertex_set():
-    with pytest.raises(InvalidDigraphError) as err:
+    with pytest.raises(InvalidDigraphError, match=r"^vertex count must be >= 1, got 0$"):
         dg.validate(Digraph(0))
-    assert err.value.reason == "vertex-count"
 
 
 def test_adjacency_of_three_cycle():
@@ -159,6 +154,10 @@ def test_enumerate_rejects_bad_m():
         list(dg.enumerate_digraphs(3, -1))
     with pytest.raises(ValueError):
         list(dg.enumerate_digraphs(0, 0))
+    with pytest.raises(ValueError, match="at least 2 vertices"):
+        dg.directed_cycle(1)
+    with pytest.raises(ValueError, match="at least 1 vertex"):
+        dg.directed_path(0)
 
 
 def test_digraph_is_hashable_and_coerces_input():
@@ -193,7 +192,7 @@ def test_int_and_bool_indices_are_kept_as_ints():
 
 RECORDS = [
     pytest.param(Unique, ((1,),), id="1-field"),
-    pytest.param(IdentityReport, ("2.1", {}, 1, 1, True), id="5-field"),
+    pytest.param(IdentityReport, ("2.1", {}, 1, 1), id="4-field"),
 ]
 
 

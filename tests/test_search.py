@@ -66,7 +66,7 @@ def test_groups_are_internally_consistent_and_reverifiable():
             assert len(set(polys)) == len(polys) >= 2
             assert list(polys) == sorted(polys)
             for g, p in group.members:
-                assert deck(g, kind).polys == group.deck_signature
+                assert deck(g, kind) == group.deck
                 assert poly_of(g, kind) == p
 
 
@@ -229,7 +229,7 @@ def reference_collisions(n, m, kind):
     for g in enumerate_digraphs(n, m):
         signature = deletion_deck(g, kind)
         groups.setdefault(signature, {}).setdefault(poly_of(g, kind), g)
-    return [CollisionGroup(kind, n, m, signature,
+    return [CollisionGroup(Deck.from_polys(n, kind, signature),
                            tuple((groups[signature][p], p) for p in sorted(groups[signature])))
             for signature in sorted(groups) if len(groups[signature]) >= 2]
 

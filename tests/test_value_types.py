@@ -29,8 +29,8 @@ FIELDS = {
     Unique: ("poly",),
     OneParameterFamily: ("base", "free_exponent"),
     Inconsistent: ("detail",),
-    IdentityReport: ("identity", "instance", "lhs", "rhs", "holds"),
-    CollisionGroup: ("kind", "n", "m", "deck_signature", "members"),
+    IdentityReport: ("identity", "instance", "lhs", "rhs"),
+    CollisionGroup: ("deck", "members"),
 }
 
 WEIGHTED = Digraph(3, ((0, 1), (1, 2), (2, 0)), (Fraction(1, 2), 2, -3))
@@ -134,6 +134,14 @@ def test_keyword_construction_with_the_defaults():
     assert Unique(poly=(1,)) == Unique((1,))
     assert OneParameterFamily(base=(1,), free_exponent=0) == OneParameterFamily((1,), 0)
     assert Inconsistent(detail="x") == Inconsistent("x")
+
+
+def test_identity_report_holds_is_read_off_its_sides():
+    report = IdentityReport("2.1", {}, 1, 2)
+    assert report.holds is False and report.verdict == "violated"
+    assert IdentityReport("2.1", {}, 2, 2).verdict == "holds"
+    with pytest.raises(TypeError, match="takes values for"):
+        IdentityReport("2.1", {}, 1, 2, False)
 
 
 def test_constructors_normalize_their_fields():
