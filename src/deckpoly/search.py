@@ -71,7 +71,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, compress, permutations
-from math import comb
+from math import comb, factorial
 from operator import getitem
 
 from . import graph_polys, polynomials
@@ -79,7 +79,7 @@ from .digraphs import Digraph, Frozen, all_arc_slots, cell_slots, directed_cycle
 from .graph_polys import Deck, PolyKind
 from .reconstruct import outcome, reconstruct
 
-# comb(42, 7), the (7, 7) cell: 36.6-41.0 s per kind and 42 MB peak RSS on a
+# comb(42, 7), the (7, 7) cell: 26.1-34.1 s per kind and 42 MB peak RSS on a
 # 2-core host, Python 3.11. The walk keeps one byte per labelled digraph.
 DEFAULT_BUDGET = comb(42, 7)
 
@@ -148,24 +148,33 @@ def classes(n: int, m: int, budget: int = DEFAULT_BUDGET) -> list[tuple[int, ...
     The walk runs over the m-subsets of the N = n(n-1) arc slots, as sorted
     index tuples ranked in the lex order of itertools.combinations. It
     skips every subset whose class it has already met (a bytearray by
-    rank); otherwise it keeps the subset and marks its class. The
-    relabellings of a kept subset are made by every injective map of its
-    non-isolated vertices into range(n), so a class of digraphs touching v
-    vertices costs n!/(n-v)! maps, not n!. Those maps count each member
-    once per automorphism of the touched part; within the default budget
-    they number at most a few per labelled digraph, and the budget bounds
-    the walk.
+    rank); otherwise it keeps the subset and marks its class. It reads the
+    relabellings off one table per cell: a bytes row per permutation of
+    range(n), in lex order, whose entry i is the slot of slot i's image. A
+    kept subset touches the vertices 0..v-1 (below), and the permutations
+    that agree on those come in blocks of (n - v)!, so the subset's class
+    is read off every (n - v)!-th row: n!/(n-v)! images, each member met
+    once per automorphism of its touched part. The table has n!*N one-byte
+    entries and is refused past max(budget, DEFAULT_BUDGET) of them: the
+    default admits n <= 9, so every cell the default budget admits gets
+    its table, and a raised budget never lets the table outgrow it. The
+    budget bounds the walk.
 
     A dense cell (2m > N) returns the complements of classes(n, N - m):
     complementing keeps classes, and the complements touch fewer vertices.
-    Choosing the side per digraph instead would save maps only where at
+    Choosing the side per digraph instead would save images only where at
     least two vertices carry all 2(n-1) walked arcs, and more vertices than
     carry none: n >= 8 and 4n - 6 walked arcs or more, cells of at least
     comb(56, 26) ~ 6.6e15 digraphs.
 
     On a sparse cell each representative is the lex-first member of its
     class, and the classes come in the order of their lex-first members.
-    So keeping, per value of a class invariant, the first representative
+    The lex-first member touches only 0..v-1: relabelling a touched w with
+    an untouched u < w lowers every arc at w and raises none. So a cell
+    with n > max(2m, 1), whose digraphs touch at most 2m vertices, walks
+    the (max(2m, 1), m) cell and re-indexes its slots: lex order on arcs
+    does not depend on n, so the representatives and their order are the
+    same. Keeping, per value of a class invariant, the first representative
     that has it keeps the first labelled digraph that combinations yields
     with it: the witness of a labelled sweep. On a dense cell a
     representative is the complement of the lex-first member of the
@@ -174,8 +183,8 @@ def classes(n: int, m: int, budget: int = DEFAULT_BUDGET) -> list[tuple[int, ...
     coefficient and no collision group exists, and its one case with
     m <= n, (2, 2), holds a single digraph.
 
-    n < 1, m outside [0, N] and more than `budget` labelled digraphs raise
-    ValueError at the call.
+    n < 1, m outside [0, N], more than `budget` labelled digraphs and a
+    table past its bound raise ValueError at the call.
     """
     slots = cell_slots(n, m)
     total = comb(len(slots), m)
@@ -187,25 +196,27 @@ def classes(n: int, m: int, budget: int = DEFAULT_BUDGET) -> list[tuple[int, ...
     slot_of = [[0] * n for _ in range(n)]
     for i, (s, t) in enumerate(slots):
         slot_of[s][t] = i
+    most = max(2 * m, 1)
+    if n > most:
+        small = all_arc_slots(most)
+        return [tuple(slot_of[s][t] for s, t in map(small.__getitem__, c))
+                for c in classes(most, m, budget)]
+    size, bound = factorial(n) * len(slots), max(budget, DEFAULT_BUDGET)
+    if size > bound:
+        raise ValueError(f"a relabelling table of {size} entries exceeds the bound of {bound}")
+    # Row k, the slot map of the k-th permutation in lex order, is
+    # table[k*N:(k+1)*N], so table[i::N*j] is slot i's image in every j-th row.
+    table = b"".join(bytes([slot_of[p[s]][p[t]] for s, t in slots]) for p in permutations(range(n)))
     weights = _lex_rank_weights(len(slots), m)
-
-    def mark(subset: tuple[int, ...]) -> None:
-        """Clear `fresh` at the lex ranks of the relabellings of `subset`: the
-        images of its arcs under every injective map of its touched vertices
-        into range(n)."""
-        touched = sorted({v for i in subset for v in slots[i]})
-        local = {v: x for x, v in enumerate(touched)}
-        arcs = [(local[s], local[t]) for s, t in map(slots.__getitem__, subset)]
-        for p in permutations(range(n), len(touched)):
-            fresh[sum(map(getitem, weights, sorted([slot_of[p[s]][p[t]] for s, t in arcs])))] = 0
-
     # m-subsets of the slots by lex rank: 1 until their class has been walked.
     fresh = bytearray(b"\x01") * total
     out = []
     # compress reads `fresh` as it goes, so the members of a class walked
     # below are skipped when combinations reaches them.
     for subset in compress(combinations(range(len(slots)), m), fresh):
-        mark(subset)
+        step = len(slots) * factorial(n - len({v for i in subset for v in slots[i]}))
+        for image in zip(*[table[i::step] for i in subset]):
+            fresh[sum(map(getitem, weights, sorted(image)))] = 0
         out.append(subset)
     return out
 

@@ -296,30 +296,33 @@ def count_relabellings(monkeypatch):
     return made
 
 
-@pytest.mark.parametrize("n, m", [(4, 10), (4, 11), (4, 12), (9, 71), (10, 90)])
-def test_dense_cells_relabel_through_the_complement(monkeypatch, n, m):
-    # Every vertex of a dense digraph carries an arc, so its own relabellings
-    # number n!; its complement's touch few vertices. Complementing keeps
-    # classes, so the classes are counted on the complements.
+@pytest.mark.parametrize("n, m, drawn", [
+    pytest.param(n, m, drawn, id=f"{n}-{m}")
+    for n, m, drawn in [(4, 10, 24), (4, 11, 2), (4, 12, 1), (9, 71, 2), (10, 90, 1)]])
+def test_dense_cells_relabel_through_the_complement(monkeypatch, n, m, drawn):
+    # A dense cell walks the complements, whose N - m arcs touch at most
+    # 2(N - m) vertices, so its table has min(n, max(2(N - m), 1))! rows.
+    # Complementing keeps classes, so the classes are counted on the
+    # complements.
     calls = count_kernel_calls(monkeypatch)
     made = count_relabellings(monkeypatch)
     slots = n * (n - 1)
     assert find_deck_collisions(n, m, F1) == []
     assert len(calls) == digraph_classes(n, slots - m)
-    assert len(made) <= 2 * comb(slots, m)
+    assert len(made) == drawn
 
 
 @pytest.mark.parametrize("kind", [F1, F4], ids=graph_polys.kind_name)
-@pytest.mark.parametrize("n", [8, 9])
+@pytest.mark.parametrize("n", [7, 8, 9])
 def test_sparse_cells_relabel_every_class(monkeypatch, kind, n):
-    # For n >= 6 the 3-arc digraphs fall into 17 classes. Every class is
-    # relabelled, and the maps count each member once per automorphism of
-    # its touched part: about 2 per labelled digraph on these cells.
+    # For n >= 6 the 3-arc digraphs fall into 17 classes. They touch at most
+    # 6 vertices, so the (n, 3) cell walks the (6, 3) cell: one table of 6!
+    # rows, whatever n > 6.
     calls = count_kernel_calls(monkeypatch)
     made = count_relabellings(monkeypatch)
     find_deck_collisions(n, 3, kind)
     assert len(calls) == 17
-    assert len(made) <= 3 * comb(n * (n - 1), 3)
+    assert len(made) == 720
 
 
 def record_deck_calls(monkeypatch):
@@ -399,12 +402,18 @@ def relabellings(n, slots, arcs):
     return {tuple(sorted(index[p[s], p[t]] for s, t in arcs)) for p in permutations(range(n))}
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
+# Past n = 4, the sparse cells below: (5, 3) reads its own table at
+# n = 2m - 1, and the others have n > max(2m, 1) and walk a smaller n.
+LEX_FIRST_ARC_COUNTS = {5: range(4), 6: [2], 7: [3]}
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
 def test_class_representatives_are_lex_first_or_complements_of_lex_first(n):
-    # A sparse cell's witnesses are lex-first members; a dense cell's
-    # representatives are the complements of the sparse cell's.
+    # A sparse cell's witnesses are lex-first members among all n!
+    # relabellings; a dense cell's representatives are the complements of
+    # the sparse cell's.
     slots = all_arc_slots(n)
-    for m in range(len(slots) // 2 + 1):
+    for m in LEX_FIRST_ARC_COUNTS.get(n, range(len(slots) // 2 + 1)):
         sparse = search.classes(n, m)
         seen = set()
         for rep in sparse:
@@ -429,6 +438,29 @@ def test_classes_raise_at_the_call(n, m, budget, message):
     # The call alone raises: nothing has to iterate the result.
     with pytest.raises(ValueError, match=message):
         search.classes(n, m, budget)
+
+
+@pytest.mark.parametrize("n, m", [(5, 2), (6, 2), (7, 3), (8, 3), (9, 2)])
+def test_cells_with_more_than_2m_vertices_walk_2m_vertices(n, m):
+    # Every m-arc digraph touches at most 2m vertices, so the classes of the
+    # (n, m) cell are those of the (2m, m) cell on the first 2m vertices.
+    index = {arc: i for i, arc in enumerate(all_arc_slots(n))}
+    small = all_arc_slots(2 * m)
+    reps = search.classes(n, m)
+    assert reps == [tuple(index[small[i]] for i in c) for c in search.classes(2 * m, m)]
+    assert len(reps) == digraph_classes(n, m)
+
+
+def test_classes_refuse_a_relabelling_table_past_its_bound_before_building_it(monkeypatch):
+    # (10, 5) walks on 10 vertices, and its table would hold 10! * 90 entries:
+    # more than the raised budget that admits the cell's comb(90, 5) digraphs.
+    def build(*args):
+        raise AssertionError("the table was built")
+
+    monkeypatch.setattr(search, "permutations", build)
+    with pytest.raises(ValueError, match="a relabelling table of 326592000 entries exceeds "
+                                         "the bound of 43949268"):
+        search.classes(10, 5, budget=comb(90, 5))
 
 
 def test_default_budget_admits_the_7_7_cell_and_refuses_8_6_before_walking(monkeypatch):
