@@ -6,6 +6,8 @@ one-parameter reconstruction family, 4 an inconsistent deck, 5 a violated
 identity in a verify sweep. Identical invocations with identical files
 and seeds produce byte-identical output. An --output file is overwritten
 in place and cut to length (no O_TRUNC); a failed write leaves it empty.
+verify's theorem labels, what a trial of each draws and the cap that binds
+it are read from identities.THEOREMS.
 """
 
 from __future__ import annotations
@@ -21,25 +23,8 @@ from types import SimpleNamespace
 from . import graph_polys, identities, search, serialize
 from .digraphs import validate
 from .reconstruct import OneParameterFamily, Unique, reconstruct
-from .graph_polys import (
-    DETERMINANT,
-    F4,
-    PERMANENT,
-    SIX_KINDS,
-    deck,
-    kind_name,
-    parse_kind,
-    poly_of,
-)
+from .graph_polys import F4, PERMANENT, deck, kind_name, parse_kind, poly_of
 from .serialize import FormatError, to_canonical_json
-
-# The check of each theorem whose trials draw an int matrix; the others draw
-# a digraph. Named, not bound, so the call goes through the identities
-# module's attribute, which a tracer may wrap.
-MATRIX_CHECKS = {"2.1": "check_thm21", "2.2": "check_thm22", "2.3": "check_thm23"}
-THEOREMS = (*MATRIX_CHECKS, "3.1", "1.7")
-# Theorems whose trials may take a permanent of order --max-n.
-PERMANENT_THEOREMS = ("2.3", "3.1", "1.7")
 
 
 def _print(obj) -> None:
@@ -77,26 +62,13 @@ def cmd_reconstruct(args) -> int:
     return 4
 
 
-def _verify_trial(theorem: str, rng: random.Random, max_n: int, weighted: bool):
-    if theorem in MATRIX_CHECKS:
-        matrix = identities.random_matrix(rng, rng.randint(1, max_n))
-        return getattr(identities, MATRIX_CHECKS[theorem])(matrix)
-    g = identities.random_digraph(rng, max_n, weighted=weighted)
-    if theorem == "3.1":
-        beta = identities.random_rational(rng)
-        gamma = identities.random_nonzero_rational(rng)
-        mode = rng.choice((DETERMINANT, PERMANENT))
-        return identities.check_thm31(g, beta, gamma, mode)
-    return identities.check_eq17(g, rng.choice(SIX_KINDS))
-
-
 def cmd_verify(args) -> int:
     if args.trials < 1 or args.max_n < 1:
         raise ValueError("--trials and --max-n must be >= 1")
-    if args.weighted and args.theorem in MATRIX_CHECKS:
+    draws, mode, _ = identities.THEOREMS[args.theorem]
+    if args.weighted and draws == identities.MATRIX:
         raise ValueError(f"--weighted weights digraph arcs; theorem {args.theorem} takes int matrices")
-    taken, mode = (("permanents", PERMANENT) if args.theorem in PERMANENT_THEOREMS
-                   else ("determinants", DETERMINANT))
+    taken = "permanents" if mode == PERMANENT else "determinants"
     cap = graph_polys.cap_of(mode)
     if args.max_n > cap:
         raise ValueError(f"theorem {args.theorem} takes {taken} of order up to --max-n, "
@@ -104,7 +76,7 @@ def cmd_verify(args) -> int:
     rng = random.Random(args.seed)
     violations = []
     for _ in range(args.trials):
-        report = _verify_trial(args.theorem, rng, args.max_n, args.weighted)
+        report = identities.trial(args.theorem, rng, args.max_n, args.weighted)
         if not report.holds:
             violations.append(serialize.report_to_obj(report))
     _print({
@@ -165,6 +137,9 @@ def cmd_counterexample(args) -> int:
 
 
 REQUIRED = "required"
+# The verify labels whose trials draw a digraph, the ones --weighted weights.
+_DIGRAPH_THEOREMS = [label for label, (draws, _, _) in identities.THEOREMS.items()
+                     if draws == identities.DIGRAPH]
 KIND = (str, REQUIRED, '"f1".."f6" or "general:BETA,GAMMA,det|per", read as written')
 INPUT = (str, REQUIRED, "digraph JSON file")
 
@@ -181,11 +156,12 @@ COMMANDS = {
     "reconstruct": (cmd_reconstruct, "recover a polynomial from a deck file", {
         "deck": (str, REQUIRED, "deck JSON file")}),
     "verify": (cmd_verify, "seeded random sweep of one identity", {
-        "theorem": (THEOREMS, REQUIRED, "identity to check"),
+        "theorem": (tuple(identities.THEOREMS), REQUIRED, "identity to check"),
         "trials": (int, 100, "random instances to check"),
         "max-n": (int, 6, "largest order drawn"),
         "seed": (int, REQUIRED, "seed of the instance stream"),
-        "weighted": (bool, False, "draw nonzero rational arc weights (theorems 3.1 and 1.7 only)")}),
+        "weighted": (bool, False, "draw nonzero rational arc weights "
+                                  f"(theorems {' and '.join(_DIGRAPH_THEOREMS)} only)")}),
     "search": (cmd_search, "exhaustive deck-collision search", {
         "vertices": (int, REQUIRED, "vertex count n"),
         "arcs": (int, REQUIRED, "arc count m"),

@@ -14,6 +14,8 @@ import importlib.util
 import pkgutil
 from pathlib import Path
 
+import pytest
+
 import deckpoly
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -51,6 +53,27 @@ def test_tracer_installs_and_uninstalls_cleanly():
     finally:
         t.uninstall()
     assert deckpoly.graph_polys.deck is deck
+
+
+@pytest.mark.parametrize("theorem", ["2.1", "2.2", "2.3"])
+def test_the_tracer_counts_every_check_a_verify_sweep_makes(theorem, capsys):
+    """The tracer rebinds identities.check_thm2x; a sweep that reached the
+    checks another way would leave the benchmark's per-layer counts at 0."""
+    tracer = load_tracer()
+    import_all_modules()
+    t = tracer.Tracer()
+    try:
+        t.install()
+        code = deckpoly.cli.main(["verify", "--theorem", theorem, "--trials", "7",
+                                  "--max-n", "5", "--seed", "3"])
+    finally:
+        t.uninstall()
+    capsys.readouterr()
+    counts = {name: t.layer_stats().get(f"identities.{name}.calls", 0)
+              for name in ("check_thm21", "check_thm22", "check_thm23")}
+    assert code == 0
+    assert counts == {name: 7 if name == "check_thm" + theorem.replace(".", "") else 0
+                      for name in counts}
 
 
 def from_import(module, name):

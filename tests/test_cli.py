@@ -7,13 +7,16 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 
 from deckpoly import graph_polys, identities
 from deckpoly import matrices as mx
-from deckpoly import search
+from deckpoly import search, serialize
 from deckpoly.cli import COMMANDS, main
+from deckpoly.digraphs import Digraph
+from deckpoly.graph_polys import PolyKind
 from deckpoly.serialize import load_json
 
 C3 = {"format_version": 1, "n": 3, "arcs": [[0, 1], [1, 2], [2, 0]]}
@@ -427,6 +430,59 @@ def test_verify_reports_a_perturbed_shared_pivot_as_violated(theorem, capsys, mo
                        "--max-n", "4", "--seed", "42")
     monkeypatch.undo()
     assert code == 5 and json.loads(out)["verdict"] == "violated"
+
+
+# sha256 of the arguments of every check call that verify --trials 25
+# --max-n 6 --seed 1207 makes, with and without --weighted, recorded before
+# the theorem table moved from cli to identities. A passing summary holds no
+# instance, so VERIFY_DIGESTS cannot see what a trial draws; these can.
+VERIFY_INSTANCE_DIGESTS = {
+    ("2.1", False):
+        "1c8bcc901935000b8f5ffc0a9cc34214c91d5dd629c70507ad0f969f61a1c7fd",
+    ("2.2", False):
+        "5ba7ba7bd003cf4ca30d15e0acd48fd661123c5efbd85d79773d9b1f3d294d29",
+    ("2.3", False):
+        "3140f04380224c20d468d5b0e53c429620a03c4688b335af711a5f330192a303",
+    ("3.1", False):
+        "070f19b2f84c3c0da20bf014772b43ef709b9e6c698b0a30a8c13fcad0e1e974",
+    ("3.1", True):
+        "5ff52032b8c23732899a8bb4edc3cba49e5ac99a53ce87c61b6837cd01a897ef",
+    ("1.7", False):
+        "7f9c6400348a166e3052c121035fa96b7457e37a10c4c7b5443b8b6338ee848a",
+    ("1.7", True):
+        "4c07ab7cffef4919bc54c87dacd2f643443d0773e21342f0ea181dab0d8957ae",
+}
+CHECKS = ("check_thm21", "check_thm22", "check_thm23", "check_thm31", "check_eq17")
+
+
+def plain(value):
+    """value as JSON reads it: a digraph as its file object, a kind by its
+    name, a rational as text; an int matrix or a mode as it is."""
+    if isinstance(value, Digraph):
+        return serialize.digraph_to_obj(value)
+    if isinstance(value, PolyKind):
+        return graph_polys.kind_name(value)
+    if isinstance(value, Fraction):
+        return str(value)
+    return value
+
+
+@pytest.mark.parametrize("cell", list(VERIFY_INSTANCE_DIGESTS),
+                         ids=[theorem + "-weighted" * weighted
+                              for theorem, weighted in VERIFY_INSTANCE_DIGESTS])
+def test_verify_draws_the_pinned_instances(capsys, monkeypatch, cell):
+    theorem, weighted = cell
+    calls = []
+    for name in CHECKS:
+        def recorder(*args, name=name, check=getattr(identities, name)):
+            calls.append([name, [plain(arg) for arg in args]])
+            return check(*args)
+        monkeypatch.setattr(identities, name, recorder)
+    code, _, _ = run(capsys, "verify", "--theorem", theorem, "--trials", "25", "--max-n", "6",
+                     "--seed", "1207", *["--weighted"] * weighted)
+    assert code == 0 and len(calls) >= 25
+    digest = hashlib.sha256(json.dumps(calls).encode()).hexdigest()
+    assert digest == VERIFY_INSTANCE_DIGESTS[cell]
 
 
 def test_search_finds_the_canonical_collision(tmp_path, capsys):
