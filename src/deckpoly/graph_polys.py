@@ -11,15 +11,15 @@ Laplacian pair (beta=1, gamma=-1), f3/f6 the signless Laplacian pair
 (beta=1, gamma=1).
 
 Every pencil goes through one integer seam: _arc_terms scales each arc's
-terms gamma*w and beta*w to ints by one L, and _pencil_coefficients builds
-L*B (B = beta*D + gamma*A) from them, reads the coefficients off the
-kind's integer kernel (_kernel: in det mode Berkowitz for coefficients
-alone and one Faddeev-LeVerrier pass over the arc-head rows of the
-adjugate for a deck; in per mode a forward column-subset sweep, and a
-backward one too for a deck) and checks them monic; _unscaled divides
-coefficient k by L^(n-k). poly_of, deck and the collision search all use
-it. pencil_at (with polynomials.interpolate) and poly_of_oracle remain as
-test oracles.
+terms gamma*w and beta*w to ints by one L, and _pencil_cards builds
+L*B (B = beta*D + gamma*A) from them, reads the coefficients, and for a
+deck its cards, off one call of the kind's integer card kernel (_kernel:
+in det mode Berkowitz for coefficients alone and one Faddeev-LeVerrier
+pass over the arc-head rows of the adjugate for a deck; in per mode a
+forward column-subset sweep, and a backward one too for a deck) and
+checks them monic; _unscaled divides coefficient k by L^(n-k). poly_of,
+deck and the collision search all use it. pencil_at (with
+polynomials.interpolate) and poly_of_oracle remain as test oracles.
 
 deck uses column linearity instead of m deletions. Deleting arc (s, t) of
 weight w changes only column t of P = x*I - B: entry (s, t) gains gamma*w
@@ -28,10 +28,11 @@ and entry (t, t) gains beta*w. det and per are linear in one column, so
     g(G - e) = g(G) + gamma*w * C[s][t] + beta*w * C[t][t],
 
 with C the signed cofactors (det) or the permanental minors (per) of P.
-One call of the same kernel gives g(G) and the adjugate rows of the
-distinct arc heads, and so the whole deck: _deck_coefficients, which deck
-and the collision search share. A Deck holds int rows, one denominator per
-k, and puts itself in canonical form when it is built.
+That is the kernel's card for the update (s, t, L*gamma*w, L*beta*w) of
+y*I - L*B, the arc's own terms: one call gives g(G) and every card, and so
+the whole deck, which deck and the collision search read alike. A Deck
+holds int rows, one denominator per k, and puts itself in canonical form
+when it is built.
 """
 
 from __future__ import annotations
@@ -200,27 +201,29 @@ def _arc_terms(kind: PolyKind, weights: Sequence[Fraction]) -> tuple[int, list[t
 
 
 def _kernel(kind: PolyKind):
-    """The kind's coefficient kernel, matrices.adjugate_rows (det mode) or
-    matrices.per_adjugate_rows (per mode), looked up at call time."""
-    return matrices.per_adjugate_rows if kind.mode == PERMANENT else matrices.adjugate_rows
+    """The kind's card kernel, matrices.det_cards (det mode) or
+    matrices.per_cards (per mode), looked up at call time."""
+    return matrices.per_cards if kind.mode == PERMANENT else matrices.det_cards
 
 
-def _pencil_coefficients(kind: PolyKind, n: int, arcs: Iterable[tuple[int, int]],
-                         terms: Iterable[tuple[int, int]], wanted: dict[int, set[int]]):
-    """The kernel's (coefficients, entries) for L*B on n vertices, which has
-    a at (s, t) and d added at (t, t) for each arc (s, t) and its terms
+def _pencil_cards(kind: PolyKind, n: int, arcs: Sequence[tuple[int, int]],
+                  terms: Sequence[tuple[int, int]], cards: bool = True):
+    """(K, members) from one kernel call for L*B on n vertices, which has a
+    at (s, t) and d added at (t, t) for each arc (s, t) and its terms
     (a, d): the n + 1 coefficients of K(y) = det or per of y*I - L*B,
-    constant term first, and for each row t of `wanted` and j in wanted[t],
-    entry (t, j) of the matching adjugate of y*I - L*B as n coefficients.
-    A K not monic of degree n is a kernel bug, raised even under -O."""
+    constant term first, and with `cards`, members[e] those of the pencil
+    without arc e, in arc order: the kernel's card for the update
+    (s, t, a, d), which adds back what the arc takes out. A K not monic of
+    degree n is a kernel bug, raised even under -O."""
     b = [[0] * n for _ in range(n)]
-    for (s, t), (a, d) in zip(arcs, terms):
+    updates = [(s, t, a, d) for (s, t), (a, d) in zip(arcs, terms)]
+    for s, t, a, d in updates:
         b[s][t] = a
         b[t][t] += d
-    coeffs, entries = _kernel(kind)(b, wanted)
+    coeffs, members = _kernel(kind)(b, updates if cards else [])
     if len(coeffs) != n + 1 or coeffs[-1] != 1:
         raise AssertionError(f"pencil polynomial must be monic of degree {n}, got {coeffs}")
-    return coeffs, entries
+    return coeffs, members
 
 
 def cap_of(mode: str) -> int:
@@ -246,10 +249,10 @@ def _unscaled(coeffs: Sequence[int], scale: int, n: int) -> Polynomial:
 
 def poly_of(g: Digraph, kind: PolyKind) -> Polynomial:
     """Exact monic degree-n polynomial of the pencil, read through the
-    integer seam with no adjugate entries wanted. Assumes a validated digraph."""
+    integer seam with no cards. Assumes a validated digraph."""
     _check_cap(g.n, kind)
     scale, terms = _arc_terms(kind, g.arc_weights())
-    return _unscaled(_pencil_coefficients(kind, g.n, g.arcs, terms, {})[0], scale, g.n)
+    return _unscaled(_pencil_cards(kind, g.n, g.arcs, terms, cards=False)[0], scale, g.n)
 
 
 # Nothing calls it; perfbench/child.py reads its cache_info(), and ROADMAP item 1 deletes both.
@@ -358,39 +361,15 @@ def _scaled_columns(n: int, members: list[tuple[list[int], list[int]]]):
     return [[p * (den // q) for p, q, den in zip(nums, qs, dens)] for nums, qs in members], dens
 
 
-def _deck_coefficients(kind: PolyKind, n: int, arcs: Sequence[tuple[int, int]],
-                       terms: Sequence[tuple[int, int]]) -> tuple[list[int], list[list[int]]]:
-    """(K, members): the coefficients of K(y) = det or per of y*I - L*B, as
-    in _pencil_coefficients, and members[e] those of the pencil without arc
-    e, in arc order, by column linearity from one kernel call. Entry (t, t)
-    is wanted only for an arc whose diagonal term is nonzero: beta = 0
-    kinds never read it."""
-    wanted: dict[int, set[int]] = {}
-    for (s, t), (_, d) in zip(arcs, terms):
-        wanted.setdefault(t, set()).add(s)
-        if d:
-            wanted[t].add(t)
-    base, adj = _pencil_coefficients(kind, n, arcs, terms, wanted)
-    members = []
-    for (s, t), (a, d) in zip(arcs, terms):
-        # Deleting the arc adds a at (s, t) and d at (t, t) of y*I - L*B.
-        member = [c + a * x for c, x in zip(base, adj[t, s])]
-        if d:
-            member = [c + d * x for c, x in zip(member, adj[t, t])]
-        members.append(member + [base[n]])
-    return base, members
-
-
 def deck(g: Digraph, kind: PolyKind) -> Deck:
     """Multiset of the pencil polynomials of all single-arc deletions of g,
     by column linearity (see the module docstring): one kernel call gives
-    K(y) = det or per of (y*I - L*B) and up to two adjugate entries per
-    arc. Same caps as poly_of. Assumes a validated digraph."""
+    every card. Same caps as poly_of. Assumes a validated digraph."""
     if g.m == 0:
         raise ValueError("the edge deck of an arcless digraph is empty")
     _check_cap(g.n, kind)
     scale, terms = _arc_terms(kind, g.arc_weights())
-    _, members = _deck_coefficients(kind, g.n, g.arcs, terms)
+    _, members = _pencil_cards(kind, g.n, g.arcs, terms)
     total = None if g.weights is None else sum(g.weights, Fraction(0))
     # Coefficient k of a member is its column entry over L^(n-k) (see _unscaled).
     return Deck(g.n, kind, members, [scale ** (g.n - k) for k in range(g.n + 1)], total)

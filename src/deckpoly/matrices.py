@@ -25,34 +25,38 @@ checks: the caller has validated X with the scalar kernel.
 
 Every permanent here is one algorithm: expansion along the rows over
 column subsets (_sweep), forward from the top row and backward from the
-bottom one, for per_ryser, zeroed_pers and per_adjugate_rows alike. So
-_sweep states their one cap: a sweep over more than RYSER_MAX_ORDER rows
-raises ValueError before its first layer.
+bottom one, for per_ryser, zeroed_pers and per_cards alike. So _sweep
+states their one cap: a sweep over more than RYSER_MAX_ORDER rows raises
+ValueError before its first layer.
 
 charpoly_berkowitz gives every coefficient of det(x*I - M) at once.
-adjugate_rows and per_adjugate_rows share one contract: (M, wanted) gives
-every coefficient of det(x*I - M), or of per(x*I - M), and chosen entries
-of the matching adjugate of x*I - M: the signed cofactors, or the
-permanental minors, down one column, which is what a change to that column
-needs (column linearity). adjugate_rows runs the Faddeev-LeVerrier
-recurrence on the rows of the adjugate at M's nonzero columns and the
-wanted heads, whose traces give the coefficients, so one pass gives both
-(with nothing wanted it returns Berkowitz's coefficients);
-per_adjugate_rows expands per(x*I - M) along its rows in two sweeps over
-column subsets, one from the top row down and one from the bottom row up,
-and reads each wanted minor off pairs of their states, on polynomials
-packed into ints at x = 2^B (Kronecker substitution). Everything is in
-Python ints.
+det_cards and per_cards share one card contract: (M, updates) gives every
+coefficient of det(x*I - M), or of per(x*I - M), and one card per update
+(s, t, a, d), the det or per of x*I - M with a added at (s, t) and d at
+(t, t). An update changes one column, so its card is the pencil's value
+plus a and d times two entries of the matching adjugate, down column t
+(column linearity); an edge deck's cards are its members. det_cards runs
+the Faddeev-LeVerrier recurrence on the rows of the adjugate at M's
+nonzero columns and the update heads, whose traces give the coefficients,
+and writes each card coefficient as the pass reaches it (with no updates
+it returns Berkowitz's coefficients); per_cards expands per(x*I - M) along
+its rows in two sweeps over column subsets, one from the top row down and
+one from the bottom row up, reads each minor a card needs off pairs of
+their states, on polynomials packed into ints at x = 2^B (Kronecker
+substitution), and forms each card as one packed int, decoded once, with
+B bounding every card. Everything is in Python ints.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator, Sequence
 from itertools import chain
 from math import prod
 from operator import neg
 
 Matrix = list[list[int]]
+# (s, t, a, d): add a at (s, t) and d at (t, t) of x*I - M.
+Update = tuple[int, int, int, int]
 
 # Hard cap on every permanent, checked in _sweep: one subset sweep makes up
 # to n * 2^n extensions and holds up to 2^n column-subset states.
@@ -226,7 +230,7 @@ def _pivot_step(cols: Matrix, prev: int) -> tuple[int, int, Matrix] | None:
 
 def per_ryser(matrix: Matrix) -> int:
     """Exact permanent by expansion along the rows over column subsets: the
-    forward sweep that per_adjugate_rows runs on x*I - M, here on M, whose
+    forward sweep that per_cards runs on x*I - M, here on M, whose
     layer k holds, for each k-subset S of the columns, the permanent of
     rows 0..k-1 on the columns S. per(M) is the state at all columns, or 0
     when a row ends the sweep with no state left. Layer k holds at most
@@ -342,49 +346,57 @@ def charpoly_berkowitz(matrix: Matrix) -> list[int]:
     return poly[::-1]
 
 
-def adjugate_rows(matrix: Matrix, wanted: dict[int, Iterable[int]]
-                  ) -> tuple[list[int], dict[tuple[int, int], list[int]]]:
-    """(coefficients of det(x*I - M), entries), both constant term first:
-    entry (t, j) of adj(x*I - M), for each row t of `wanted` and each j in
-    wanted[t], as n coefficients. With nothing wanted the coefficients come
-    from charpoly_berkowitz.
+def det_cards(matrix: Matrix, updates: Sequence[Update]) -> tuple[list[int], list[list[int]]]:
+    """(coefficients of det(x*I - M), cards), constant term first: card u,
+    for update u = (s, t, a, d), holds the n + 1 coefficients of det of
+    x*I - M with a added at (s, t) and d at (t, t), in update order. With
+    no updates the coefficients come from charpoly_berkowitz.
 
-    adj(x*I - M)[t][j] is the cofactor of entry (j, t) of x*I - M. With
-    c_0..c_n the coefficients of det(x*I - M), adj(x*I - M) = sum_k x^k B_k,
+    An update changes only column t, and det is linear in one column, so
+    card u is det(x*I - M) + a * adj[t][s] + d * adj[t][t], adj the
+    adjugate of x*I - M, whose entry (t, j) is the cofactor of entry (j, t).
+    With c_0..c_n the coefficients of det(x*I - M), adj = sum_k x^k B_k,
     and the Faddeev-LeVerrier recurrence gives, for k = n-1, ..., 0,
 
-        B_{n-1} = I,  c_k = -tr(B_k * M) / (n - k),  B_{k-1} = c_k * I + B_k * M.
+        B_{n-1} = I,  c_k = -tr(B_k * M) / (n - k),  B_{k-1} = c_k * I + B_k * M,
+
+    so card coefficient k is c_k + a * B_k[t][s] + d * B_k[t][t], written
+    as the pass reaches k, and coefficient n is 1.
 
     Row t of B_{k-1} follows from row t of B_k alone, and tr(B_k * M) sums
-    (row t of B_k) . (column t of M) over the t whose column of M is not
-    zero. So the kernel keeps only the rows of B_k at M's nonzero columns
-    and at the wanted heads, which for a deck pencil are the same rows, the
-    arc heads; one pass gives every coefficient and every entry. Row t of
-    B_k is zero outside M's nonzero columns and t, so its product with M
-    reads only M's rows at kept indices: a kept row costs O(n * (n + z))
-    over all k, for z nonzeros in those rows. Once every kept row is zero,
-    every later c_k and row is zero too.
+    B_k[j][i] * M[i][j] over the nonzero entries (i, j) of M, which reads
+    row j of B_k only where column j of M is not zero. So the kernel keeps
+    only the rows of B_k at M's nonzero columns and at the update heads,
+    which for a deck pencil are the same rows, the arc heads; one pass
+    gives every coefficient and every card. Row t of B_k is zero outside
+    M's nonzero columns and t, so its product with M reads only M's rows at
+    kept indices: a kept row costs O(n * (n + z)) over all k, for z
+    nonzeros in those rows. Once every kept row is zero,
+    every later c_k and row is zero too, and so is every card coefficient
+    below.
 
     Each c_k is an int, so each trace divides exactly; a remainder is a
     kernel bug, raised even under -O. A coefficient-only call would keep
     every row at M's nonzero columns, which costs more than Berkowitz.
     """
-    if not wanted:
-        return charpoly_berkowitz(matrix), {}
+    if not updates:
+        return charpoly_berkowitz(matrix), []
     n = order_of(matrix)
-    columns = [[(i, row[j]) for i, row in enumerate(matrix) if row[j]] for j in range(n)]
-    rows = {t: [int(j == t) for j in range(n)] for t in range(n) if columns[t] or t in wanted}
-    nonzero = [(i, nz) for i in rows if (nz := [(j, v) for j, v in enumerate(matrix[i]) if v])]
-    traced = [(t, columns[t]) for t in rows if columns[t]]
-    entries = {(t, j): [0] * n for t, cols in wanted.items() for j in cols}
+    entries = [[(j, v) for j, v in enumerate(row) if v] for row in matrix]
+    traced = [(i, j, v) for i, nz in enumerate(entries) for j, v in nz]
+    kept = {j for _, j, _ in traced} | {t for _, t, _, _ in updates}  # M's nonzero columns, update heads
+    rows = {t: [0] * t + [1] + [0] * (n - 1 - t) for t in kept}
+    nonzero = [(i, entries[i]) for i in rows if entries[i]]
+    cards = [[0] * n + [1] for _ in updates]
     coeffs = [0] * n + [1]
     for k in range(n - 1, -1, -1):
-        for (t, j), entry in entries.items():
-            entry[k] = rows[t][j]
-        c, rest = divmod(-sum([rows[t][i] * v for t, col in traced for i, v in col]), n - k)
+        c, rest = divmod(-sum([rows[j][i] * v for i, j, v in traced]), n - k)
         if rest:
             raise AssertionError(f"tr(B_{k} * M) is not divisible by {n - k}")
         coeffs[k] = c
+        for card, (s, t, a, d) in zip(cards, updates):
+            row = rows[t]
+            card[k] = c + a * row[s] + d * row[t]
         if not k:
             break
         for t, row in rows.items():  # row t of B_{k-1} from row t of B_k alone
@@ -398,59 +410,72 @@ def adjugate_rows(matrix: Matrix, wanted: dict[int, Iterable[int]]
             rows[t] = out
         if not any(map(any, rows.values())):
             break
-    return coeffs, entries
+    return coeffs, cards
 
 
-def per_adjugate_rows(matrix: Matrix, wanted: dict[int, Iterable[int]]
-                      ) -> tuple[list[int], dict[tuple[int, int], list[int]]]:
-    """(coefficients of per(x*I - M), entries), both constant term first:
-    entry (t, j), for each row t of `wanted` and each j in wanted[t], is the
-    permanent of x*I - M without row j and column t, as n coefficients.
+def per_cards(matrix: Matrix, updates: Sequence[Update]) -> tuple[list[int], list[list[int]]]:
+    """(coefficients of per(x*I - M), cards), constant term first: card u,
+    for update u = (s, t, a, d), holds the n + 1 coefficients of per of
+    x*I - M with a added at (s, t) and d at (t, t), in update order.
 
-    Two sweeps over column subsets of P = x*I - M give them all. The
-    forward sweep's layer k holds F[S], for each k-subset S of the columns,
-    the permanent of rows 0..k-1 of P on the columns S; the backward
-    sweep's layer k holds G[T], the permanent of the last k rows on the
-    columns T. Both start from the empty set with value 1, and a layer
-    gives the next by expanding along the next row (row k forward, row
-    n-1-k backward): each state S is extended by each nonzero entry of that
-    row in a column c outside S, adding its value times the entry to state
-    S + {c}. Then per(P) is F[all columns], and expanding the minor without
-    row j and column t at the rows above j,
+    An update changes only column t, and per is linear in one column, so
+    card u is per(P) + a * P_ts + d * P_tt, P = x*I - M and P_tj the
+    permanent of P without row j and column t. Two sweeps over column
+    subsets of P give them all. The forward sweep's layer k holds F[S],
+    for each k-subset S of the columns, the permanent of rows 0..k-1 of P
+    on the columns S; the backward sweep's layer k holds G[T], the
+    permanent of the last k rows on the columns T. Both start from the
+    empty set with value 1, and a layer gives the next by expanding along
+    the next row (row k forward, row n-1-k backward): each state S is
+    extended by each nonzero entry of that row in a column c outside S,
+    adding its value times the entry to state S + {c}. Then per(P) is
+    F[all columns], and expanding the minor at the rows above j,
 
-        entry (t, j) = sum over the j-subsets S without t of F[S] * G[all - S - {t}].
+        P_tj = sum over the j-subsets S without t of F[S] * G[all - S - {t}].
 
-    A coefficient-only call runs the forward sweep alone. Otherwise the
-    backward sweep runs first, up to layer n-1-j for the least wanted row j,
-    keeping the layers the wanted rows read, and the forward sweep pairs
-    each layer j a wanted row reads with backward layer n-1-j as it passes.
-    Layer k holds at most comb(n, k) states, so a sweep makes at most 2^n
-    times d extensions, d the most nonzeros in a row of P.
+    Each card reads P_ts, and P_tt when d is not 0. A call with no updates
+    runs the forward sweep alone. Otherwise the backward sweep runs first,
+    up to layer n-1-j for the least row j read, keeping the layers the rows
+    read, and the forward sweep pairs each layer j read with backward layer
+    n-1-j as it passes. Layer k holds at most comb(n, k) states, so a sweep
+    makes at most 2^n times d extensions, d the most nonzeros in a row of P.
 
     Each polynomial is one int, its value at x = X = 2^B (Kronecker
     substitution): evaluation at X commutes with sums and products, so each
     state is the value at X of its permanent, an extension is one int
-    multiply-add, and the results are per(P) and the minors at X. A state
-    is an exact int that is never decoded, so one of value 0 would add 0 to
-    every state and entry it reaches: it is dropped, not extended. Only the
-    results are decoded, once each, as balanced base-X digits, which are
-    their coefficients if all are below 2^(B-1) in absolute value. They are
-    for B = bit_length(Q) + 1, Q = prod_r (1 + sum_c |M[r][c]|): entry
-    (r, c) of P has absolute coefficients summing to [r = c] + |M[r][c]|,
-    so those of per(P) sum to at most per(I + |M|), and those of a minor to
-    at most the same minor of I + |M|; a nonnegative matrix's permanent is
-    at most the product of its row sums, and that product is at most Q.
+    multiply-add, and per(P), each minor and each card, one int
+    multiply-add of those, are values at X. A state is an exact int that
+    is never decoded, so one of value 0 would add 0 to every state and
+    card it reaches: it is dropped, not extended. Only per(P) and the cards
+    are decoded, once each, as balanced base-X digits, which are their
+    coefficients if all are below 2^(B-1) in absolute value. They are for
+    B = bit_length(Q) + 1, Q = prod_r (1 + rho_r) * max_u (1 + |a|)(1 + |d|),
+    with rho_r the sum of |M[r][c]| and the max over the updates (1 with
+    none). Card u is per(x*I - M_u) for the M_u that takes a off M at
+    (s, t) and d at (t, t), so row r of M_u sums to at most
+    rho_r + [r = s]|a| + [r = t]|d| in absolute value. Entry (r, c) of
+    x*I - M_u has absolute coefficients summing to [r = c] + |M_u[r][c]|,
+    so those of its permanent sum to at most per(I + |M_u|); a nonnegative
+    matrix's permanent is at most the product of its row sums, and as
+    1 + rho + e <= (1 + rho)(1 + e), that product is at most Q. A bound on
+    M alone would not do: a card's diagonal entry can exceed M's, where
+    arcs of opposite weights into one head cancel.
     """
     n = order_of(matrix)
-    keys = list(dict.fromkeys((t, j) for t, rows in wanted.items() for j in rows))
-    heads: dict[int, list] = {}  # row j -> (bit of t, index of entry (t, j)) per head t that wants it
-    for i, (t, j) in enumerate(keys):
+    keys: dict[tuple[int, int], int] = {}  # minor (t, j) -> its index in acc
+    for s, t, _, d in updates:
+        keys.setdefault((t, s), len(keys))
+        if d:
+            keys.setdefault((t, t), len(keys))
+    heads: dict[int, list] = {}  # row j -> (bit of t, index of minor (t, j)) per minor read
+    for (t, j), i in keys.items():
         heads.setdefault(j, []).append((1 << t, i))
-    bits = prod(1 + sum(map(abs, row)) for row in matrix).bit_length() + 1
+    bits = (prod(1 + sum(map(abs, row)) for row in matrix)
+            * max(((1 + abs(a)) * (1 + abs(d)) for _, _, a, d in updates), default=1)).bit_length() + 1
     x = 1 << bits
     rows = [[(1 << c, x - v if c == r else -v) for c, v in enumerate(row) if v or c == r]
             for r, row in enumerate(matrix)]
-    # Backward layer n-1-j, keyed by the wanted row j that reads it.
+    # Backward layer n-1-j, keyed by the row j that reads it.
     backward = {n - 1 - k: layer for k, layer in _sweep(rows[::-1], n - 1 - min(heads))
                 if n - 1 - k in heads} if heads else {}
     full, acc = (1 << n) - 1, [0] * len(keys)
@@ -462,13 +487,16 @@ def per_adjugate_rows(matrix: Matrix, wanted: dict[int, Iterable[int]]
                 for bit, i in heads[j]:
                     if rest & bit and (g := back.get(rest ^ bit)):
                         acc[i] += f * g
-    return _unpacked(layer.get(full, 0), n + 1, bits), {k: _unpacked(v, n, bits) for k, v in zip(keys, acc)}
+    packed = layer.get(full, 0)
+    coeffs, *cards = _unpacked([packed] + [packed + a * acc[keys[t, s]] + (d * acc[keys[t, t]] if d else 0)
+                                           for s, t, a, d in updates], n + 1, bits)
+    return coeffs, cards
 
 
 def _sweep(rows: list[list[tuple[int, int]]], depth: int):
     """Yield (k, layer k) for k = 0..depth: layer 0 is {0: 1}, and layer
     k + 1 extends each state S of layer k by each (bit c, value) of rows[k]
-    with c outside S, as per_adjugate_rows describes; a state of value 0 is
+    with c outside S, as per_cards describes; a state of value 0 is
     not extended. A layer maps column bitsets to ints. More than
     RYSER_MAX_ORDER rows raise ValueError before the first layer."""
     if len(rows) > RYSER_MAX_ORDER:
@@ -487,11 +515,15 @@ def _sweep(rows: list[list[tuple[int, int]]], depth: int):
         yield k + 1, layer
 
 
-def _unpacked(value: int, count: int, bits: int) -> list[int]:
-    """The `count` coefficients, constant term first, packed in `value` at x = 2^bits:
-    balanced digits in [-2^(bits-1), 2^(bits-1)), the last taking what is left."""
+def _unpacked(values: list[int], count: int, bits: int) -> list[list[int]]:
+    """The `count` coefficients, constant term first, packed in each value at
+    x = 2^bits: balanced digits in [-2^(bits-1), 2^(bits-1)), the last taking
+    what is left."""
     half, mask, out = 1 << (bits - 1), (1 << bits) - 1, []
-    for _ in range(count - 1):
-        out.append(((value + half) & mask) - half)
-        value = (value - out[-1]) >> bits
-    return out + [value]
+    for value in values:
+        digits = []
+        for _ in range(count - 1):
+            digits.append(((value + half) & mask) - half)
+            value = (value - digits[-1]) >> bits
+        out.append(digits + [value])
+    return out

@@ -9,10 +9,10 @@ artifact.
 The sweep calls neither graph_polys.deck nor poly_of, which work in
 Fractions: every unweighted arc adds the same integer terms to the pencil
 L*(beta*D + gamma*A) under one scale L per kind, so an arc tuple goes
-straight to graph_polys._deck_coefficients with that one term pair. One
+straight to graph_polys._pencil_cards with that one term pair. One card
 kernel call gives the digraph's own coefficients and, by column
-linearity, its whole deck, and the signatures and groups are keyed on
-those scaled int vectors. Coefficient k is scaled by L^(n-k) > 0, which
+linearity, one card per arc, its whole deck, and the signatures and
+groups are keyed on those scaled int vectors. Coefficient k is scaled by L^(n-k) > 0, which
 keeps both equality and lexicographic order, so the groups and their
 order are those of the polynomials. Digraph values and Fraction
 polynomials are built only for the groups reported.
@@ -34,8 +34,8 @@ beta = -gamma. Nor is a group reported whose signature forces a c_{n-1}
 that breaks the trace rule, c_{n-1} = -beta*m for these unweighted
 digraphs: reconstruct answers Inconsistent, which misses every member. A
 deck read off one kernel call keeps the identity only if the kernel's
-coefficients agree with its adjugate entries, so a faulty kernel that
-yields a group is caught there. The check sees only the
+coefficients agree with its cards, so a faulty kernel that yields a
+group is caught there. The check sees only the
 groups: a faulty kernel that yields none, or loses a true one, is caught
 only by the pinned search digests.
 
@@ -124,7 +124,7 @@ def find_deck_collisions(n: int, m: int, kind: PolyKind,
     terms = [term] * m
     groups: dict[tuple[tuple[int, ...], ...], dict[tuple[int, ...], tuple[int, ...]]] = {}
     for digraph in classes(n, m, budget):
-        coeffs, deck = graph_polys._deck_coefficients(kind, n, [slots[i] for i in digraph], terms)
+        coeffs, deck = graph_polys._pencil_cards(kind, n, [slots[i] for i in digraph], terms)
         groups.setdefault(tuple(sorted(map(tuple, deck))), {}).setdefault(tuple(coeffs), digraph)
     out = []
     for signature in sorted(groups):

@@ -85,11 +85,29 @@ def glynn_permanent(matrix):
     return per
 
 
+def adjugate_entries(kernel, matrix, wanted):
+    """(coefficients, entries) read off a card kernel, matrices.det_cards or
+    matrices.per_cards: entry (t, j) of the adjugate of x*I - M, for each
+    row t of `wanted` and each j in wanted[t], in that order, is the card of
+    the update (j, t, 1, 0) less K = det or per of x*I - M, since adding 1
+    at (j, t) adds entry (t, j) to K (column linearity). An entry has n
+    coefficients, so each difference must end in 0, which is dropped."""
+    keys = list(dict.fromkeys((t, j) for t, cols in wanted.items() for j in cols))
+    coeffs, cards = kernel(matrix, [(j, t, 1, 0) for t, j in keys])
+    entries = {}
+    for key, card in zip(keys, cards, strict=True):
+        *entry, top = (c - k for c, k in zip(card, coeffs, strict=True))
+        assert top == 0, (matrix, key, card)
+        entries[key] = entry
+    return coeffs, entries
+
+
 def horner_adjugate_rows(matrix, wanted):
-    """matrices.adjugate_rows by another route: the coefficients c_0..c_n
-    from charpoly_berkowitz, then each wanted row t of B_k, where
-    adj(x*I - M) = sum_k x^k B_k, by Horner's rule B_{k-1} = c_k * I + B_k * M
-    from B_{n-1} = I, read at the wanted columns. No trace is taken."""
+    """adjugate_entries(matrices.det_cards, ...) by another route: the
+    coefficients c_0..c_n from charpoly_berkowitz, then each wanted row t
+    of B_k, where adj(x*I - M) = sum_k x^k B_k, by Horner's rule
+    B_{k-1} = c_k * I + B_k * M from B_{n-1} = I, read at the wanted
+    columns. No trace is taken and no card is formed."""
     charpoly = charpoly_berkowitz(matrix)
     n = len(charpoly) - 1
     nonzero = [[(j, v) for j, v in enumerate(row) if v] for row in matrix]

@@ -1,5 +1,7 @@
-"""deck by column linearity against the deletion oracle, and its two
-adjugate kernels against sympy, the permutation expansion and Horner."""
+"""deck by column linearity against the deletion oracle, and its two card
+kernels against sympy, the permutation expansion, Glynn's formula,
+Berkowitz and Horner: each card against the updated pencil, and each
+adjugate entry read off a card (oracles.adjugate_entries)."""
 
 import random
 from fractions import Fraction
@@ -11,10 +13,10 @@ from deckpoly import digraphs as dg
 from deckpoly import matrices as mx
 from deckpoly import polynomials as poly
 from deckpoly.digraphs import Digraph
-from deckpoly.graph_polys import F1, F4, SIX_KINDS, PolyKind, deck, poly_of
+from deckpoly.graph_polys import F1, F4, SIX_KINDS, PolyKind, deck, parse_kind, poly_of
 from deckpoly.identities import random_digraph, random_nonzero_rational
-from oracles import (choice_matrix, deletion_deck, glynn_permanent, horner_adjugate_rows, l_scaled_matrix,
-                     permutation_expansion, random_kind)
+from oracles import (adjugate_entries, choice_matrix, deletion_deck, glynn_permanent, horner_adjugate_rows,
+                     l_scaled_matrix, permutation_expansion, random_kind)
 
 GENERAL_KINDS = (PolyKind(Fraction(1, 3), Fraction(-5, 2), "det"),
                  PolyKind(Fraction(-2, 3), Fraction(3, 4), "per"))
@@ -54,6 +56,21 @@ def test_deck_matches_deletion_oracle_on_random_weighted_digraphs(mode, max_n):
             assert d.arc_weight == (None if g.weights is None or total == g.m else total)
 
 
+# Arcs into head 2 of weights -3 and 3 cancel in M = L*B: its diagonal
+# entry at 2 is 0 under general:3,-1,per (beta = 3), but deleting either arc
+# leaves beta*w = -9 or 9 there. So a card's row can sum past M's, and a
+# packing bound from M alone, B = 9, decodes a card coefficient 540 > 2^8
+# as -28.
+CANCELLING_HEAD = Digraph(3, ((0, 1), (0, 2), (1, 0), (1, 2)), tuple(map(Fraction, (-3, -3, -2, 3))))
+
+
+def test_deck_packing_bound_covers_the_cards():
+    kind = parse_kind("general:3,-1,per")
+    polys = deck(CANCELLING_HEAD, kind).polys
+    assert polys == deletion_deck(CANCELLING_HEAD, kind)
+    assert (-540, -75, 6, 1) in polys and (540, 195, 24, 1) in polys
+
+
 def sympy_adjugate_entries(matrix, wanted):
     """Entries (t, j) of the polynomial and the permanental adjugate of
     x*I - M, from sympy's cofactors and Matrix.per() minors, as ascending
@@ -89,30 +106,37 @@ def test_adjugate_kernels_match_sympy():
         rows = range(n) if n < 4 else [rng.randrange(n)]
         wanted = {t: list(range(n)) for t in rows}
         det, per = sympy_adjugate_entries(matrix, wanted)
-        assert mx.adjugate_rows(matrix, wanted) == (mx.charpoly_berkowitz(matrix), det)
-        assert mx.per_adjugate_rows(matrix, wanted) == (mx.per_adjugate_rows(matrix, {})[0], per)
+        assert adjugate_entries(mx.det_cards, matrix, wanted) == (mx.charpoly_berkowitz(matrix), det)
+        assert adjugate_entries(mx.per_cards, matrix, wanted) == (mx.per_cards(matrix, [])[0], per)
 
 
 def test_adjugate_kernels_return_only_the_wanted_entries():
+    # One card per update, in update order: the entries (1, 0), (1, 1) and
+    # (2, 2), and a card whose d enters at (2, 2) alone.
     matrix = [[0, 2, 0], [1, 0, 3], [0, -1, 0]]
-    wanted = {1: [0, 1], 2: [2]}
-    _, det = mx.adjugate_rows(matrix, wanted)
-    _, per = mx.per_adjugate_rows(matrix, wanted)
-    assert set(det) == set(per) == {(1, 0), (1, 1), (2, 2)}
-    # Entry (2, 2): det and per of the leading 2x2 block of x*I - M.
+    updates = [(0, 1, 1, 0), (1, 1, 1, 0), (2, 2, 1, 0), (1, 2, 0, 5)]
+    for kernel in (mx.det_cards, mx.per_cards):
+        coeffs, cards = kernel(matrix, updates)
+        assert len(cards) == len(updates)
+        assert cards[3] == kernel(matrix, updates[3:])[1][0]
+    # Entry (2, 2): det and per of the leading 2x2 block of x*I - M, which
+    # is what the card of (2, 2, 1, 0) adds to K.
+    _, det = adjugate_entries(mx.det_cards, matrix, {1: [0, 1], 2: [2]})
+    _, per = adjugate_entries(mx.per_cards, matrix, {1: [0, 1], 2: [2]})
+    assert list(det) == list(per) == [(1, 0), (1, 1), (2, 2)]
     assert det[2, 2] == [-2, 0, 1]
     assert per[2, 2] == [2, 0, 1]
 
 
 def test_adjugate_kernels_check_their_inputs():
     with pytest.raises(ValueError):
-        mx.adjugate_rows([[Fraction(1, 2)]], {0: [0]})
+        mx.det_cards([[Fraction(1, 2)]], [(0, 0, 1, 0)])
     with pytest.raises(ValueError):
-        mx.per_adjugate_rows([[0] * 17 for _ in range(17)], {0: [0]})
+        mx.per_cards([[0] * 17 for _ in range(17)], [(0, 0, 1, 0)])
 
 
 def check_adjugate(matrix, signed):
-    """adjugate_rows (signed) or per_adjugate_rows with every entry wanted
+    """det_cards (signed) or per_cards with every entry read off a card
     against the permutation expansion of x*I - M and of its minors at
     integer x: the polynomial is interpolated from x = 0..n, as
     test_matrices.interpolated does, and each minor, which has n
@@ -121,8 +145,8 @@ def check_adjugate(matrix, signed):
     time). Entry (t, j) of the adjugate is the minor without row j and
     column t, signed by (-1)^(t+j) in det mode."""
     n = len(matrix)
-    kernel = mx.adjugate_rows if signed else mx.per_adjugate_rows
-    coeffs, entries = kernel(matrix, {t: range(n) for t in range(n)})
+    kernel = mx.det_cards if signed else mx.per_cards
+    coeffs, entries = adjugate_entries(kernel, matrix, {t: range(n) for t in range(n)})
     assert sorted(entries) == [(t, j) for t in range(n) for j in range(n)]
     assert {len(e) for e in entries.values()} == {n}
     points = []
@@ -202,7 +226,7 @@ def at(coeffs, x):
 
 
 def check_per_against_glynn(matrix, coeffs, entries):
-    """coeffs and entries, as per_adjugate_rows gives them for `matrix`,
+    """coeffs and entries, as per_cards gives them for `matrix`,
     against Glynn's formula (glynn_permanent, which shares no code with the
     subset sweeps) on the pencil at x = 0..n and on each minor in `entries`
     at x = 0..n-1, which fix polynomials of n + 1 and n coefficients."""
@@ -222,7 +246,7 @@ def test_per_adjugate_rows_packing_holds_on_large_entries():
     """Every coefficient and minor of the packed sweeps against Glynn's formula."""
     for matrix in packing_cases():
         n = len(matrix)
-        coeffs, entries = mx.per_adjugate_rows(matrix, {t: range(n) for t in range(n)})
+        coeffs, entries = adjugate_entries(mx.per_cards, matrix, {t: range(n) for t in range(n)})
         assert len(coeffs) == n + 1 and len(entries) == n * n
         check_per_against_glynn(matrix, coeffs, entries)
 
@@ -238,7 +262,7 @@ def test_per_adjugate_rows_matches_per_ryser_at_orders_10_to_12(n):
     rng = random.Random(2309 + n)
     for density, sign in ((1.0, -1), (1.0, 0), (0.4, 0)):
         matrix = l_scaled_matrix(rng, n, density, sign)
-        coeffs, entries = mx.per_adjugate_rows(matrix, {t: range(n) for t in range(n)})
+        coeffs, entries = adjugate_entries(mx.per_cards, matrix, {t: range(n) for t in range(n)})
         assert list(entries) == [(t, j) for t in range(n) for j in range(n)]
         t = rng.randrange(n)
         sample = [(rng.randrange(n), 0), (rng.randrange(n), n - 1), (t, t)]
@@ -254,11 +278,11 @@ def test_per_adjugate_rows_reads_end_rows_and_diagonal_entries():
     rng = random.Random(2333)
     for n in range(1, 9):
         matrix = choice_matrix(rng, n, rng.choice((0.0, 0.3, 0.6)), 3)
-        _, every = mx.per_adjugate_rows(matrix, {t: range(n) for t in range(n)})
+        _, every = adjugate_entries(mx.per_cards, matrix, {t: range(n) for t in range(n)})
         heads = rng.sample(range(n), rng.randint(1, n))
         for wanted in ({t: [0] for t in heads}, {t: [n - 1] for t in heads},
                        {t: [t] for t in heads}, {t: [n - 1, t, 0] for t in heads}):
-            coeffs, entries = mx.per_adjugate_rows(matrix, wanted)
+            coeffs, entries = adjugate_entries(mx.per_cards, matrix, wanted)
             assert list(entries) == list(dict.fromkeys((t, j) for t in heads for j in wanted[t]))
             assert entries == {key: every[key] for key in entries}, (matrix, wanted)
             check_per_against_glynn(matrix, coeffs, entries)
@@ -278,12 +302,68 @@ def test_per_adjugate_rows_with_states_that_cancel_to_zero():
         matrix[2][0:2], matrix[3][0:2] = [1, 1], [1, -1]
         assert permutation_expansion([row[2:4] for row in matrix[:2]], False) == 0
         assert permutation_expansion([row[0:2] for row in matrix[2:4]], False) == 0
-        coeffs, entries = mx.per_adjugate_rows(matrix, {t: range(n) for t in range(n)})
+        coeffs, entries = adjugate_entries(mx.per_cards, matrix, {t: range(n) for t in range(n)})
         check_per_against_glynn(matrix, coeffs, entries)
 
 
+def updated(matrix, update):
+    """M less the update (s, t, a, d) at (s, t) and (t, t), so that x*I less
+    it is x*I - M with a added at (s, t) and d at (t, t)."""
+    s, t, a, d = update
+    out = [list(row) for row in matrix]
+    out[s][t] -= a
+    out[t][t] -= d
+    return out
+
+
+def random_updates(rng, n, magnitude):
+    """Updates at random positions, some with s = t, some with a or d 0."""
+    values = (0, 1, -1, rng.randint(-magnitude, magnitude))
+    return [(rng.randrange(n), rng.randrange(n), rng.choice(values), rng.choice(values))
+            for _ in range(rng.randint(1, 2 * n))]
+
+
+def test_det_cards_match_berkowitz_on_the_updated_matrix():
+    rng = random.Random(2521)
+    cases = [m for m in small_matrices() if rng.random() < 0.05]
+    cases += [choice_matrix(rng, n, rng.choice((0.2, 0.6, 0.9)), 9) for n in [*range(1, 17), 32]]
+    cases += [l_scaled_matrix(rng, n, 0.7, 0) for n in (2, 5, 9)]
+    for matrix in cases:
+        updates = random_updates(rng, len(matrix), 10**9)
+        coeffs, cards = mx.det_cards(matrix, updates)
+        assert coeffs == mx.charpoly_berkowitz(matrix)
+        assert cards == [mx.charpoly_berkowitz(updated(matrix, u)) for u in updates], matrix
+
+
+def check_per_cards(matrix, updates):
+    """Each card of per_cards, and K, against Glynn's formula on the updated
+    pencil at x = 0..n, which fix polynomials of n + 1 coefficients."""
+    n = len(matrix)
+    coeffs, cards = mx.per_cards(matrix, updates)
+    assert len(cards) == len(updates)
+    for x in range(n + 1):
+        pencil = [[x * (i == j) - v for j, v in enumerate(row)] for i, row in enumerate(matrix)]
+        assert at(coeffs, x) == glynn_permanent(pencil), (matrix, x)
+        for card, update in zip(cards, updates):
+            pencil = [[x * (i == j) - v for j, v in enumerate(row)]
+                      for i, row in enumerate(updated(matrix, update))]
+            assert at(card, x) == glynn_permanent(pencil), (matrix, update, x)
+
+
+def test_per_cards_match_glynn_on_the_updated_pencil():
+    """Small matrices with unit updates, and the packing cases, whose
+    entries reach 60 bits, with updates of up to 2^70 that push a card's
+    row sums far past M's."""
+    rng = random.Random(2531)
+    for matrix in small_matrices():
+        if rng.random() < 0.05:
+            check_per_cards(matrix, random_updates(rng, len(matrix), 1))
+    for matrix in packing_cases():
+        check_per_cards(matrix, random_updates(rng, len(matrix), 2**70))
+
+
 def wanted_sets(matrix, rng):
-    """Wanted rows for adjugate_rows: the deck's (each nonzero column t
+    """Wanted rows for the det entries: the deck's (each nonzero column t
     wants its nonzero rows and t), every entry up to order 16, and a random
     set, which need not cover M's nonzero columns, plus the zero columns
     alone."""
@@ -301,7 +381,7 @@ def wanted_sets(matrix, rng):
 def check_against_horner(matrix, rng):
     for wanted in wanted_sets(matrix, rng):
         wanted = {t: list(cols) for t, cols in wanted.items()}
-        got = mx.adjugate_rows(matrix, wanted)
+        got = adjugate_entries(mx.det_cards, matrix, wanted)
         assert got == horner_adjugate_rows(matrix, wanted), (matrix, wanted)
         assert got[0] == mx.charpoly_berkowitz(matrix)
 
@@ -330,12 +410,13 @@ def test_adjugate_rows_matches_horner_on_random_sparse_matrices(density, orders)
 
 def test_adjugate_rows_on_zero_and_order_one_matrices():
     for n in (1, 2, 5, 9):
-        coeffs, entries = mx.adjugate_rows([[0] * n for _ in range(n)], {t: range(n) for t in range(n)})
+        coeffs, entries = adjugate_entries(mx.det_cards, [[0] * n for _ in range(n)],
+                                           {t: range(n) for t in range(n)})
         # adj(x*I) = x^(n-1) * I
         assert coeffs == [0] * n + [1]
         assert entries == {(t, j): [0] * (n - 1) + [int(t == j)] for t in range(n) for j in range(n)}
     for a in (-3, 0, 1, 7):
-        assert mx.adjugate_rows([[a]], {0: [0]}) == ([-a, 1], {(0, 0): [1]})
+        assert mx.det_cards([[a]], [(0, 0, 1, 0)]) == ([-a, 1], [[1 - a, 1]])
 
 
 def test_adjugate_rows_on_acyclic_beta_zero_pencils():

@@ -168,7 +168,7 @@ def test_monic_check_survives_python_O():
         from deckpoly import graph_polys
         from deckpoly.digraphs import Digraph
 
-        graph_polys._kernel = lambda kind: lambda b, wanted: ([0] * (len(b) + 1), {})
+        graph_polys._kernel = lambda kind: lambda b, updates: ([0] * (len(b) + 1), [])
         try:
             graph_polys.poly_of(Digraph(2), graph_polys.F1)
         except AssertionError as exc:
@@ -307,9 +307,9 @@ def test_arc_terms_scale_clears_every_arc_term(monkeypatch, text, arcs, weights,
     kernel_of = graph_polys._kernel
 
     def recording(k):
-        def kernel(b, wanted):
+        def kernel(b, updates):
             seen.append(b)
-            return kernel_of(k)(b, wanted)
+            return kernel_of(k)(b, updates)
         return kernel
 
     monkeypatch.setattr(graph_polys, "_kernel", recording)

@@ -38,13 +38,13 @@ def test_det_bareiss_needs_column_pivot():
 
 
 def per_coefficients(matrix):
-    return mx.per_adjugate_rows(matrix, {})[0]
+    return mx.per_cards(matrix, [])[0]
 
 
 @pytest.mark.parametrize("kernel", [
     mx.det_bareiss, mx.per_ryser, mx.charpoly_berkowitz,
-    pytest.param(lambda m: mx.adjugate_rows(m, {}), id="adjugate_rows"),
-    pytest.param(per_coefficients, id="per_adjugate_rows"),
+    pytest.param(lambda m: mx.det_cards(m, [(0, 0, 1, 0)]), id="adjugate_rows"),
+    pytest.param(lambda m: mx.per_cards(m, [(0, 0, 1, 0)]), id="per_adjugate_rows"),
 ])
 def test_kernels_reject_fraction_entries(kernel):
     # Bareiss's // on Fractions would floor each quotient and return a
@@ -225,7 +225,7 @@ def test_size_caps_are_hard_errors():
     with pytest.raises(ValueError, match=capped):
         mx.per_ryser(identity_matrix(17))
     with pytest.raises(ValueError, match=capped):
-        mx.per_adjugate_rows(identity_matrix(17), {})
+        mx.per_cards(identity_matrix(17), [])
     with pytest.raises(ValueError, match=capped):
         mx.zeroed_pers(identity_matrix(17), 17, [(0, 0)])
 

@@ -20,6 +20,7 @@ from deckpoly import serialize as ser  # noqa: E402
 from deckpoly.digraphs import Digraph, all_arc_slots  # noqa: E402
 from deckpoly.graph_polys import SIX_KINDS, PolyKind, deck, poly_of  # noqa: E402
 from deckpoly.reconstruct import outcome, reconstruct  # noqa: E402
+from oracles import adjugate_entries  # noqa: E402
 
 PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=60)
 
@@ -74,8 +75,9 @@ def matrices_and_wanted(draw, max_n=6):
 @given(matrices_and_wanted(), st.data())
 def test_per_adjugate_rows_commutes_with_relabelling(case, data):
     # With (P M P^T)[p[i]][p[j]] = M[i][j], x*I - P M P^T = P (x*I - M) P^T:
-    # the permanent is the same, and the minor without row j and column t
-    # is the one without row p[j] and column p[t].
+    # the permanent is the same, and the minor without row j and column t,
+    # read off the card of (j, t, 1, 0), is the one without row p[j] and
+    # column p[t].
     matrix, wanted = case
     n = len(matrix)
     p = data.draw(st.permutations(range(n)))
@@ -83,9 +85,10 @@ def test_per_adjugate_rows_commutes_with_relabelling(case, data):
     for i, row in enumerate(matrix):
         for j, v in enumerate(row):
             moved[p[i]][p[j]] = v
-    coeffs, entries = mx.per_adjugate_rows(matrix, wanted)
+    coeffs, entries = adjugate_entries(mx.per_cards, matrix, wanted)
     moved_wanted = {p[t]: {p[j] for j in js} for t, js in wanted.items()}
-    assert mx.per_adjugate_rows(moved, moved_wanted) == (
+    moved_coeffs, moved_entries = adjugate_entries(mx.per_cards, moved, moved_wanted)
+    assert (moved_coeffs, moved_entries) == (
         coeffs, {(p[t], p[j]): entry for (t, j), entry in entries.items()})
 
 

@@ -108,8 +108,8 @@ def test_search_asserts_the_paper_structure(monkeypatch, n, m, kind, coefficient
     def perturbed_kernel(k):
         kernel = kernel_of(k)
 
-        def perturbed(b, wanted):
-            coeffs, entries = kernel(b, wanted)
+        def perturbed(b, updates):
+            coeffs, cards = kernel(b, updates)
             # The arcs are the nonzero off-diagonal entries.
             arcs = [(s, t) for s in range(n) for t in range(n) if s != t and b[s][t]]
             in_degrees = [sum(1 for _, t in arcs if t == v) for v in range(n)]
@@ -118,12 +118,8 @@ def test_search_asserts_the_paper_structure(monkeypatch, n, m, kind, coefficient
             shift = sum(d * d for d in in_degrees)
             coeffs = list(coeffs)
             coeffs[coefficient] += shift
-            # Deleting arc (s, t) gives K + b[s][t] * entry (t, s) + ..., so
-            # taking shift / b[s][t] off that entry keeps every deck true.
-            entries = {key: list(entry) for key, entry in entries.items()}
-            for s, t in arcs:
-                entries[t, s][coefficient] -= shift // b[s][t]
-            return coeffs, entries
+            # The cards are left as they are, so every deck stays true.
+            return coeffs, cards
 
         return perturbed
 
@@ -135,18 +131,19 @@ def test_search_asserts_the_paper_structure(monkeypatch, n, m, kind, coefficient
 
 def adjugate_off_by_one(kernel_of, coefficient):
     """A kernel lookup whose kernels add 1 to `coefficient` (an index into
-    the n coefficients) of every adjugate entry: the polynomials stay right,
+    the n + 1 coefficients) of every card, as an adjugate entry off by one
+    would under the unit terms of f1 and f4: the polynomials stay right,
     the decks do not."""
 
     def faulty_kernel(kind):
         kernel = kernel_of(kind)
 
-        def faulty(b, wanted):
-            coeffs, entries = kernel(b, wanted)
-            entries = {key: list(entry) for key, entry in entries.items()}
-            for entry in entries.values():
-                entry[coefficient] += 1
-            return coeffs, entries
+        def faulty(b, updates):
+            coeffs, cards = kernel(b, updates)
+            cards = [list(card) for card in cards]
+            for card in cards:
+                card[coefficient] += 1
+            return coeffs, cards
 
         return faulty
 
@@ -155,16 +152,16 @@ def adjugate_off_by_one(kernel_of, coefficient):
 
 @pytest.mark.parametrize("n, m, kind, coefficient, answer", [
     # Coefficient n - 1: the forced c_{n-1} breaks the trace rule.
-    pytest.param(3, 3, F4, -1, "Inconsistent", id="3-3-f4"),
-    pytest.param(4, 3, F1, -1, "Inconsistent", id="4-3-f1"),
-    pytest.param(4, 4, F1, -1, "Inconsistent", id="4-4-f1"),
-    pytest.param(5, 3, F1, -1, "Inconsistent", id="5-3-f1"),
+    pytest.param(3, 3, F4, -2, "Inconsistent", id="3-3-f4"),
+    pytest.param(4, 3, F1, -2, "Inconsistent", id="4-3-f1"),
+    pytest.param(4, 4, F1, -2, "Inconsistent", id="4-4-f1"),
+    pytest.param(5, 3, F1, -2, "Inconsistent", id="5-3-f1"),
     # Coefficient n - 2, forced and not the trace: the family's base is off.
-    pytest.param(4, 3, F1, -2, "OneParameterFamily", id="4-3-f1-below-trace"),
+    pytest.param(4, 3, F1, -3, "OneParameterFamily", id="4-3-f1-below-trace"),
 ])
 def test_search_rejects_groups_whose_deck_misses_a_member(monkeypatch, n, m, kind,
                                                           coefficient, answer):
-    # Each card gains its arc's term at one coefficient, so the signature no
+    # Each card gains 1 at one coefficient, so the signature no
     # longer satisfies the deck-sum identity with the members. A check of
     # only where members differ passes these groups.
     monkeypatch.setattr(graph_polys, "_kernel",
@@ -184,8 +181,8 @@ def test_paper_structure_rejects_any_group_at_m_equal_1():
         search._check_group(Deck.from_polys(3, F1, [xpow(3)]), members)
 
 
-NON_MONIC = "coeffs[:-1] + [2], entries"
-ADJUGATE_OFF_BY_ONE = "coeffs, {key: [*e[:-1], e[-1] + 1] for key, e in entries.items()}"
+NON_MONIC = "coeffs[:-1] + [2], cards"
+ADJUGATE_OFF_BY_ONE = "coeffs, [[*c[:-2], c[-2] + 1, c[-1]] for c in cards]"
 
 
 @pytest.mark.parametrize("n, m, broken, message", [
@@ -204,8 +201,8 @@ def test_search_monic_check_survives_python_O(n, m, broken, message):
 
         kernel = graph_polys._kernel(graph_polys.F1)
 
-        def broken(b, wanted):
-            coeffs, entries = kernel(b, wanted)
+        def broken(b, updates):
+            coeffs, cards = kernel(b, updates)
             return {broken}
 
         graph_polys._kernel = lambda kind: broken
@@ -264,9 +261,9 @@ def count_kernel_calls(monkeypatch):
     def counting_kernel(k):
         kernel = kernel_of(k)
 
-        def counted(b, wanted):
+        def counted(b, updates):
             calls.append(len(b))
-            return kernel(b, wanted)
+            return kernel(b, updates)
 
         return counted
 
@@ -326,16 +323,16 @@ def test_sparse_cells_relabel_every_class(monkeypatch, kind, n):
 
 
 def record_deck_calls(monkeypatch):
-    """Make every graph_polys._deck_coefficients call append its arcs to
-    the returned list."""
-    real = graph_polys._deck_coefficients
+    """Make every graph_polys._pencil_cards call append its arcs to the
+    returned list."""
+    real = graph_polys._pencil_cards
     arc_lists = []
 
-    def recorded(kind, n, arcs, terms):
+    def recorded(kind, n, arcs, terms, cards=True):
         arc_lists.append(list(arcs))
-        return real(kind, n, arcs, terms)
+        return real(kind, n, arcs, terms, cards)
 
-    monkeypatch.setattr(graph_polys, "_deck_coefficients", recorded)
+    monkeypatch.setattr(graph_polys, "_pencil_cards", recorded)
     return arc_lists
 
 
