@@ -33,6 +33,60 @@ y*I - L*B, the arc's own terms: one call gives g(G) and every card, and so
 the whole deck, which deck and the collision search read alike. A Deck
 holds int rows, one denominator per k, and puts itself in canonical form
 when it is built.
+
+Every coefficient of every kind has one combinatorial form. Call an arc
+set H functional when its arcs have distinct heads. Each vertex then has
+at most one predecessor in H, so the directed cycles of H are
+vertex-disjoint.
+
+Theorem (functional-subdigraph expansion). For arc weights w_e and any
+beta, gamma, coefficient n - j of the pencil polynomial is
+
+    c_{n-j} = (-1)^j * sum over the functional H of j arcs of
+              w(H) * beta^(j - |V(cycles of H)|)
+                   * prod_C (beta^|C| + s_C * gamma^|C|),
+
+with w(H) the product of the w_e in H, C running over the directed
+cycles of H, V(cycles of H) the vertices on them, and s_C = (-1)^(|C|-1)
+in det mode and 1 in per mode.
+
+Proof. Column t of P = x*I - beta*D - gamma*A is x*e_t minus, for each
+arc e = (s, t) into t, w_e * (beta*e_t + gamma*e_s). det and per are
+linear in each column, so f is the sum, over the ways to pick in each
+column t either x*e_t or one arc into t, of det or per of the picked
+columns. The picked arcs form a functional H; say j = |H|. Taking x out
+of the n - j unit columns and -w_e out of the others leaves
+x^(n-j) * (-1)^j * w(H) times det or per of a matrix whose column at
+each t that is no head of H is e_t. Expanding along those columns
+deletes their rows, and leaves det or per of N, the matrix on the heads
+of H whose column t is beta*e_t + gamma*e_p(t), p(t) the tail of t's
+arc, with the second entry dropped when p(t) is not a head. A permutation q of the heads adds a term only if q(t) is t or
+p(t) for every t, and the t with q(t) = p(t) are mapped onto themselves
+by p, so they form a union of cycles of H. Each subset of H's cycles
+gives one term: gamma^|C| for each chosen cycle C, with the sign
+(-1)^(|C|-1) of a cyclic permutation in det mode, and beta for every
+other head. The sum over subsets is the product over cycles above, with
+beta^(j - |V(cycles of H)|) from the heads on no cycle. QED
+
+At beta = 0 only H whose arcs all lie on cycles count: the Harary-Sachs
+coefficient theorem (Cvetkovic, Doob and Sachs 1980, Spectra of Graphs).
+Under f2 every cycle factor is 1 - 1 = 0, so (-1)^j c_{n-j} is the
+weight of the acyclic functional H of j arcs, the out-forests: the
+directed matrix-tree theorem (Chaiken 1982, SIAM J. Algebraic Discrete
+Methods 3). f3's factor vanishes on even cycles, f5's on odd ones.
+
+Corollary (the coefficient the deck leaves free). At m <= n only H = E
+has m arcs, so c_{n-m} = 0 when some vertex has in-degree 2 or more, and
+otherwise c_{n-m} is the term on E. At m = n that is c_0, nonzero only
+when every in-degree is 1.
+
+The expansion also counts the deck. The polynomial of G - e is the sum
+of the terms whose H misses e, so the term on H survives exactly the
+C(m - |H|, k) deletions of k arcs that miss it: coefficient n - j of the
+sum over the k-arc deletions is C(m - j, k) * c_{n-j}, and k = 1 is the
+paper's identity (m - n) * f + x * f' = sum of the deck.
+tests/oracles.py computes f and every card by the expansion, with no
+matrix, and tests/test_closed_form.py checks the corollary.
 """
 
 from __future__ import annotations

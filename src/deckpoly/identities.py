@@ -24,7 +24,10 @@ x-degree j = n - |T|. Setting w_e to 0 removes exactly the terms whose T
 holds e, so the term on T survives the m - |T| = m - n + j deletions
 outside T, and theta multiplies x^j by j. With no x every term has
 |T| = n, so the sum of f(X_ij) over any set P of entries that holds X's
-support is (|P| - n) f(X).
+support is (|P| - n) f(X). For the pencil, the coefficient theorem in
+graph_polys' module docstring writes these terms out: T is a functional
+arc set, and its count of the deletions that miss T is the counting
+proof of the identity at every number k of arcs deleted at once.
 
 The zeroed-entry checks (theorems 2.1-2.3) take their left side from the
 scalar kernel on X (det_bareiss, per_ryser) and their right side from one

@@ -67,37 +67,9 @@ def reconstruct(d: Deck) -> ReconstructionResult:
     beta = -gamma (f2 among the named kinds) pins c_0 to 0 when m = n.
     Anything else with k* in range stays a one-parameter family.
 
-    At m = n the annihilated c_0 has a closed form in the arcs, for any
-    beta. No rule here uses it: whether the deck fixes it is open.
-
-    Proposition. Let m = n. Then c_0 = 0 unless every vertex has in-degree
-    exactly 1. If every vertex has, then
-
-        c_0 = (-1)^n * prod(w_e) * beta^(n - |V(cycles)|)
-              * prod_C (beta^|C| + s_C * gamma^|C|),
-
-    where C runs over the directed cycles of G, V(cycles) is the set of
-    vertices on them, and s_C = (-1)^(|C| - 1) in det mode, 1 in per mode.
-
-    Proof. c_0 is the pencil polynomial at x = 0, det or per of
-    -(beta*D + gamma*A), which is (-1)^n times that of M = beta*D + gamma*A.
-    Column t of M is beta*d_t at row t plus gamma*w at the row of each
-    arc (s, t) of weight w, d_t the weighted in-degree of t. A vertex of
-    in-degree 0 makes its column zero, and then c_0 = 0. Otherwise the n
-    arcs give every vertex in-degree exactly 1: t has one arc (p(t), t),
-    of weight w_t, and column t is w_t * (beta*e_t + gamma*e_p(t)).
-    Taking w_t out of every column leaves beta*I + gamma*P, with P the 0/1
-    matrix of the predecessor map p. A permutation q of range(n) adds a
-    term only if q(t) is t or p(t) for every t, and the t with q(t) = p(t)
-    are mapped onto themselves by p, so they form a union of cycles of
-    p: vertex sets of directed cycles of G, which are disjoint since each
-    vertex has one predecessor. Each subset of the cycles gives one term:
-    gamma^|C| for each chosen cycle C, with the sign (-1)^(|C| - 1) of a
-    cyclic permutation in det mode, and beta for every other vertex. The
-    sum over subsets is the product over cycles above, with
-    beta^(n - |V(cycles)|) from the vertices on no cycle. QED
-
-    tests/test_closed_form.py checks the proposition against poly_of.
+    At m = n the annihilated c_0 is, by the corollary in graph_polys'
+    module docstring, 0 unless every in-degree is 1, and then the term on
+    all n arcs. No rule here uses it: whether the deck fixes it is open.
     """
     m = len(d.coefficients)
     if m == 0:

@@ -39,32 +39,13 @@ group is caught there. The check sees only the
 groups: a faulty kernel that yields none, or loses a true one, is caught
 only by the pinned search digests.
 
-When beta = 0 (f1, f4), the one coefficient that may differ has a closed
-form in the arcs alone.
-
-Proposition. Let beta = 0 and let G have m <= n arcs of weights w_e.
-If the arcs of G are vertex-disjoint directed cycles, c of them, then
-
-    c_{n-m} = (-1)^c * prod(gamma * w_e)   in det mode,
-    c_{n-m} = (-1)^m * prod(gamma * w_e)   in per mode;
-
-otherwise c_{n-m} = 0.
-
-Proof. The pencil is x*I - gamma*A, so c_{n-m} is (-1)^m times the sum,
-over the m-vertex sets S, of det or per of (gamma*A)[S]. A nonzero term
-of that minor is a permutation p of S with an arc s -> p(s) for every s
-in S: m arcs, one out of and one into each vertex of S. G has only m
-arcs, so these are all of them, and every touched vertex has in- and
-out-degree 1. Hence the arcs are disjoint cycles covering S, S is the
-set of touched vertices, and p is the successor map, the only term. It
-is prod(gamma * w_e), times sgn p = (-1)^(m-c) in det mode; with the
-factor (-1)^m that gives the two forms. If the arcs are not such cycles,
-no term survives. QED
-
-So an f1 or f4 collision at m <= n is a set of digraphs with one deck
-that differ in whether their arcs are disjoint cycles or, under f1, in
-the parity of the cycle count; canonical_counterexample is such a pair.
-tests/test_closed_form.py checks the proposition against poly_of.
+When beta = 0 (f1, f4), the coefficient that may differ is, by the
+corollary in graph_polys' module docstring, (-1)^c * prod(gamma * w_e) in
+det mode and (-1)^m * prod(gamma * w_e) in per mode when the m <= n arcs
+are c vertex-disjoint directed cycles, and 0 otherwise. So an f1 or f4
+collision at m <= n is a set of digraphs with one deck that differ in
+whether their arcs are disjoint cycles or, under f1, in the parity of the
+cycle count; canonical_counterexample is such a pair.
 """
 
 from __future__ import annotations
@@ -114,8 +95,9 @@ def find_deck_collisions(n: int, m: int, kind: PolyKind,
     groups holding at least two distinct polynomials.
 
     Output order is canonical: groups sorted by signature, members sorted
-    by polynomial. The comb(n*(n-1), m) digraphs must stay within `budget`,
-    and n within the polynomial size cap of the kind's mode.
+    by polynomial. The labelled digraphs of the cell that classes(n, m)
+    walks must stay within `budget`, and n within the polynomial size cap
+    of the kind's mode.
     """
     graph_polys._check_cap(n, kind)
     slots = all_arc_slots(n)
@@ -183,13 +165,14 @@ def classes(n: int, m: int, budget: int = DEFAULT_BUDGET) -> list[tuple[int, ...
     coefficient and no collision group exists, and its one case with
     m <= n, (2, 2), holds a single digraph.
 
-    n < 1, m outside [0, N], more than `budget` labelled digraphs and a
-    table past its bound raise ValueError at the call.
+    The budget counts the labelled digraphs of the cell that is walked:
+    comb(N, m) of a sparse cell with n <= max(2m, 1), and for any other
+    cell those of the cell it walks instead, so (17, 4) counts the
+    comb(56, 4) of (8, 4), not comb(272, 4). n < 1, m outside [0, N], more
+    than `budget` labelled digraphs and a table past its bound raise
+    ValueError at the call.
     """
     slots = cell_slots(n, m)
-    total = comb(len(slots), m)
-    if total > budget:
-        raise ValueError(f"enumerating {total} digraphs exceeds the budget of {budget}")
     if 2 * m > len(slots):
         return [tuple(sorted(set(range(len(slots))).difference(c)))
                 for c in classes(n, len(slots) - m, budget)]
@@ -201,6 +184,9 @@ def classes(n: int, m: int, budget: int = DEFAULT_BUDGET) -> list[tuple[int, ...
         small = all_arc_slots(most)
         return [tuple(slot_of[s][t] for s, t in map(small.__getitem__, c))
                 for c in classes(most, m, budget)]
+    total = comb(len(slots), m)
+    if total > budget:
+        raise ValueError(f"enumerating {total} digraphs exceeds the budget of {budget}")
     size, bound = factorial(n) * len(slots), max(budget, DEFAULT_BUDGET)
     if size > bound:
         raise ValueError(f"a relabelling table of {size} entries exceeds the bound of {bound}")

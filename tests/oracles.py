@@ -4,10 +4,11 @@ the test files share. Nothing under src/ uses any of it.
 Each reference takes the slow road by definition, or a route that shares
 no code with the package's: the n!-term permutation sum, Glynn's
 sign-vector formula for the permanent, the deck as poly_of of every
-single-arc deletion, the deck sum as Fraction column sums of the deck's
-polynomials, a random matrix drawn by rng.choice, the adjugate rows by
-Horner's rule from Berkowitz's coefficients. The number of digraphs up to
-relabelling comes from Burnside's lemma, which never lists one.
+single-arc deletion, the polynomial and its cards summed over functional
+arc sets with no matrix, the deck sum as Fraction column sums of the
+deck's polynomials, a random matrix drawn by rng.choice, the adjugate rows
+by Horner's rule from Berkowitz's coefficients. The number of digraphs up
+to relabelling comes from Burnside's lemma, which never lists one.
 """
 
 from collections import Counter
@@ -15,6 +16,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import permutations
 from math import factorial, gcd, lcm, prod
+from operator import sub
 
 from deckpoly import polynomials as poly
 from deckpoly.digraphs import delete_arc
@@ -136,6 +138,80 @@ _card = cache(poly_of)
 def deletion_deck(g, kind):
     """The deck by definition: poly_of of every single-arc deletion, sorted."""
     return tuple(sorted(_card(delete_arc(g, e), kind) for e in range(g.m)))
+
+
+def functional_expansion(g, kind):
+    """(poly, cards): the pencil polynomial of g and, in arc order, card e,
+    the polynomial of g less arc e, by the functional-subdigraph expansion
+    that graph_polys' module docstring proves: the sum over the functional
+    arc sets H (distinct heads) of
+
+        (-1)^|H| * w(H) * beta^(|H| - |V(cycles of H)|)
+                 * prod_C (beta^|C| + s_C * gamma^|C|) * x^(n - |H|),
+
+    s_C = (-1)^(|C| - 1) in det mode and 1 in per mode. No matrix and no
+    kernel: each head t picks no arc or one arc into t, so the walk meets
+    every H once, and arc (s, t) closes a cycle when walking back from s
+    along the picked arcs reaches t. With the weights W_e/q and
+    beta, gamma = b/z, c/z, the term on H is an int over (q*z)^|H|.
+    Card e is the sum of the terms whose H does not contain e: all of
+    them less those that do."""
+    n, weights = g.n, g.arc_weights()
+    q = lcm(*(w.denominator for w in weights))
+    z = lcm(kind.beta.denominator, kind.gamma.denominator)
+    b, c = int(kind.beta * z), int(kind.gamma * z)
+    sign = -1 if kind.mode == "det" else 1
+    ins = [[] for _ in range(n)]
+    for e, (s, t) in enumerate(g.arcs):
+        ins[t].append((e, s, int(weights[e] * q)))
+    heads = [t for t in range(n) if ins[t]]
+    pred = [None] * n
+    picked = []
+    # total[j] and holding[e][j]: the int sums of the terms on j arcs, over
+    # every H and over the H that hold e.
+    total = [0] * (n + 1)
+    holding = [[0] * (n + 1) for _ in g.arcs]
+
+    def walk(i, weight, free, cycles):
+        if i == len(heads):
+            j = len(picked)
+            term = (-1) ** j * weight * b ** free * cycles
+            total[j] += term
+            for e in picked:
+                holding[e][j] += term
+            return
+        t = heads[i]
+        walk(i + 1, weight, free, cycles)
+        for e, s, w in ins[t]:
+            length = closes(s, t)
+            factor = b ** length + sign ** (length - 1) * c ** length if length else 1
+            if factor:  # a zero cycle factor zeroes every term below
+                pred[t] = s
+                picked.append(e)
+                walk(i + 1, weight * w, free + 1 - length, cycles * factor)
+                picked.pop()
+                pred[t] = None
+
+    def closes(s, t):
+        """The length of the cycle that arc (s, t) closes, or 0. The walk
+        back from s stops at a vertex with no picked arc, or after n steps
+        when it has run into a cycle picked before, which misses t."""
+        v = s
+        for length in range(1, n + 1):
+            if v is None:
+                return 0
+            if v == t:
+                return length
+            v = pred[v]
+        return 0
+
+    walk(0, 1, 0, 1)
+    scale = q * z
+
+    def unscaled(sums):
+        return tuple(Fraction(sums[n - k], scale ** (n - k)) for k in range(n + 1))
+
+    return unscaled(total), [unscaled(list(map(sub, total, held))) for held in holding]
 
 
 def choice_matrix(rng, order, zero_density=0.3, magnitude=9):

@@ -568,6 +568,27 @@ def test_search_default_budget_refuses_8_6(tmp_path, capsys, monkeypatch):
     assert "enumerating 32468436 digraphs exceeds the budget of 26978328" in err
 
 
+def test_search_budget_counts_the_cell_that_is_walked(tmp_path, capsys, monkeypatch):
+    # A 4-arc digraph touches at most 8 vertices, so (17, 4) walks the (8, 4)
+    # cell, comb(56, 4) = 367,290 labelled digraphs, within the default
+    # budget; "digraphs" still counts the comb(272, 4) of the cell asked for.
+    monkeypatch.delenv("DECKPOLY_BUDGET", raising=False)
+    argv = ("search", "--vertices", "17", "--arcs", "4", "--kind", "f1",
+            "--output", str(tmp_path / "g.ndjson"))
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"arcs": 4, "digraphs": 223_070_940, "format_version": 1,
+                               "groups": 2, "kind": "f1", "vertices": 17}
+    # Each witness is the lex-first member of its class, on vertices 0..7.
+    for line in (tmp_path / "g.ndjson").read_text().splitlines():
+        for member in json.loads(line)["members"]:
+            assert max(max(arc) for arc in member["digraph"]["arcs"]) < 8
+    monkeypatch.setenv("DECKPOLY_BUDGET", "367289")
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "enumerating 367290 digraphs exceeds the budget of 367289" in err
+
+
 def test_search_rejects_an_empty_or_negative_vertex_set(tmp_path, capsys):
     # At m = 0 the search used to return before anything checked n.
     for vertices in ("0", "-1"):

@@ -1,71 +1,108 @@
-"""The annihilated coefficient c_{n-m} in closed form when beta = 0, checked
-against poly_of: an oracle that reads only the arcs, never a kernel.
+"""The coefficient theorem of graph_polys' module docstring, as code and as
+the corollary for the coefficient the deck leaves free.
 
-With beta = 0 the pencil is x*I - gamma*A, and c_{n-m} is (-1)^m times the
-sum over m-vertex sets S of det or per of (gamma*A)[S]. A term needs a
-permutation of S along arcs, one arc out of each vertex of S; with m arcs
-in all, that happens only when the arcs form vertex-disjoint directed
-cycles covering S, and then the permutation is unique. In det mode its
-sign is (-1)^(m - cycles), so
+oracles.functional_expansion is the theorem as code: it sums the terms
+over the functional arc sets H (distinct heads) with no matrix and no
+kernel. Here it is checked against the n!-term permutation expansion
+(poly_of_oracle) and the deletion deck.
 
-    c_{n-m} = (-1)^cycles * prod(gamma*w)   (det),
-    c_{n-m} = (-1)^m * prod(gamma*w)        (per),
+The corollary: at m <= n only H = E has m arcs, so c_{n-m} = 0 when some
+vertex has in-degree 2 or more, and otherwise it is the term on E,
 
-and c_{n-m} = 0 when the arcs are not such a set of cycles.
+    c_{n-m} = (-1)^m * w(E) * beta^(m - |V(cycles)|)
+              * prod_C (beta^|C| + s_C * gamma^|C|),
 
-At m = n the annihilated coefficient is c_0, which has a closed form for
-any beta (proved in reconstruct's docstring): 0 unless every in-degree is
-1, and otherwise (-1)^n * prod(w) * beta^(n - |V(cycles)|) times, over the
-cycles C, beta^|C| + s_C * gamma^|C|, with s_C = (-1)^(|C| - 1) in det mode
-and 1 in per mode.
+with s_C = (-1)^(|C| - 1) in det mode and 1 in per mode. At beta = 0 it
+is nonzero only when the arcs are vertex-disjoint cycles, c of them, and
+then it is (-1)^c * prod(gamma*w) in det mode and (-1)^m * prod(gamma*w)
+in per mode. At m = n it is c_0. It is checked against poly_of, at every
+m <= n and for every kind.
 """
 
 import random
-from collections import Counter
 from fractions import Fraction
+from functools import cache
+from itertools import permutations
 from math import prod
 
 import pytest
 
 from deckpoly.digraphs import Digraph, enumerate_digraphs
-from deckpoly.graph_polys import F1, F2, F3, F4, F5, F6, parse_kind, poly_of
-from deckpoly.identities import random_nonzero_rational
-from oracles import random_kind
+from deckpoly.graph_polys import F2, F3, F5, F6, SIX_KINDS, parse_kind, poly_of, poly_of_oracle
+from deckpoly.identities import random_digraph, random_nonzero_rational
+from oracles import deletion_deck, functional_expansion, random_kind
 
-KINDS = (F1, F4, parse_kind("general:0,-3/2,det"), parse_kind("general:0,-3/2,per"))
+KINDS = SIX_KINDS + (parse_kind("general:3/2,-2,det"), parse_kind("general:-1/3,5/7,per"))
 
 
-def cycle_count(g):
-    """The number of cycles when g's arcs are vertex-disjoint directed
-    cycles (every touched vertex has in- and out-degree 1), else None."""
-    outs = Counter(s for s, _ in g.arcs)
-    ins = Counter(t for _, t in g.arcs)
-    if any(c != 1 for c in outs.values()) or outs.keys() != ins.keys():
-        return None
-    succ = dict(g.arcs)
-    cycles, seen = 0, set()
-    for start in succ:
-        if start not in seen:
-            cycles += 1
-            v = start
-            while v not in seen:
-                seen.add(v)
-                v = succ[v]
-    return cycles
+def check_expansion(g, kind, oracle=poly_of_oracle):
+    poly, cards = functional_expansion(g, kind)
+    assert poly == oracle(g, kind), (g, kind)
+    assert tuple(sorted(cards)) == (deletion_deck(g, kind) if g.m else ()), (g, kind)
+
+
+@cache
+def class_oracle(n, arcs, kind):
+    return poly_of_oracle(Digraph(n, arcs), kind)
+
+
+def relabelled_oracle(g, kind):
+    """poly_of_oracle of g's lex-least relabelling: the pencil polynomial
+    does not change when the vertices are relabelled, so the n!-term
+    oracle runs once per class."""
+    least = min(tuple(sorted((p[s], p[t]) for s, t in g.arcs)) for p in permutations(range(g.n)))
+    return class_oracle(g.n, least, kind)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_functional_expansion_matches_the_oracles_on_every_small_digraph(n):
+    for m in range(min(n * (n - 1), 4) + 1):
+        for g in enumerate_digraphs(n, m):
+            for kind in KINDS:
+                check_expansion(g, kind, relabelled_oracle)
+
+
+def test_functional_expansion_matches_the_oracles_on_random_weighted_digraphs():
+    rng = random.Random(11)
+    for _ in range(40):
+        g = random_digraph(rng, 6, weighted=True)
+        for kind in rng.sample(KINDS, 2):
+            check_expansion(g, kind)
+
+
+def cycle_lengths(pred):
+    """The lengths of the directed cycles of a functional arc set, given as
+    its predecessor map: walking back from a head ends at a vertex with no
+    predecessor, or on exactly one cycle."""
+    lengths, seen = [], set()
+    for start in pred:
+        path, v = [], start
+        while v in pred and v not in seen:
+            seen.add(v)
+            path.append(v)
+            v = pred[v]
+        if v in path:
+            lengths.append(len(path) - path.index(v))
+    return lengths
 
 
 def closed_form(g, kind):
-    cycles = cycle_count(g)
-    if cycles is None:
+    """c_{n-m} by the corollary: 0 when some in-degree is 2 or more, else
+    the term on H = E."""
+    pred = {t: s for s, t in g.arcs}
+    if len(pred) < g.m:
         return Fraction(0)
-    sign = (-1) ** (cycles if kind.mode == "det" else g.m)
-    return sign * prod((kind.gamma * w for w in g.arc_weights()), start=Fraction(1))
+    lengths = cycle_lengths(pred)
+    value = (-1) ** g.m * prod(g.arc_weights(), start=Fraction(1))
+    value *= kind.beta ** (g.m - sum(lengths))
+    for length in lengths:
+        sign = (-1) ** (length - 1) if kind.mode == "det" else 1
+        value *= kind.beta ** length + sign * kind.gamma ** length
+    return value
 
 
 def coefficient(g, kind):
-    p = poly_of(g, kind)
-    k = g.n - g.m
-    return p[k] if k < len(p) else Fraction(0)
+    return poly_of(g, kind)[g.n - g.m]
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -76,76 +113,45 @@ def test_closed_form_on_every_small_digraph(n, kind):
             assert coefficient(g, kind) == closed_form(g, kind), g
 
 
-def planted_cycles(rng, n):
-    """A random nonempty set of vertex-disjoint directed cycles: a random
-    vertex sample cut into runs of at least two, each closed into a cycle."""
-    vertices = rng.sample(range(n), rng.randint(2, n))
-    arcs, start = [], 0
-    while len(vertices) - start >= 2:
-        length = rng.randint(2, len(vertices) - start)
-        cycle = vertices[start:start + length]
-        arcs += zip(cycle, cycle[1:] + cycle[:1])
-        start += length
-    return sorted(arcs)
+def planted_functional(rng, n):
+    """The arcs (p(t), t) of a random predecessor map p without fixed
+    points on a random nonempty set of heads: every in-degree at most 1."""
+    heads = rng.sample(range(n), rng.randint(1, n))
+    return sorted((rng.choice([s for s in range(n) if s != t]), t) for t in heads)
 
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_closed_form_on_random_weighted_digraphs(kind):
     rng = random.Random(3)
-    linear = 0
+    functional = 0
     for trial in range(150):
         n = rng.randint(2, 7)
         if trial % 2:
-            arcs = planted_cycles(rng, n)
+            arcs = planted_functional(rng, n)
         else:
             slots = [(s, t) for s in range(n) for t in range(n) if s != t]
-            arcs = sorted(rng.sample(slots, rng.randint(0, min(n, len(slots)))))
+            arcs = sorted(rng.sample(slots, rng.randint(0, n)))
         g = Digraph(n, tuple(arcs), tuple(random_nonzero_rational(rng) for _ in arcs))
-        linear += cycle_count(g) is not None and g.m > 0
+        functional += len({t for _, t in arcs}) == len(arcs)
         assert coefficient(g, kind) == closed_form(g, kind), g
-    assert linear >= 75
-
-
-def cycle_lengths_if_in_degrees_are_one(g):
-    """The lengths of g's directed cycles when every vertex has in-degree
-    exactly 1, else None. Each vertex then has one predecessor, so walking
-    back from any vertex ends on exactly one cycle."""
-    pred = {t: s for s, t in g.arcs}
-    if g.m != g.n or len(pred) != g.n:
-        return None
-    lengths, seen = [], set()
-    for start in range(g.n):
-        path, v = [], start
-        while v not in seen:
-            seen.add(v)
-            path.append(v)
-            v = pred[v]
-        if v in path:
-            lengths.append(len(path) - path.index(v))
-    return lengths
-
-
-def c0_closed_form(g, kind):
-    lengths = cycle_lengths_if_in_degrees_are_one(g)
-    if lengths is None:
-        return Fraction(0)
-    value = (-1) ** g.n * prod(g.arc_weights(), start=Fraction(1))
-    value *= kind.beta ** (g.n - sum(lengths))
-    for length in lengths:
-        sign = (-1) ** (length - 1) if kind.mode == "det" else 1
-        value *= kind.beta ** length + sign * kind.gamma ** length
-    return value
+    assert functional >= 75
 
 
 @pytest.mark.parametrize("kind", [F2, F3, F5, F6])
 def test_c0_closed_form_on_every_small_digraph_with_m_equal_n(kind):
+    # With unit weights each cycle factor is 1 + s_C * gamma^|C|: f2's kills
+    # every cycle, f3's the even ones, f5's the odd ones and f6's none.
+    kills = {F2: lambda length: True, F3: lambda length: length % 2 == 0,
+             F5: lambda length: length % 2 == 1, F6: lambda length: False}[kind]
     nonzero = 0
     for n in (2, 3, 4):
         for g in enumerate_digraphs(n, n):
-            expected = c0_closed_form(g, kind)
+            expected = closed_form(g, kind)
             assert poly_of(g, kind)[0] == expected, g
+            pred = {t: s for s, t in g.arcs}
+            assert (expected != 0) == (len(pred) == n and not any(map(kills, cycle_lengths(pred))))
             nonzero += expected != 0
-    # Under f2 every factor is 1 - 1: c_0 = 0, the rule reconstruct applies.
+    # Under f2, c_0 = 0: the rule reconstruct applies.
     assert (nonzero == 0) == (kind == F2)
 
 
@@ -167,6 +173,6 @@ def test_c0_closed_form_on_random_weighted_digraphs():
             slots = [(s, t) for s in range(n) for t in range(n) if s != t]
             arcs = sorted(rng.sample(slots, n))
         g = Digraph(n, tuple(arcs), tuple(random_nonzero_rational(rng) for _ in arcs))
-        planted += cycle_lengths_if_in_degrees_are_one(g) is not None
-        assert poly_of(g, kind)[0] == c0_closed_form(g, kind), (g, kind)
+        planted += len({t for _, t in arcs}) == n
+        assert poly_of(g, kind)[0] == closed_form(g, kind), (g, kind)
     assert planted >= 150

@@ -1,7 +1,8 @@
-"""deck by column linearity against the deletion oracle, and its two card
-kernels against sympy, the permutation expansion, Glynn's formula,
-Berkowitz and Horner: each card against the updated pencil, and each
-adjugate entry read off a card (oracles.adjugate_entries)."""
+"""deck by column linearity against the deletion oracle, and past
+poly_of_oracle's cap against the functional-subdigraph expansion; and its
+two card kernels against sympy, the permutation expansion, Glynn's
+formula, Berkowitz and Horner: each card against the updated pencil, and
+each adjugate entry read off a card (oracles.adjugate_entries)."""
 
 import random
 from fractions import Fraction
@@ -15,8 +16,8 @@ from deckpoly import polynomials as poly
 from deckpoly.digraphs import Digraph
 from deckpoly.graph_polys import F1, F4, SIX_KINDS, PolyKind, deck, parse_kind, poly_of
 from deckpoly.identities import random_digraph, random_nonzero_rational
-from oracles import (adjugate_entries, choice_matrix, deletion_deck, glynn_permanent, horner_adjugate_rows,
-                     l_scaled_matrix, permutation_expansion, random_kind)
+from oracles import (adjugate_entries, choice_matrix, deletion_deck, functional_expansion, glynn_permanent,
+                     horner_adjugate_rows, l_scaled_matrix, permutation_expansion, random_kind)
 
 GENERAL_KINDS = (PolyKind(Fraction(1, 3), Fraction(-5, 2), "det"),
                  PolyKind(Fraction(-2, 3), Fraction(3, 4), "per"))
@@ -69,6 +70,23 @@ def test_deck_packing_bound_covers_the_cards():
     polys = deck(CANCELLING_HEAD, kind).polys
     assert polys == deletion_deck(CANCELLING_HEAD, kind)
     assert (-540, -75, 6, 1) in polys and (540, 195, 24, 1) in polys
+
+
+@pytest.mark.parametrize("mode", ["det", "per"])
+def test_kernels_match_the_functional_expansion_past_the_oracle_cap(mode):
+    # poly_of_oracle stops at 7 vertices; the expansion walks the functional
+    # arc sets, few on a sparse digraph, so it reaches the permanent cap.
+    rng = random.Random(97 if mode == "det" else 101)
+    named = [kind for kind in SIX_KINDS if kind.mode == mode]
+    for trial in range(30):
+        n = rng.randint(8, 16)
+        arcs = tuple(sorted(rng.sample(dg.all_arc_slots(n), rng.randint(1, n + 4))))
+        weights = tuple(random_nonzero_rational(rng) for _ in arcs) if trial % 2 else None
+        g = Digraph(n, arcs, weights)
+        for kind in (rng.choice(named), random_kind(rng, mode)):
+            poly, cards = functional_expansion(g, kind)
+            assert poly_of(g, kind) == poly, (g, kind)
+            assert deck(g, kind).polys == tuple(sorted(cards)), (g, kind)
 
 
 def sympy_adjugate_entries(matrix, wanted):
