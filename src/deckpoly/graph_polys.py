@@ -314,38 +314,32 @@ _poly_of_cached = lru_cache(maxsize=0)(poly_of)
 
 
 def poly_of_oracle(g: Digraph, kind: PolyKind) -> Polynomial:
-    """Same value as poly_of, computed by direct symbolic permutation
-    expansion of the pencil with no interpolation. n! terms, so tiny n only."""
+    """Same value as poly_of, by the n!-term permutation sum that defines det
+    or per of x*I - beta*D - gamma*A, with no kernel and no interpolation.
+    Only the diagonal holds x, so permutation p contributes its sign (det
+    mode) times -gamma*a[i][p(i)] at each moved i times x - beta*d_i at each
+    fixed i. n! terms, so tiny n only."""
     n = g.n
     if n > ORACLE_MAX_VERTICES:
         raise ValueError(f"poly_of_oracle is capped at {ORACLE_MAX_VERTICES} vertices, got {n}")
-    a = digraphs.adjacency(g)
-    d = digraphs.in_degrees(g)
-    entries = [
-        [
-            polynomials.normalize([-kind.beta * d[i], 1])
-            if i == j
-            else polynomials.normalize([-kind.gamma * a[i][j]])
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    total = polynomials.ZERO
+    off = [[-kind.gamma * a for a in row] for row in digraphs.adjacency(g)]
+    roots = [kind.beta * d for d in digraphs.in_degrees(g)]
+    total = [Fraction(0)] * (n + 1)
     signed = kind.mode == DETERMINANT
     for perm in permutations(range(n)):
-        term = polynomials.ONE
-        for i in range(n):
-            factor = entries[i][perm[i]]
-            if factor == polynomials.ZERO:
-                term = polynomials.ZERO
-                break
-            term = polynomials.mul(term, factor)
-        if term == polynomials.ZERO:
-            continue
-        if signed and matrices.permutation_sign(perm) < 0:
-            term = polynomials.scale(term, -1)
-        total = polynomials.add(total, term)
-    return total
+        term = [Fraction(matrices.permutation_sign(perm) if signed else 1)]
+        for i, j in enumerate(perm):
+            if i != j:
+                term[0] *= off[i][j]
+                if not term[0]:
+                    break
+        else:
+            for i, j in enumerate(perm):
+                if i == j:  # term * (x - beta*d_i)
+                    term = [a - roots[i] * b for a, b in zip([0, *term], [*term, 0])]
+            for k, c in enumerate(term):
+                total[k] += c
+    return polynomials.normalize(total)
 
 
 class Deck(Frozen):

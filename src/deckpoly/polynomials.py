@@ -3,7 +3,8 @@
 The canonical zero polynomial is the single coefficient (0,); every
 operation returns a canonical tuple, so equality and sorting are plain
 tuple comparison. That is what lets edge decks compare as multisets of
-coefficient vectors.
+coefficient vectors. Besides the canonical form there are sums, scalar
+multiples and exact interpolation through given points.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from fractions import Fraction
 Polynomial = tuple[Fraction, ...]
 
 ZERO: Polynomial = (Fraction(0),)
-ONE: Polynomial = (Fraction(1),)
 
 
 def normalize(coeffs) -> Polynomial:
@@ -42,42 +42,12 @@ def scale(p: Polynomial, c) -> Polynomial:
     return normalize(coeff * c for coeff in p)
 
 
-def mul(p: Polynomial, q: Polynomial) -> Polynomial:
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a == 0:
-            continue
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return normalize(out)
-
-
-def evaluate(p: Polynomial, t) -> Fraction:
-    """Exact Horner evaluation at t."""
-    t = Fraction(t)
-    acc = Fraction(0)
-    for c in reversed(p):
-        acc = acc * t + c
-    return acc
-
-
-def _divide_out_root(master: list[Fraction], root: Fraction) -> list[Fraction]:
-    # Synthetic division of the monic master polynomial by (x - root);
-    # exact because root is a root of master.
-    d = len(master) - 1
-    q = [Fraction(0)] * d
-    q[d - 1] = master[d]
-    for k in range(d - 1, 0, -1):
-        q[k - 1] = master[k] + root * q[k]
-    return q
-
-
 def interpolate(points) -> Polynomial:
     """Unique polynomial of degree < len(points) through the given (x, y) pairs.
 
-    Lagrange form: build the master product of (x - x_i) once, divide out
-    each root to get the per-point numerator, and rescale by its value at
-    the point. All arithmetic is exact.
+    Newton form: the divided differences c_k = y[x_0, ..., x_k], computed
+    in place, give p = c_0 + (x - x_0)(c_1 + (x - x_1)(c_2 + ...)), which
+    nested multiplication expands innermost first. All arithmetic is exact.
 
     Test oracle path: fed with det_bareiss or per_ryser of
     graph_polys.pencil_at at t = 0..n, it recomputes poly_of by n+1 scalar
@@ -89,17 +59,12 @@ def interpolate(points) -> Polynomial:
     xs = [x for x, _ in pts]
     if len(set(xs)) != len(xs):
         raise ValueError("interpolation abscissae must be pairwise distinct")
-    master = [Fraction(1)]
-    for x in xs:
-        master = [Fraction(0)] + master
-        for k in range(len(master) - 1):
-            master[k] -= x * master[k + 1]
-    acc = [Fraction(0)] * len(pts)
-    for x, y in pts:
-        num = _divide_out_root(master, x)
-        weight = y / evaluate(tuple(num), x)
-        if weight == 0:
-            continue
-        for k, c in enumerate(num):
-            acc[k] += weight * c
+    diffs = [y for _, y in pts]
+    for k in range(1, len(xs)):
+        for i in range(len(xs) - 1, k - 1, -1):
+            diffs[i] = (diffs[i] - diffs[i - 1]) / (xs[i] - xs[i - k])
+    acc = diffs[-1:]
+    for c, x in zip(diffs[-2::-1], xs[-2::-1]):
+        # acc * (x - x_k) + c_k, coefficient by coefficient.
+        acc = [a - x * b for a, b in zip([c, *acc], [*acc, 0])]
     return normalize(acc)

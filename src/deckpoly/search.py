@@ -21,7 +21,23 @@ The kernel runs once per relabelling class: a polynomial and a deck
 multiset do not change when the vertices are relabelled, so the sweep
 groups one representative per class, from classes(n, m). That walk over
 the cell does not depend on the kind; its docstring says how it runs and
-which member represents a class.
+which member represents a class, and why a cell with n > 2m walks the
+(2m, m) cell.
+
+Lemma (padding). For n >= 2m, every (n, m) collision group is a (2m, m)
+group with every polynomial and deck member times x^(n-2m), and with the
+same witnesses. Proof: an isolated vertex v has no arc, so its in-degree
+is 0 and its row and column of x*I - beta*D - gamma*A are x*e_v;
+expanding det or per along that row gives x times the polynomial without
+v, and deleting an arc leaves v isolated, so every card gains the same
+factor x. An m-arc digraph touches at most 2m vertices, so up to
+relabelling each (n, m) digraph is a (2m, m) digraph with n - 2m
+isolated vertices, and its polynomial and deck are that digraph's times
+x^(n-2m). Multiplying by x^(n-2m) is injective and keeps the
+lexicographic order of coefficient vectors, so it maps the (2m, m)
+groups one to one onto the (n, m) groups, in the same order; and
+classes(n, m) yields the representatives of classes(2m, m) in the same
+order, so each group keeps its witnesses, on n vertices.
 
 The seam checks every kernel output to be monic of degree n, and every
 reported group is checked against its deck: reconstruct reads the
@@ -156,11 +172,13 @@ def classes(n: int, m: int, budget: int = DEFAULT_BUDGET) -> list[tuple[int, ...
     with n > max(2m, 1), whose digraphs touch at most 2m vertices, walks
     the (max(2m, 1), m) cell and re-indexes its slots: lex order on arcs
     does not depend on n, so the representatives and their order are the
-    same. Keeping, per value of a class invariant, the first representative
-    that has it keeps the first labelled digraph that combinations yields
-    with it: the witness of a labelled sweep. On a dense cell a
-    representative is the complement of the lex-first member of the
-    complement class, which need not be the lex-first member of its own.
+    same (the padding lemma in the module docstring carries this to the
+    collision groups). Keeping, per value of a class invariant, the first
+    representative that has it keeps the first labelled digraph that
+    combinations yields with it: the witness of a labelled sweep. On a
+    dense cell a representative is the complement of the lex-first member
+    of the complement class, which need not be the lex-first member of its
+    own.
     For n >= 3 a dense cell has m > n, where the deck fixes every
     coefficient and no collision group exists, and its one case with
     m <= n, (2, 2), holds a single digraph.

@@ -7,8 +7,9 @@ sign-vector formula for the permanent, the deck as poly_of of every
 single-arc deletion, the polynomial and its cards summed over functional
 arc sets with no matrix, the deck sum as Fraction column sums of the
 deck's polynomials, a random matrix drawn by rng.choice, the adjugate rows
-by Horner's rule from Berkowitz's coefficients. The number of digraphs up
-to relabelling comes from Burnside's lemma, which never lists one.
+by Horner's rule from Berkowitz's coefficients, a polynomial's value at a
+point by Horner's rule (evaluate). The number of digraphs up to
+relabelling comes from Burnside's lemma, which never lists one.
 """
 
 from collections import Counter
@@ -35,6 +36,15 @@ def P(*coeffs):
 
 def xpow(n):
     return P(*([0] * n + [1]))
+
+
+def evaluate(p, t):
+    """The polynomial p at t, exactly, by Horner's rule."""
+    t = Fraction(t)
+    acc = Fraction(0)
+    for c in reversed(p):
+        acc = acc * t + c
+    return acc
 
 
 def random_kind(rng, mode):

@@ -37,7 +37,7 @@ from deckpoly.graph_polys import (
 )
 from deckpoly.identities import random_digraph, random_nonzero_rational, random_rational
 from deckpoly.search import canonical_counterexample
-from oracles import P, deletion_deck, random_kind, xpow
+from oracles import P, deletion_deck, evaluate, random_kind, xpow
 
 
 STAR_OF_DIGONS = Digraph(3, ((0, 1), (1, 0), (0, 2), (2, 0)))
@@ -206,7 +206,7 @@ def test_laplacian_poly_has_no_constant_term():
     rng = random.Random(37)
     for _ in range(30):
         g = random_digraph(rng, 6, weighted=bool(rng.getrandbits(1)))
-        assert poly.evaluate(poly_of(g, F2), 0) == 0
+        assert evaluate(poly_of(g, F2), 0) == 0
 
 
 def test_oracle_trivial_cases():
@@ -239,7 +239,7 @@ def test_oracle_matches_poly_of_on_random_larger_instances():
 
 def interpolation_oracle(g, kind):
     """poly_of by the route it replaced: the scalar kernel at t = 0..n, then
-    Lagrange interpolation."""
+    polynomials.interpolate (Newton's divided differences)."""
     kernel = mx.per_ryser if kind.mode == "per" else mx.det_bareiss
     points = []
     for t in range(g.n + 1):
@@ -274,6 +274,18 @@ def test_poly_of_matches_interpolation_oracle_at_the_largest_orders():
             g = Digraph(n, arcs, weights)
             kind = random_kind(rng, mode)
             assert poly_of(g, kind) == interpolation_oracle(g, kind)
+
+
+def test_oracle_matches_poly_of_and_interpolation_at_its_cap():
+    # poly_of_oracle's 7 vertices: the complete digraph, whose permutation
+    # sum has no zero term, and a seeded weighted digraph under general kinds.
+    complete = Digraph(7, tuple(dg.all_arc_slots(7)))
+    rng = random.Random(71)
+    arcs = tuple(sorted(rng.sample(dg.all_arc_slots(7), 21)))
+    weighted = Digraph(7, arcs, tuple(random_nonzero_rational(rng) for _ in arcs))
+    for g, kind in ((complete, F1), (complete, F6),
+                    (weighted, random_kind(rng, "det")), (weighted, random_kind(rng, "per"))):
+        assert poly_of_oracle(g, kind) == poly_of(g, kind) == interpolation_oracle(g, kind)
 
 
 ARCS3 = ((0, 1), (2, 1), (1, 2))

@@ -28,7 +28,7 @@ from deckpoly.reconstruct import (
     reconstruct,
 )
 from deckpoly.search import canonical_counterexample
-from oracles import P, deck_sum, xpow
+from oracles import P, deck_sum, evaluate, xpow
 
 STAR_OF_DIGONS = Digraph(3, ((0, 1), (1, 0), (0, 2), (2, 0)))
 
@@ -198,7 +198,7 @@ def test_m_equals_n_decks_have_vanishing_constant_sum():
             continue
         for kind in SIX_KINDS:
             s = deck_sum(deck(g, kind))
-            assert poly.evaluate(s, 0) == 0
+            assert evaluate(s, 0) == 0
         checked += 1
     assert checked == 15
 

@@ -448,6 +448,27 @@ def test_cells_with_more_than_2m_vertices_walk_2m_vertices(n, m):
     assert len(reps) == digraph_classes(n, m)
 
 
+def padded(group, n):
+    """A collision group of the (2m, m) cell with isolated vertices added up
+    to n: n - 2m leading zeros on every deck row and polynomial, the same
+    witness arcs on n vertices."""
+    d, shift = group.deck, n - group.deck.n
+    rows = [(0,) * shift + row for row in d.coefficients]
+    return CollisionGroup(Deck(n, d.kind, rows, (1,) * shift + d.denominators),
+                          tuple((Digraph(n, g.arcs), P(*([0] * shift), *p))
+                                for g, p in group.members))
+
+
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("kind", SIX_KINDS, ids=["f1", "f2", "f3", "f4", "f5", "f6"])
+def test_cells_with_at_least_2m_vertices_are_the_2m_cell_padded(kind, m):
+    # The padding lemma in search's docstring, up to the permanent cap.
+    groups = find_deck_collisions(2 * m, m, kind)
+    assert groups
+    for n in (*range(2 * m + 1, 2 * m + 9), 16):
+        assert find_deck_collisions(n, m, kind) == [padded(group, n) for group in groups]
+
+
 def test_classes_refuse_a_relabelling_table_past_its_bound_before_building_it(monkeypatch):
     # (10, 5) walks on 10 vertices, and its table would hold 10! * 90 entries:
     # more than the raised budget that admits the cell's comb(90, 5) digraphs.
