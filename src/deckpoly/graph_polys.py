@@ -137,7 +137,7 @@ F5 = PolyKind(1, -1, PERMANENT)
 F6 = PolyKind(1, 1, PERMANENT)
 
 NAMED_KINDS = {"f1": F1, "f2": F2, "f3": F3, "f4": F4, "f5": F5, "f6": F6}
-SIX_KINDS = (F1, F2, F3, F4, F5, F6)
+SIX_KINDS = tuple(NAMED_KINDS.values())
 _KIND_NAMES = {kind: name for name, kind in NAMED_KINDS.items()}
 
 
@@ -296,8 +296,6 @@ def _unscaled(coeffs: Sequence[int], scale: int, n: int) -> Polynomial:
     """f from the monic coefficients of K = det or per of (y*I - L*B). Both
     are homogeneous of degree n, so K(L*x) = L^n * f(x), and coefficient k
     of f is coefficient k of K divided by L^(n-k)."""
-    if scale == 1:
-        return tuple(map(Fraction, coeffs))  # the one-argument fast path
     return tuple(Fraction(c, scale ** (n - k)) for k, c in enumerate(coeffs))
 
 
@@ -346,34 +344,32 @@ class Deck(Frozen):
     """Edge deck of a digraph mapped through one polynomial kind.
 
     Member i (in `polys` as Fractions) has degree n and coefficient k equal
-    to coefficients[i][k] / denominators[k]. Construction puts every deck in
-    one form, denominators[k] the lcm of coefficient k's reduced
-    denominators over the members and the rows sorted, so decks compare and
-    hash as multisets however they were built. `arc_weight` is the source's
+    to coefficients[i][k] / denominators[k]. The degree n is not stored: the
+    property reads it off the n + 1 denominators, and every row must have
+    as many entries. Construction puts every deck in one form,
+    denominators[k] the lcm of coefficient k's reduced denominators over
+    the members and the rows sorted, so decks compare and hash as
+    multisets however they were built. `arc_weight` is the source's
     total arc weight, kept only when it differs from the arc count m, the
     number of members (so never for an unweighted digraph): construction
     stores None for a total equal to m. The members alone do not determine
     it when m = 1.
     """
 
-    __slots__ = ("n", "kind", "coefficients", "denominators", "arc_weight")
+    __slots__ = ("kind", "coefficients", "denominators", "arc_weight")
 
-    def __init__(self, n: int, kind: PolyKind, coefficients: Sequence[Sequence[int]],
+    def __init__(self, kind: PolyKind, coefficients: Sequence[Sequence[int]],
                  denominators: Sequence[int], arc_weight: Fraction | None = None):
-        if len(denominators) != n + 1:
-            raise ValueError(f"a deck of degree {n} needs {n + 1} denominators, "
-                             f"got {len(denominators)}")
         if min(denominators, default=1) < 1:
             raise ValueError(f"deck denominators must be >= 1, got {denominators}")
-        if set(map(len, coefficients)) - {n + 1}:
-            raise ValueError(f"every deck member needs {n + 1} coefficients")
+        if set(map(len, coefficients)) - {len(denominators)}:
+            raise ValueError(f"every deck member needs {len(denominators)} coefficients")
         # Each column and its denominator over their gcd, which leaves the lcm
         # of its reduced denominators; then the rows sorted as Fractions.
         rows, dens = coefficients, denominators
         commons = [gcd(den, *column) for den, column in zip(dens, zip(*rows))] or dens
         if commons.count(1) != len(commons):
             rows = [list(map(floordiv, row, commons)) for row in rows]
-        _set(self, "n", n)
         _set(self, "kind", kind)
         _set(self, "coefficients", tuple(sorted(map(tuple, rows))))
         _set(self, "denominators", tuple(map(floordiv, dens, commons)))
@@ -384,7 +380,11 @@ class Deck(Frozen):
                    arc_weight: Fraction | None = None) -> Deck:
         rows = [list(map(Fraction, p)) for p in polys]
         members = [([c.numerator for c in row], [c.denominator for c in row]) for row in rows]
-        return cls(n, kind, *_scaled_columns(n, members), arc_weight)
+        return cls(kind, *_scaled_columns(n, members), arc_weight)
+
+    @property
+    def n(self) -> int:
+        return len(self.denominators) - 1
 
     @property
     def polys(self) -> tuple[Polynomial, ...]:
@@ -420,4 +420,4 @@ def deck(g: Digraph, kind: PolyKind) -> Deck:
     _, members = _pencil_cards(kind, g.n, g.arcs, terms)
     total = None if g.weights is None else sum(g.weights, Fraction(0))
     # Coefficient k of a member is its column entry over L^(n-k) (see _unscaled).
-    return Deck(g.n, kind, members, [scale ** (g.n - k) for k in range(g.n + 1)], total)
+    return Deck(kind, members, [scale ** (g.n - k) for k in range(g.n + 1)], total)

@@ -3,13 +3,14 @@
 The canonical zero polynomial is the single coefficient (0,); every
 operation returns a canonical tuple, so equality and sorting are plain
 tuple comparison. That is what lets edge decks compare as multisets of
-coefficient vectors. Besides the canonical form there are sums, scalar
-multiples and exact interpolation through given points.
+coefficient vectors. Besides the canonical form there are differences
+and exact interpolation through given points.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import zip_longest
 
 Polynomial = tuple[Fraction, ...]
 
@@ -26,20 +27,8 @@ def normalize(coeffs) -> Polynomial:
     return tuple(out)
 
 
-def add(p: Polynomial, q: Polynomial) -> Polynomial:
-    n = max(len(p), len(q))
-    return normalize(
-        (p[k] if k < len(p) else 0) + (q[k] if k < len(q) else 0) for k in range(n)
-    )
-
-
 def sub(p: Polynomial, q: Polynomial) -> Polynomial:
-    return add(p, scale(q, -1))
-
-
-def scale(p: Polynomial, c) -> Polynomial:
-    c = Fraction(c)
-    return normalize(coeff * c for coeff in p)
+    return normalize(a - b for a, b in zip_longest(p, q, fillvalue=0))
 
 
 def interpolate(points) -> Polynomial:

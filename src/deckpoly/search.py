@@ -130,7 +130,7 @@ def find_deck_collisions(n: int, m: int, kind: PolyKind,
         if len(by_poly) < 2:
             continue
         # Coefficient k of a row is its entry over L^(n-k) (see _unscaled).
-        deck = Deck(n, kind, signature, [scale ** (n - k) for k in range(n + 1)])
+        deck = Deck(kind, signature, [scale ** (n - k) for k in range(n + 1)])
         members = tuple((Digraph(n, tuple(slots[i] for i in by_poly[c])),
                          graph_polys._unscaled(c, scale, n))
                         for c in sorted(by_poly))

@@ -137,7 +137,7 @@ def deck_from_obj(obj) -> Deck:
     if arc_weight is not None:
         arc_weight = fraction_from_str(arc_weight)
     try:
-        return Deck(n, kind, *_scaled_columns(n, [_rational_pairs(item) for item in raw]), arc_weight)
+        return Deck(kind, *_scaled_columns(n, [_rational_pairs(item) for item in raw]), arc_weight)
     except ValueError as exc:  # a bad coefficient or a member of the wrong degree
         raise FormatError(str(exc)) from exc
 

@@ -61,7 +61,7 @@ def test_criterion_1_golden_values():
         rival = canonical_counterexample(n)[1]
         xn = xpow(n)
         assert poly_of(cycle, F1) == poly.sub(xn, P(1))
-        assert poly_of(cycle, F4) == poly.add(xn, P((-1) ** n))
+        assert poly_of(cycle, F4) == poly.sub(xn, P(-(-1) ** n))
         assert poly_of(rival, F1) == xn
         assert poly_of(rival, F4) == xn
         for kind in (F1, F4):

@@ -116,7 +116,7 @@ def test_pencil_at_empty_digraph_is_scalar_matrix():
 def test_cycle_golden_values(n):
     cycle = dg.directed_cycle(n)
     assert poly_of(cycle, F1) == poly.sub(xpow(n), P(1))
-    assert poly_of(cycle, F4) == poly.add(xpow(n), P((-1) ** n))
+    assert poly_of(cycle, F4) == poly.sub(xpow(n), P(-(-1) ** n))
 
 
 @pytest.mark.parametrize("n", range(3, 7))

@@ -148,13 +148,13 @@ def test_thm31_reports_a_perturbed_card_as_violated(monkeypatch, g, beta, gamma,
     for k in range(g.n + 1):
         def perturbed(h, kind):
             p = real_poly_of(h, kind)
-            return poly.add(p, P(*([0] * k + [1]))) if h == card else p
+            return poly.sub(p, P(*([0] * k + [-1]))) if h == card else p
 
         monkeypatch.setattr(identities, "poly_of", perturbed)
         report = check_thm31(g, beta, gamma, mode)
         assert report.verdict == "violated", k
         assert report.lhs == holding.lhs
-        assert report.rhs == poly.add(holding.rhs, P(*([0] * k + [1])))
+        assert report.rhs == poly.sub(holding.rhs, P(*([0] * k + [-1])))
 
 
 def test_eq17_all_six_kinds_on_c4():

@@ -73,7 +73,7 @@ def test_every_family_member_satisfies_the_deck_equation():
         s = deck_sum(d)
         m = len(d.polys)
         for c in (0, 1, -2):
-            g = poly.add(result.base, poly.scale(xpow(result.free_exponent), c))
+            g = poly.sub(result.base, P(*([0] * result.free_exponent), -c))
             # Coefficient k of (m - n) * g + x * g' is (m - n + k) * c_k.
             lhs = P(*((m - n + k) * coeff for k, coeff in enumerate(g)))
             assert lhs == s
@@ -119,17 +119,17 @@ def test_a_set_arc_weight_the_forced_trace_disagrees_with_is_inconsistent(arcs, 
     d = deck(g, F2)
     expected = outcome(reconstruct(d), poly_of(g, F2))
     assert d.arc_weight == sum(g.weights) and expected in ("recovered", "covered")
-    edited = Deck(d.n, d.kind, d.coefficients, d.denominators, Fraction(7))
+    edited = Deck(d.kind, d.coefficients, d.denominators, Fraction(7))
     result = reconstruct(edited)
     assert isinstance(result, Inconsistent) and "trace rule" in result.detail
     # Without the field W reads as m, which these weights do not sum to, so
     # the deck is inconsistent too; with beta = 0, c_{n-1} is 0 whatever W.
-    bare = reconstruct(Deck(d.n, d.kind, d.coefficients, d.denominators))
+    bare = reconstruct(Deck(d.kind, d.coefficients, d.denominators))
     assert isinstance(bare, Inconsistent)
     assert bare.detail.endswith(f"the trace rule gives -beta * W = {-len(arcs)} "
                                 f"for the arc weight W = {len(arcs)}")
     d1 = deck(g, F1)
-    assert outcome(reconstruct(Deck(d1.n, F1, d1.coefficients, d1.denominators, Fraction(7))),
+    assert outcome(reconstruct(Deck(F1, d1.coefficients, d1.denominators, Fraction(7))),
                    poly_of(g, F1)) in ("recovered", "covered")
 
 
@@ -161,8 +161,8 @@ def test_no_edited_deck_is_answered_unique_and_wrong():
             raised = [list(p) for p in d.polys]
             raised[rng.randrange(len(raised))][n - 1] += 1
             weight = len(arcs) if d.arc_weight is None else d.arc_weight
-            for edited in (Deck(n, kind, d.coefficients, d.denominators),
-                           Deck(n, kind, d.coefficients, d.denominators, weight + 1),
+            for edited in (Deck(kind, d.coefficients, d.denominators),
+                           Deck(kind, d.coefficients, d.denominators, weight + 1),
                            Deck.from_polys(n, kind, raised, d.arc_weight)):
                 result = reconstruct(edited)
                 assert not isinstance(result, Unique) or result.poly == expected, (g, kind)
@@ -260,6 +260,15 @@ def test_outcome_reads_each_result():
     assert outcome(family, P(-1, 1, 0, 1)) == "missed"
     assert outcome(family, P(-1, 0, 1)) == "missed"
     assert outcome(Inconsistent("no digraph"), xpow(3)) == "missed"
+
+
+def test_outcome_reads_a_missing_coefficient_as_0():
+    # A polynomial of another length than the base: the coefficients one
+    # side lacks are 0, so x^2 + 1 with x free covers neither 1 nor
+    # x^3 + x^2 + 1.
+    family = OneParameterFamily(P(1, 0, 1), 1)
+    assert outcome(family, P(1)) == outcome(family, P(1, 0, 1, 1)) == "missed"
+    assert outcome(family, P(1, 5, 1)) == "covered"
 
 
 def test_roundtrip_never_misses_on_unweighted_digraphs():

@@ -454,7 +454,7 @@ def padded(group, n):
     witness arcs on n vertices."""
     d, shift = group.deck, n - group.deck.n
     rows = [(0,) * shift + row for row in d.coefficients]
-    return CollisionGroup(Deck(n, d.kind, rows, (1,) * shift + d.denominators),
+    return CollisionGroup(Deck(d.kind, rows, (1,) * shift + d.denominators),
                           tuple((Digraph(n, g.arcs), P(*([0] * shift), *p))
                                 for g, p in group.members))
 
@@ -467,6 +467,26 @@ def test_cells_with_at_least_2m_vertices_are_the_2m_cell_padded(kind, m):
     assert groups
     for n in (*range(2 * m + 1, 2 * m + 9), 16):
         assert find_deck_collisions(n, m, kind) == [padded(group, n) for group in groups]
+
+
+def test_group_counts_on_the_cells_that_decide_every_n():
+    # With the padding lemma (n > 2m) and reconstruct's Unique answer at
+    # m > n, these cells fix the groups at every n for m <= 3: f1 and f4
+    # collide in floor(m/2) groups from n = max(m, 3) on, the other kinds in
+    # one group from n = m + 1 on, and every group holds two polynomials
+    # but f5's and f6's at m = 2, which hold three.
+    for m in (2, 3):
+        for n in range(m, 2 * m + 1):
+            for kind in SIX_KINDS:
+                name = graph_polys.kind_name(kind)
+                if name in ("f1", "f4"):
+                    count = m // 2 if n >= max(m, 3) else 0
+                else:
+                    count = 1 if n > m else 0
+                size = 3 if name in ("f5", "f6") and m == 2 else 2
+                groups = find_deck_collisions(n, m, kind)
+                sizes = [(len(g.members), len({p for _, p in g.members})) for g in groups]
+                assert sizes == [(size, size)] * count, (n, m, name)
 
 
 def test_classes_refuse_a_relabelling_table_past_its_bound_before_building_it(monkeypatch):

@@ -99,7 +99,7 @@ def test_arc_weight_equal_to_the_member_count_reads_as_absent():
         assert twin == d and hash(twin) == hash(d)
         assert ser.to_canonical_json(ser.deck_to_obj(twin)) == ser.to_canonical_json(obj)
     for twin in (Deck.from_polys(d.n, d.kind, d.polys, 2),
-                 Deck(d.n, d.kind, d.coefficients, d.denominators, Fraction(2))):
+                 Deck(d.kind, d.coefficients, d.denominators, Fraction(2))):
         assert twin == d and twin.arc_weight is None
         assert pickle.loads(pickle.dumps(twin)) == copy.deepcopy(twin) == d
     assert ser.deck_from_obj({**obj, "arc_weight": "3"}).arc_weight == 3

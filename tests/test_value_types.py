@@ -25,7 +25,7 @@ from deckpoly.search import CollisionGroup
 FIELDS = {
     Digraph: ("n", "arcs", "weights"),
     PolyKind: ("beta", "gamma", "mode"),
-    Deck: ("n", "kind", "coefficients", "denominators", "arc_weight"),
+    Deck: ("kind", "coefficients", "denominators", "arc_weight"),
     Unique: ("poly",),
     OneParameterFamily: ("base", "free_exponent"),
     Inconsistent: ("detail",),
@@ -127,9 +127,9 @@ def test_keyword_construction_with_the_defaults():
     assert Digraph(n=3).arcs == () and Digraph(n=3).weights is None
     d = deck(directed_cycle(3), F1)
     assert d.arc_weight is None
-    assert Deck(n=d.n, kind=d.kind, coefficients=d.coefficients,
+    assert Deck(kind=d.kind, coefficients=d.coefficients,
                 denominators=d.denominators, arc_weight=None) == d
-    assert Deck(d.n, d.kind, d.coefficients, d.denominators) == d
+    assert Deck(d.kind, d.coefficients, d.denominators) == d
     assert PolyKind(beta=0, gamma=1, mode="det") == F1
     assert Unique(poly=(1,)) == Unique((1,))
     assert OneParameterFamily(base=(1,), free_exponent=0) == OneParameterFamily((1,), 0)
