@@ -21,8 +21,8 @@ The kernel runs once per relabelling class: a polynomial and a deck
 multiset do not change when the vertices are relabelled, so the sweep
 groups one representative per class, from classes(n, m). That walk over
 the cell does not depend on the kind; its docstring says how it runs and
-which member represents a class, and why a cell with n > 2m walks the
-(2m, m) cell.
+which member represents a class. A cell with m >= 2 and n >= 2m walks the
+(2m - 1, m) cell and adds one class (the step below).
 
 Lemma (padding). For n >= 2m, every (n, m) collision group is a (2m, m)
 group with every polynomial and deck member times x^(n-2m), and with the
@@ -38,6 +38,21 @@ lexicographic order of coefficient vectors, so it maps the (2m, m)
 groups one to one onto the (n, m) groups, in the same order; and
 classes(n, m) yields the representatives of classes(2m, m) in the same
 order, so each group keeps its witnesses, on n vertices.
+
+The (2m - 1, m) step. For m >= 2 and n >= 2m, the representatives of
+classes(n, m) are those of classes(2m - 1, m) plus the m disjoint arcs
+M = ((0, 1), (2, 3), ..., (2m - 2, 2m - 1)), in sorted order. Proof: an
+m-arc digraph touches 2m vertices only when no two of its arcs share a
+vertex, and all such digraphs form one class, whose lex-first member is
+M: (0, 1) is the least arc, and after (0, 1), ..., (2k - 2, 2k - 1) the
+least arc on two untouched vertices is (2k, 2k + 1). Every other class
+touches at most 2m - 1 vertices, and its lex-first member touches only
+the first of them (classes' docstring), so it is the lex-first member of
+a (2m - 1, m) class, on the first 2m - 1 vertices; two digraphs there
+are relabellings of each other on n vertices exactly when they are on
+2m - 1, since a relabelling maps touched vertices onto touched vertices.
+Lex order on arcs does not depend on n, so sorting places M where the
+walk of the (n, m) cell would meet it.
 
 The seam checks every kernel output to be monic of degree n, and every
 reported group is checked against its deck: reconstruct reads the
@@ -72,13 +87,16 @@ from math import comb, factorial
 from operator import getitem
 
 from . import graph_polys, polynomials
-from .digraphs import Digraph, Frozen, all_arc_slots, cell_slots, directed_cycle, directed_path
+from .digraphs import Digraph, Frozen, cell_slots, directed_cycle, directed_path
 from .graph_polys import Deck, PolyKind
 from .reconstruct import outcome, reconstruct
 
 # comb(42, 7), the (7, 7) cell: 26.1-34.1 s per kind and 42 MB peak RSS on a
 # 2-core host, Python 3.11. The walk keeps one byte per labelled digraph.
 DEFAULT_BUDGET = comb(42, 7)
+
+# A digraph of a cell as its sorted arcs (s, t).
+Arcs = tuple[tuple[int, int], ...]
 
 
 class CollisionGroup(Frozen):
@@ -116,14 +134,13 @@ def find_deck_collisions(n: int, m: int, kind: PolyKind,
     of the kind's mode.
     """
     graph_polys._check_cap(n, kind)
-    slots = all_arc_slots(n)
     # Every unweighted arc carries the same integer terms under one scale.
     scale, [term] = graph_polys._arc_terms(kind, [Fraction(1)])
     terms = [term] * m
-    groups: dict[tuple[tuple[int, ...], ...], dict[tuple[int, ...], tuple[int, ...]]] = {}
-    for digraph in classes(n, m, budget):
-        coeffs, deck = graph_polys._pencil_cards(kind, n, [slots[i] for i in digraph], terms)
-        groups.setdefault(tuple(sorted(map(tuple, deck))), {}).setdefault(tuple(coeffs), digraph)
+    groups: dict[tuple[tuple[int, ...], ...], dict[tuple[int, ...], Arcs]] = {}
+    for arcs in classes(n, m, budget):
+        coeffs, deck = graph_polys._pencil_cards(kind, n, arcs, terms)
+        groups.setdefault(tuple(sorted(map(tuple, deck))), {}).setdefault(tuple(coeffs), arcs)
     out = []
     for signature in sorted(groups):
         by_poly = groups[signature]
@@ -131,20 +148,20 @@ def find_deck_collisions(n: int, m: int, kind: PolyKind,
             continue
         # Coefficient k of a row is its entry over L^(n-k) (see _unscaled).
         deck = Deck(kind, signature, [scale ** (n - k) for k in range(n + 1)])
-        members = tuple((Digraph(n, tuple(slots[i] for i in by_poly[c])),
-                         graph_polys._unscaled(c, scale, n))
+        members = tuple((Digraph(n, by_poly[c]), graph_polys._unscaled(c, scale, n))
                         for c in sorted(by_poly))
         _check_group(deck, members)
         out.append(CollisionGroup(deck, members))
     return out
 
 
-def classes(n: int, m: int, budget: int = DEFAULT_BUDGET) -> list[tuple[int, ...]]:
-    """One member of each relabelling class of the (n, m)-digraphs, as
-    sorted indices into all_arc_slots(n), in the order the walk meets them.
+def classes(n: int, m: int, budget: int = DEFAULT_BUDGET) -> list[Arcs]:
+    """One member of each relabelling class of the (n, m)-digraphs, as a
+    sorted tuple of arcs (s, t), in the order the walk meets them.
 
-    The walk runs over the m-subsets of the N = n(n-1) arc slots, as sorted
-    index tuples ranked in the lex order of itertools.combinations. It
+    The walk runs over the m-subsets of the N = n(n-1) arcs of
+    all_arc_slots(n) in the lex order of itertools.combinations, and ranks
+    each by the sorted tuple of its slots (indices into that list). It
     skips every subset whose class it has already met (a bytearray by
     rank); otherwise it keeps the subset and marks its class. It reads the
     relabellings off one table per cell: a bytes row per permutation of
@@ -168,46 +185,46 @@ def classes(n: int, m: int, budget: int = DEFAULT_BUDGET) -> list[tuple[int, ...
     On a sparse cell each representative is the lex-first member of its
     class, and the classes come in the order of their lex-first members.
     The lex-first member touches only 0..v-1: relabelling a touched w with
-    an untouched u < w lowers every arc at w and raises none. So a cell
-    with n > max(2m, 1), whose digraphs touch at most 2m vertices, walks
-    the (max(2m, 1), m) cell and re-indexes its slots: lex order on arcs
-    does not depend on n, so the representatives and their order are the
-    same (the padding lemma in the module docstring carries this to the
-    collision groups). Keeping, per value of a class invariant, the first
-    representative that has it keeps the first labelled digraph that
-    combinations yields with it: the witness of a labelled sweep. On a
-    dense cell a representative is the complement of the lex-first member
-    of the complement class, which need not be the lex-first member of its
-    own.
+    an untouched u < w lowers every arc at w and raises none. A cell with
+    m <= 1 is one class, walked by nothing. A cell with m >= 2 and n >= 2m
+    returns the (2m - 1, m) classes plus the m disjoint arcs
+    (0, 1), (2, 3), ..., (2m - 2, 2m - 1), in sorted order (the
+    (2m - 1, m) step in the module docstring): lex order on arcs does not
+    depend on n, so the representatives and their order are the same.
+    Keeping, per value of a class invariant, the first representative that
+    has it keeps the first labelled digraph that combinations yields with
+    it: the witness of a labelled sweep. On a dense cell a representative
+    is the complement of the lex-first member of the complement class,
+    which need not be the lex-first member of its own.
     For n >= 3 a dense cell has m > n, where the deck fixes every
     coefficient and no collision group exists, and its one case with
     m <= n, (2, 2), holds a single digraph.
 
     The budget counts the labelled digraphs of the cell that is walked:
-    comb(N, m) of a sparse cell with n <= max(2m, 1), and for any other
-    cell those of the cell it walks instead, so (17, 4) counts the
-    comb(56, 4) of (8, 4), not comb(272, 4). n < 1, m outside [0, N], more
-    than `budget` labelled digraphs and a table past its bound raise
-    ValueError at the call.
+    comb(N, m) of a sparse cell with 2 <= m and n < 2m, and those of the
+    (2m - 1, m) cell for a sparse cell with n >= 2m, so (17, 4) counts the
+    comb(42, 4) = 111,930 of (7, 4), not comb(272, 4). A dense cell counts
+    the cell its complements walk. A cell with m <= 1 (or N - m <= 1 when
+    dense) walks nothing, so the budget is not read. n < 1, m outside
+    [0, N], more than `budget` labelled digraphs and a table past its bound
+    raise ValueError at the call.
     """
     slots = cell_slots(n, m)
     if 2 * m > len(slots):
-        return [tuple(sorted(set(range(len(slots))).difference(c)))
-                for c in classes(n, len(slots) - m, budget)]
-    slot_of = [[0] * n for _ in range(n)]
-    for i, (s, t) in enumerate(slots):
-        slot_of[s][t] = i
-    most = max(2 * m, 1)
-    if n > most:
-        small = all_arc_slots(most)
-        return [tuple(slot_of[s][t] for s, t in map(small.__getitem__, c))
-                for c in classes(most, m, budget)]
+        return [tuple(sorted(set(slots).difference(c))) for c in classes(n, len(slots) - m, budget)]
+    if m <= 1:
+        return [tuple(slots[:m])]
+    if n >= 2 * m:
+        matching = tuple((v, v + 1) for v in range(0, 2 * m, 2))
+        return sorted(classes(2 * m - 1, m, budget) + [matching])
     total = comb(len(slots), m)
     if total > budget:
         raise ValueError(f"enumerating {total} digraphs exceeds the budget of {budget}")
     size, bound = factorial(n) * len(slots), max(budget, DEFAULT_BUDGET)
     if size > bound:
         raise ValueError(f"a relabelling table of {size} entries exceeds the bound of {bound}")
+    # slot_of[s][t] is the index of arc (s, t) in slots, for s != t.
+    slot_of = [[s * (n - 1) + t - (t > s) for t in range(n)] for s in range(n)]
     # Row k, the slot map of the k-th permutation in lex order, is
     # table[k*N:(k+1)*N], so table[i::N*j] is slot i's image in every j-th row.
     table = b"".join(bytes([slot_of[p[s]][p[t]] for s, t in slots]) for p in permutations(range(n)))
@@ -217,9 +234,9 @@ def classes(n: int, m: int, budget: int = DEFAULT_BUDGET) -> list[tuple[int, ...
     out = []
     # compress reads `fresh` as it goes, so the members of a class walked
     # below are skipped when combinations reaches them.
-    for subset in compress(combinations(range(len(slots)), m), fresh):
-        step = len(slots) * factorial(n - len({v for i in subset for v in slots[i]}))
-        for image in zip(*[table[i::step] for i in subset]):
+    for subset in compress(combinations(slots, m), fresh):
+        step = len(slots) * factorial(n - len({v for arc in subset for v in arc}))
+        for image in zip(*[table[slot_of[s][t]::step] for s, t in subset]):
             fresh[sum(map(getitem, weights, sorted(image)))] = 0
         out.append(subset)
     return out

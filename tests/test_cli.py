@@ -569,9 +569,10 @@ def test_search_default_budget_refuses_8_6(tmp_path, capsys, monkeypatch):
 
 
 def test_search_budget_counts_the_cell_that_is_walked(tmp_path, capsys, monkeypatch):
-    # A 4-arc digraph touches at most 8 vertices, so (17, 4) walks the (8, 4)
-    # cell, comb(56, 4) = 367,290 labelled digraphs, within the default
-    # budget; "digraphs" still counts the comb(272, 4) of the cell asked for.
+    # A 4-arc digraph touches at most 8 vertices, and 8 only as four disjoint
+    # arcs, so (17, 4) walks the (7, 4) cell, comb(42, 4) = 111,930 labelled
+    # digraphs, within the default budget, and adds that one class;
+    # "digraphs" still counts the comb(272, 4) of the cell asked for.
     monkeypatch.delenv("DECKPOLY_BUDGET", raising=False)
     argv = ("search", "--vertices", "17", "--arcs", "4", "--kind", "f1",
             "--output", str(tmp_path / "g.ndjson"))
@@ -583,10 +584,10 @@ def test_search_budget_counts_the_cell_that_is_walked(tmp_path, capsys, monkeypa
     for line in (tmp_path / "g.ndjson").read_text().splitlines():
         for member in json.loads(line)["members"]:
             assert max(max(arc) for arc in member["digraph"]["arcs"]) < 8
-    monkeypatch.setenv("DECKPOLY_BUDGET", "367289")
+    monkeypatch.setenv("DECKPOLY_BUDGET", "111929")
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
-    assert "enumerating 367290 digraphs exceeds the budget of 367289" in err
+    assert "enumerating 111930 digraphs exceeds the budget of 111929" in err
 
 
 def test_search_rejects_an_empty_or_negative_vertex_set(tmp_path, capsys):
