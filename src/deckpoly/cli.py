@@ -16,13 +16,13 @@ import os
 import random
 import re
 import sys
-from contextlib import contextmanager, suppress
+from contextlib import suppress
 from math import comb
 from types import SimpleNamespace
 
 from . import graph_polys, identities, search, serialize
 from .digraphs import validate
-from .reconstruct import OneParameterFamily, Unique, reconstruct
+from .reconstruct import Inconsistent, OneParameterFamily, Unique, reconstruct
 from .graph_polys import F4, PERMANENT, deck, kind_name, parse_kind, poly_of
 from .serialize import FormatError, to_canonical_json
 
@@ -55,11 +55,7 @@ def cmd_reconstruct(args) -> int:
     d = serialize.deck_from_obj(serialize.load_json(args.deck))
     result = reconstruct(d)
     _print(serialize.result_to_obj(result))
-    if isinstance(result, Unique):
-        return 0
-    if isinstance(result, OneParameterFamily):
-        return 3
-    return 4
+    return {Unique: 0, OneParameterFamily: 3, Inconsistent: 4}[type(result)]
 
 
 def cmd_verify(args) -> int:
@@ -92,14 +88,11 @@ def cmd_verify(args) -> int:
     return 5 if violations else 0
 
 
-def _budget() -> int:
-    raw = os.environ.get("DECKPOLY_BUDGET")
-    return search.DEFAULT_BUDGET if raw is None else _integer("DECKPOLY_BUDGET", raw)
-
-
 def cmd_search(args) -> int:
     kind = parse_kind(args.kind)
-    groups = search.find_deck_collisions(args.vertices, args.arcs, kind, budget=_budget())
+    raw = os.environ.get("DECKPOLY_BUDGET")
+    budget = search.DEFAULT_BUDGET if raw is None else _integer("DECKPOLY_BUDGET", raw)
+    groups = search.find_deck_collisions(args.vertices, args.arcs, kind, budget=budget)
     serialize.write_text(args.output, "".join(
         to_canonical_json(serialize.collision_group_to_obj(group)) + "\n" for group in groups))
     _print({
@@ -269,36 +262,30 @@ def _read_flags(command, argv):
                               for f, spec in flags.items()})
 
 
-@contextmanager
-def _unlimited_int_digits():
-    """Lift Python's int/str digit limit (4,300 digits by default) for one
-    command, whose exact inputs and answers may be longer, and restore it
-    for the caller."""
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        yield
-    finally:
-        sys.set_int_max_str_digits(limit)
-
-
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     command = argv[0] if argv and argv[0] in COMMANDS else None
+    # Python's int/str digit limit (4,300 digits by default) is lifted for
+    # the flags and the command, whose exact inputs and answers may be
+    # longer, and the caller's limit is restored on every exit.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
-        args = _read_flags(command, argv[1:] if command else argv)
-    except ValueError as exc:
-        sys.stderr.write(f"{_usage(command)}\nerror: {exc}\n")
-        return 2
-    if args is None:
-        sys.stdout.write(_help(command))
-        return 0
-    try:
-        with _unlimited_int_digits():
+        try:
+            args = _read_flags(command, argv[1:] if command else argv)
+        except ValueError as exc:
+            sys.stderr.write(f"{_usage(command)}\nerror: {exc}\n")
+            return 2
+        if args is None:
+            sys.stdout.write(_help(command))
+            return 0
+        try:
             return COMMANDS[command][0](args)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        except (ValueError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -9,9 +9,12 @@ of the deck's column k over the column's one denominator, so every c_k
 with m - n + k != 0 is forced at the cost of one division. The one
 exponent k* = n - m (when it lands in [0, n]) is annihilated: x^{k*}
 solves the homogeneous equation, and only structural side constraints
-can pin it: the trace rule at m = 1, and at m = n the zero column sums
-of D - A for determinant kinds with beta = -gamma. When none applies,
-the honest answer is a one-parameter family, not a guess.
+can pin it. The trace rule, c_{n-1} = -beta * W for the total arc weight
+W, is applied once, right after the solve: it checks c_{n-1} where the
+deck forces it (m >= 2) and pins it where it is free (m = 1). At m = n
+the zero column sums of D - A pin c_0 to 0 for determinant kinds with
+beta = -gamma. When no rule pins x^{k*}, the honest answer is a
+one-parameter family, not a guess.
 
 The module reads decks only: `reconstruct` takes a Deck and `outcome`
 reads its answer against a polynomial. A round trip from a digraph is
@@ -57,15 +60,18 @@ def reconstruct(d: Deck) -> ReconstructionResult:
     cardinality). Every member must be monic of degree n, as the pencil
     polynomial of every card is; any other deck is Inconsistent. So is a
     deck of more than n(n - 1) members, the most arcs a loopless digraph
-    on n vertices has, and one of one member with arc_weight 0. The trace
-    rule, c_{n-1} = -beta*W with W the deck's arc_weight (m when the field
-    is absent, for every check), holds for every pencil polynomial: at
-    m >= 2 c_{n-1} is forced, and a deck that disagrees with it is
-    Inconsistent, with the field or without it.
-    Side constraints on the annihilated coefficient, applied in order: the
-    trace rule pins c_{n-1} when m = 1, and a determinant kind with
-    beta = -gamma (f2 among the named kinds) pins c_0 to 0 when m = n.
-    Anything else with k* in range stays a one-parameter family.
+    on n vertices has, and one of one member with arc_weight 0.
+    Then the rules, in order. The trace rule, c_{n-1} = -beta*W with W
+    the deck's arc_weight (m when the field is absent), holds for every
+    pencil polynomial: where the deck forces c_{n-1} (m >= 2) a deck that
+    disagrees with it is Inconsistent, and c_{n-1} is then set to -beta*W,
+    which pins it where it is free (m = 1). The annihilated equation
+    0 * c_{k*} = s_{k*} must hold. The answer is Unique when m > n (no
+    coefficient is annihilated), when m = 1, or when m = n for a
+    determinant kind with beta = -gamma (f2 among the named kinds): at
+    x = 0 its pencil is -beta*(D - A), whose columns sum to zero, so c_0,
+    left 0 by the solve, vanishes. Anything else stays a one-parameter
+    family.
 
     At m = n the annihilated c_0 is, by the corollary in graph_polys'
     module docstring, 0 unless every in-degree is 1, and then the term on
@@ -95,17 +101,11 @@ def reconstruct(d: Deck) -> ReconstructionResult:
     if m >= 2 and coeffs[n - 1] != trace:
         return Inconsistent(f"coefficient {n - 1} is {coeffs[n - 1]}, but the trace rule "
                             f"gives -beta * W = {trace} for the arc weight W = {weight}")
-    if kstar < 0:
-        return Unique(polynomials.normalize(coeffs))
-    if sums[kstar] != 0:
+    coeffs[n - 1] = trace
+    if kstar >= 0 and sums[kstar] != 0:
         return Inconsistent(f"coefficient {kstar}: equation 0 * c_{kstar} = "
                             f"{Fraction(sums[kstar], dens[kstar])} cannot hold")
-    if kstar == n - 1:
-        coeffs[kstar] = trace
-        return Unique(polynomials.normalize(coeffs))
-    if kstar == 0 and d.kind.mode == DETERMINANT and d.kind.beta == -d.kind.gamma:
-        # At x = 0 the pencil is -beta*D - gamma*A = -beta*(D - A), whose
-        # columns sum to zero, so its determinant and c_0 (left 0) vanish.
+    if m > n or m == 1 or m == n and d.kind.mode == DETERMINANT and d.kind.beta == -d.kind.gamma:
         return Unique(polynomials.normalize(coeffs))
     return OneParameterFamily(polynomials.normalize(coeffs), kstar)
 

@@ -207,6 +207,42 @@ def test_answers_beyond_the_int_string_digit_limit(tmp_path, capsys):
     assert sys.get_int_max_str_digits() == limit
 
 
+def test_integer_flags_beyond_the_int_string_digit_limit(capsys):
+    # The flags are read inside the lifted limit, as DECKPOLY_BUDGET is:
+    # a 5,001-digit seed is read and echoed, not refused as "not an integer".
+    seed = "1" + "0" * 5000
+    code, out, err = run(capsys, "verify", "--theorem", "2.1", "--trials", "1", "--seed", seed)
+    assert (code, err) == (0, "")
+    assert f'"seed":{seed},' in out
+
+
+@pytest.fixture
+def caller_limit():
+    # A digit limit of the caller's own, neither Python's default nor 0.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(5000)
+    yield 5000
+    sys.set_int_max_str_digits(limit)
+
+
+def test_main_restores_the_callers_digit_limit_on_every_exit(caller_limit, capsys, monkeypatch):
+    for argv, expected in [(["--help"], 0), (["verify", "--help"], 0),
+                           (["verify", "--trials", "x"], 2),
+                           (["verify", "--theorem", "2.1", "--trials", "0", "--seed", "1"], 2)]:
+        assert run(capsys, *argv)[0] == expected
+        assert sys.get_int_max_str_digits() == caller_limit
+    lifted = []
+
+    def fails(args):
+        lifted.append(sys.get_int_max_str_digits())
+        raise RuntimeError("not caught by main")
+
+    monkeypatch.setitem(COMMANDS, "compute", (fails, *COMMANDS["compute"][1:]))
+    with pytest.raises(RuntimeError, match="not caught by main"):
+        main(["compute", "--kind", "f1", "--input", "g.json"])
+    assert lifted == [0] and sys.get_int_max_str_digits() == caller_limit
+
+
 def test_input_rationals_have_a_length_bound(tmp_path, capsys):
     # Reading an integer is quadratic in its length, and the digit limit
     # is lifted, so a longer string is refused before int() sees it.

@@ -210,6 +210,17 @@ def test_inconsistent_when_annihilated_sum_is_nonzero():
     assert "coefficient 1" in result.detail
 
 
+@pytest.mark.parametrize("kind, polys, s0", [
+    pytest.param(F1, (P(-1, 0, 1), xpow(2)), -1, id="f1"),
+    pytest.param(F2, (P(1, -1, 1), P(0, -1, 1)), 1, id="f2"),
+])
+def test_inconsistent_when_annihilated_constant_sum_is_nonzero(kind, polys, s0):
+    # m = n = 2, so k* = 0 and the deck sum's constant term must vanish; the
+    # trace rule holds, and under f2 the zero column sums would pin c_0.
+    result = reconstruct(Deck.from_polys(2, kind, polys))
+    assert result == Inconsistent(f"coefficient 0: equation 0 * c_0 = {s0} cannot hold")
+
+
 def test_inconsistent_when_leading_sum_is_wrong():
     result = reconstruct(Deck.from_polys(2, F1, (P(0, 0, 2),)))
     assert isinstance(result, Inconsistent)
@@ -269,6 +280,14 @@ def test_outcome_reads_a_missing_coefficient_as_0():
     family = OneParameterFamily(P(1, 0, 1), 1)
     assert outcome(family, P(1)) == outcome(family, P(1, 0, 1, 1)) == "missed"
     assert outcome(family, P(1, 5, 1)) == "covered"
+
+
+def test_outcome_covers_a_polynomial_that_stops_below_the_free_exponent():
+    # x^2 + 1 with x^2 free covers 1, and 1 with x^2 free covers 5x^2 + 1:
+    # the x coefficient that the shorter side lacks reads as 0, equal to
+    # the other side's, and only the free x^2 differs.
+    assert outcome(OneParameterFamily(P(1, 0, 1), 2), P(1)) == "covered"
+    assert outcome(OneParameterFamily(P(1), 2), P(1, 0, 5)) == "covered"
 
 
 def test_roundtrip_never_misses_on_unweighted_digraphs():

@@ -5,7 +5,7 @@ import subprocess
 import sys
 import textwrap
 from itertools import combinations, permutations
-from math import comb
+from math import comb, factorial
 from operator import getitem
 
 import pytest
@@ -516,6 +516,20 @@ def test_classes_refuse_a_relabelling_table_past_its_bound_before_building_it(mo
     with pytest.raises(ValueError, match="a relabelling table of 4390848000 entries exceeds "
                                          "the bound of 2141851635"):
         search.classes(11, 6, budget=comb(110, 6))
+
+
+def test_classes_build_a_relabelling_table_of_exactly_its_bound(monkeypatch):
+    # A budget of 11! * 110 admits (11, 6) and a table of as many entries;
+    # the table is started (and stopped here before it takes 4.4 GB).
+    class Built(Exception):
+        pass
+
+    def build(*args):
+        raise Built
+
+    monkeypatch.setattr(search, "permutations", build)
+    with pytest.raises(Built):
+        search.classes(11, 6, budget=factorial(11) * 110)
 
 
 def test_default_budget_admits_the_7_7_cell_and_refuses_8_6_before_walking(monkeypatch):
