@@ -23,7 +23,7 @@ from types import SimpleNamespace
 from . import graph_polys, identities, search, serialize
 from .digraphs import validate
 from .reconstruct import Inconsistent, OneParameterFamily, Unique, reconstruct
-from .graph_polys import F4, PERMANENT, deck, kind_name, parse_kind, poly_of
+from .graph_polys import F1, F4, PERMANENT, deck, kind_name, parse_kind, poly_of
 from .serialize import FormatError, to_canonical_json
 
 
@@ -117,8 +117,7 @@ def cmd_counterexample(args) -> int:
         "polynomials": {},
         "decks": {},
     }
-    for name in ("f1", "f4"):
-        kind = parse_kind(name)
+    for name, kind in (("f1", F1), ("f4", F4)):
         out["polynomials"][name] = {
             label: serialize.poly_to_strings(poly_of(g, kind)) for label, g in pair.items()
         }

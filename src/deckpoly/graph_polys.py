@@ -60,12 +60,13 @@ x^(n-j) * (-1)^j * w(H) times det or per of a matrix whose column at
 each t that is no head of H is e_t. Expanding along those columns
 deletes their rows, and leaves det or per of N, the matrix on the heads
 of H whose column t is beta*e_t + gamma*e_p(t), p(t) the tail of t's
-arc, with the second entry dropped when p(t) is not a head. A permutation q of the heads adds a term only if q(t) is t or
-p(t) for every t, and the t with q(t) = p(t) are mapped onto themselves
-by p, so they form a union of cycles of H. Each subset of H's cycles
-gives one term: gamma^|C| for each chosen cycle C, with the sign
-(-1)^(|C|-1) of a cyclic permutation in det mode, and beta for every
-other head. The sum over subsets is the product over cycles above, with
+arc, with the second entry dropped when p(t) is not a head. A
+permutation q of the heads adds a term only if q(t) is t or p(t) for
+every t, and the t with q(t) = p(t) are mapped onto themselves by p, so
+they form a union of cycles of H. Each subset of H's cycles gives one
+term: gamma^|C| for each chosen cycle C, with the sign (-1)^(|C|-1) of a
+cyclic permutation in det mode, and beta for every other head. The sum
+over subsets is the product over cycles above, with
 beta^(j - |V(cycles of H)|) from the heads on no cycle. QED
 
 At beta = 0 only H whose arcs all lie on cycles count: the Harary-Sachs
@@ -156,8 +157,8 @@ _VALUES = re.compile(rf"{_VALUE}(?:,{_VALUE})*")
 
 
 def _rational_pairs(values: Sequence[str]) -> tuple[list[int], list[int]]:
-    """(numerators, denominators) of rational strings, each value as written,
-    not reduced. A value is "p" or "p/q", the form str(Fraction) writes, and
+    """(numerators, denominators) of a non-empty list of rational strings,
+    each value as written, not reduced. A value is "p" or "p/q", the form str(Fraction) writes, and
     nothing else: Fraction("1e999999999") alone would build 10^999999999. At
     most MAX_RATIONAL_CHARS characters of a value are read. Values that do
     not match as one comma-joined string are read again one by one, so the
@@ -186,7 +187,6 @@ def _rational_pairs(values: Sequence[str]) -> tuple[list[int], list[int]]:
             raise ValueError(f"bad rational {value!r}; expected an integer or p/q")
         if not int(value.partition("/")[2] or 1):
             raise ValueError(f"bad rational {value!r}: zero denominator")
-    raise ValueError("expected at least one rational value")
 
 
 def parse_rational(text: str) -> Fraction:
@@ -232,10 +232,13 @@ def pencil_at(g: Digraph, kind: PolyKind, t) -> tuple[Matrix, int]:
     return [[int(x * scale) for x in row] for row in rows], scale
 
 
-def _arc_terms(kind: PolyKind, weights: Sequence[Fraction]) -> tuple[int, list[tuple[int, int]]]:
+def _arc_terms(kind: PolyKind, weights: Sequence[int | Fraction]) -> tuple[int, list[tuple[int, int]]]:
     """(L, terms): terms lists (L*gamma*w, L*beta*w) per weight w, in order,
     and L is the least scale that makes every term an int. So L*B, with
-    B = beta*D + gamma*A, is an int matrix for arcs of these weights.
+    B = beta*D + gamma*A, is an int matrix for arcs of these weights. A
+    weight may be an int or a Fraction: only its numerator and denominator
+    are read, an int w reading as w/1, so weights of equal value give the
+    same result whichever type holds them.
 
     Those per-arc terms are what deleting an arc takes out of L*B. Their
     denominators can exceed those of B's entries: a diagonal sum can cancel

@@ -94,7 +94,7 @@ def _check_zeroing(identity: str, matrix: Matrix, kernel, sweep, select) -> Iden
     # shares only values equal in the copy and in X and never reads det X
     # or per X. A cofactor shortcut, det(X_ij) = det(X) - x_ij * C_ij, is
     # the linearity the theorems are proved from and would make the check a
-    # tautology, as in check_thm31.
+    # tautology, as in _check_deck_sum.
     rhs = sum(sweep(matrix, n, positions))
     instance = {"matrix": serialize.matrix_to_strings(matrix)}
     return IdentityReport(identity, instance, lhs, rhs)
@@ -118,14 +118,14 @@ def check_thm23(matrix: Matrix) -> IdentityReport:
     return _check_zeroing("2.3", matrix, matrices.per_ryser, matrices.zeroed_pers, _support)
 
 
-def check_thm31(g: Digraph, beta, gamma, mode: str) -> IdentityReport:
+def _check_deck_sum(identity: str, g: Digraph, kind: PolyKind, /, **fields) -> IdentityReport:
     """(m - n) * g + x * g' == sum of g over all single-arc deletions, the
-    module docstring's lemma for the pencil (beta, gamma, mode).
+    module docstring's lemma for the pencil `kind`, reported under
+    `identity` with the digraph and `fields` as its instance.
 
     Both sides are exact polynomials; an arcless digraph is allowed and
     makes the right side the zero polynomial.
     """
-    kind = PolyKind(beta, gamma, mode)
     # Coefficient k of the left side is (m - n + k) * c_k, the equation
     # reconstruct solves, and of the right side the column sum s_k.
     lhs = polynomials.normalize((g.m - g.n + k) * c for k, c in enumerate(poly_of(g, kind)))
@@ -133,20 +133,18 @@ def check_thm31(g: Digraph, beta, gamma, mode: str) -> IdentityReport:
     # by the column linearity this identity is proved from.
     cards = [poly_of(digraphs.delete_arc(g, e), kind) for e in range(g.m)]
     rhs = polynomials.normalize(map(sum, zip(*cards)))
-    instance = {
-        "digraph": serialize.digraph_to_obj(g),
-        "beta": str(kind.beta),
-        "gamma": str(kind.gamma),
-        "mode": kind.mode,
-    }
-    return IdentityReport("3.1", instance, lhs, rhs)
+    return IdentityReport(identity, {"digraph": serialize.digraph_to_obj(g), **fields}, lhs, rhs)
+
+
+def check_thm31(g: Digraph, beta, gamma, mode: str) -> IdentityReport:
+    """The deck-sum identity for the pencil (beta, gamma, mode)."""
+    kind = PolyKind(beta, gamma, mode)
+    return _check_deck_sum("3.1", g, kind, beta=str(kind.beta), gamma=str(kind.gamma), mode=mode)
 
 
 def check_eq17(g: Digraph, kind: PolyKind) -> IdentityReport:
     """The deck-sum identity specialized to a named polynomial kind."""
-    inner = check_thm31(g, kind.beta, kind.gamma, kind.mode)
-    instance = {"digraph": serialize.digraph_to_obj(g), "kind": kind_name(kind)}
-    return IdentityReport("1.7", instance, inner.lhs, inner.rhs)
+    return _check_deck_sum("1.7", g, kind, kind=kind_name(kind))
 
 
 # Seeded random instance generation. Callers own the Random object, so a

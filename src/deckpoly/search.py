@@ -12,10 +12,10 @@ L*(beta*D + gamma*A) under one scale L per kind, so an arc tuple goes
 straight to graph_polys._pencil_cards with that one term pair. One card
 kernel call gives the digraph's own coefficients and, by column
 linearity, one card per arc, its whole deck, and the signatures and
-groups are keyed on those scaled int vectors. Coefficient k is scaled by L^(n-k) > 0, which
-keeps both equality and lexicographic order, so the groups and their
-order are those of the polynomials. Digraph values and Fraction
-polynomials are built only for the groups reported.
+groups are keyed on those scaled int vectors. Coefficient k is scaled
+by L^(n-k) > 0, which keeps both equality and lexicographic order, so
+the groups and their order are those of the polynomials. Digraph values
+and Fraction polynomials are built only for the groups reported.
 
 The kernel runs once per relabelling class: a polynomial and a deck
 multiset do not change when the vertices are relabelled, so the sweep
@@ -81,7 +81,6 @@ cycle count; canonical_counterexample is such a pair.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations, compress, permutations
 from math import comb, factorial
 from operator import getitem
@@ -135,7 +134,7 @@ def find_deck_collisions(n: int, m: int, kind: PolyKind,
     """
     graph_polys._check_cap(n, kind)
     # Every unweighted arc carries the same integer terms under one scale.
-    scale, [term] = graph_polys._arc_terms(kind, [Fraction(1)])
+    scale, [term] = graph_polys._arc_terms(kind, [1])
     terms = [term] * m
     groups: dict[tuple[tuple[int, ...], ...], dict[tuple[int, ...], Arcs]] = {}
     for arcs in classes(n, m, budget):

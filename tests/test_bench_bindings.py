@@ -133,13 +133,34 @@ def public_definitions(tree):
         yield from ((name, node) for name in targets if not name.startswith("_"))
 
 
-def loaded_names(node):
-    """Every name `node` reads, bare (`deck`) or as an attribute (`graph_polys.deck`)."""
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+def loaded_names(node, skip=None, attributes_only=False):
+    """Every name `node` reads, bare (`deck`) or as an attribute
+    (`graph_polys.deck`), outside the subtree `skip`; with
+    `attributes_only`, only the attribute reads."""
+    stack = [node]
+    while stack:
+        sub = stack.pop()
+        if sub is skip:
+            continue
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load) and not attributes_only:
             yield sub.id
         elif isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
             yield sub.attr
+        stack.extend(ast.iter_child_nodes(sub))
+
+
+def src_trees():
+    return {path.name: ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted(SRC.glob("*.py"))}
+
+
+def benchmark_names():
+    """Every name the benchmark binds: a tracer target, or a name
+    perfbench/child.py imports or reads."""
+    tracer = load_tracer()
+    bound, read = child_bindings()
+    names = {func for _, func in tracer.SPANNED + tracer.COUNTED + tracer.YIELDING}
+    return names | set(bound) | {attr for _, attr in read}
 
 
 def test_every_public_name_under_src_has_a_user_outside_the_tests():
@@ -147,17 +168,39 @@ def test_every_public_name_under_src_has_a_user_outside_the_tests():
     its own definition, be in deckpoly.__all__, or be bound by the benchmark
     (a tracer target, or a name perfbench/child.py imports or reads).
     Anything else is used by the tests alone and belongs in tests/oracles.py."""
-    tracer = load_tracer()
-    bound, read = child_bindings()
-    benchmark = {func for _, func in tracer.SPANNED + tracer.COUNTED + tracer.YIELDING}
-    benchmark |= set(bound) | {attr for _, attr in read}
-    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
-             for path in sorted(SRC.glob("*.py"))}
+    benchmark = benchmark_names()
+    trees = src_trees()
     definitions = [(module, name, node) for module, tree in trees.items()
                    for name, node in public_definitions(tree)]
     assert len(definitions) > 50
     unused = [f"{module}: {name}" for module, name, definition in definitions
               if name not in deckpoly.__all__ and name not in benchmark
-              and not any(name in loaded_names(node) for tree in trees.values()
-                          for node in tree.body if node is not definition)]
+              and not any(name in loaded_names(tree, definition) for tree in trees.values())]
     assert unused == []
+
+
+# Library API that README's Library section documents and nothing under
+# src/ reads.
+DOCUMENTED_METHODS = {"Deck.from_polys", "Deck.polys"}
+
+
+def test_every_public_method_under_src_has_a_user_outside_the_tests():
+    """The same rule for the public methods and properties of a class under
+    src/: each is read as an attribute somewhere under src/ outside its own
+    definition, bound by the benchmark, or one of DOCUMENTED_METHODS, each
+    of which README names and the rest of the rule would reject."""
+    benchmark = benchmark_names()
+    trees = src_trees()
+    methods = [(cls.name, node) for tree in trees.values()
+               for cls in tree.body if isinstance(cls, ast.ClassDef)
+               for node in cls.body
+               if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")]
+    assert {("Digraph", "m"), ("Deck", "n"), ("IdentityReport", "holds")} <= {
+        (cls, node.name) for cls, node in methods}
+    unused = {f"{cls}.{node.name}" for cls, node in methods
+              if node.name not in benchmark
+              and not any(node.name in loaded_names(tree, node, attributes_only=True)
+                          for tree in trees.values())}
+    assert unused == DOCUMENTED_METHODS
+    readme = (PERFBENCH.parent / "README.md").read_text(encoding="utf-8")
+    assert all(f"`{name}`" in readme for name in DOCUMENTED_METHODS)

@@ -331,6 +331,20 @@ def test_arc_terms_scale_clears_every_arc_term(monkeypatch, text, arcs, weights,
     assert deck(g, kind).polys == deletion_deck(g, kind)
 
 
+@pytest.mark.parametrize("text", [*NAMED_KINDS, "general:1/3,5/7,det", "general:-2/3,3/4,per"])
+def test_arc_terms_reads_int_and_fraction_weights_alike(text):
+    # search hands the seam int weights; deck and poly_of hand it Fractions.
+    kind = parse_kind(text)
+    for m in range(5):
+        ints = graph_polys._arc_terms(kind, [1] * m)
+        assert ints == graph_polys._arc_terms(kind, [Fraction(1)] * m)
+        scale, terms = ints
+        assert {type(x) for x in (scale, *(x for term in terms for x in term))} == {int}
+    mixed = [3, Fraction(-2, 5), -1, Fraction(7, 3), 2, Fraction(4)]
+    assert (graph_polys._arc_terms(kind, mixed)
+            == graph_polys._arc_terms(kind, [Fraction(w) for w in mixed]))
+
+
 @pytest.mark.parametrize("text", ["general:1/2,3/4,det", "general:2/3,5/7,per"])
 def test_poly_of_with_thirds_and_fifths_weights_matches_interpolation_oracle(text):
     kind = parse_kind(text)

@@ -5,10 +5,10 @@ from fractions import Fraction
 
 import pytest
 
-from deckpoly import identities, matrices
+from deckpoly import identities, matrices, serialize
 from deckpoly import polynomials as poly
 from deckpoly.digraphs import Digraph, delete_arc, directed_cycle
-from deckpoly.graph_polys import SIX_KINDS, deck
+from deckpoly.graph_polys import F3, F5, SIX_KINDS, deck, parse_kind
 from deckpoly.identities import (
     check_eq17,
     check_thm21,
@@ -140,21 +140,29 @@ def test_thm31_random_sweep_weighted_and_unweighted():
 def test_thm31_reports_a_perturbed_card_as_violated(monkeypatch, g, beta, gamma, mode):
     # The right side sums the cards column by column, so a shift of one
     # card's coefficient k must show at every k, the annihilated n - m and
-    # the leading n included, and nowhere else.
-    holding = check_thm31(g, beta, gamma, mode)
-    assert holding.holds
+    # the leading n included, and nowhere else. Eq. (1.7) runs the same
+    # check, here under f3 and f5, and each violation replays from its
+    # instance alone.
+    checks = [lambda: check_thm31(g, beta, gamma, mode),
+              lambda: check_eq17(g, F3), lambda: check_eq17(g, F5)]
     real_poly_of = identities.poly_of
     card = delete_arc(g, 0)
-    for k in range(g.n + 1):
-        def perturbed(h, kind):
-            p = real_poly_of(h, kind)
-            return poly.sub(p, P(*([0] * k + [-1]))) if h == card else p
+    for check in checks:
+        holding = check()
+        assert holding.holds
+        for k in range(g.n + 1):
+            def perturbed(h, kind):
+                p = real_poly_of(h, kind)
+                return poly.sub(p, P(*([0] * k + [-1]))) if h == card else p
 
-        monkeypatch.setattr(identities, "poly_of", perturbed)
-        report = check_thm31(g, beta, gamma, mode)
-        assert report.verdict == "violated", k
-        assert report.lhs == holding.lhs
-        assert report.rhs == poly.sub(holding.rhs, P(*([0] * k + [-1])))
+            monkeypatch.setattr(identities, "poly_of", perturbed)
+            report = check()
+            assert report.verdict == "violated", k
+            assert report.lhs == holding.lhs
+            assert report.rhs == poly.sub(holding.rhs, P(*([0] * k + [-1])))
+            again = replay(report)
+            assert (again.identity, again.lhs, again.rhs) == (report.identity, report.lhs, report.rhs)
+        monkeypatch.undo()
 
 
 def test_eq17_all_six_kinds_on_c4():
@@ -190,12 +198,28 @@ def test_deck_sum_annihilated_coefficient_vanishes():
             assert s[n - m] == 0
 
 
+def replay(report):
+    """The check a report's identity names, run again on its instance alone."""
+    instance = report.instance
+    g = serialize.digraph_from_obj(instance["digraph"])
+    if report.identity == "1.7":
+        return check_eq17(g, parse_kind(instance["kind"]))
+    return check_thm31(g, Fraction(instance["beta"]), Fraction(instance["gamma"]), instance["mode"])
+
+
 def test_report_instance_is_replayable():
     report = check_thm31(STAR_OF_DIGONS, Fraction(1, 2), Fraction(-2, 3), "per")
     assert report.instance["digraph"]["arcs"] == [[0, 1], [1, 0], [0, 2], [2, 0]]
     assert report.instance["beta"] == "1/2"
     assert report.instance["gamma"] == "-2/3"
     assert report.instance["mode"] == "per"
+    # Eq. (1.7) names its kind, and nothing else besides the digraph.
+    report = check_eq17(STAR_OF_DIGONS, F5)
+    assert set(report.instance) == {"digraph", "kind"}
+    assert report.instance["kind"] == "f5"
+    assert report.instance["digraph"] == serialize.digraph_to_obj(STAR_OF_DIGONS)
+    again = replay(report)
+    assert (again.identity, again.instance, again.lhs) == ("1.7", report.instance, report.lhs)
 
 
 def test_random_generators_are_seed_deterministic():

@@ -174,6 +174,10 @@ def test_deck_member_values_have_a_length_bound():
                  "1/" + "1" * (MAX_RATIONAL_CHARS - 1)):
         with pytest.raises(ser.FormatError, match=f"{MAX_RATIONAL_CHARS + 1} characters"):
             ser.deck_from_obj({**obj, "polys": [["0", long, "1"]]})
+    # A value of exactly the bound is within it, so the bad value after it
+    # is the one named.
+    with pytest.raises(ser.FormatError, match="bad rational 'x'"):
+        ser.deck_from_obj({**obj, "polys": [["0", "1" * MAX_RATIONAL_CHARS, "x"]]})
 
 
 def test_deck_members_read_in_any_terms():
