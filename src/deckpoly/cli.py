@@ -15,6 +15,7 @@ from __future__ import annotations
 import os
 import random
 import re
+import reprlib
 import sys
 from contextlib import suppress
 from math import comb
@@ -23,8 +24,8 @@ from types import SimpleNamespace
 from . import graph_polys, identities, search, serialize
 from .digraphs import validate
 from .reconstruct import Inconsistent, OneParameterFamily, Unique, reconstruct
-from .graph_polys import F1, F4, PERMANENT, deck, kind_name, parse_kind, poly_of
-from .serialize import FormatError, to_canonical_json
+from .graph_polys import F1, F4, PERMANENT, FormatError, deck, kind_name, parse_kind, poly_of
+from .serialize import to_canonical_json
 
 
 def _print(obj) -> None:
@@ -174,8 +175,7 @@ def _integer(name: str, raw: str) -> int:
     with suppress(ValueError):
         if (value := graph_polys.parse_rational(raw)).denominator == 1:
             return value.numerator
-    got = repr(raw) if len(raw) <= 20 else f"a value of {len(raw)} characters"
-    raise FormatError(f"{name} must be an integer, got {got}")
+    raise FormatError(f"{name} must be an integer, got {reprlib.repr(raw)}")
 
 
 def _usage(command) -> str:
@@ -228,8 +228,8 @@ def _read_flags(command, argv):
             return None
         if not arg.startswith("--"):
             if command:
-                raise ValueError(f"unrecognized argument {arg!r}")
-            raise ValueError(f"unknown command {arg!r}; choose from {', '.join(COMMANDS)}")
+                raise ValueError(f"unrecognized argument {reprlib.repr(arg)}")
+            raise ValueError(f"unknown command {reprlib.repr(arg)}; choose from {', '.join(COMMANDS)}")
         name, eq, value = arg[2:].partition("=")
         names = ([name] if name in flags else
                  [f for f in (*flags, "help") if name and f.startswith(name)])
@@ -251,7 +251,7 @@ def _read_flags(command, argv):
         if type_ is int:
             value = _integer(f"--{name}", value)
         elif isinstance(type_, tuple) and value not in type_:
-            raise ValueError(f"--{name} must be one of {', '.join(type_)}, got {value!r}")
+            raise ValueError(f"--{name} must be one of {', '.join(type_)}, got {reprlib.repr(value)}")
         values[name] = value
     if command is None:
         raise ValueError(f"a command is required; choose from {', '.join(COMMANDS)}")

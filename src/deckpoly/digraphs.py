@@ -18,6 +18,7 @@ every CLI run would pay at startup.
 
 from __future__ import annotations
 
+import reprlib
 from collections.abc import Iterable
 from fractions import Fraction
 from itertools import combinations, repeat
@@ -91,7 +92,7 @@ def _integer(value, what: str) -> int:
     try:
         return index(value)
     except TypeError:
-        raise TypeError(f"{what} must be an integer, got {value!r}") from None
+        raise TypeError(f"{what} must be an integer, got {reprlib.repr(value)}") from None
 
 
 class Digraph(Frozen):
@@ -123,17 +124,18 @@ class Digraph(Frozen):
 def validate(g: Digraph) -> None:
     """Check every invariant; raise InvalidDigraphError on the first violation."""
     if g.n < 1:
-        raise InvalidDigraphError(f"vertex count must be >= 1, got {g.n}")
+        raise InvalidDigraphError(f"vertex count must be >= 1, got {reprlib.repr(g.n)}")
     if g.weights is not None and len(g.weights) != g.m:
         raise InvalidDigraphError(f"{len(g.weights)} weights for {g.m} arcs")
     seen = set()
     for s, t in g.arcs:
         if not (0 <= s < g.n and 0 <= t < g.n):
-            raise InvalidDigraphError(f"arc ({s}, {t}) outside vertex range [0, {g.n})")
+            raise InvalidDigraphError(f"arc {reprlib.repr((s, t))} outside vertex range "
+                                      f"[0, {reprlib.repr(g.n)})")
         if s == t:
-            raise InvalidDigraphError(f"loop at vertex {s}")
+            raise InvalidDigraphError(f"loop at vertex {reprlib.repr(s)}")
         if (s, t) in seen:
-            raise InvalidDigraphError(f"arc ({s}, {t}) repeated")
+            raise InvalidDigraphError(f"arc {reprlib.repr((s, t))} repeated")
         seen.add((s, t))
     for w in g.arc_weights():
         if w == 0:

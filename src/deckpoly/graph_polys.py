@@ -93,6 +93,7 @@ matrix, and tests/test_closed_form.py checks the corollary.
 from __future__ import annotations
 
 import re
+import reprlib
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import lru_cache
@@ -127,7 +128,8 @@ class PolyKind(Frozen):
         if self.gamma == 0:
             raise ValueError("gamma must be nonzero")
         if mode not in (DETERMINANT, PERMANENT):
-            raise ValueError(f"mode must be {DETERMINANT!r} or {PERMANENT!r}, got {mode!r}")
+            raise ValueError(f"mode must be {DETERMINANT!r} or {PERMANENT!r}, "
+                             f"got {reprlib.repr(mode)}")
 
 
 F1 = PolyKind(0, 1, DETERMINANT)
@@ -146,6 +148,13 @@ def kind_name(kind: PolyKind) -> str:
     return _KIND_NAMES.get(kind) or f"general:{kind.beta},{kind.gamma},{kind.mode}"
 
 
+class FormatError(ValueError):
+    """Input text does not match the documented formats: a rational, a kind,
+    a deck member's degree, or a JSON payload (serialize's readers). The
+    message names a value read from outside by reprlib.repr, which shortens
+    a long one, and one past MAX_RATIONAL_CHARS characters by its length."""
+
+
 # int() takes time quadratic in the digit count, and the CLI lifts Python's
 # 4,300-digit limit on it, so a rational string has its own length bound.
 MAX_RATIONAL_CHARS = 100_000
@@ -154,6 +163,15 @@ MAX_RATIONAL_CHARS = 100_000
 # only, unlike int().
 _VALUE = rf"(?![^,]{{{MAX_RATIONAL_CHARS + 1}}})-?[0-9]+(?:/[0-9]+)?"
 _VALUES = re.compile(rf"{_VALUE}(?:,{_VALUE})*")
+
+
+def _bounded(text: str, what: str) -> str:
+    """text itself if it has at most MAX_RATIONAL_CHARS characters, the most
+    of a number (a rational or a JSON integer literal) that is read; else a
+    FormatError that names `what` by its length."""
+    if len(text) > MAX_RATIONAL_CHARS:
+        raise FormatError(f"{what} of {len(text)} characters; at most {MAX_RATIONAL_CHARS} are read")
+    return text
 
 
 def _rational_pairs(values: Sequence[str]) -> tuple[list[int], list[int]]:
@@ -179,14 +197,11 @@ def _rational_pairs(values: Sequence[str]) -> tuple[list[int], list[int]]:
             return nums, dens
     for value in values:
         if not isinstance(value, str):
-            raise ValueError(f"rational values must be strings, got {value!r}")
-        if len(value) > MAX_RATIONAL_CHARS:
-            raise ValueError(f"rational of {len(value)} characters; "
-                             f"at most {MAX_RATIONAL_CHARS} are read")
-        if "," in value or not _VALUES.fullmatch(value):
-            raise ValueError(f"bad rational {value!r}; expected an integer or p/q")
+            raise FormatError(f"rational values must be strings, got {reprlib.repr(value)}")
+        if not _VALUES.fullmatch(_bounded(value, "rational")) or "," in value:
+            raise FormatError(f"bad rational {reprlib.repr(value)}; expected an integer or p/q")
         if not int(value.partition("/")[2] or 1):
-            raise ValueError(f"bad rational {value!r}: zero denominator")
+            raise FormatError(f"bad rational {reprlib.repr(value)}: zero denominator")
 
 
 def parse_rational(text: str) -> Fraction:
@@ -205,9 +220,10 @@ def parse_kind(text: str) -> PolyKind:
     if text.startswith("general:"):
         parts = text[len("general:"):].split(",")
         if len(parts) != 3:
-            raise ValueError(f"malformed kind {text!r}; expected general:BETA,GAMMA,det|per")
+            raise FormatError(f"malformed kind {reprlib.repr(text)}; "
+                              "expected general:BETA,GAMMA,det|per")
         return PolyKind(parse_rational(parts[0]), parse_rational(parts[1]), parts[2])
-    raise ValueError(f"unknown polynomial kind {text!r}")
+    raise FormatError(f"unknown polynomial kind {reprlib.repr(text)}")
 
 
 def pencil_at(g: Digraph, kind: PolyKind, t) -> tuple[Matrix, int]:
@@ -405,7 +421,7 @@ def _scaled_columns(n: int, members: list[tuple[list[int], list[int]]]):
             nums.pop()
             qs.pop()
         if len(nums) != n + 1:
-            raise ValueError(f"deck member has degree {len(nums) - 1}, expected {n}")
+            raise FormatError(f"deck member has degree {len(nums) - 1}, expected {n}")
     dens = [lcm(*column) for column in zip(*(qs for _, qs in members))] or [1] * (n + 1)
     if dens.count(1) == len(dens):
         return [nums for nums, _ in members], dens

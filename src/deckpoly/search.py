@@ -6,16 +6,19 @@ coefficient-vector multisets themselves and group membership is decided
 by full equality, so a reported collision can never be a lossy-hash
 artifact.
 
-The sweep calls neither graph_polys.deck nor poly_of, which work in
-Fractions: every unweighted arc adds the same integer terms to the pencil
-L*(beta*D + gamma*A) under one scale L per kind, so an arc tuple goes
-straight to graph_polys._pencil_cards with that one term pair. One card
-kernel call gives the digraph's own coefficients and, by column
-linearity, one card per arc, its whole deck, and the signatures and
-groups are keyed on those scaled int vectors. Coefficient k is scaled
-by L^(n-k) > 0, which keeps both equality and lexicographic order, so
-the groups and their order are those of the polynomials. Digraph values
-and Fraction polynomials are built only for the groups reported.
+The sweep calls neither graph_polys.deck nor poly_of. Per class those
+would build a Digraph and its Fraction weights, run _arc_terms on them,
+put the cards in the Deck canonical form, and call the kernel a second
+time for the polynomial. Instead, every unweighted arc adds the same
+integer terms to the pencil L*(beta*D + gamma*A) under one scale L per
+kind, so an arc tuple goes straight to graph_polys._pencil_cards with
+that one term pair. One card kernel call gives the digraph's own
+coefficients and, by column linearity, one card per arc, its whole deck,
+and the signatures and groups are keyed on those scaled int vectors.
+Coefficient k is scaled by L^(n-k) > 0, which keeps both equality and
+lexicographic order, so the groups and their order are those of the
+polynomials. Digraph values and Fraction polynomials are built only for
+the groups reported.
 
 The kernel runs once per relabelling class: a polynomial and a deck
 multiset do not change when the vertices are relabelled, so the sweep

@@ -9,28 +9,21 @@ from __future__ import annotations
 
 import json
 import os
-from fractions import Fraction
+import reprlib
 from math import gcd
 
 from .digraphs import Digraph
-from .graph_polys import (MAX_RATIONAL_CHARS, Deck, _rational_pairs, _scaled_columns, kind_name,
+from .graph_polys import (Deck, FormatError, _bounded, _rational_pairs, _scaled_columns, kind_name,
                           parse_kind, parse_rational)
 from .polynomials import Polynomial
 from .reconstruct import Inconsistent, OneParameterFamily, Unique
 
 FORMAT_VERSION = 1
-# What a value json.load returns is called in errors.
-_JSON_TYPES = {dict: "an object", list: "an array", int: "a number", float: "a number",
-               bool: "a boolean", type(None): "null"}
-
-
-class FormatError(ValueError):
-    """A payload does not match the documented file formats."""
 
 
 def _require_int(value, what: str) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
-        raise FormatError(f"{what} must be an integer, got {value!r}")
+        raise FormatError(f"{what} must be an integer, got {reprlib.repr(value)}")
     return value
 
 
@@ -42,15 +35,8 @@ def _payload_n(obj, what: str) -> int:
         raise FormatError(f"a {what} payload must be a JSON object")
     version = _require_int(obj.get("format_version", FORMAT_VERSION), '"format_version"')
     if version != FORMAT_VERSION:
-        raise FormatError(f"unsupported format_version {version!r}")
+        raise FormatError(f"unsupported format_version {reprlib.repr(version)}")
     return _require_int(obj.get("n"), '"n"')
-
-
-def fraction_from_str(text) -> Fraction:
-    try:
-        return parse_rational(text)
-    except ValueError as exc:
-        raise FormatError(str(exc)) from exc
 
 
 def poly_to_strings(p: Polynomial) -> list[str]:
@@ -87,14 +73,14 @@ def digraph_from_obj(obj) -> Digraph:
     pairs = []
     for arc in arcs:
         if not isinstance(arc, list) or len(arc) != 2:
-            raise FormatError(f"arc {arc!r} must be a [source, target] pair")
+            raise FormatError(f"arc {reprlib.repr(arc)} must be a [source, target] pair")
         pairs.append((_require_int(arc[0], "arc source"), _require_int(arc[1], "arc target")))
     weights = None
     if obj.get("weights") is not None:
         raw = obj["weights"]
         if not isinstance(raw, list) or len(raw) != len(pairs):
             raise FormatError('"weights" must be an array parallel to "arcs"')
-        weights = tuple(fraction_from_str(w) for w in raw)
+        weights = tuple(map(parse_rational, raw))
     return Digraph(n=n, arcs=tuple(pairs), weights=weights)
 
 
@@ -119,11 +105,10 @@ def deck_to_obj(d: Deck) -> dict:
 def deck_from_obj(obj) -> Deck:
     n = _payload_n(obj, "deck")
     if n < 1:
-        raise FormatError(f'"n" must be >= 1, got {n}')
+        raise FormatError(f'"n" must be >= 1, got {reprlib.repr(n)}')
     kind = obj.get("kind", "")
     if not isinstance(kind, str):
-        got = _JSON_TYPES.get(type(kind), type(kind).__name__)
-        raise FormatError(f'bad deck kind: "kind" must be a string, got {got}')
+        raise FormatError(f'bad deck kind: "kind" must be a string, got {reprlib.repr(kind)}')
     try:
         kind = parse_kind(kind)
     except ValueError as exc:
@@ -135,11 +120,8 @@ def deck_from_obj(obj) -> Deck:
         raise FormatError("a polynomial must be a non-empty array of coefficient strings")
     arc_weight = obj.get("arc_weight")
     if arc_weight is not None:
-        arc_weight = fraction_from_str(arc_weight)
-    try:
-        return Deck(kind, *_scaled_columns(n, [_rational_pairs(item) for item in raw]), arc_weight)
-    except ValueError as exc:  # a bad coefficient or a member of the wrong degree
-        raise FormatError(str(exc)) from exc
+        arc_weight = parse_rational(arc_weight)
+    return Deck(kind, *_scaled_columns(n, [_rational_pairs(item) for item in raw]), arc_weight)
 
 
 def value_to_obj(value):
@@ -199,10 +181,7 @@ def _bounded_int(text: str) -> int:
     """An integer literal of a JSON input, read only up to MAX_RATIONAL_CHARS
     characters, like a rational string: int() takes time quadratic in the
     length, and the CLI lifts Python's digit limit on it."""
-    if len(text) > MAX_RATIONAL_CHARS:
-        raise FormatError(f"integer literal of {len(text)} characters; "
-                          f"at most {MAX_RATIONAL_CHARS} are read")
-    return int(text)
+    return int(_bounded(text, "integer literal"))
 
 
 def load_json(path: str):

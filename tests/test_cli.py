@@ -270,6 +270,51 @@ def test_json_integer_literals_have_a_length_bound(tmp_path, capsys, digits):
         assert f"integer literal of {digits} characters" in err and len(err) < 200, argv
 
 
+COMPUTE = ("compute", "--kind", "f1", "--input")
+RECONSTRUCT = ("reconstruct", "--deck")
+F1_DECK = {"format_version": 1, "n": 2, "kind": "f1", "polys": [["0", "0", "1"]]}
+MEGA = "k" * 10**6
+DIGITS = "9" * graph_polys.MAX_RATIONAL_CHARS  # within the length bound, so read
+
+
+@pytest.mark.parametrize("argv, text, named", [
+    pytest.param(COMPUTE, json.dumps({"n": MEGA, "arcs": []}),
+                 "\"n\" must be an integer, got 'kkk", id="n-string"),
+    pytest.param(COMPUTE, json.dumps({"n": 2, "arcs": [list(range(100_000))]}),
+                 "arc [0, 1, 2, 3, 4, 5, ...] must be a [source, target] pair", id="arc-list"),
+    pytest.param(COMPUTE, json.dumps({"n": 2, "arcs": [[MEGA, 1]]}),
+                 "arc source must be an integer, got 'kkk", id="arc-source-string"),
+    pytest.param(COMPUTE, json.dumps({"n": 2, "arcs": [[0, 1]], "weights": [{"w": MEGA}]}),
+                 "rational values must be strings, got {'w': 'kkk", id="weight-object"),
+    pytest.param(COMPUTE, f'{{"format_version": {DIGITS}, "n": 2, "arcs": []}}',
+                 "unsupported format_version 999", id="format-version-digits"),
+    pytest.param(COMPUTE, f'{{"n": -{DIGITS[1:]}, "arcs": []}}',
+                 "vertex count must be >= 1, got -999", id="digraph-negative-n-digits"),
+    pytest.param(RECONSTRUCT, f'{{"n": -{DIGITS[1:]}, "kind": "f1", "polys": [["1"]]}}',
+                 '"n" must be >= 1, got -999', id="deck-negative-n-digits"),
+    pytest.param(COMPUTE, f'{{"n": 2, "arcs": [[{DIGITS}, 1]]}}',
+                 "outside vertex range [0, 2)", id="arc-endpoint-digits"),
+    pytest.param(RECONSTRUCT, json.dumps({**F1_DECK, "kind": MEGA}),
+                 "bad deck kind: unknown polynomial kind 'kkk", id="deck-kind-string"),
+    pytest.param(RECONSTRUCT, json.dumps({**F1_DECK, "kind": list(range(100_000))}),
+                 '"kind" must be a string, got [0, 1, 2, 3, 4, 5, ...]', id="deck-kind-list"),
+    pytest.param(RECONSTRUCT, json.dumps({**F1_DECK, "polys": [[["0"] * 100_000, "0", "1"]]}),
+                 "rational values must be strings, got ['0', '0', '0'", id="member-list"),
+    pytest.param(RECONSTRUCT, json.dumps({**F1_DECK, "arc_weight": ["1"] * 100_000}),
+                 "rational values must be strings, got ['1', '1', '1'", id="arc-weight-list"),
+    pytest.param(("compute", "--kind", "k" * 100_000, "--input"), json.dumps(C3),
+                 "unknown polynomial kind 'kkk", id="kind-flag"),
+])
+def test_a_bad_value_is_named_in_short_form(tmp_path, capsys, argv, text, named):
+    # An error names a value read from outside by reprlib.repr, which elides
+    # a long string, list or int, so no case echoes the value it refuses.
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    code, out, err = run(capsys, *argv, str(path))
+    assert (code, out) == (2, "")
+    assert named in err and len(err) < 200
+
+
 def test_reconstruct_inconsistent_deck(tmp_path, capsys):
     deck_path = write(tmp_path, "bad.json", {
         "format_version": 1, "n": 2, "kind": "f1", "polys": [["0", "1", "1"]],

@@ -74,6 +74,20 @@ def test_from_polys_strips_trailing_zeros_and_checks_the_degree():
     assert empty.coefficients == () and empty.polys == ()
 
 
+def test_an_all_zero_member_is_named_as_degree_0():
+    # Stripping trailing zeros keeps the constant term, so the zero
+    # polynomial has degree 0 and the error says so.
+    for read in (lambda: Deck.from_polys(2, F1, [(0, 0, 0)]),
+                 lambda: ser.deck_from_obj({"n": 2, "kind": "f1", "polys": [["0", "0", "0"]]})):
+        with pytest.raises(ser.FormatError, match=r"degree 0, expected 2$"):
+            read()
+
+
+def test_an_empty_deck_keeps_its_degree():
+    empty = Deck.from_polys(3, F5, ())
+    assert empty.n == 3 and empty.denominators == (1, 1, 1, 1)
+
+
 def test_a_directly_built_deck_is_canonical():
     built = Deck(F1, ((0, 0, 2),), (1, 1, 2))
     routed = Deck.from_polys(2, F1, [(0, 0, 1)])

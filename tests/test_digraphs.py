@@ -2,6 +2,7 @@
 and the constructor that every record inherits from Frozen."""
 
 import random
+import re
 from fractions import Fraction
 from math import comb
 
@@ -31,6 +32,12 @@ def test_validate_rejects_out_of_range_index():
     with pytest.raises(InvalidDigraphError,
                        match=r"^arc \(0, 2\) outside vertex range \[0, 2\)$"):
         dg.validate(Digraph(2, ((0, 2),)))
+
+
+@pytest.mark.parametrize("arc", [(2, 0), (-1, 0), (0, -1)])
+def test_validate_checks_both_ends_of_the_range_on_both_endpoints(arc):
+    with pytest.raises(InvalidDigraphError, match=re.escape(f"arc {arc} outside vertex range")):
+        dg.validate(Digraph(2, (arc,)))
 
 
 def test_validate_rejects_zero_weight():

@@ -13,23 +13,23 @@ import pytest
 from deckpoly import polynomials as poly
 from deckpoly import serialize as ser
 from deckpoly.digraphs import Digraph
-from deckpoly.graph_polys import F2, MAX_RATIONAL_CHARS, Deck, deck, parse_kind
+from deckpoly.graph_polys import F2, MAX_RATIONAL_CHARS, Deck, deck, parse_kind, parse_rational
 from deckpoly.identities import check_thm21
 from deckpoly.reconstruct import Inconsistent, OneParameterFamily, Unique
 from oracles import P
 
 
 def test_fraction_strings():
-    assert ser.fraction_from_str("3/4") == Fraction(3, 4)
-    assert ser.fraction_from_str("-2") == -2
+    assert parse_rational("3/4") == Fraction(3, 4)
+    assert parse_rational("-2") == -2
     with pytest.raises(ser.FormatError):
-        ser.fraction_from_str("1/0")
+        parse_rational("1/0")
     with pytest.raises(ser.FormatError):
-        ser.fraction_from_str(7)
+        parse_rational(7)
     # Only "p" and "p/q" are read: exponents would build huge ints.
     for text in ("abc", "1e3", "0.5", "1_000", "", "+1", " 1"):
         with pytest.raises(ser.FormatError, match=re.escape(repr(text))):
-            ser.fraction_from_str(text)
+            parse_rational(text)
 
 
 def test_poly_round_trip():
@@ -123,7 +123,7 @@ def test_deck_from_obj_rejects_wrong_degree_and_bad_kind():
                                "polys": [["0", "0", "1"]], "arc_weight": arc_weight})
 
 
-@pytest.mark.parametrize("kind, got", [(1, "a number"), (["f1"], "an array"), (None, "null")])
+@pytest.mark.parametrize("kind, got", [(1, "1"), (["f1"], "['f1']"), (None, "None")])
 def test_deck_reader_names_a_kind_that_is_not_a_string(kind, got):
     # Once the reader's own "'int' object has no attribute 'startswith'".
     with pytest.raises(ser.FormatError) as excinfo:
