@@ -15,14 +15,13 @@ from __future__ import annotations
 import os
 import random
 import re
-import reprlib
 import sys
 from contextlib import suppress
 from math import comb
 from types import SimpleNamespace
 
 from . import graph_polys, identities, search, serialize
-from .digraphs import validate
+from .digraphs import short_repr, validate
 from .reconstruct import Inconsistent, OneParameterFamily, Unique, reconstruct
 from .graph_polys import F1, F4, PERMANENT, FormatError, deck, kind_name, parse_kind, poly_of
 from .serialize import to_canonical_json
@@ -175,7 +174,7 @@ def _integer(name: str, raw: str) -> int:
     with suppress(ValueError):
         if (value := graph_polys.parse_rational(raw)).denominator == 1:
             return value.numerator
-    raise FormatError(f"{name} must be an integer, got {reprlib.repr(raw)}")
+    raise FormatError(f"{name} must be an integer, got {short_repr(raw)}")
 
 
 def _usage(command) -> str:
@@ -228,13 +227,13 @@ def _read_flags(command, argv):
             return None
         if not arg.startswith("--"):
             if command:
-                raise ValueError(f"unrecognized argument {reprlib.repr(arg)}")
-            raise ValueError(f"unknown command {reprlib.repr(arg)}; choose from {', '.join(COMMANDS)}")
+                raise ValueError(f"unrecognized argument {short_repr(arg)}")
+            raise ValueError(f"unknown command {short_repr(arg)}; choose from {', '.join(COMMANDS)}")
         name, eq, value = arg[2:].partition("=")
         names = ([name] if name in flags else
                  [f for f in (*flags, "help") if name and f.startswith(name)])
         if len(names) != 1:
-            raise ValueError(f"{'ambiguous' if names else 'unknown'} flag --{name}")
+            raise ValueError(f"{'ambiguous' if names else 'unknown'} flag {short_repr('--' + name)}")
         name = names[0]
         type_ = bool if name == "help" else flags[name][0]
         if type_ is bool:
@@ -251,7 +250,7 @@ def _read_flags(command, argv):
         if type_ is int:
             value = _integer(f"--{name}", value)
         elif isinstance(type_, tuple) and value not in type_:
-            raise ValueError(f"--{name} must be one of {', '.join(type_)}, got {reprlib.repr(value)}")
+            raise ValueError(f"--{name} must be one of {', '.join(type_)}, got {short_repr(value)}")
         values[name] = value
     if command is None:
         raise ValueError(f"a command is required; choose from {', '.join(COMMANDS)}")

@@ -83,6 +83,22 @@ class Frozen:
         return self.__class__, self._values(self)
 
 
+class _ShortRepr(reprlib.Repr):
+    """reprlib's shortened repr, but an int that repr cannot write under
+    Python's limit on int digits is named by its bit length."""
+
+    def repr_int(self, x, level):
+        try:
+            return super().repr_int(x, level)
+        except ValueError:
+            return f"<{'negative ' * (x < 0)}int of {x.bit_length()} bits>"
+
+
+# Names a value read from outside in an error message: repr of a short value,
+# shortened past 30 characters, 6 items or 40 digits.
+short_repr = _ShortRepr().repr
+
+
 class InvalidDigraphError(ValueError):
     """A digraph value violates a structural invariant; the message says
     which."""
@@ -92,7 +108,7 @@ def _integer(value, what: str) -> int:
     try:
         return index(value)
     except TypeError:
-        raise TypeError(f"{what} must be an integer, got {reprlib.repr(value)}") from None
+        raise TypeError(f"{what} must be an integer, got {short_repr(value)}") from None
 
 
 class Digraph(Frozen):
@@ -124,18 +140,18 @@ class Digraph(Frozen):
 def validate(g: Digraph) -> None:
     """Check every invariant; raise InvalidDigraphError on the first violation."""
     if g.n < 1:
-        raise InvalidDigraphError(f"vertex count must be >= 1, got {reprlib.repr(g.n)}")
+        raise InvalidDigraphError(f"vertex count must be >= 1, got {short_repr(g.n)}")
     if g.weights is not None and len(g.weights) != g.m:
         raise InvalidDigraphError(f"{len(g.weights)} weights for {g.m} arcs")
     seen = set()
     for s, t in g.arcs:
         if not (0 <= s < g.n and 0 <= t < g.n):
-            raise InvalidDigraphError(f"arc {reprlib.repr((s, t))} outside vertex range "
-                                      f"[0, {reprlib.repr(g.n)})")
+            raise InvalidDigraphError(f"arc {short_repr((s, t))} outside vertex range "
+                                      f"[0, {short_repr(g.n)})")
         if s == t:
-            raise InvalidDigraphError(f"loop at vertex {reprlib.repr(s)}")
+            raise InvalidDigraphError(f"loop at vertex {short_repr(s)}")
         if (s, t) in seen:
-            raise InvalidDigraphError(f"arc {reprlib.repr((s, t))} repeated")
+            raise InvalidDigraphError(f"arc {short_repr((s, t))} repeated")
         seen.add((s, t))
     for w in g.arc_weights():
         if w == 0:

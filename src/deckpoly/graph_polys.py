@@ -93,7 +93,6 @@ matrix, and tests/test_closed_form.py checks the corollary.
 from __future__ import annotations
 
 import re
-import reprlib
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import lru_cache
@@ -102,7 +101,7 @@ from math import gcd, lcm
 from operator import floordiv
 
 from . import digraphs, matrices, polynomials
-from .digraphs import Digraph, Frozen, _set
+from .digraphs import Digraph, Frozen, _set, short_repr
 from .matrices import Matrix
 from .polynomials import Polynomial
 
@@ -129,7 +128,7 @@ class PolyKind(Frozen):
             raise ValueError("gamma must be nonzero")
         if mode not in (DETERMINANT, PERMANENT):
             raise ValueError(f"mode must be {DETERMINANT!r} or {PERMANENT!r}, "
-                             f"got {reprlib.repr(mode)}")
+                             f"got {short_repr(mode)}")
 
 
 F1 = PolyKind(0, 1, DETERMINANT)
@@ -151,8 +150,9 @@ def kind_name(kind: PolyKind) -> str:
 class FormatError(ValueError):
     """Input text does not match the documented formats: a rational, a kind,
     a deck member's degree, or a JSON payload (serialize's readers). The
-    message names a value read from outside by reprlib.repr, which shortens
-    a long one, and one past MAX_RATIONAL_CHARS characters by its length."""
+    message names a value read from outside by digraphs.short_repr, which
+    shortens a long one, and one past MAX_RATIONAL_CHARS characters by its
+    length."""
 
 
 # int() takes time quadratic in the digit count, and the CLI lifts Python's
@@ -197,11 +197,11 @@ def _rational_pairs(values: Sequence[str]) -> tuple[list[int], list[int]]:
             return nums, dens
     for value in values:
         if not isinstance(value, str):
-            raise FormatError(f"rational values must be strings, got {reprlib.repr(value)}")
+            raise FormatError(f"rational values must be strings, got {short_repr(value)}")
         if not _VALUES.fullmatch(_bounded(value, "rational")) or "," in value:
-            raise FormatError(f"bad rational {reprlib.repr(value)}; expected an integer or p/q")
+            raise FormatError(f"bad rational {short_repr(value)}; expected an integer or p/q")
         if not int(value.partition("/")[2] or 1):
-            raise FormatError(f"bad rational {reprlib.repr(value)}: zero denominator")
+            raise FormatError(f"bad rational {short_repr(value)}: zero denominator")
 
 
 def parse_rational(text: str) -> Fraction:
@@ -220,10 +220,10 @@ def parse_kind(text: str) -> PolyKind:
     if text.startswith("general:"):
         parts = text[len("general:"):].split(",")
         if len(parts) != 3:
-            raise FormatError(f"malformed kind {reprlib.repr(text)}; "
+            raise FormatError(f"malformed kind {short_repr(text)}; "
                               "expected general:BETA,GAMMA,det|per")
         return PolyKind(parse_rational(parts[0]), parse_rational(parts[1]), parts[2])
-    raise FormatError(f"unknown polynomial kind {reprlib.repr(text)}")
+    raise FormatError(f"unknown polynomial kind {short_repr(text)}")
 
 
 def pencil_at(g: Digraph, kind: PolyKind, t) -> tuple[Matrix, int]:

@@ -14,9 +14,11 @@ each copy is its own expansion along row i, the sum over the columns
 c != j of x_ic times the minor of X without row i and column c. Those
 minors read only X's other rows, so they are the copy's too, and the
 copies of row i share them. The det sweep reads row i's cofactors off a
-fraction-free Gauss-Jordan elimination of X's other rows, from one trunk
-over X's rows in order that row i's elimination leaves just before the
-trunk pivots on row i, about n^4 / 6 multiplication pairs for all n rows.
+fraction-free Gauss-Jordan elimination of X's other rows, as the null
+vector of the rows it leaves, from one trunk over X's rows in order that
+row i's elimination leaves just before the trunk pivots on row i, about
+n^4 / 6 multiplication pairs for all n rows. One step function (_step),
+which updates the rows in place, serves the trunk and every finish.
 The per sweep pairs the subset states of X's rows above row i with those
 of the rows below it. No copy reads det X or per X or is a row total less
 a cofactor term, neither sweep forms det X or per X, and every value
@@ -52,7 +54,6 @@ from __future__ import annotations
 from collections.abc import Iterator, Sequence
 from itertools import chain
 from math import prod
-from operator import neg
 
 Matrix = list[list[int]]
 # (s, t, a, d): add a at (s, t) and d at (t, t) of x*I - M.
@@ -138,7 +139,10 @@ def zeroed_dets(rows: Matrix, n: int, positions: list[tuple[int, int]]) -> list[
     prev, an entry v of every other row, pivoted before or not, in a column
     c not yet pivoted, becomes (v * p - a * w) / prev, where a is the row's
     entry in the pivot column and w the pivot row's entry in column c; the
-    pivot row keeps its entries.
+    pivot row keeps its entries. The step (_step) writes these in place,
+    row by row, over the columns still free, as det_bareiss does; an entry
+    in a pivot column is not read once its column is pivoted, so it is
+    left as it was.
 
     After k steps, on pivot columns p_1..p_k, an entry in column c of a
     row not yet pivoted is the minor of order k + 1 on the k pivot rows and
@@ -149,23 +153,40 @@ def zeroed_dets(rows: Matrix, n: int, positions: list[tuple[int, int]]) -> list[
     no pivot is 0. If a pivot row has no nonzero left, it is a combination
     of the rows pivoted before it: the other rows are dependent, and every
     C_ic and every copy of row i is 0. Otherwise the n - 1 steps leave one
-    free column q, and each pivot row holds D on its pivot column and one
-    entry v on column q. With row i moved last, past n - 1 - i rows, and
-    the columns in the order p_1, ..., p_{n-1}, q, each step's pivot column
-    moving to the front of those left, the sign e of that reordering gives
-    C_iq = e * D and C_ic = -e * v at the pivot column c of each pivot row.
+    free column q, and pivot row r stands for D on its pivot column p_r, 0
+    on the other pivot columns (a minor with a repeated column) and one
+    entry v_r on column q. Then row i's cofactors are the null vector u of
+    the finished rows with u_q = e * D and u_{p_r} = -e * v_r, where
+
+        e = (-1)^(i+n-1) * permutation_sign((p_1, ..., p_{n-1}, q)).
+
+    Proof: X with its row i replaced by another of its rows r has two equal
+    rows, and its det, expanded along row i, is the sum over c of
+    x_rc * C_ic, so the vector of the C_ic is a null vector of X's other
+    rows. A step replaces rows by combinations of rows with nonzero
+    factors, which it can undo, so the finished rows have the same null
+    vectors; of rank n - 1, as each holds D != 0 on its own pivot column,
+    they have one up to scale, and finished row r reads
+    D * u_{p_r} + v_r * u_q = 0. So the C_ic are the multiple of
+    (u_q = D, u_{p_r} = -v_r) that C_iq fixes. C_iq is (-1)^(i+q) times the
+    minor of X without row i and column q, with its columns in ascending
+    order; in the order p_1, ..., p_{n-1} that minor is D, so it is
+    permutation_sign((p_1, ..., p_{n-1})) * D. Moving q last from its place
+    in ascending order passes the n - 1 - q larger columns, so
+    permutation_sign((p_1, ..., p_{n-1}, q)) is (-1)^(n-1-q) times that
+    sign, and C_iq = e * D.
 
     Row i's elimination pivots on rows 0..i-1 in the same order as that of
     every later row, so those steps are shared: one trunk eliminates X's
     rows in order, and just before it pivots on row i, row i's elimination
-    branches off, drops row i and finishes on rows i+1..n-1. Every row of
-    X gets its finish, whichever rows the positions name. The trunk stops
-    at row n - 1 without pivoting on it, and drops row n - 1 before its
-    step on row n - 2, so that its state there is row n - 1's elimination:
-    no step reads all of X's rows, and det X is never formed. The trunk
-    costs about n^3 / 2 multiplication pairs and row i's finish about
-    n * (n - i)^2 / 2, so all n rows cost about n^4 / 6, and the copies'
-    sums n^3.
+    branches off, with a copy of the trunk's rows but row i, and finishes
+    on rows i+1..n-1. Every row of X gets its finish, whichever rows the
+    positions name. The trunk stops at row n - 1 without pivoting on it,
+    and leaves row n - 1 out of its step on row n - 2, so that its rows
+    0..n-2 are then row n - 1's elimination: no step reads all of X's rows,
+    and det X is never formed. The trunk costs about n^3 / 2 multiplication
+    pairs and row i's finish about n * (n - i)^2 / 2, so all n rows cost
+    about n^4 / 6, and the copies' sums n^3.
 
     Each copy's value is thus its own expansion along row i. It shares with
     X only the cofactors of row i, minors of X's other rows, which X_ij and
@@ -182,50 +203,49 @@ def _cofactors(rows: Matrix, n: int) -> Iterator[tuple[int, list[int]]]:
     C_ic the cofactor of X at (i, c), from the trunk and the finishes that
     zeroed_dets describes. A row whose other rows are dependent, so that
     every C_ic is 0, is left out."""
-    # Column c holds the entries of the pivoted rows, the latest first, then
-    # those of the rows still to pivot, from the last to the first, so that
-    # the next pivot row is always last. labels holds the indices of the
-    # columns left, then of the pivot columns, the latest first.
-    cols = [list(col) for col in zip(*reversed(rows))]
-    labels, prev, parity = list(range(n)), 1, 0
+    # cols holds the pivot columns in step order, then the free columns.
+    trunk, cols, prev = [list(row) for row in rows], list(range(n)), 1
     for k in range(n):
-        # Row k's elimination is the trunk without row k, its last row; at
-        # row n - 1 the trunk has left row n - 1 out already, unless n = 1.
-        fcols = cols if k == n - 1 > 0 else [col[:-1] for col in cols]
-        flabels, fprev, fparity = labels[:], prev, parity + n - 1 - k
-        for _ in range(n - 1 - k):
-            if (step := _pivot_step(fcols, fprev)) is None:
+        # Row k's elimination is the trunk without row k.
+        done, fcols, fprev = [row[:] for row in trunk[:k] + trunk[k + 1:]], cols[:], prev
+        for r in range(k, n - 1):
+            if not (fprev := _step(done, r, fcols, fprev)):
                 break
-            q, fprev, fcols = step
-            fparity += q
-            flabels.insert(len(fcols), flabels.pop(q))
         else:
-            # C_kq = e * D at the free column, first in flabels, and
-            # C_kc = -e * v at the pivot column c of each pivot row.
-            cofactors = zip(flabels, [-fprev, *fcols[0]] if fparity & 1 else [fprev, *map(neg, fcols[0])])
-            yield k, [rows[k][c] * m for c, m in sorted(cofactors)]
-        if k == n - 2:
-            cols = [col[:-2] + col[-1:] for col in cols]  # row n - 1 leaves the trunk
-        if k == n - 1 or (step := _pivot_step(cols, prev)) is None:
+            # u_q = e * D at the free column q, u_p = -e * v at the pivot
+            # column p of each finished row.
+            q, e = fcols[-1], permutation_sign(fcols) * (-1) ** (n - 1 - k)
+            u = [e * fprev] * n  # every column but q is a pivot column
+            for row, p in zip(done, fcols):
+                u[p] = -e * row[q]
+            yield k, [x * c for x, c in zip(rows[k], u)]
+        # The trunk's step on row n - 2 leaves row n - 1 out, so that rows
+        # 0..n-2 are then row n - 1's elimination.
+        if k == n - 1 or not (prev := _step(trunk[:n - 1] if k == n - 2 else trunk, k, cols, prev)):
             return  # done, or rows 0..k are dependent: so are every later row's other rows
-        q, prev, cols = step
-        parity += q
-        labels.insert(len(cols), labels.pop(q))
 
 
-def _pivot_step(cols: Matrix, prev: int) -> tuple[int, int, Matrix] | None:
-    """One step of the elimination that zeroed_dets describes, on the row
-    that is last in each column of `cols`, with previous pivot `prev`:
-    (q, p, the other columns with that row moved first), where the pivot p
-    is the row's first nonzero, in column q. None when the row has no
-    nonzero. Consumes `cols`."""
-    for q, col in enumerate(cols):
-        if col[-1]:
-            a = cols.pop(q)
-            p = a.pop()
-            return q, p, [[w, *[(v * p - x * w) // prev for v, x in zip(col, a)]]
-                          for col in cols for w in [col[-1]]]
-    return None
+def _step(rows: Matrix, r: int, cols: list[int], prev: int) -> int:
+    """One step of the elimination that zeroed_dets describes, in place, on
+    rows[r], with previous pivot `prev`; cols holds the pivot columns of
+    rows 0..r-1 in order, then the free columns. The pivot p is rows[r]'s
+    first nonzero in a free column q, which moves to cols[r]; each other
+    row's entry v in a column still free becomes (v * p - a * w) // prev,
+    a its entry in column q and w rows[r]'s in the same column. Returns p,
+    or 0 when rows[r] has no nonzero in a free column."""
+    pivot_row = rows[r]
+    for s in range(r, len(cols)):
+        if pivot_row[cols[s]]:
+            break
+    else:
+        return 0
+    cols.insert(r, q := cols.pop(s))
+    p, free = pivot_row[q], cols[r + 1:]
+    for row in rows[:r] + rows[r + 1:]:
+        a = row[q]
+        for c in free:
+            row[c] = (row[c] * p - a * pivot_row[c]) // prev
+    return p
 
 
 def per_ryser(matrix: Matrix) -> int:

@@ -9,10 +9,9 @@ from __future__ import annotations
 
 import json
 import os
-import reprlib
 from math import gcd
 
-from .digraphs import Digraph
+from .digraphs import Digraph, short_repr
 from .graph_polys import (Deck, FormatError, _bounded, _rational_pairs, _scaled_columns, kind_name,
                           parse_kind, parse_rational)
 from .polynomials import Polynomial
@@ -23,7 +22,7 @@ FORMAT_VERSION = 1
 
 def _require_int(value, what: str) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
-        raise FormatError(f"{what} must be an integer, got {reprlib.repr(value)}")
+        raise FormatError(f"{what} must be an integer, got {short_repr(value)}")
     return value
 
 
@@ -35,7 +34,7 @@ def _payload_n(obj, what: str) -> int:
         raise FormatError(f"a {what} payload must be a JSON object")
     version = _require_int(obj.get("format_version", FORMAT_VERSION), '"format_version"')
     if version != FORMAT_VERSION:
-        raise FormatError(f"unsupported format_version {reprlib.repr(version)}")
+        raise FormatError(f"unsupported format_version {short_repr(version)}")
     return _require_int(obj.get("n"), '"n"')
 
 
@@ -73,7 +72,7 @@ def digraph_from_obj(obj) -> Digraph:
     pairs = []
     for arc in arcs:
         if not isinstance(arc, list) or len(arc) != 2:
-            raise FormatError(f"arc {reprlib.repr(arc)} must be a [source, target] pair")
+            raise FormatError(f"arc {short_repr(arc)} must be a [source, target] pair")
         pairs.append((_require_int(arc[0], "arc source"), _require_int(arc[1], "arc target")))
     weights = None
     if obj.get("weights") is not None:
@@ -105,10 +104,10 @@ def deck_to_obj(d: Deck) -> dict:
 def deck_from_obj(obj) -> Deck:
     n = _payload_n(obj, "deck")
     if n < 1:
-        raise FormatError(f'"n" must be >= 1, got {reprlib.repr(n)}')
+        raise FormatError(f'"n" must be >= 1, got {short_repr(n)}')
     kind = obj.get("kind", "")
     if not isinstance(kind, str):
-        raise FormatError(f'bad deck kind: "kind" must be a string, got {reprlib.repr(kind)}')
+        raise FormatError(f'bad deck kind: "kind" must be a string, got {short_repr(kind)}')
     try:
         kind = parse_kind(kind)
     except ValueError as exc:

@@ -12,6 +12,7 @@ import ast
 import importlib
 import importlib.util
 import pkgutil
+import reprlib
 from pathlib import Path
 
 import pytest
@@ -182,13 +183,17 @@ def test_every_public_name_under_src_has_a_user_outside_the_tests():
 # Library API that README's Library section documents and nothing under
 # src/ reads.
 DOCUMENTED_METHODS = {"Deck.from_polys", "Deck.polys"}
+# Hooks a standard-library base class calls by name: (method, the base that
+# defines it). reprlib.Repr calls repr_<type name> for each value it shows.
+STDLIB_HOOKS = {"_ShortRepr.repr_int": reprlib.Repr}
 
 
 def test_every_public_method_under_src_has_a_user_outside_the_tests():
     """The same rule for the public methods and properties of a class under
     src/: each is read as an attribute somewhere under src/ outside its own
-    definition, bound by the benchmark, or one of DOCUMENTED_METHODS, each
-    of which README names and the rest of the rule would reject."""
+    definition, bound by the benchmark, one of DOCUMENTED_METHODS, each
+    of which README names and the rest of the rule would reject, or one of
+    STDLIB_HOOKS, each defined by the base class that calls it."""
     benchmark = benchmark_names()
     trees = src_trees()
     methods = [(cls.name, node) for tree in trees.values()
@@ -201,6 +206,7 @@ def test_every_public_method_under_src_has_a_user_outside_the_tests():
               if node.name not in benchmark
               and not any(node.name in loaded_names(tree, node, attributes_only=True)
                           for tree in trees.values())}
-    assert unused == DOCUMENTED_METHODS
+    assert unused == DOCUMENTED_METHODS | set(STDLIB_HOOKS)
+    assert all(hasattr(base, name.partition(".")[2]) for name, base in STDLIB_HOOKS.items())
     readme = (PERFBENCH.parent / "README.md").read_text(encoding="utf-8")
     assert all(f"`{name}`" in readme for name in DOCUMENTED_METHODS)

@@ -315,6 +315,18 @@ def test_a_bad_value_is_named_in_short_form(tmp_path, capsys, argv, text, named)
     assert named in err and len(err) < 200
 
 
+@pytest.mark.parametrize("argv, named", [
+    pytest.param(("compute", "--kind", "f1", "--input", "x.json", "--" + "b" * 100_000),
+                 "unknown flag '--bbb", id="unknown-long"),
+    pytest.param(("compute", "--bogus", "1"), "unknown flag '--bogus'", id="unknown"),
+    pytest.param(("verify", "--t", "1"), "ambiguous flag '--t'", id="ambiguous"),
+])
+def test_a_bad_flag_is_named_in_short_form(capsys, argv, named):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert named in err and len(err) < 200
+
+
 def test_reconstruct_inconsistent_deck(tmp_path, capsys):
     deck_path = write(tmp_path, "bad.json", {
         "format_version": 1, "n": 2, "kind": "f1", "polys": [["0", "1", "1"]],
@@ -501,12 +513,12 @@ def test_verify_reports_a_perturbed_shared_pivot_as_violated(theorem, capsys, mo
     # A mutant of the elimination step the zeroed copies share, whose pivot
     # is one too high at the last step, the one that leaves a single column;
     # det_bareiss, the left side, is left alone.
-    source = inspect.getsource(mx._pivot_step)
-    mutant = source.replace("p = a.pop()", "p = a.pop() + (len(cols) == 1)")
+    source = inspect.getsource(mx._step)
+    mutant = source.replace("p, free = pivot_row[q],", "p, free = pivot_row[q] + (r == len(cols) - 2),")
     assert mutant != source
     namespace = dict(vars(mx))
     exec(mutant, namespace)
-    monkeypatch.setattr(mx, "_pivot_step", namespace["_pivot_step"])
+    monkeypatch.setattr(mx, "_step", namespace["_step"])
     code, out, _ = run(capsys, "verify", "--theorem", theorem, "--trials", "6",
                        "--max-n", "4", "--seed", "42")
     monkeypatch.undo()

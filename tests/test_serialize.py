@@ -6,13 +6,14 @@ import errno
 import os
 import pickle
 import re
+import sys
 from fractions import Fraction
 
 import pytest
 
 from deckpoly import polynomials as poly
 from deckpoly import serialize as ser
-from deckpoly.digraphs import Digraph
+from deckpoly.digraphs import Digraph, InvalidDigraphError, validate
 from deckpoly.graph_polys import F2, MAX_RATIONAL_CHARS, Deck, deck, parse_kind, parse_rational
 from deckpoly.identities import check_thm21
 from deckpoly.reconstruct import Inconsistent, OneParameterFamily, Unique
@@ -178,6 +179,31 @@ def test_deck_member_values_have_a_length_bound():
     # is the one named.
     with pytest.raises(ser.FormatError, match="bad rational 'x'"):
         ser.deck_from_obj({**obj, "polys": [["0", "1" * MAX_RATIONAL_CHARS, "x"]]})
+
+
+HUGE = 10**5000  # past Python's default 4,300-digit limit on str(int)
+
+
+@pytest.mark.parametrize("call, error, named", [
+    pytest.param(lambda: ser.deck_from_obj({"n": -HUGE, "kind": "f1", "polys": [["1"]]}),
+                 ser.FormatError, '"n" must be >= 1, got <negative int of 16610 bits>', id="deck-n"),
+    pytest.param(lambda: ser.digraph_from_obj({"format_version": HUGE, "n": 2, "arcs": []}),
+                 ser.FormatError, "unsupported format_version <int of 16610 bits>", id="format-version"),
+    pytest.param(lambda: validate(Digraph(-HUGE)), InvalidDigraphError,
+                 "vertex count must be >= 1, got <negative int of 16610 bits>", id="vertex-count"),
+    pytest.param(lambda: validate(Digraph(3, [(0, HUGE)])), InvalidDigraphError,
+                 "arc (0, <int of 16610 bits>) outside vertex range [0, 3)", id="arc-endpoint"),
+])
+def test_an_int_past_the_digit_limit_is_named_by_its_bit_length(call, error, named):
+    # Under the default limit repr raises ValueError on such an int, so a
+    # library call outside the CLI, which lifts the limit, names it so.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        with pytest.raises(error, match=re.escape(named)):
+            call()
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_deck_members_read_in_any_terms():

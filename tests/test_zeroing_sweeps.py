@@ -202,6 +202,32 @@ def test_shared_elimination_values(m, positions):
     assert mx.zeroed_dets(m, len(m), positions) == expansions(m, positions)
 
 
+@pytest.mark.parametrize("deficiency", [1, 2])
+def test_rank_deficient_matrices_match_explicit_copies(deficiency):
+    # X of rank n - 1 or n - 2: rows drawn as in verify, then n - rank of
+    # them replaced by integer combinations of the others and the rows
+    # shuffled, so that the dependence falls in the trunk, in a finish or in
+    # the last row. At rank n - 2 every copy has det 0, and no row of X gets
+    # its cofactors; at rank n - 1 some copies are nonsingular.
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(5303 + deficiency)
+    for n in range(2, 10):
+        for zero_density in (0.0, 0.3):
+            for _ in range(3):
+                rank = n - deficiency
+                basis = choice_matrix(rng, n, zero_density)[:rank]
+                m = basis + [[sum(c * row[j] for c, row in zip(combination, basis)) for j in range(n)]
+                             for combination in ([rng.randint(-2, 2) for _ in basis]
+                                                 for _ in range(deficiency))]
+                rng.shuffle(m)
+                if sympy.Matrix(m).rank() != rank:
+                    continue
+                support = [(i, j) for i, j in entries(n) if m[i][j]]
+                for positions in (entries(n), support):
+                    assert (mx.zeroed_dets(m, n, positions)
+                            == copies_one_by_one(mx.det_bareiss, m, positions)), m
+
+
 class Traced(int):
     """An int that keeps the entries (row, column) of X it was computed
     from: each operation the det sweep applies unites its operands'."""
@@ -248,19 +274,19 @@ def test_one_trunk_pivots_each_row_once_and_no_copy_reads_its_own_row(monkeypatc
     m = [[2, 1, 1, 3, 1], [1, 3, 2, 1, 2], [1, 1, 4, 2, 1], [3, 2, 1, 5, 1], [1, 2, 3, 1, 4]]
     positions = [(3, 1), (0, 0), (1, 4), (3, 1), (1, 2), (0, 3), (3, 4)]
     traced = [[Traced(x, frozenset({(i, j)})) for j, x in enumerate(row)] for i, row in enumerate(m)]
-    # Each step pivots on the row last in every column. Its entries come
-    # from the rows pivoted before it in the same elimination and its own,
-    # the largest of them: (pivot row, the rows pivoted before it).
+    # Each step pivots on rows[r]. Its entries in the free columns come from
+    # the rows pivoted before it in the same elimination and its own, the
+    # largest of them: (pivot row, the rows pivoted before it).
     steps = []
-    pivot_step = mx._pivot_step
+    step = mx._step
 
-    def recording(cols, prev):
-        rows = {i for col in cols for i, _ in sources(col[-1])}
-        steps.append((max(rows), frozenset(rows) - {max(rows)}))
-        return pivot_step(cols, prev)
+    def recording(rows, r, cols, prev):
+        read = {i for c in cols[r:] for i, _ in sources(rows[r][c])}
+        steps.append((max(read), frozenset(read) - {max(read)}))
+        return step(rows, r, cols, prev)
 
     assert [i for i, _ in mx._cofactors(m, 5)] == list(range(5))
-    monkeypatch.setattr(mx, "_pivot_step", recording)
+    monkeypatch.setattr(mx, "_step", recording)
     dets = mx.zeroed_dets(traced, 5, positions)
     assert dets == expansions(m, positions)
     # The trunk pivots on rows 0, 1, 2 and 3 in order, on the rows before
@@ -350,19 +376,19 @@ def test_zeroed_pers_never_forms_per_x(monkeypatch):
 def test_zeroed_dets_never_forms_det_x(monkeypatch):
     # Every entry of an elimination is a minor of the rows it has pivoted on
     # and one more row. Row i's elimination leaves row i out, and the trunk,
-    # which covers every row, drops row n - 1 before its step on row n - 2,
+    # which covers every row, leaves row n - 1 out of its step on row n - 2,
     # so no entry a step makes reads every row of X. A trunk that kept row
     # n - 1 would make +-det X at that step.
     made = []
-    pivot_step = mx._pivot_step
+    step = mx._step
 
-    def recording(cols, prev):
-        step = pivot_step(cols, prev)
-        if step is not None:
-            made.extend([step[1], *(v for col in step[2] for v in col)])
-        return step
+    def recording(rows, r, cols, prev):
+        p = step(rows, r, cols, prev)
+        if p:
+            made.extend([p, *(row[c] for row in rows for c in cols[r + 1:])])
+        return p
 
-    monkeypatch.setattr(mx, "_pivot_step", recording)
+    monkeypatch.setattr(mx, "_step", recording)
     rng = random.Random(2417)
     for n in range(1, 8):
         for zero_density in (0.0, 0.3):
